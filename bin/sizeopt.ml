@@ -393,8 +393,8 @@ let build_cmd =
     | None -> ()
     | Some limit ->
       Printf.printf "\npass steps (opt-bisect-limit %d):\n" limit;
-      List.iteri
-        (fun i (s : Passman.step) ->
+      List.iter
+        (fun (s : Passman.step) ->
           let name =
             if s.Passman.st_detail = "" then s.Passman.st_pass
             else s.Passman.st_pass ^ " " ^ s.Passman.st_detail
@@ -403,7 +403,7 @@ let build_cmd =
             if s.Passman.st_unit = "" then name
             else name ^ " @" ^ s.Passman.st_unit
           in
-          Printf.printf "  %3d %s %-40s %8d -> %8d B\n" (i + 1)
+          Printf.printf "  %3d %s %-40s %8d -> %8d B\n" s.Passman.st_gate
             (if s.Passman.st_applied then "run " else "skip") name
             s.Passman.st_before s.Passman.st_after)
         res.pass_steps)

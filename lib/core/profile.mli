@@ -25,6 +25,10 @@ val new_round : t -> int -> round_profile
 val rounds : t -> round_profile list
 (** Chronological order. *)
 
+val append : into:t -> t -> unit
+(** Add [t]'s rounds after [into]'s, e.g. a per-unit profile merged back
+    into the build's in module order. *)
+
 val round_total : round_profile -> float
 val total : t -> float
 

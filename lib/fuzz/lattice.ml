@@ -10,26 +10,36 @@ type verdict =
 
 (* --- lattice points -------------------------------------------------------- *)
 
+(* Each optional-pass combination is an edit of the point's lowered spec
+   ([dce], then the outliner and layout marker when outlining is on): the
+   MIR passes go after [dce], [canonicalize] right before the outliner. *)
 let pass_combos =
+  let sp name params = { Passman.sp_name = name; sp_params = params } in
+  let sil = sp "sil-outline" [ ("min", "8") ]
+  and merge = sp "merge-functions" []
+  and fmsa = sp "fmsa" []
+  and gmerge = sp "global-merge" [ ("min", "4"); ("max-holes", "6") ] in
+  let edit ?(dce = true) ?(mir = []) ?(canon = false) () = function
+    | [] -> []
+    | dce_sp :: machine ->
+      (if dce then [ dce_sp ] else [])
+      @ mir
+      @ if canon && machine <> [] then sp "canonicalize" [] :: machine
+        else machine
+  in
   [
-    ("plain", fun (c : Pipeline.config) -> c);
-    ("nodce", fun c -> { c with Pipeline.run_dce = false });
-    ("sil", fun c -> { c with Pipeline.run_sil_outline = true });
-    ("merge", fun c -> { c with Pipeline.run_merge_functions = true });
-    ("fmsa", fun c -> { c with Pipeline.run_fmsa = true });
-    ("gmerge", fun c -> { c with Pipeline.run_global_merge = true });
-    ("canon", fun c -> { c with Pipeline.run_canonicalize = true });
-    ( "all",
-      fun c ->
-        {
-          c with
-          Pipeline.run_sil_outline = true;
-          run_merge_functions = true;
-          run_fmsa = true;
-          run_global_merge = true;
-          run_canonicalize = true;
-        } );
+    ("plain", edit ());
+    ("nodce", edit ~dce:false ());
+    ("sil", edit ~mir:[ sil ] ());
+    ("merge", edit ~mir:[ merge ] ());
+    ("fmsa", edit ~mir:[ fmsa ] ());
+    ("gmerge", edit ~mir:[ gmerge ] ());
+    ("canon", edit ~canon:true ());
+    ("all", edit ~mir:[ sil; merge; fmsa; gmerge ] ~canon:true ());
   ]
+
+let with_passes f (c : Pipeline.config) =
+  { c with Pipeline.passes = Some (f (Pipeline.spec_of_config c)) }
 
 let points base =
   let base =
@@ -51,7 +61,8 @@ let points base =
             List.map
               (fun (pname, f) ->
                 ( Printf.sprintf "%s/r%d/%s" mname r pname,
-                  f { base with Pipeline.mode; outline_rounds = r } ))
+                  with_passes f { base with Pipeline.mode; outline_rounds = r }
+                ))
               pass_combos)
           rounds)
       modes
@@ -155,77 +166,28 @@ let contains_substring hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(* The pipeline-string differential: every config point has a twin
-   expressed as a parsed-back pipeline spec, and the two must build
-   byte-identical programs (or fail identically).  This checks the
-   spec_of_config/parse/print round-trip and the spec-driven manager
-   against the flag-driven lowering at every lattice point. *)
-let spec_twin (cfg : Pipeline.config) =
+(* The spec round trip: every point's pipeline spec must print and parse
+   back to itself, so each point is reproducible as [sizeopt build
+   --passes]. *)
+let spec_round_trip (label, cfg) =
   let specs = Pipeline.spec_of_config cfg in
-  if specs = [] then Ok { cfg with Pipeline.passes = Some [] }
+  let fail reason = Error { point = label ^ "/spec"; reason } in
+  if specs = [] then Ok ()
   else
     match Passman.parse (Passman.print specs) with
-    | Error e -> Error ("pipeline-spec round-trip failed to parse: " ^ e)
-    | Ok specs' ->
-      if specs' <> specs then
-        Error
-          (Printf.sprintf "pipeline-spec round-trip not identity: %S vs %S"
-             (Passman.print specs) (Passman.print specs'))
-      else Ok { cfg with Pipeline.passes = Some specs' }
-
-let run_spec_twin modules (label, cfg)
-    (flag_result : (Pipeline.result, string) result) =
-  let label = label ^ "/spec" in
-  match spec_twin cfg with
-  | Error reason -> Error { point = label; reason }
-  | Ok spec_cfg -> (
-    match (Pipeline.build ~config:spec_cfg modules, flag_result) with
-    | Ok s, Ok f ->
-      if
-        Machine.Asm_printer.to_source s.Pipeline.program
-        <> Machine.Asm_printer.to_source f.Pipeline.program
-      then
-        Error
-          {
-            point = label;
-            reason =
-              Printf.sprintf
-                "spec-driven build diverged from the flag-driven build \
-                 (passes %S)"
-                (Passman.print (Pipeline.spec_of_config spec_cfg));
-          }
-      else Ok ()
-    | Error es, Error ef ->
-      if es = ef then Ok ()
-      else
-        Error
-          {
-            point = label;
-            reason =
-              Printf.sprintf
-                "spec-driven build failed differently: %S vs flag-driven %S"
-                es ef;
-          }
-    | Ok _, Error ef ->
-      Error
-        {
-          point = label;
-          reason = "spec-driven build succeeded where flags failed: " ^ ef;
-        }
-    | Error es, Ok _ ->
-      Error
-        {
-          point = label;
-          reason = "spec-driven build failed where flags succeeded: " ^ es;
-        })
+    | Error e -> fail ("pipeline-spec round-trip failed to parse: " ^ e)
+    | Ok specs' when specs' <> specs ->
+      fail
+        (Printf.sprintf "pipeline-spec round-trip not identity: %S vs %S"
+           (Passman.print specs) (Passman.print specs'))
+    | Ok _ -> Ok ()
 
 let run_point ?(interp = interp_config) modules (label, cfg) ~style ~ref_exit
     ~ref_output =
-  let flag_result = Pipeline.build ~config:cfg modules in
-  match run_spec_twin modules (label, cfg) flag_result with
+  match spec_round_trip (label, cfg) with
   | Error f -> Error f
   | Ok () -> (
-    match flag_result with
+    match Pipeline.build ~config:cfg modules with
     | Error msg ->
       if expect_conflict cfg style (List.length modules) then
         if contains_substring msg "module flag conflict" then Ok None
@@ -734,16 +696,16 @@ let check ?(verify_each = false) (p : Swiftgen.program) =
               | None -> (
                 match serve_differential (Swiftgen.to_sources p) with
                 | Some f -> Fail f
-                (* every point also ran its /spec twin, plus the two
-                   transition-differential points, the two refactor-exactness
-                   differentials (merge-functions and fmsa against their
-                   frozen pre-refactor copies), the two thin-WPO
-                   differentials, the compressed-size property check, and
-                   the three serve replay steps (build, edit, retry) *)
-                | None -> Pass ((2 * List.length pts) + 4 + 2 + 1 + 3))))))))
+                (* every point, plus the two transition-differential
+                   points, the two refactor-exactness differentials
+                   (merge-functions and fmsa against their frozen
+                   pre-refactor copies), the two thin-WPO differentials,
+                   the compressed-size property check, and the three serve
+                   replay steps (build, edit, retry) *)
+                | None -> Pass (List.length pts + 4 + 2 + 1 + 3))))))))
 
-(* The thin-only check: reference oracle, the three thin points (spec
-   twins included), and both thin differentials — nothing else.  This is
+(* The thin-only check: reference oracle, the three thin points, and both
+   thin differentials — nothing else.  This is
    what the self-test's fault phase and its shrink loop run: a full
    [check] sweeps fifty-odd points per program, which the greedy shrinker
    would multiply by hundreds of deletion attempts. *)
@@ -815,7 +777,7 @@ let check_thin (p : Swiftgen.program) =
         | None -> (
           match thin_differential (List.rev !thins) wp3 with
           | Some f -> Fail f
-          | None -> Pass ((2 * List.length pts) + 2)))))
+          | None -> Pass (List.length pts + 2)))))
 
 (* The serve-only check: front-end gate, then the serve replay differential
    with two edits — what the self-test's stale-cache fault phase and its
@@ -854,15 +816,16 @@ let check_gmerge (p : Swiftgen.program) =
       | Ok ref_res -> (
         let ref_exit = ref_res.exit_value and ref_output = ref_res.output in
         let base =
-          {
-            Pipeline.default_config with
-            Pipeline.flag_semantics = Link.Attributes;
-            data_order = Link.Module_preserving;
-            outlined_layout = `Append;
-            layout_profile = None;
-            run_global_merge = true;
-            outline_rounds = 0;
-          }
+          with_passes
+            (List.assoc "gmerge" pass_combos)
+            {
+              Pipeline.default_config with
+              Pipeline.flag_semantics = Link.Attributes;
+              data_order = Link.Module_preserving;
+              outlined_layout = `Append;
+              layout_profile = None;
+              outline_rounds = 0;
+            }
         in
         let pts =
           [
@@ -903,7 +866,7 @@ let check_gmerge (p : Swiftgen.program) =
         | None -> (
           match thin_differential (List.rev !thins) None with
           | Some f -> Fail f
-          | None -> Pass ((2 * List.length pts) + 1)))))
+          | None -> Pass (List.length pts + 1)))))
 
 (* --- the machine check ------------------------------------------------------- *)
 

@@ -22,15 +22,13 @@
     points) and that the thin image stays within a fixed bound of the
     full whole-program build (5% + 256 bytes of wp/r3).
 
-    Two pass-manager differentials ride on every checked program:
-    - each config point has a [/spec] twin whose config is the point's
-      pipeline spec printed and parsed back ([Pipeline.spec_of_config] →
-      [Passman.print] → [Passman.parse]); the twin build must be
-      byte-identical to the flag-driven build (or fail identically);
+    Two pass-manager checks ride on every checked program:
+    - each point's pipeline spec (its optional passes are edits of the
+      lowered spec) must print and parse back to itself
+      ([Pipeline.spec_of_config] → [Passman.print] → [Passman.parse]);
     - the default configs (both modes) are built through the pass manager
       {e and} the preserved pre-refactor sequencing
-      ([Pipeline.build_reference]) and must agree byte-for-byte — the
-      transitional proof that the refactor is observationally exact.
+      ([Pipeline.build_reference]) and must agree byte-for-byte.
 
     The compressed-size model ({!Linker.Compress}) is property-checked on
     the wp/r3 program: the estimate must be deterministic, never exceed
@@ -58,17 +56,16 @@ val attach_flags : Swiftgen.flag_style -> Ir.modul list -> Ir.modul list
 (** Give each module an ["objc_gc"] flag in the requested style. *)
 
 val check : ?verify_each:bool -> Swiftgen.program -> verdict
-(** Compile, run the reference oracle, sweep the lattice (spec twins and
-    the transition differential included).  [verify_each] additionally
+(** Compile, run the reference oracle, sweep the lattice (spec round trips
+    and the transition differential included).  [verify_each] additionally
     runs the stage invariants after every pass application at every
     point ([sizeopt fuzz --verify-each], the CI smoke configuration). *)
 
 val check_thin : Swiftgen.program -> verdict
 (** The thin-WPO slice of {!check}: reference oracle, the three
-    [thin/r3/wN] points with their spec twins, and the two thin
-    differentials — nothing else.  Cheap enough for the self-test's
-    fault-injection loop, where the shrinker re-checks the program
-    after every deletion attempt. *)
+    [thin/r3/wN] points, and the two thin differentials — nothing else.
+    Cheap enough for the self-test's fault-injection loop, where the
+    shrinker re-checks the program after every deletion attempt. *)
 
 val check_gmerge : Swiftgen.program -> verdict
 (** The global-merge slice: reference oracle, then round-0 [gmerge] points

@@ -127,17 +127,12 @@ type step = {
   st_pass : string;
   st_detail : string;
   st_unit : string;
+  st_gate : int;
   st_applied : bool;
   st_seconds : float;
   st_before : int;
   st_after : int;
 }
-
-let step_label st =
-  let name =
-    if st.st_detail = "" then st.st_pass else st.st_pass ^ " " ^ st.st_detail
-  in
-  if st.st_unit = "" then name else st.st_unit ^ "/" ^ name
 
 type ctx = {
   cx_verify_each : bool;
@@ -168,7 +163,7 @@ let create_ctx ?(verify_each = false) ?(print_after = `Never) ?bisect_limit
     cx_forked = None;
   }
 
-(* --- sharded contexts (thin-WPO's parallel per-module phase) --------------- *)
+(* --- sharded contexts (the per-unit phase of the per-module modes) ---------- *)
 
 (* Bisect-step numbering must be a function of the pipeline alone, not of
    domain scheduling, so a parallel phase cannot share the parent's mutable
@@ -186,7 +181,7 @@ let reserved_steps specs =
       acc
       +
       match sp.sp_name with
-      | "outline" | "thin-outline" -> int_param sp "rounds" ~default:5
+      | "outline" | "thin-outline" -> max 0 (int_param sp "rounds" ~default:5)
       | _ -> 1)
     0 specs
 
@@ -210,21 +205,7 @@ let join ctx ~advance children =
     children;
   ctx.cx_counter <- ctx.cx_counter + advance
 
-let gate ctx ~pass:_ ~detail:_ =
-  ctx.cx_counter <- ctx.cx_counter + 1;
-  match ctx.cx_bisect_limit with
-  | None -> true
-  | Some limit -> ctx.cx_counter <= limit
-
-let record ctx st = ctx.cx_rev_steps <- st :: ctx.cx_rev_steps
 let steps ctx = List.rev ctx.cx_rev_steps
-
-let steps_applied ctx =
-  List.fold_left
-    (fun n st -> if st.st_applied then n + 1 else n)
-    0 ctx.cx_rev_steps
-
-let verify_each ctx = ctx.cx_verify_each
 
 let should_print_after ctx name =
   match ctx.cx_print_after with
@@ -232,7 +213,38 @@ let should_print_after ctx name =
   | `All -> true
   | `Passes names -> List.mem name names
 
-let dump ctx label text = ctx.cx_dump label text
+let unit_label unit_name name =
+  if unit_name = "" then name else unit_name ^ "/" ^ name
+
+(* One bisect step: take the next step number and, within the limit, time
+   [run ()] and log its size delta; beyond it, log a skip and return
+   [None] so the caller keeps its input. *)
+let bisect_step ctx ~pass ?(detail = "") ~unit_name ~size ir run =
+  ctx.cx_counter <- ctx.cx_counter + 1;
+  let gate = ctx.cx_counter and before = size ir in
+  let log ~applied ~seconds ~after =
+    ctx.cx_rev_steps <-
+      {
+        st_pass = pass;
+        st_detail = detail;
+        st_unit = unit_name;
+        st_gate = gate;
+        st_applied = applied;
+        st_seconds = seconds;
+        st_before = before;
+        st_after = after;
+      }
+      :: ctx.cx_rev_steps
+  in
+  match ctx.cx_bisect_limit with
+  | Some limit when gate > limit ->
+    log ~applied:false ~seconds:0. ~after:before;
+    None
+  | _ ->
+    let t0 = Unix.gettimeofday () in
+    let ((ir', _) as out) = run () in
+    log ~applied:true ~seconds:(Unix.gettimeofday () -. t0) ~after:(size ir');
+    Some out
 
 (* --- stages and passes ----------------------------------------------------- *)
 
@@ -249,6 +261,7 @@ type 'ir pass = {
   p_self_gated : bool;
   p_linked : bool;
   p_run : ctx -> spec -> 'ir -> 'ir;
+  p_across : (workers:int -> spec -> 'ir list -> 'ir list) option;
 }
 
 let find_pass passes name = List.find_opt (fun p -> p.p_name = name) passes
@@ -272,73 +285,68 @@ let validate_specs ~known specs =
   in
   go specs
 
-let check_params pass sp =
-  List.iter
-    (fun (k, _) ->
-      if not (List.mem k pass.p_params) then
-        failwith
-          (Printf.sprintf "pass %s: unknown parameter %S" pass.p_name k))
-    sp.sp_params
+let resolve stage passes sp =
+  match find_pass passes sp.sp_name with
+  | None ->
+    failwith
+      (Printf.sprintf "%s pipeline: unknown pass %S" stage.stage_name sp.sp_name)
+  | Some pass ->
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k pass.p_params) then
+          failwith
+            (Printf.sprintf "pass %s: unknown parameter %S" pass.p_name k))
+      sp.sp_params;
+    pass
 
-let unit_label unit_name name =
-  if unit_name = "" then name else unit_name ^ "/" ^ name
+let verify_step ctx stage label ir =
+  if ctx.cx_verify_each then
+    match stage.stage_verify ir with
+    | Error e -> failwith (Printf.sprintf "verify-each after %s: %s" label e)
+    | Ok () -> ()
+
+let print_step ctx stage pass label ir =
+  if should_print_after ctx pass.p_name then
+    ctx.cx_dump label (stage.stage_print ir)
 
 let run_passes ctx stage passes ?(unit_name = "") specs ir =
   List.fold_left
     (fun ir sp ->
-      match find_pass passes sp.sp_name with
-      | None ->
-        failwith
-          (Printf.sprintf "%s pipeline: unknown pass %S" stage.stage_name
-             sp.sp_name)
-      | Some pass ->
-        check_params pass sp;
-        let finish ir' =
-          if verify_each ctx && not pass.p_self_gated then begin
-            match stage.stage_verify ir' with
-            | Error e ->
-              failwith
-                (Printf.sprintf "verify-each after %s: %s"
-                   (unit_label unit_name pass.p_name)
-                   e)
-            | Ok () -> ()
-          end;
-          if should_print_after ctx pass.p_name then
-            dump ctx (unit_label unit_name pass.p_name) (stage.stage_print ir');
-          ir'
-        in
-        if pass.p_self_gated then finish (pass.p_run ctx sp ir)
-        else if gate ctx ~pass:pass.p_name ~detail:"" then begin
-          let before = stage.stage_size ir in
-          let t0 = Unix.gettimeofday () in
-          let ir' = pass.p_run ctx sp ir in
-          record ctx
-            {
-              st_pass = pass.p_name;
-              st_detail = "";
-              st_unit = unit_name;
-              st_applied = true;
-              st_seconds = Unix.gettimeofday () -. t0;
-              st_before = before;
-              st_after = stage.stage_size ir';
-            };
-          finish ir'
-        end
-        else begin
-          let size = stage.stage_size ir in
-          record ctx
-            {
-              st_pass = pass.p_name;
-              st_detail = "";
-              st_unit = unit_name;
-              st_applied = false;
-              st_seconds = 0.;
-              st_before = size;
-              st_after = size;
-            };
-          ir
-        end)
+      let pass = resolve stage passes sp in
+      let label = unit_label unit_name pass.p_name in
+      if pass.p_self_gated then begin
+        let ir' = pass.p_run ctx sp ir in
+        print_step ctx stage pass label ir';
+        ir'
+      end
+      else
+        match
+          bisect_step ctx ~pass:pass.p_name ~unit_name ~size:stage.stage_size ir
+            (fun () -> (pass.p_run ctx sp ir, ()))
+        with
+        | None -> ir
+        | Some (ir', ()) ->
+          verify_step ctx stage label ir';
+          print_step ctx stage pass label ir';
+          ir')
     ir specs
+
+let run_across ctx stage passes ~workers sp units =
+  let pass = resolve stage passes sp in
+  match pass.p_across with
+  | None ->
+    failwith (Printf.sprintf "pass %s does not run across units" pass.p_name)
+  | Some across -> (
+    let size us = List.fold_left (fun a (_, u) -> a + stage.stage_size u) 0 us in
+    let names, irs = List.split units in
+    let run () = (List.combine names (across ~workers sp irs), ()) in
+    match bisect_step ctx ~pass:pass.p_name ~unit_name:"" ~size units run with
+    | None -> units
+    | Some (out, ()) ->
+      let label name = unit_label name pass.p_name in
+      List.iter (fun (name, u) -> verify_step ctx stage (label name) u) out;
+      List.iter (fun (name, u) -> print_step ctx stage pass (label name) u) out;
+      out)
 
 (* --- opt-bisect ------------------------------------------------------------ *)
 
@@ -404,50 +412,38 @@ let machine_stage =
     stage_size = Machine.Program.code_size_bytes;
   }
 
+(* A pass the manager gates, times and checks as one step. *)
+let simple_pass ?(linked = false) ?across name params run =
+  {
+    p_name = name;
+    p_params = params;
+    p_self_gated = false;
+    p_linked = linked;
+    p_run = run;
+    p_across = across;
+  }
+
 let mir_passes ~keep =
+  (* global-merge's decision spans compilation units: the per-unit modes
+     run it once across every unit ([run_across]); whole-program mode
+     runs it on the one linked module. *)
+  let global_merge ~workers sp ms =
+    fst
+      (Global_merge.run_modules ~workers
+         ~min_instrs:(int_param sp "min" ~default:4)
+         ~max_holes:(int_param sp "max-holes" ~default:6)
+         ~keep ms)
+  in
   [
-    {
-      p_name = "dce";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = false;
-      p_run = (fun _ _ m -> fst (Dce.run m));
-    };
-    {
-      p_name = "sil-outline";
-      p_params = [ "min" ];
-      p_self_gated = false;
-      p_linked = false;
-      p_run =
-        (fun _ sp m ->
-          let min_occurrences = int_param sp "min" ~default:8 in
-          fst (Swiftlet.Sil_outline.run ~min_occurrences m));
-    };
-    {
-      p_name = "merge-functions";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = false;
-      p_run = (fun _ _ m -> fst (Merge_functions.run ~keep m));
-    };
-    {
-      p_name = "fmsa";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = false;
-      p_run = (fun _ _ m -> fst (Fmsa.run ~keep m));
-    };
-    {
-      p_name = "global-merge";
-      p_params = [ "min"; "max-holes" ];
-      p_self_gated = false;
-      p_linked = false;
-      p_run =
-        (fun _ sp m ->
-          let min_instrs = int_param sp "min" ~default:4 in
-          let max_holes = int_param sp "max-holes" ~default:6 in
-          fst (Global_merge.run_module ~min_instrs ~max_holes ~keep m));
-    };
+    simple_pass "dce" [] (fun _ _ m -> fst (Dce.run m));
+    simple_pass "sil-outline" [ "min" ] (fun _ sp m ->
+        let min_occurrences = int_param sp "min" ~default:8 in
+        fst (Swiftlet.Sil_outline.run ~min_occurrences m));
+    simple_pass "merge-functions" [] (fun _ _ m ->
+        fst (Merge_functions.run ~keep m));
+    simple_pass "fmsa" [] (fun _ _ m -> fst (Fmsa.run ~keep m));
+    simple_pass "global-merge" [ "min"; "max-holes" ] ~across:global_merge
+      (fun _ sp m -> List.hd (global_merge ~workers:1 sp [ m ]));
   ]
 
 type machine_env = {
@@ -460,21 +456,54 @@ type machine_env = {
   me_warm : (Outcore.Outliner.engine * (string -> bool)) option;
 }
 
+(* The repeated outliners' self-gated loop: every round is one bisect step
+   recorded as ["round K"], verified on its own under --verify-each, and a
+   round that outlines nothing ends the repetition with the pre-round
+   program (Outcore.Repeat.run's contract, which the byte-identity checks
+   depend on).  [round_fn k p] runs round [k]. *)
+let run_rounds ctx ~pass ~unit_name ~rounds ~on_stats round_fn p =
+  let stats_acc = ref [] in
+  let rec go round p =
+    if round > rounds then p
+    else begin
+      let detail = Printf.sprintf "round %d" round in
+      let run () =
+        let p', stats = round_fn round p in
+        if stats.Outcore.Outliner.sequences_outlined = 0 then (p, None)
+        else (p', Some stats)
+      in
+      match
+        bisect_step ctx ~pass ~detail ~unit_name
+          ~size:Machine.Program.code_size_bytes p run
+      with
+      | None -> p
+      | Some (p', stats) -> (
+        verify_step ctx machine_stage
+          (unit_label unit_name (pass ^ " " ^ detail))
+          p';
+        match stats with
+        | None -> p
+        | Some stats ->
+          stats_acc := stats :: !stats_acc;
+          go (round + 1) p')
+    end
+  in
+  let final = go 1 p in
+  on_stats (List.rev !stats_acc);
+  final
+
 (* The repeated outliner as a self-gated pass: every round is one bisect
    step, so --opt-bisect-limit can cut the repetition mid-way and
-   localization lands on a single round.  The loop mirrors
-   Outcore.Repeat.run exactly (same options, same early stop discarding a
-   round that outlined nothing) — the fuzz lattice's byte-identity
-   differential depends on it. *)
+   localization lands on a single round. *)
 let outline_pass env unit_name =
   {
     p_name = "outline";
     p_params = [ "rounds" ];
     p_self_gated = true;
     p_linked = false;
+    p_across = None;
     p_run =
       (fun ctx sp p ->
-        let rounds = int_param sp "rounds" ~default:5 in
         let eng =
           match (env.me_engine, env.me_warm) with
           | `Incremental, Some (e, changed) ->
@@ -488,213 +517,77 @@ let outline_pass env unit_name =
         let options =
           { Outcore.Outliner.default_options with scope_name = env.me_scope }
         in
-        let stats_acc = ref [] in
-        let rec go round p =
-          if round > rounds then p
-          else begin
-            let detail = Printf.sprintf "round %d" round in
-            if not (gate ctx ~pass:"outline" ~detail) then begin
-              let size = Machine.Program.code_size_bytes p in
-              record ctx
-                {
-                  st_pass = "outline";
-                  st_detail = detail;
-                  st_unit = unit_name;
-                  st_applied = false;
-                  st_seconds = 0.;
-                  st_before = size;
-                  st_after = size;
-                };
-              p
-            end
-            else begin
-              let before = Machine.Program.code_size_bytes p in
-              let t0 = Unix.gettimeofday () in
-              let opts =
-                {
-                  options with
-                  Outcore.Outliner.round =
-                    options.Outcore.Outliner.round + round - 1;
-                }
-              in
-              let p', stats, _dirty =
-                match eng with
-                | Some e ->
-                  Outcore.Outliner.run_round_incremental ~profile:env.me_profile
-                    e opts p
-                | None ->
-                  Outcore.Outliner.run_round ~profile:env.me_profile opts p
-              in
-              (* A round that outlines nothing ends the repetition with the
-                 pre-round program, as Repeat.run does. *)
-              let result =
-                if stats.Outcore.Outliner.sequences_outlined = 0 then p else p'
-              in
-              record ctx
-                {
-                  st_pass = "outline";
-                  st_detail = detail;
-                  st_unit = unit_name;
-                  st_applied = true;
-                  st_seconds = Unix.gettimeofday () -. t0;
-                  st_before = before;
-                  st_after = Machine.Program.code_size_bytes result;
-                };
-              if verify_each ctx then begin
-                match Machine.Program.validate result with
-                | Error e ->
-                  failwith
-                    (Printf.sprintf "verify-each after %s: %s"
-                       (unit_label unit_name ("outline " ^ detail))
-                       e)
-                | Ok () -> ()
-              end;
-              if stats.Outcore.Outliner.sequences_outlined = 0 then p
-              else begin
-                stats_acc := stats :: !stats_acc;
-                go (round + 1) p'
-              end
-            end
-          end
-        in
-        let final = go 1 p in
-        env.me_on_stats (List.rev !stats_acc);
-        final);
+        run_rounds ctx ~pass:"outline" ~unit_name
+          ~rounds:(int_param sp "rounds" ~default:5)
+          ~on_stats:env.me_on_stats
+          (fun round p ->
+            let opts =
+              {
+                options with
+                Outcore.Outliner.round =
+                  options.Outcore.Outliner.round + round - 1;
+              }
+            in
+            let p', stats, _dirty =
+              match eng with
+              | Some e ->
+                Outcore.Outliner.run_round_incremental ~profile:env.me_profile
+                  e opts p
+              | None -> Outcore.Outliner.run_round ~profile:env.me_profile opts p
+            in
+            (p', stats))
+          p);
   }
 
 (* Thin-WPO as a self-gated linked pass: it wants the system-linker-merged
    program (it re-shards it by originating module itself), and every
    three-phase round is one bisect step — the serial global decision is the
    natural gating unit, since cutting inside a round would leave shards
-   rewritten against half a decision table.  Round bookkeeping mirrors
-   [outline_pass]: a round that rewrites nothing ends the repetition with
-   the pre-round program. *)
+   rewritten against half a decision table. *)
 let thin_outline_pass env =
   {
     p_name = "thin-outline";
     p_params = [ "workers"; "rounds"; "min" ];
     p_self_gated = true;
     p_linked = true;
+    p_across = None;
     p_run =
       (fun ctx sp p ->
         let workers =
           Thinwpo.Pool.resolve_workers
             (int_param sp "workers" ~default:env.me_thin_workers)
         in
-        let rounds = int_param sp "rounds" ~default:5 in
         let min_length = int_param sp "min" ~default:2 in
         let facts = Thinwpo.Engine.create_facts () in
-        let stats_acc = ref [] in
-        let rec go round p =
-          if round > rounds then p
-          else begin
-            let detail = Printf.sprintf "round %d" round in
-            if not (gate ctx ~pass:"thin-outline" ~detail) then begin
-              let size = Machine.Program.code_size_bytes p in
-              record ctx
-                {
-                  st_pass = "thin-outline";
-                  st_detail = detail;
-                  st_unit = "";
-                  st_applied = false;
-                  st_seconds = 0.;
-                  st_before = size;
-                  st_after = size;
-                };
-              p
-            end
-            else begin
-              let before = Machine.Program.code_size_bytes p in
-              let t0 = Unix.gettimeofday () in
-              let options =
-                {
-                  Outcore.Outliner.default_options with
-                  round;
-                  min_length;
-                }
-              in
-              let p', stats =
-                Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers
-                  ~facts ~options p
-              in
-              let result =
-                if stats.Outcore.Outliner.sequences_outlined = 0 then p else p'
-              in
-              record ctx
-                {
-                  st_pass = "thin-outline";
-                  st_detail = detail;
-                  st_unit = "";
-                  st_applied = true;
-                  st_seconds = Unix.gettimeofday () -. t0;
-                  st_before = before;
-                  st_after = Machine.Program.code_size_bytes result;
-                };
-              if verify_each ctx then begin
-                match Machine.Program.validate result with
-                | Error e ->
-                  failwith
-                    (Printf.sprintf "verify-each after thin-outline %s: %s"
-                       detail e)
-                | Ok () -> ()
-              end;
-              if stats.Outcore.Outliner.sequences_outlined = 0 then p
-              else begin
-                stats_acc := stats :: !stats_acc;
-                go (round + 1) p'
-              end
-            end
-          end
-        in
-        let final = go 1 p in
-        env.me_on_stats (List.rev !stats_acc);
-        final);
+        run_rounds ctx ~pass:"thin-outline" ~unit_name:""
+          ~rounds:(int_param sp "rounds" ~default:5)
+          ~on_stats:env.me_on_stats
+          (fun round p ->
+            let options =
+              { Outcore.Outliner.default_options with round; min_length }
+            in
+            Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers ~facts
+              ~options p)
+          p);
   }
 
 let machine_passes env =
   [
-    {
-      p_name = "canonicalize";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = false;
-      p_run = (fun _ _ p -> fst (Outcore.Canonicalize.run p));
-    };
+    simple_pass "canonicalize" [] (fun _ _ p -> fst (Outcore.Canonicalize.run p));
     outline_pass env env.me_scope;
     thin_outline_pass env;
-    {
-      p_name = "caller-affinity-layout";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = true;
-      p_run = (fun _ _ p -> Outcore.Layout.optimize p);
-    };
-    {
-      p_name = "pgo-layout";
-      p_params = [ "strategy"; "w" ];
-      p_self_gated = false;
-      p_linked = true;
-      (* A marker pass: profile-guided placement is pure reordering
-         realized at link time ([Linker.link ~order]) after the program
-         is final, so the pass body is the identity.  Registering it
-         makes the strategy — order-file, c3, balanced, bp-compress(w) —
-         a validated, parameterized member of the pipeline spec that the
-         pipeline raises back onto [config.outlined_layout]. *)
-      p_run = (fun _ _ p -> p);
-    };
-    {
-      p_name = "stitch";
-      p_params = [];
-      p_self_gated = false;
-      p_linked = true;
-      (* Marker pass for block-granularity placement, same contract as
-         pgo-layout: the real transform (hot/cold splitting plus
-         interprocedural chain stitching, [Blocklayout.apply]) runs in
-         the pipeline's layout phase on the linked program, so the pass
-         body is the identity and registering it only makes "stitch" a
-         validated pipeline-spec member. *)
-      p_run = (fun _ _ p -> p);
-    };
+    simple_pass ~linked:true "caller-affinity-layout" [] (fun _ _ p ->
+        Outcore.Layout.optimize p);
+    (* Marker passes: profile-guided placement is pure reordering realized
+       at link time ([Linker.link ~order]) and block-granularity placement
+       ([Blocklayout]) runs in the pipeline's layout phase, both on the
+       final linked program, so the pass bodies are the identity.
+       Registering them makes the strategy — order-file, c3, balanced,
+       bp-compress(w), stitch — a validated, parameterized member of the
+       pipeline spec that the pipeline raises back onto
+       [config.outlined_layout]. *)
+    simple_pass ~linked:true "pgo-layout" [ "strategy"; "w" ] (fun _ _ p -> p);
+    simple_pass ~linked:true "stitch" [] (fun _ _ p -> p);
   ]
 
 let registered_names =

@@ -2,22 +2,27 @@
 
     LLVM's pipeline gives every transformation a name, a parameter list,
     per-pass timing, [-verify-each], [-print-after], a textual pipeline
-    spec, and [-opt-bisect-limit] for free; our reproduction hardcoded the
-    same sequencing as ad-hoc control flow in [Pipeline.build].  This
-    module is the generic framework that replaces it: a uniform pass
-    signature over each IR stage (MIR modules and machine programs), a
-    shared context that owns bisect gating, per-pass timings, size deltas
-    and diagnostics, and a textual pipeline-spec grammar
+    spec, and [-opt-bisect-limit] for free.  This module is that framework
+    for our two IR stages (MIR modules and machine programs): a uniform
+    pass signature, a shared context that owns bisect gating, per-pass
+    timings, size deltas and diagnostics, and a textual pipeline-spec
+    grammar
 
     {v pipeline := pass ("," pass)*
    pass     := name | name "(" param ("," param)* ")"
    param    := key "=" value v}
 
     e.g. ["dce,sil-outline(min=8),merge-functions,outline(rounds=5)"].
-    The concrete pass registries (the passes named above plus
-    [canonicalize], [fmsa] and [caller-affinity-layout]) live at the
-    bottom of this module; [Pipeline.config] lowers onto specs via
-    [Pipeline.spec_of_config]. *)
+
+    A pass runs in one of three ways: as one gated step over one unit
+    ({!run_passes}); self-gated, one step per internal round (the two
+    outliners); or, for a cross-unit pass such as [global-merge], as one
+    gated step over every unit at once ({!run_across}).  The per-unit
+    phases of [Pipeline.build] run each unit in a forked context with a
+    reserved block of step numbers ({!fork}, {!join}), so step numbering
+    is a function of the pipeline and the module list alone.  The spec is
+    the only pipeline description; the concrete registries live at the
+    bottom of this module. *)
 
 (* --- pipeline specs -------------------------------------------------------- *)
 
@@ -46,18 +51,21 @@ type step = {
   st_pass : string;    (** registered pass name *)
   st_detail : string;  (** sub-step, e.g. ["round 3"] of the outliner; [""] *)
   st_unit : string;    (** compilation unit ([""] = whole program) *)
+  st_gate : int;
+      (** the step's bisect number: it ran iff no limit was set or
+          [st_gate <= limit].  Under reservations this can exceed the
+          step's position in {!steps}. *)
   st_applied : bool;   (** false: skipped by the bisect limit *)
   st_seconds : float;
   st_before : int;     (** stage size metric before the step *)
   st_after : int;      (** … and after (instrs for MIR, bytes for machine) *)
 }
 
-val step_label : step -> string
-(** ["unit/pass detail"], unit and detail omitted when empty. *)
-
 type ctx
 (** One per pipeline run, shared by every stage so the bisect counter and
-    the step log span MIR and machine passes. *)
+    the step log span MIR and machine passes.  Bisect numbers start at 1;
+    steps numbered beyond the limit are skipped (LLVM's
+    [-opt-bisect-limit] contract; no limit means run everything). *)
 
 val create_ctx :
   ?verify_each:bool ->
@@ -69,30 +77,16 @@ val create_ctx :
 (** [dump label text] receives [--print-after] output; the default prints
     an LLVM-style ["*** IR Dump After <label> ***"] banner to stderr. *)
 
-val gate : ctx -> pass:string -> detail:string -> bool
-(** Count one bisect step and say whether it may run: step index starts at
-    1 and steps numbered beyond the limit are skipped (LLVM's
-    [-opt-bisect-limit] contract; no limit means run everything).
-    Self-gated passes call this once per sub-step. *)
-
-val record : ctx -> step -> unit
-
 val steps : ctx -> step list
 (** Chronological. *)
 
-val steps_applied : ctx -> int
-(** Bisect steps that actually ran. *)
-
-val verify_each : ctx -> bool
-val should_print_after : ctx -> string -> bool
-val dump : ctx -> string -> string -> unit
-
-(* --- sharded contexts (thin-WPO's parallel per-module phase) --------------- *)
+(* --- sharded contexts (the per-unit phase of the per-module modes) ---------- *)
 
 val reserved_steps : spec list -> int
 (** How many bisect steps one unit running [specs] may consume: 1 per pass,
-    except the self-gated outliners, which reserve their [rounds] (they may
-    stop early, leaving step numbers unused — harmless, and the price of a
+    except the self-gated outliners, which reserve their [rounds] (clamped
+    at 0, as the passes run no round for [rounds <= 0]; they may stop
+    early, leaving step numbers unused — harmless, and the price of a
     numbering that is a function of the pipeline alone). *)
 
 val fork : ctx -> offset:int -> ctx
@@ -121,13 +115,17 @@ type 'ir pass = {
   p_name : string;
   p_params : string list;  (** accepted parameter keys; others are errors *)
   p_self_gated : bool;
-      (** the pass calls {!gate} itself, once per internal step (the
-          outliner gates each round); the manager then neither gates nor
-          records it as a single step *)
+      (** the pass takes its own bisect steps, one per internal round (the
+          outliners); the manager then neither gates nor records it as a
+          single step *)
   p_linked : bool;
       (** machine pass that needs the merged program: in the per-module
           pipeline it runs after the system-linker merge, not per unit *)
   p_run : ctx -> spec -> 'ir -> 'ir;
+  p_across : (workers:int -> spec -> 'ir list -> 'ir list) option;
+      (** a cross-unit pass: its decision spans compilation units, so the
+          per-unit modes run it once over every unit ({!run_across}) on up
+          to [workers] domains; [p_run] is its single-unit form *)
 }
 
 val find_pass : 'ir pass list -> string -> 'ir pass option
@@ -145,6 +143,20 @@ val run_passes :
     then — per the context — verify the stage invariants and dump the IR.
     Raises [Failure] on an unknown pass/parameter or a [--verify-each]
     violation (naming the offending pass). *)
+
+val run_across :
+  ctx ->
+  'ir stage ->
+  'ir pass list ->
+  workers:int ->
+  spec ->
+  (string * 'ir) list ->
+  (string * 'ir) list
+(** Run one cross-unit pass over named units as a single step: one bisect
+    gate, one step with unit [""] whose size is summed over the units,
+    then verify-each and print-after for each unit under the label
+    ["<unit>/<pass>"].  Raises [Failure] when the pass has no [p_across]
+    form. *)
 
 (* --- opt-bisect ------------------------------------------------------------ *)
 
@@ -178,9 +190,10 @@ val mir_stage : Ir.modul stage
 val machine_stage : Machine.Program.t stage
 
 val mir_passes : keep:(Ir.func -> bool) -> Ir.modul pass list
-(** [dce], [sil-outline(min=N)] (helper threshold, the old hardcoded 8),
-    [merge-functions], [fmsa].  [keep] exempts entry points from being
-    thunked by the two merging baselines. *)
+(** [dce], [sil-outline(min=N)] (helper threshold, default 8),
+    [merge-functions], [fmsa] and the cross-unit
+    [global-merge(min=N,max-holes=N)].  [keep] exempts entry points from
+    being thunked by the merging passes. *)
 
 type machine_env = {
   me_engine : [ `Incremental | `Scratch ];
@@ -207,7 +220,8 @@ val machine_passes : machine_env -> Machine.Program.t pass list
     bisect step, recorded as ["round K"] details), the linked self-gated
     [thin-outline(workers=N,rounds=N,min=N)] (sharded parallel
     whole-program outlining; each three-phase round is one bisect step),
-    and the linked [caller-affinity-layout]. *)
+    the linked [caller-affinity-layout], and the linked layout markers
+    [pgo-layout(strategy=S,w=W)] and [stitch]. *)
 
 val registered_names : string list
 (** Every pass name in both registries, for completeness checks. *)

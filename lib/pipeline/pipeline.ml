@@ -59,19 +59,10 @@ type config = {
   outline_rounds : int;
   flag_semantics : Link.flag_semantics;
   data_order : Link.data_order;
-  run_dce : bool;
-  run_sil_outline : bool;
-  sil_outline_min : int;
-  run_merge_functions : bool;
-  run_fmsa : bool;
-  run_global_merge : bool;
-  global_merge_min : int;
-  global_merge_max_holes : int;
   entry_points : string list;
   no_outline_modules : string list;
   outlined_layout : layout_strategy;
   layout_profile : Pgo.Profile.t option;
-  run_canonicalize : bool;
   outline_engine : [ `Incremental | `Scratch ];
   passes : Passman.spec list option;
   verify_each : bool;
@@ -86,19 +77,10 @@ let default_config =
     outline_rounds = 5;
     flag_semantics = Link.Attributes;
     data_order = Link.Module_preserving;
-    run_dce = true;
-    run_sil_outline = false;
-    sil_outline_min = 8;
-    run_merge_functions = false;
-    run_fmsa = false;
-    run_global_merge = false;
-    global_merge_min = 4;
-    global_merge_max_holes = 6;
     entry_points = [ "main" ];
     no_outline_modules = [ "system" ];
     outlined_layout = `Append;
     layout_profile = None;
-    run_canonicalize = false;
     outline_engine = `Incremental;
     passes = None;
     verify_each = false;
@@ -125,66 +107,34 @@ type result = {
 
 (* --- pipeline specs -------------------------------------------------------- *)
 
-let mk name = { Passman.sp_name = name; sp_params = [] }
-let mk1 name key v = { Passman.sp_name = name; sp_params = [ (key, string_of_int v) ] }
+let spec name params = { Passman.sp_name = name; sp_params = params }
 
-(* Lower the config's pass flags onto the spec the manager runs.  This is
-   the old hardcoded sequencing made explicit: the "opt" passes in their
-   fixed order, then the machine passes — canonicalization and layout only
-   ever ran together with outlining, so they stay tied to rounds > 0. *)
+(* What [sizeopt build] expresses without --passes: dce, then — with
+   outlining on — the mode's outliner and the layout strategy's marker
+   pass (layout only ever ran together with outlining). *)
 let lowered_spec (c : config) =
-  (if c.run_dce then [ mk "dce" ] else [])
-  @ (if c.run_sil_outline then [ mk1 "sil-outline" "min" c.sil_outline_min ]
-     else [])
-  @ (if c.run_merge_functions then [ mk "merge-functions" ] else [])
-  @ (if c.run_fmsa then [ mk "fmsa" ] else [])
-  @ (if c.run_global_merge then
+  let rounds = ("rounds", string_of_int c.outline_rounds) in
+  spec "dce" []
+  ::
+  (if c.outline_rounds <= 0 then []
+   else
+     (match c.mode with
+     | Thin_wpo { workers } ->
+       spec "thin-outline" [ ("workers", string_of_int workers); rounds ]
+     | Per_module | Whole_program -> spec "outline" [ rounds ])
+     ::
+     (match c.outlined_layout with
+     | `Append -> []
+     | `Caller_affinity -> [ spec "caller-affinity-layout" [] ]
+     | `Stitch -> [ spec "stitch" [] ]
+     | `Bp_compress w ->
        [
-         {
-           Passman.sp_name = "global-merge";
-           sp_params =
-             [
-               ("min", string_of_int c.global_merge_min);
-               ("max-holes", string_of_int c.global_merge_max_holes);
-             ];
-         };
+         spec "pgo-layout"
+           [ ("strategy", "bp-compress"); ("w", Printf.sprintf "%g" w) ];
        ]
-     else [])
-  @
-  if c.outline_rounds <= 0 then []
-  else
-    (if c.run_canonicalize then [ mk "canonicalize" ] else [])
-    @ (match c.mode with
-      | Thin_wpo { workers } ->
-        [
-          {
-            Passman.sp_name = "thin-outline";
-            sp_params =
-              [
-                ("workers", string_of_int workers);
-                ("rounds", string_of_int c.outline_rounds);
-              ];
-          };
-        ]
-      | Per_module | Whole_program ->
-        [ mk1 "outline" "rounds" c.outline_rounds ])
-    @
-    match c.outlined_layout with
-    | `Caller_affinity -> [ mk "caller-affinity-layout" ]
-    | `Append -> []
-    | `Stitch -> [ mk "stitch" ]
-    | `Order_file | `C3 | `Balanced | `Bp_compress _ ->
-      (* The profile-guided strategies surface as the linked [pgo-layout]
-         marker pass, so a spec string can request and parameterize them. *)
-      let params =
-        match c.outlined_layout with
-        | `Bp_compress w ->
-          [ ("strategy", "bp-compress"); ("w", Printf.sprintf "%g" w) ]
-        | `Order_file -> [ ("strategy", "order-file") ]
-        | `C3 -> [ ("strategy", "c3") ]
-        | _ -> [ ("strategy", "balanced") ]
-      in
-      [ { Passman.sp_name = "pgo-layout"; sp_params = params } ]
+     | `Order_file -> [ spec "pgo-layout" [ ("strategy", "order-file") ] ]
+     | `C3 -> [ spec "pgo-layout" [ ("strategy", "c3") ] ]
+     | `Balanced -> [ spec "pgo-layout" [ ("strategy", "balanced") ] ]))
 
 let spec_of_config c =
   match c.passes with
@@ -228,17 +178,9 @@ let config_of_passes ?(base = default_config) s =
         in
         let has n = find n <> None in
         let outline_rounds =
-          match find "outline" with
-          | Some sp -> Passman.int_param sp "rounds" ~default:5
-          | None -> (
-            match find "thin-outline" with
-            | Some sp -> Passman.int_param sp "rounds" ~default:5
-            | None -> 0)
-        in
-        let sil_outline_min =
-          match find "sil-outline" with
-          | Some sp -> Passman.int_param sp "min" ~default:8
-          | None -> base.sil_outline_min
+          match (find "outline", find "thin-outline") with
+          | Some sp, _ | None, Some sp -> Passman.int_param sp "rounds" ~default:5
+          | None, None -> 0
         in
         let pgo_layout =
           match find "pgo-layout" with
@@ -267,25 +209,9 @@ let config_of_passes ?(base = default_config) s =
                     balanced or bp-compress)"
                    s))
         in
-        let global_merge_min, global_merge_max_holes =
-          match find "global-merge" with
-          | Some sp ->
-            ( Passman.int_param sp "min" ~default:4,
-              Passman.int_param sp "max-holes" ~default:6 )
-          | None -> (base.global_merge_min, base.global_merge_max_holes)
-        in
         Ok
           {
             base with
-            run_dce = has "dce";
-            run_sil_outline = has "sil-outline";
-            sil_outline_min;
-            run_merge_functions = has "merge-functions";
-            run_fmsa = has "fmsa";
-            run_global_merge = has "global-merge";
-            global_merge_min;
-            global_merge_max_holes;
-            run_canonicalize = has "canonicalize";
             outline_rounds;
             outlined_layout =
               (if has "caller-affinity-layout" then `Caller_affinity
@@ -486,82 +412,6 @@ let build ?dump ?(config = default_config) modules =
           | None -> true)
         machine_specs
     in
-    (* global-merge is the one MIR pass whose decision spans compilation
-       units, so the per-module modes split their MIR spec around it:
-       the prefix runs per unit, the merge runs once over every unit,
-       the suffix (and the machine unit passes) run per unit after. *)
-    let mir_local_specs, gm_spec, mir_post_specs =
-      let rec split acc = function
-        | [] -> (List.rev acc, None, [])
-        | sp :: rest when sp.Passman.sp_name = "global-merge" ->
-          (List.rev acc, Some sp, rest)
-        | sp :: rest -> split (sp :: acc) rest
-      in
-      split [] mir_specs
-    in
-    (* One bisect step on the parent context — the decision is global, so
-       it cannot live inside any unit's step reservation; verify-each and
-       print-after apply per module, as run_passes would. *)
-    let global_merge_phase ~workers sp ms =
-      let min_instrs = Passman.int_param sp "min" ~default:4 in
-      let max_holes = Passman.int_param sp "max-holes" ~default:6 in
-      let size ms =
-        List.fold_left (fun a m -> a + Ir.module_instr_count m) 0 ms
-      in
-      let before = size ms in
-      if Passman.gate ctx ~pass:"global-merge" ~detail:"" then begin
-        let t0 = Unix.gettimeofday () in
-        let out =
-          fst
-            (Global_merge.run_modules ~workers ~min_instrs ~max_holes
-               ~keep:(fun (f : Ir.func) ->
-                 List.mem f.Ir.name config.entry_points)
-               ms)
-        in
-        Passman.record ctx
-          {
-            Passman.st_pass = "global-merge";
-            st_detail = "";
-            st_unit = "";
-            st_applied = true;
-            st_seconds = Unix.gettimeofday () -. t0;
-            st_before = before;
-            st_after = size out;
-          };
-        if Passman.verify_each ctx then
-          List.iter
-            (fun (m : Ir.modul) ->
-              match Ir.validate m with
-              | Ok () -> ()
-              | Error e ->
-                failwith
-                  (Printf.sprintf "verify-each after %s: %s"
-                     (m.Ir.m_name ^ "/global-merge")
-                     e))
-            out;
-        if Passman.should_print_after ctx "global-merge" then
-          List.iter
-            (fun (m : Ir.modul) ->
-              Passman.dump ctx
-                (m.Ir.m_name ^ "/global-merge")
-                (Format.asprintf "%a" Ir.pp_modul m))
-            out;
-        out
-      end
-      else begin
-        Passman.record ctx
-          {
-            Passman.st_pass = "global-merge";
-            st_detail = "";
-            st_unit = "";
-            st_applied = false;
-            st_seconds = 0.;
-            st_before = before;
-            st_after = before;
-          };
-        ms
-      end
-    in
     let program =
       match config.mode with
       | Whole_program ->
@@ -589,155 +439,93 @@ let build ?dump ?(config = default_config) modules =
               Passman.run_passes ctx Passman.machine_stage
                 (machine_registry "") machine_specs machine)
         else machine
-      | Per_module -> (
-        (* Independent per-module compilation, then the system linker.
-           The same registered passes run, per compilation unit; linked
-           passes (layout) wait for the merge. *)
-        let finish_units (m : Ir.modul) post_specs =
-          let optimized =
-            Passman.run_passes ctx Passman.mir_stage mir_registry
-              ~unit_name:m.Ir.m_name post_specs m
-          in
-          let machine =
-            mark_no_outline config (Codegen.compile_modul optimized)
-          in
-          if machine_unit_specs <> [] then
-            Passman.run_passes ctx Passman.machine_stage
-              (machine_registry m.Ir.m_name) ~unit_name:m.Ir.m_name
-              machine_unit_specs machine
-          else machine
+      | Per_module | Thin_wpo _ ->
+        (* The default iOS pipeline: every module is optimized, lowered and
+           machine-outlined on its own, then the system linker merges the
+           units and the linked passes run over the result.  Thin-WPO is
+           the same shape on a domain pool, with thin-outline as its
+           linked pass.  Each unit runs in a forked pass context with a
+           reserved block of bisect steps and private outline
+           profile/stats sinks, so step numbering, dump order and stats
+           order are functions of the module list alone, never of domain
+           scheduling — per-module is simply the one-worker pool. *)
+        let workers =
+          match config.mode with
+          | Thin_wpo { workers } -> Thinwpo.Pool.resolve_workers workers
+          | Per_module | Whole_program -> 1
         in
+        let per_unit unit_specs f units =
+          let reserved = Passman.reserved_steps unit_specs in
+          let forked =
+            Array.mapi (fun i _ -> Passman.fork ctx ~offset:(i * reserved)) units
+          in
+          let out =
+            Thinwpo.Pool.map ~workers
+              (fun i -> f forked.(i) units.(i))
+              (Array.init (Array.length units) Fun.id)
+          in
+          Passman.join ctx ~advance:(Array.length units * reserved)
+            (Array.to_list forked);
+          out
+        in
+        let run_mir fctx mspecs (m : Ir.modul) =
+          Passman.run_passes fctx Passman.mir_stage mir_registry
+            ~unit_name:m.Ir.m_name mspecs m
+        in
+        (* A cross-unit MIR pass (global-merge) splits the MIR spec: the
+           passes before it run per unit, it runs once across every unit,
+           and the rest continue per unit. *)
+        let rec split_across local = function
+          | [] -> ([], List.rev local)
+          | sp :: rest -> (
+            match Passman.find_pass template_mir sp.Passman.sp_name with
+            | Some { Passman.p_across = Some _; _ } ->
+              let phases, tail = split_across [] rest in
+              ((List.rev local, sp) :: phases, tail)
+            | _ -> split_across (sp :: local) rest)
+        in
+        let across_phases, finish_specs = split_across [] mir_specs in
         let units =
-          match gm_spec with
-          | None ->
-            timed "compile-modules" (fun () ->
-                List.map (fun m -> finish_units m mir_specs) modules)
-          | Some gm ->
-            let locals =
-              timed "compile-modules-local" (fun () ->
-                  List.map
-                    (fun (m : Ir.modul) ->
-                      Passman.run_passes ctx Passman.mir_stage mir_registry
-                        ~unit_name:m.Ir.m_name mir_local_specs m)
-                    modules)
-            in
-            let merged_mods =
-              timed "global-merge" (fun () ->
-                  global_merge_phase ~workers:1 gm locals)
-            in
-            timed "compile-modules" (fun () ->
-                List.map (fun m -> finish_units m mir_post_specs) merged_mods)
-        in
-        timed "system-linker-merge" (fun () ->
-            let merged = Machine.Program.concat units in
-            if machine_linked_specs <> [] then
-              Passman.run_passes ctx Passman.machine_stage
-                (machine_registry "") machine_linked_specs merged
-            else merged))
-      | Thin_wpo { workers } ->
-        (* ThinLTO's shape: the per-module phase of the iOS pipeline, but
-           on a domain pool, then the linked passes — thin-outline above
-           all — over the merge.  Each unit runs in a forked pass context
-           with a precomputed bisect-step reservation and a private
-           outline profile/stats sink, so step numbering, dump order, and
-           stats order are functions of the module list alone, never of
-           domain scheduling.  A global-merge spec splits the phase in
-           three — parallel local MIR, the serial cross-module merge on
-           the parent context, parallel finish — mirroring the merger's
-           own summary-exchange protocol. *)
-        let workers = Thinwpo.Pool.resolve_workers workers in
-        let marr =
-          match gm_spec with
-          | None -> Array.of_list modules
-          | Some gm ->
-            let pre_reserved = Passman.reserved_steps mir_local_specs in
-            let locals =
-              timed "compile-modules-local" (fun () ->
-                  let forked =
-                    Array.mapi
-                      (fun i _ -> Passman.fork ctx ~offset:(i * pre_reserved))
-                      (Array.of_list modules)
-                  in
-                  let out =
-                    Thinwpo.Pool.map ~workers
-                      (fun i ->
-                        let m = List.nth modules i in
-                        Passman.run_passes forked.(i) Passman.mir_stage
-                          mir_registry ~unit_name:m.Ir.m_name mir_local_specs
-                          m)
-                      (Array.init (List.length modules) Fun.id)
-                  in
-                  Passman.join ctx
-                    ~advance:(List.length modules * pre_reserved)
-                    (Array.to_list forked);
-                  out)
-            in
-            timed "global-merge" (fun () ->
-                Array.of_list
-                  (global_merge_phase ~workers gm (Array.to_list locals)))
-        in
-        let finish_specs =
-          match gm_spec with None -> mir_specs | Some _ -> mir_post_specs
-        in
-        let unit_reserved =
-          Passman.reserved_steps (finish_specs @ machine_unit_specs)
+          List.fold_left
+            (fun units (local, sp) ->
+              let locals =
+                timed "compile-modules-local" (fun () ->
+                    per_unit local (fun fctx m -> run_mir fctx local m) units)
+              in
+              timed sp.Passman.sp_name (fun () ->
+                  Passman.run_across ctx Passman.mir_stage mir_registry ~workers
+                    sp
+                    (List.map
+                       (fun (m : Ir.modul) -> (m.Ir.m_name, m))
+                       (Array.to_list locals))
+                  |> List.map snd |> Array.of_list))
+            (Array.of_list modules) across_phases
         in
         let units =
           timed "compile-modules" (fun () ->
-              let forked =
-                Array.mapi
-                  (fun i _ -> Passman.fork ctx ~offset:(i * unit_reserved))
-                  marr
-              in
               let compiled =
-                Thinwpo.Pool.map ~workers
-                  (fun i ->
-                    let m = marr.(i) in
-                    let fctx = forked.(i) in
+                per_unit (finish_specs @ machine_unit_specs)
+                  (fun fctx m ->
                     let profile = Outcore.Profile.create () in
                     let stats = ref [] in
-                    let optimized =
-                      Passman.run_passes fctx Passman.mir_stage mir_registry
-                        ~unit_name:m.Ir.m_name finish_specs m
+                    let machine =
+                      mark_no_outline config
+                        (Codegen.compile_modul (run_mir fctx finish_specs m))
                     in
                     let machine =
-                      mark_no_outline config (Codegen.compile_modul optimized)
-                    in
-                    let machine =
-                      if machine_unit_specs <> [] then
-                        Passman.run_passes fctx Passman.machine_stage
-                          (machine_registry ~profile
-                             ~on_stats:(fun s -> stats := !stats @ s)
-                             m.Ir.m_name)
-                          ~unit_name:m.Ir.m_name machine_unit_specs machine
-                      else machine
+                      Passman.run_passes fctx Passman.machine_stage
+                        (machine_registry ~profile
+                           ~on_stats:(fun s -> stats := !stats @ s)
+                           m.Ir.m_name)
+                        ~unit_name:m.Ir.m_name machine_unit_specs machine
                     in
                     (machine, profile, !stats))
-                  (Array.init (Array.length marr) Fun.id)
+                  units
               in
-              Passman.join ctx
-                ~advance:(Array.length marr * unit_reserved)
-                (Array.to_list forked);
               (* Merge the per-unit sinks in module order. *)
               Array.iter
                 (fun (_, profile, stats) ->
-                  List.iter
-                    (fun rp ->
-                      let rp' =
-                        Outcore.Profile.new_round outline_profile
-                          rp.Outcore.Profile.rp_round
-                      in
-                      rp'.Outcore.Profile.rp_seq_build <-
-                        rp.Outcore.Profile.rp_seq_build;
-                      rp'.Outcore.Profile.rp_tree_build <-
-                        rp.Outcore.Profile.rp_tree_build;
-                      rp'.Outcore.Profile.rp_enumerate <-
-                        rp.Outcore.Profile.rp_enumerate;
-                      rp'.Outcore.Profile.rp_score <-
-                        rp.Outcore.Profile.rp_score;
-                      rp'.Outcore.Profile.rp_rewrite <-
-                        rp.Outcore.Profile.rp_rewrite)
-                    (Outcore.Profile.rounds profile);
+                  Outcore.Profile.append ~into:outline_profile profile;
                   outline_stats := !outline_stats @ stats)
                 compiled;
               Array.to_list (Array.map (fun (p, _, _) -> p) compiled))
@@ -836,18 +624,25 @@ let reference_timed timings name f =
   timings := (name, Unix.gettimeofday () -. t0) :: !timings;
   r
 
+(* The pass facts the reference sequencing obeys, read off the spec. *)
+let reference_find config name =
+  List.find_opt (fun sp -> sp.Passman.sp_name = name) (spec_of_config config)
+
 let reference_opt_module config (m : Ir.modul) =
-  let m = if config.run_dce then fst (Dce.run m) else m in
+  let has name = reference_find config name <> None in
+  let m = if has "dce" then fst (Dce.run m) else m in
   let m =
-    if config.run_sil_outline then
-      fst (Swiftlet.Sil_outline.run ~min_occurrences:config.sil_outline_min m)
-    else m
+    match reference_find config "sil-outline" with
+    | Some sp ->
+      let min_occurrences = Passman.int_param sp "min" ~default:8 in
+      fst (Swiftlet.Sil_outline.run ~min_occurrences m)
+    | None -> m
   in
   let keep (f : Ir.func) = List.mem f.Ir.name config.entry_points in
   let m =
-    if config.run_merge_functions then fst (Merge_functions.run ~keep m) else m
+    if has "merge-functions" then fst (Merge_functions.run ~keep m) else m
   in
-  let m = if config.run_fmsa then fst (Fmsa.run ~keep m) else m in
+  let m = if has "fmsa" then fst (Fmsa.run ~keep m) else m in
   m
 
 let reference_outline_options ~scope =
@@ -883,7 +678,7 @@ let build_reference ?(config = default_config) modules =
         if config.outline_rounds > 0 then
           reference_timed timings "machine-outliner" (fun () ->
               let machine =
-                if config.run_canonicalize then
+                if reference_find config "canonicalize" <> None then
                   fst (Outcore.Canonicalize.run machine)
                 else machine
               in

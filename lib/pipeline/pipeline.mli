@@ -12,11 +12,15 @@
       data-ordering mode of §VI), optimized once, lowered once, and machine
       outlining sees the entire program.
 
-    Both modes run the {e same} registered passes: the config's pass flags
-    are lowered onto a textual pipeline spec ({!spec_of_config}, grammar in
-    {!Passman}), and one shared pass context owns per-pass timings, size
-    deltas, [--verify-each], [--print-after] and [--opt-bisect-limit]
-    across the MIR and machine stages. *)
+    Both modes — and thin-WPO, the per-module shape on a domain pool — run
+    the {e same} registered passes from one textual pipeline spec
+    ({!spec_of_config}, grammar in {!Passman}).  The spec is the only
+    description of which passes run; the config holds the inputs that are
+    not passes (mode, link semantics, entry points, layout, diagnostics).
+    One shared pass context owns per-pass timings, size deltas,
+    [--verify-each], [--print-after] and [--opt-bisect-limit] across the
+    MIR and machine stages.  The per-module and thin modes share one
+    per-unit build path: per-module is that path at one worker. *)
 
 type mode =
   | Per_module
@@ -62,26 +66,13 @@ val layout_strategy_of_string :
 
 type config = {
   mode : mode;
-  outline_rounds : int;           (** 0 disables machine outlining *)
+  outline_rounds : int;
+      (** the rounds of the mode's outliner in the lowered spec (0 disables
+          machine outlining); derived from the spec by {!config_of_passes} *)
   flag_semantics : Link.flag_semantics;
   data_order : Link.data_order;
-  run_dce : bool;
-  run_sil_outline : bool;         (** the SIL-level outlining baseline *)
-  sil_outline_min : int;
-      (** helper threshold for [sil-outline] ([sil-outline(min=N)] in the
-          spec; default 8, the value the old pipeline hardcoded) *)
-  run_merge_functions : bool;     (** the MergeFunction baseline *)
-  run_fmsa : bool;                (** the FMSA baseline *)
-  run_global_merge : bool;
-      (** optimistic cross-module merging ({!Global_merge}).  In
-          whole-program mode it is an ordinary MIR pass over the linked
-          module; in per-module and thin modes the pipeline splits the MIR
-          phase around it — local passes per unit, one global decision
-          over every unit, the rest per unit after *)
-  global_merge_min : int;         (** [global-merge(min=N)]; default 4 *)
-  global_merge_max_holes : int;   (** [global-merge(max-holes=N)]; default 6 *)
   entry_points : string list;
-      (** functions the merging baselines must never turn into thunks
+      (** functions the merging passes must never turn into thunks
           (default [["main"]]) *)
   no_outline_modules : string list;
       (** modules standing in for system frameworks: their machine code is
@@ -95,25 +86,23 @@ type config = {
           acts as a small hot page set.  The profile-guided strategies are
           the related-work fix (Hoag et al., Lavaee et al.): dynamic traces
           from {!Perfsim} decide placement.  See the [ablate] and
-          [layout_bench] benches. *)
+          [layout_bench] benches.  {!config_of_passes} derives it from the
+          spec's layout marker pass. *)
   layout_profile : Pgo.Profile.t option;
       (** the recorded profile driving a profile-guided [outlined_layout]
           ([sizeopt build --profile-in]).  [None] with a profile-guided
           strategy self-profiles: the pipeline traces a [main] run of the
           built program and feeds that profile straight back into layout. *)
-  run_canonicalize : bool;
-      (** canonicalize commutative operand order before outlining (the
-          paper's future-work item 1); off by default *)
   outline_engine : [ `Incremental | `Scratch ];
       (** which outliner engine drives the [outline] pass: the default
           incremental engine (dirty-block caches across rounds) or the
           from-scratch reference.  Both produce byte-identical programs —
           the fuzz lattice checks exactly that. *)
   passes : Passman.spec list option;
-      (** an explicit pass pipeline ([sizeopt build --passes]); [None]
-          lowers the flags above onto the default sequencing.  Use
-          {!config_of_passes} to parse a spec string and keep the flags
-          consistent with it. *)
+      (** the pass pipeline ([sizeopt build --passes]); [None] runs the
+          lowered default ({!spec_of_config}).  Use {!config_of_passes} to
+          parse a spec string and keep [outline_rounds] and
+          [outlined_layout] consistent with it. *)
   verify_each : bool;
       (** run the stage invariants ({!Ir.validate} /
           [Machine.Program.validate]) after every pass application — and
@@ -135,7 +124,7 @@ type config = {
 
 val default_config : config
 (** Whole-program, 5 rounds, attribute flag semantics, module-preserving
-    data order, DCE on, all IR-merging baselines off. *)
+    data order, appended layout; runs [dce,outline(rounds=5)]. *)
 
 val default_ios_config : config
 (** Per-module with per-module outlining (Swift 5.2's [-Osize] behaviour,
@@ -143,18 +132,18 @@ val default_ios_config : config
 
 val spec_of_config : config -> Passman.spec list
 (** The pipeline spec the manager will run: [config.passes] when set,
-    otherwise the flags lowered onto the default order ([dce],
-    [sil-outline(min=N)], [merge-functions], [fmsa], [canonicalize],
-    [outline(rounds=N)], [caller-affinity-layout]; each present only when
-    its flag asks for it). *)
+    otherwise what [sizeopt build] expresses without [--passes]: [dce],
+    then — when [outline_rounds > 0] — the mode's outliner
+    ([outline(rounds=N)], or [thin-outline(workers=W,rounds=N)] in thin
+    mode) and the marker pass of [outlined_layout]
+    ([caller-affinity-layout], [pgo-layout(...)] or [stitch]). *)
 
 val config_of_passes : ?base:config -> string -> (config, string) result
-(** Parse a pipeline string ([--passes "dce,outline(rounds=5)"]) and raise
-    it back onto a config: pass flags and parameters are set from the spec
-    (a missing [outline] means 0 rounds), every other axis (mode, link
-    semantics, engine, profile-guided layout) keeps [base]'s value, and the
-    exact spec — order included — is pinned in [passes].  Errors on
-    unknown pass names, unknown parameters, or malformed syntax. *)
+(** Parse and validate a pipeline string ([--passes "dce,outline(rounds=5)"])
+    and pin it in [passes]; [outline_rounds] (a missing outliner means 0)
+    and [outlined_layout] are derived from it, every other axis keeps
+    [base]'s value.  Errors on unknown pass names, unknown parameters, or
+    malformed syntax. *)
 
 type result = {
   program : Machine.Program.t;
@@ -174,7 +163,8 @@ type result = {
           [sizeopt build --profile] *)
   pass_steps : Passman.step list;
       (** every pass application (and outline round) in order, with bisect
-          skips marked — the index a {!Passman.bisect} result points at *)
+          skips marked; a {!Passman.bisect} result names the step whose
+          [st_gate] it is *)
   outline_stats : Outcore.Outliner.round_stats list;
   outline_profile : Outcore.Profile.t;
       (** per-outline-round phase split, also woven into [timing_tree] *)
@@ -202,8 +192,9 @@ val build_sources :
 
 val build_reference :
   ?config:config -> Ir.modul list -> (result, string) Stdlib.result
-(** The pre-refactor hardcoded sequencing, kept verbatim during the
-    pass-manager transition so the fuzz lattice can assert the refactor is
-    observationally exact (default-config builds must be byte-identical
-    through both paths).  Ignores [passes], [verify_each], [print_after]
-    and [bisect_limit]; returns empty [timing_tree]/[pass_steps]. *)
+(** The pre-refactor hardcoded sequencing, kept so the fuzz lattice can
+    assert the pass manager is observationally exact (default-config
+    builds must be byte-identical through both paths).  Which of [dce],
+    [sil-outline], [merge-functions], [fmsa] and [canonicalize] run is
+    read off {!spec_of_config}; ignores [verify_each], [print_after] and
+    [bisect_limit]; returns empty [timing_tree]/[pass_steps]. *)

@@ -229,35 +229,65 @@ let build_exn cfg mods =
   | Ok r -> r
   | Error e -> Alcotest.fail ("pipeline build failed: " ^ e)
 
+let config_exn ~base spec =
+  match Pipeline.config_of_passes ~base spec with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+let step_key (st : Passman.step) =
+  ( (st.Passman.st_pass, st.Passman.st_detail, st.Passman.st_unit),
+    (st.Passman.st_gate, st.Passman.st_applied),
+    (st.Passman.st_before, st.Passman.st_after) )
+
 let test_thin_pipeline_determinism () =
   let mods = pipeline_modules () in
-  let cfg w =
-    {
-      Pipeline.default_config with
-      Pipeline.mode = Pipeline.Thin_wpo { workers = w };
-      run_global_merge = true;
-      outline_rounds = 3;
-    }
+  let mode_config mode ?bisect_limit spec =
+    config_exn
+      ~base:{ Pipeline.default_config with Pipeline.mode; bisect_limit }
+      spec
   in
+  let thin w = Pipeline.Thin_wpo { workers = w } in
   let image w =
-    Machine.Asm_printer.to_source (build_exn (cfg w) mods).Pipeline.program
+    Machine.Asm_printer.to_source
+      (build_exn
+         (mode_config (thin w) "dce,global-merge,thin-outline(rounds=3)")
+         mods)
+        .Pipeline.program
   in
   let w1 = image 1 in
   Alcotest.(check string) "thin gmerge workers 2 = 1" w1 (image 2);
   Alcotest.(check string) "thin gmerge workers 4 = 1" w1 (image 4);
-  (* And the per-module build agrees with thin (same phased pipeline). *)
-  let pm =
-    build_exn
-      {
-        Pipeline.default_config with
-        Pipeline.mode = Pipeline.Per_module;
-        run_global_merge = true;
-        outline_rounds = 3;
-      }
-      mods
+  (* Per-module and thin run one per-unit path, so with the same spec the
+     modes must agree on the image, the function order and the whole step
+     log (bisect numbers included) — unlimited and at every bisect limit. *)
+  let spec = "dce,global-merge,outline(rounds=3)" in
+  let observe ?bisect_limit mode =
+    let r = build_exn (mode_config mode ?bisect_limit spec) mods in
+    ( Machine.Asm_printer.to_source r.Pipeline.program,
+      r.Pipeline.function_order,
+      List.map step_key r.Pipeline.pass_steps )
   in
-  Alcotest.(check string) "pm gmerge = thin gmerge" w1
-    (Machine.Asm_printer.to_source pm.Pipeline.program)
+  let agree ?bisect_limit what =
+    let ((img, _, _) as pm) = observe ?bisect_limit Pipeline.Per_module in
+    List.iter
+      (fun w ->
+        let ((img', _, _) as th) = observe ?bisect_limit (thin w) in
+        Alcotest.(check string) (Printf.sprintf "%s: pm = thin w%d image" what w)
+          img img';
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: pm = thin w%d order and steps" what w)
+          true (pm = th))
+      [ 1; 2 ]
+  in
+  agree "unlimited";
+  let pm_image, _, _ = observe Pipeline.Per_module in
+  Alcotest.(check string) "pm gmerge = thin gmerge" w1 pm_image;
+  let _, _, steps = observe Pipeline.Per_module in
+  let last = List.fold_left (fun a (_, (g, _), _) -> max a g) 0 steps in
+  Alcotest.(check bool) "steps were numbered" true (last > 0);
+  for limit = 1 to last do
+    agree ~bisect_limit:limit (Printf.sprintf "limit %d" limit)
+  done
 
 let test_merge_then_stitch () =
   (* Global merging rewrites functions into thunks; the stitch layout then
@@ -271,12 +301,9 @@ let test_merge_then_stitch () =
       mods
   in
   let cfg =
-    {
-      Pipeline.default_config with
-      Pipeline.mode = Pipeline.Per_module;
-      run_global_merge = true;
-      outlined_layout = `Stitch;
-    }
+    config_exn
+      ~base:{ Pipeline.default_config with Pipeline.mode = Pipeline.Per_module }
+      "dce,global-merge,outline(rounds=5),stitch"
   in
   let res = build_exn cfg mods in
   Alcotest.(check bool)

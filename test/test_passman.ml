@@ -39,9 +39,8 @@ let test_parse_errors () =
 
 (* --- registry completeness -------------------------------------------------- *)
 
-(* Every pass the config flags can request must be registered, and every
-   registered pass must be reachable from a pipeline string — the two
-   descriptions of the pipeline may never drift apart. *)
+(* Every registered pass must be reachable from a pipeline string, and a
+   config raised from a spec must run exactly that spec. *)
 let test_registry () =
   List.iter
     (fun name ->
@@ -49,73 +48,88 @@ let test_registry () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "pass %s not reachable from a spec: %s" name e)
     Passman.registered_names;
+  (* The lowered default spec raises back onto the same config facts. *)
   let check_roundtrip c =
     let s = Passman.print (Pipeline.spec_of_config c) in
     let c' = ok_exn (Pipeline.config_of_passes ~base:c s) in
     Alcotest.(check bool)
-      ("flags recovered through " ^ s)
+      ("config recovered through " ^ s)
       true
-      (c'.Pipeline.run_dce = c.Pipeline.run_dce
-      && c'.Pipeline.run_sil_outline = c.Pipeline.run_sil_outline
-      && c'.Pipeline.sil_outline_min = c.Pipeline.sil_outline_min
-      && c'.Pipeline.run_merge_functions = c.Pipeline.run_merge_functions
-      && c'.Pipeline.run_fmsa = c.Pipeline.run_fmsa
-      && c'.Pipeline.run_global_merge = c.Pipeline.run_global_merge
-      && c'.Pipeline.global_merge_min = c.Pipeline.global_merge_min
-      && c'.Pipeline.global_merge_max_holes = c.Pipeline.global_merge_max_holes
-      && c'.Pipeline.run_canonicalize = c.Pipeline.run_canonicalize
-      && c'.Pipeline.outline_rounds = c.Pipeline.outline_rounds
-      && c'.Pipeline.outlined_layout = c.Pipeline.outlined_layout)
+      (c'.Pipeline.outline_rounds = c.Pipeline.outline_rounds
+      && c'.Pipeline.outlined_layout = c.Pipeline.outlined_layout
+      && Pipeline.spec_of_config c' = Pipeline.spec_of_config c)
   in
-  check_roundtrip Pipeline.default_config;
-  check_roundtrip
-    { Pipeline.default_config with
-      run_sil_outline = true; sil_outline_min = 12; run_merge_functions = true };
-  check_roundtrip
-    { Pipeline.default_config with
-      run_fmsa = true; run_canonicalize = true;
-      outlined_layout = `Caller_affinity };
-  check_roundtrip
-    { Pipeline.default_config with outlined_layout = `Bp_compress 0.25 };
-  check_roundtrip
-    { Pipeline.default_config with
-      run_global_merge = true; global_merge_min = 6; global_merge_max_holes = 3 };
-  let all_on =
-    { Pipeline.default_config with
-      run_sil_outline = true; run_merge_functions = true; run_fmsa = true;
-      run_global_merge = true; run_canonicalize = true;
-      outlined_layout = `Caller_affinity }
+  List.iter check_roundtrip
+    [
+      Pipeline.default_config;
+      { Pipeline.default_config with outline_rounds = 0 };
+      { Pipeline.default_config with outlined_layout = `Caller_affinity };
+      { Pipeline.default_config with outlined_layout = `Bp_compress 0.25 };
+      { Pipeline.default_config with outlined_layout = `Stitch };
+      { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers = 2 } };
+    ];
+  (* Explicit specs: pinned verbatim, outline rounds and layout derived.
+     outline and thin-outline, and the three layout markers, are
+     alternatives, so it takes three specs to reach the whole registry. *)
+  let explicit =
+    [
+      ( "dce,sil-outline(min=12),merge-functions,fmsa,\
+         global-merge(min=6,max-holes=3),canonicalize,outline(rounds=4),\
+         caller-affinity-layout",
+        4,
+        `Caller_affinity );
+      ( "dce,thin-outline(workers=2,rounds=3),\
+         pgo-layout(strategy=bp-compress,w=0.5)",
+        3,
+        `Bp_compress 0.5 );
+      ("merge-functions,stitch", 0, `Stitch);
+    ]
   in
-  (* outline and thin-outline are alternative build modes, so no single
-     config can emit both, and caller-affinity-layout, pgo-layout and
-     stitch are alternative placements; the all-on config, its thin-mode
-     twin and the pgo-layout and stitch variants must reach every
-     registered pass between them. *)
-  let all_on_thin =
-    { all_on with Pipeline.mode = Pipeline.Thin_wpo { workers = 2 } }
-  in
-  let all_on_pgo =
-    { all_on with Pipeline.outlined_layout = `Bp_compress 0.5 }
-  in
-  let all_on_stitch = { all_on with Pipeline.outlined_layout = `Stitch } in
-  let spec = Pipeline.spec_of_config all_on in
-  let spec_thin = Pipeline.spec_of_config all_on_thin in
-  let spec_pgo = Pipeline.spec_of_config all_on_pgo in
-  let spec_stitch = Pipeline.spec_of_config all_on_stitch in
-  let specs = spec @ spec_thin @ spec_pgo @ spec_stitch in
-  List.iter
-    (fun sp ->
-      Alcotest.(check bool)
-        ("registered: " ^ sp.Passman.sp_name)
-        true
-        (List.mem sp.Passman.sp_name Passman.registered_names))
-    specs;
   let covered =
-    List.sort_uniq compare (List.map (fun sp -> sp.Passman.sp_name) specs)
+    List.concat_map
+      (fun (s, rounds, layout) ->
+        let c = ok_exn (Pipeline.config_of_passes s) in
+        let specs = ok_exn (Passman.parse s) in
+        Alcotest.(check bool) ("spec pinned: " ^ s) true
+          (Pipeline.spec_of_config c = specs);
+        Alcotest.(check int) ("rounds of " ^ s) rounds c.Pipeline.outline_rounds;
+        Alcotest.(check bool) ("layout of " ^ s) true
+          (c.Pipeline.outlined_layout = layout);
+        List.map (fun sp -> sp.Passman.sp_name) specs)
+      explicit
   in
-  Alcotest.(check int) "the four configs exercise the whole registry"
-    (List.length Passman.registered_names)
-    (List.length covered)
+  Alcotest.(check (list string)) "the explicit specs exercise the whole registry"
+    (List.sort compare Passman.registered_names)
+    (List.sort_uniq compare covered)
+
+(* A negative round count runs no rounds and reserves no bisect steps:
+   otherwise consecutive units get overlapping step numbers and a sharded
+   build runs steps its limit should have cut. *)
+let test_negative_rounds_reservation () =
+  Alcotest.(check int) "outline(rounds=-1) reserves no steps" 1
+    (Passman.reserved_steps (ok_exn (Passman.parse "dce,outline(rounds=-1)")));
+  let sources =
+    Workload.Appgen.generate_sources
+      (Workload.Appgen.at_week Workload.Appgen.small 0)
+  in
+  List.iter
+    (fun (name, mode) ->
+      let config =
+        ok_exn
+          (Pipeline.config_of_passes
+             ~base:{ Pipeline.default_config with mode; bisect_limit = Some 2 }
+             "dce,outline(rounds=-1)")
+      in
+      let res = ok_exn (Pipeline.build_sources ~config sources) in
+      let ran =
+        List.filter (fun st -> st.Passman.st_applied) res.Pipeline.pass_steps
+      in
+      Alcotest.(check (list int)) (name ^ ": only steps 1 and 2 run") [ 1; 2 ]
+        (List.map (fun st -> st.Passman.st_gate) ran))
+    [
+      ("pm", Pipeline.Per_module);
+      ("thin w2", Pipeline.Thin_wpo { workers = 2 });
+    ]
 
 (* --- verify-each ------------------------------------------------------------ *)
 
@@ -128,6 +142,7 @@ let broken_pass =
     p_params = [];
     p_self_gated = false;
     p_linked = false;
+    p_across = None;
     p_run =
       (fun _ _ (p : Machine.Program.t) ->
         { p with Machine.Program.funcs = p.funcs @ [ List.hd p.funcs ] });
@@ -248,7 +263,12 @@ let () =
           Alcotest.test_case "parse/print round-trip" `Quick test_parse_print;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
         ] );
-      ("registry", [ Alcotest.test_case "completeness" `Quick test_registry ]);
+      ( "registry",
+        [
+          Alcotest.test_case "completeness" `Quick test_registry;
+          Alcotest.test_case "negative rounds reserve no steps" `Quick
+            test_negative_rounds_reservation;
+        ] );
       ( "verify-each",
         [
           Alcotest.test_case "catches a broken pass" `Quick
