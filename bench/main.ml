@@ -1328,9 +1328,7 @@ let foreign () =
           let last =
             match List.rev cum with
             | s :: _ -> s
-            | [] ->
-              { Outcore.Outliner.sequences_outlined = 0; functions_created = 0;
-                outlined_bytes = 0; bytes_saved = 0 }
+            | [] -> Outcore.Outliner.no_stats
           in
           rows :=
             [
@@ -1514,7 +1512,7 @@ let micro () =
       Test.make ~name:"naive repeats (small sample)" (Staged.stage (fun () ->
           ignore (Sufftree.Naive.all_repeated ~min_length:2 small_seqs)));
       Test.make ~name:"one outliner round (whole app)" (Staged.stage (fun () ->
-          ignore (Outcore.Outliner.run_round Outcore.Outliner.default_options prog)));
+          ignore (Outcore.Repeat.round ~engine:`Scratch () 1 prog)));
       Test.make ~name:"liveness (all functions)" (Staged.stage (fun () ->
           List.iter
             (fun f -> ignore (Machine.Liveness.compute f))

@@ -26,12 +26,21 @@ type round_stats = {
   bytes_saved : int;
 }
 
-type dirty = {
-  dirty_blocks : (string * string) list;
-  dirty_new_funcs : string list;
-}
+let no_stats =
+  {
+    sequences_outlined = 0;
+    functions_created = 0;
+    outlined_bytes = 0;
+    bytes_saved = 0;
+  }
 
-let no_dirty = { dirty_blocks = []; dirty_new_funcs = [] }
+let add_stats a b =
+  {
+    sequences_outlined = a.sequences_outlined + b.sequences_outlined;
+    functions_created = a.functions_created + b.functions_created;
+    outlined_bytes = a.outlined_bytes + b.outlined_bytes;
+    bytes_saved = a.bytes_saved + b.bytes_saved;
+  }
 
 (* Metadata for each sequence fed to the suffix tree. *)
 type seq_meta = {
@@ -151,7 +160,7 @@ let lr_live_memo metas liveness_of =
    (or unprofitably often) in this shard may be seen in ten others — the
    global decision round applies the same two filters to the {e summed}
    counts instead. *)
-let candidate_of_repeat ?(lax = false) options ~callee_sp_unsafe metas lr_live
+let candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live
     (r : Sufftree.Suffix_tree.repeat) : Candidate.t option =
   match r.occs with
   | [] -> None
@@ -267,40 +276,55 @@ let candidate_of_repeat ?(lax = false) options ~callee_sp_unsafe metas lr_live
             }
     end
 
+(* Per-function liveness, memoized in [tbl]: a fresh table for one-shot
+   discovery and the scratch engine, the engine's [eng_live] for the
+   incremental one. *)
+let liveness_memo tbl (f : Mfunc.t) =
+  match Hashtbl.find_opt tbl f.name with
+  | Some lv -> lv
+  | None ->
+    let lv = Liveness.compute f in
+    Hashtbl.replace tbl f.name lv;
+    lv
+
+(* The one discovery step: every repeat that [iter_repeats] feeds in goes
+   through [candidate_of_repeat]; the survivors come back in feed order.
+   The repeats arrive through an iterator so window probing can examine
+   its single-site windows one at a time instead of materializing them. *)
+let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p iter_repeats =
+  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
+  let lr_live = lr_live_memo metas liveness_of in
+  let candidate =
+    candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live
+  in
+  let out = ref [] in
+  iter_repeats (fun r ->
+      match candidate r with Some c -> out := c :: !out | None -> ());
+  List.rev !out
+
+(* One-shot discovery over a fresh sequence table and liveness memo
+   ([enumerate] and [probe_windows]); [repeats seqs metas] feeds the
+   repeats to examine. *)
+let discover_fresh ~lax ?extern_sp_unsafe options p repeats =
+  let seqs, metas = build_sequences (Instr_map.create ()) p in
+  if seqs = [] then []
+  else
+    discover ~lax ?extern_sp_unsafe options
+      ~liveness_of:(liveness_memo (Hashtbl.create 64))
+      metas p (repeats seqs metas)
+
 let enumerate ?min_length ?(options = default_options) ?(all = false)
     ?extern_sp_unsafe ?pool (p : Program.t) =
-  let min_length =
-    match min_length with Some m -> m | None -> options.min_length
-  in
-  let imap = Instr_map.create () in
-  let seqs, metas = build_sequences imap p in
-  if seqs = [] then []
-  else begin
-    let liveness_cache : (string, Liveness.t) Hashtbl.t = Hashtbl.create 64 in
-    let liveness_of (f : Mfunc.t) =
-      match Hashtbl.find_opt liveness_cache f.name with
-      | Some lv -> lv
-      | None ->
-        let lv = Liveness.compute f in
-        Hashtbl.replace liveness_cache f.name lv;
-        lv
-    in
-    let reps =
-      match pool with
-      | None ->
-        let tree = Sufftree.Suffix_tree.build seqs in
-        Sufftree.Suffix_tree.repeats ~min_length tree
-      | Some pool ->
-        let tree = Sufftree.Arena_tree.build ~pool seqs in
-        Sufftree.Arena_tree.repeats ~min_length tree
-    in
-    let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-    ignore imap;
-    let lr_live = lr_live_memo metas liveness_of in
-    List.filter_map
-      (candidate_of_repeat ~lax:all options ~callee_sp_unsafe metas lr_live)
-      reps
-  end
+  let min_length = Option.value min_length ~default:options.min_length in
+  discover_fresh ~lax:all ?extern_sp_unsafe options p (fun seqs _ k ->
+      List.iter k
+        (match pool with
+        | None ->
+          Sufftree.Suffix_tree.repeats ~min_length
+            (Sufftree.Suffix_tree.build seqs)
+        | Some pool ->
+          Sufftree.Arena_tree.repeats ~min_length
+            (Sufftree.Arena_tree.build ~pool seqs)))
 
 let probe_windows ?(options = default_options) ?extern_sp_unsafe ~lengths
     (p : Program.t) =
@@ -309,63 +333,39 @@ let probe_windows ?(options = default_options) ?extern_sp_unsafe ~lengths
   with
   | [] -> []
   | lengths ->
-    let imap = Instr_map.create () in
-    let seqs, metas = build_sequences imap p in
-    if seqs = [] then []
-    else begin
-      let liveness_cache : (string, Liveness.t) Hashtbl.t =
-        Hashtbl.create 64
-      in
-      let liveness_of (f : Mfunc.t) =
-        match Hashtbl.find_opt liveness_cache f.name with
-        | Some lv -> lv
-        | None ->
-          let lv = Liveness.compute f in
-          Hashtbl.replace liveness_cache f.name lv;
-          lv
-      in
-      let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-      let lr_live = lr_live_memo metas liveness_of in
-      let out = ref [] in
-      Array.iteri
-        (fun s (m : seq_meta) ->
-          let body = m.sm_block.Block.body in
-          let n = Array.length body in
-          let seq_len = n + if m.sm_has_ret then 1 else 0 in
-          (* The suffix-tree path enforces per-instruction legality through
-             the alphabet — illegal instructions get unique symbols and can
-             never be part of a repeat.  Raw windows see the body directly,
-             so the same rule must be applied by hand: [bad.(i)] counts
-             illegal instructions in [body[0..i)], and any window touching
-             one is skipped.  The virtual ret slot at [n] is always legal. *)
-          let bad = Array.make (n + 1) 0 in
-          for i = 0 to n - 1 do
-            bad.(i + 1) <-
-              bad.(i)
-              + (match Legality.classify body.(i) with
-                | Legality.Illegal -> 1
-                | Legality.Legal -> 0)
-          done;
-          List.iter
-            (fun len ->
-              for pos = 0 to seq_len - len do
-                let hi = min (pos + len) n in
-                if bad.(hi) - bad.(pos) = 0 then
-                  match
-                    candidate_of_repeat ~lax:true options ~callee_sp_unsafe
-                      metas lr_live
+    discover_fresh ~lax:true ?extern_sp_unsafe options p (fun _ metas k ->
+        Array.iteri
+          (fun s (m : seq_meta) ->
+            let body = m.sm_block.Block.body in
+            let n = Array.length body in
+            let seq_len = n + if m.sm_has_ret then 1 else 0 in
+            (* The suffix-tree path enforces per-instruction legality
+               through the alphabet — illegal instructions get unique
+               symbols and can never be part of a repeat.  Raw windows see
+               the body directly, so the same rule must be applied by hand:
+               [bad.(i)] counts illegal instructions in [body[0..i)], and
+               any window touching one is skipped.  The virtual ret slot at
+               [n] is always legal. *)
+            let bad = Array.make (n + 1) 0 in
+            for i = 0 to n - 1 do
+              bad.(i + 1) <-
+                bad.(i)
+                + (match Legality.classify body.(i) with
+                  | Legality.Illegal -> 1
+                  | Legality.Legal -> 0)
+            done;
+            List.iter
+              (fun len ->
+                for pos = 0 to seq_len - len do
+                  if bad.(min (pos + len) n) - bad.(pos) = 0 then
+                    k
                       {
                         Sufftree.Suffix_tree.length = len;
                         occs = [ { Sufftree.Suffix_tree.seq = s; pos } ];
                       }
-                  with
-                  | Some c -> out := c :: !out
-                  | None -> ()
-              done)
-            lengths)
-        metas;
-      List.rev !out
-    end
+                done)
+              lengths)
+          metas)
 
 (* --- Greedy selection order ------------------------------------------- *)
 
@@ -482,15 +482,58 @@ let make_outlined_function ~name ~from_module (c : Candidate.t) =
   in
   Mfunc.make ~from_module ~is_outlined:true ~name blocks
 
+(* --- Site occupancy and the rewrite tail ------------------------------- *)
+
+(* Greedy overlap resolution: a site is free when none of its slots was
+   taken by a higher-priority site.  [slots s] is the slot array of [s]'s
+   block, one slot per instruction plus slot [n] (one past the body) for
+   the terminator, which ret-ending patterns occupy.  The serial selector
+   looks the array up by sequence id; thin-WPO, which builds no sequence
+   table, by (func, block). *)
+let site_hi (s : Candidate.site) =
+  if s.with_ret then s.start + s.len else s.start + s.len - 1
+
+let site_free slots (s : Candidate.site) =
+  let a = slots s in
+  let free = ref true in
+  for i = s.start to site_hi s do
+    if a.(i) then free := false
+  done;
+  !free
+
+let site_take slots (s : Candidate.site) =
+  let a = slots s in
+  for i = s.start to site_hi s do
+    a.(i) <- true
+  done
+
+(* Rewrite every block [func_plans] (func -> (label, entries)) names and
+   append [new_funcs]; functions without plans are returned physically
+   unchanged. *)
+let rewrite_program (p : Program.t) func_plans new_funcs =
+  let rewrite_func (f : Mfunc.t) =
+    match Hashtbl.find_opt func_plans f.name with
+    | None -> f
+    | Some blocks ->
+      Mfunc.map_blocks
+        (fun b ->
+          match List.assoc_opt b.Block.label blocks with
+          | None -> b
+          | Some entries -> rewrite_block entries b)
+        f
+  in
+  Program.replace_funcs p (List.map rewrite_func p.funcs @ new_funcs)
+
 (* Greedy site selection over int-indexed occupancy arrays (one lazily
    allocated [bool array] per sequence-table block, no tuple hashing per
-   probe), then the program rewrite.  Shared by both engines. *)
+   probe), then the program rewrite.  Shared by both engines; also returns
+   the (func, block) pairs it rewrote, which the incremental engine
+   invalidates. *)
 let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
   let nseq = Array.length metas in
-  (* Slot [n] (one past the body) is the terminator, occupied by ret-ending
-     patterns. *)
   let consumed : bool array option array = Array.make nseq None in
-  let slots id =
+  let slots (s : Candidate.site) =
+    let id = s.Candidate.block_id in
     match consumed.(id) with
     | Some a -> a
     | None ->
@@ -499,33 +542,14 @@ let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
       consumed.(id) <- Some a;
       a
   in
-  let site_hi (s : Candidate.site) =
-    if s.with_ret then s.start + s.len else s.start + s.len - 1
-  in
-  let site_free (s : Candidate.site) =
-    let a = slots s.Candidate.block_id in
-    let hi = site_hi s in
-    let free = ref true in
-    for i = s.start to hi do
-      if a.(i) then free := false
-    done;
-    !free
-  in
-  let site_take (s : Candidate.site) =
-    let a = slots s.Candidate.block_id in
-    for i = s.start to site_hi s do
-      a.(i) <- true
-    done
-  in
+  let free = site_free slots and take = site_take slots in
   let plans : plan_entry list array = Array.make nseq [] in
   let new_funcs = ref [] in
   let idx = ref 0 in
-  let stats =
-    ref { sequences_outlined = 0; functions_created = 0; outlined_bytes = 0; bytes_saved = 0 }
-  in
+  let stats = ref no_stats in
   List.iter
     (fun { sc_cand = c; _ } ->
-      let sites = List.filter site_free c.sites in
+      let sites = List.filter free c.sites in
       let c' = { c with sites } in
       if Cost_model.profitable c' then begin
         let name =
@@ -533,7 +557,7 @@ let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
           Printf.sprintf "OUTLINED_FUNCTION_%s%d_%d" scope options.round !idx
         in
         incr idx;
-        List.iter site_take sites;
+        List.iter take sites;
         List.iter
           (fun (s : Candidate.site) ->
             plans.(s.block_id) <- { pe_site = s; pe_name = name } :: plans.(s.block_id))
@@ -544,16 +568,17 @@ let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
         let f = make_outlined_function ~name ~from_module c' in
         new_funcs := f :: !new_funcs;
         stats :=
-          {
-            sequences_outlined = !stats.sequences_outlined + List.length sites;
-            functions_created = !stats.functions_created + 1;
-            outlined_bytes = !stats.outlined_bytes + Mfunc.size_bytes f;
-            bytes_saved = !stats.bytes_saved + Cost_model.benefit c';
-          }
+          add_stats !stats
+            {
+              sequences_outlined = List.length sites;
+              functions_created = 1;
+              outlined_bytes = Mfunc.size_bytes f;
+              bytes_saved = Cost_model.benefit c';
+            }
       end)
     sorted;
   (* Group per-block plans by function so the rewrite does one hash probe
-     per function; untouched functions are returned physically unchanged. *)
+     per function. *)
   let func_plans : (string, (string * plan_entry list) list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -569,26 +594,7 @@ let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
       let prev = Option.value ~default:[] (Hashtbl.find_opt func_plans fname) in
       Hashtbl.replace func_plans fname ((blabel, entries) :: prev)
   done;
-  let rewrite_func (f : Mfunc.t) =
-    match Hashtbl.find_opt func_plans f.name with
-    | None -> f
-    | Some blocks ->
-      Mfunc.map_blocks
-        (fun b ->
-          match List.assoc_opt b.Block.label blocks with
-          | None -> b
-          | Some entries -> rewrite_block entries b)
-        f
-  in
-  let new_funcs = List.rev !new_funcs in
-  let p' = Program.replace_funcs p (List.map rewrite_func p.funcs @ new_funcs) in
-  let dirty =
-    {
-      dirty_blocks = List.rev !dirty_blocks;
-      dirty_new_funcs = List.map (fun (f : Mfunc.t) -> f.name) new_funcs;
-    }
-  in
-  (p', !stats, dirty)
+  (rewrite_program p func_plans (List.rev !new_funcs), !stats, !dirty_blocks)
 
 (* --- Decision-table application (thin-WPO phase 3) ---------------------- *)
 
@@ -637,65 +643,31 @@ let make_occupancy (p : Program.t) =
       Hashtbl.replace consumed key a;
       a
   in
-  let site_hi (s : Candidate.site) =
-    if s.with_ret then s.start + s.len else s.start + s.len - 1
-  in
-  let site_free (s : Candidate.site) =
-    let a = slots s in
-    let free = ref true in
-    for i = s.start to site_hi s do
-      if a.(i) then free := false
-    done;
-    !free
-  in
-  let site_take (s : Candidate.site) =
-    let a = slots s in
-    for i = s.start to site_hi s do
-      a.(i) <- true
-    done
-  in
-  (site_free, site_take)
+  (site_free slots, site_take slots)
 
 let apply_assignments (p : Program.t) (assignments : assignment list) =
-  let site_free, site_take = make_occupancy p in
-  let func_plans : (string, (string * plan_entry list) list ref) Hashtbl.t =
+  let free, take = make_occupancy p in
+  let func_plans : (string, (string * plan_entry list) list) Hashtbl.t =
     Hashtbl.create 64
   in
   let add_plan (s : Candidate.site) name =
-    let cell =
-      match Hashtbl.find_opt func_plans s.Candidate.func with
-      | Some c -> c
-      | None ->
-        let c = ref [] in
-        Hashtbl.replace func_plans s.Candidate.func c;
-        c
+    let blocks =
+      Option.value ~default:[] (Hashtbl.find_opt func_plans s.Candidate.func)
     in
-    let entry = { pe_site = s; pe_name = name } in
-    match List.assoc_opt s.Candidate.block !cell with
-    | Some _ ->
-      cell :=
-        List.map
-          (fun (label, entries) ->
-            if label = s.Candidate.block then (label, entry :: entries)
-            else (label, entries))
-          !cell
-    | None -> cell := (s.Candidate.block, [ entry ]) :: !cell
+    let entries =
+      Option.value ~default:[] (List.assoc_opt s.Candidate.block blocks)
+    in
+    Hashtbl.replace func_plans s.Candidate.func
+      ((s.Candidate.block, { pe_site = s; pe_name = name } :: entries)
+      :: List.remove_assoc s.Candidate.block blocks)
   in
   let hosted = ref [] in
-  let stats =
-    ref
-      {
-        sequences_outlined = 0;
-        functions_created = 0;
-        outlined_bytes = 0;
-        bytes_saved = 0;
-      }
-  in
+  let stats = ref no_stats in
   List.iter
     (fun a ->
       let c = a.asg_cand in
-      let sites = List.filter site_free c.Candidate.sites in
-      List.iter site_take sites;
+      let sites = List.filter free c.Candidate.sites in
+      List.iter take sites;
       List.iter (fun s -> add_plan s a.asg_name) sites;
       let site_gain =
         List.fold_left
@@ -712,28 +684,15 @@ let apply_assignments (p : Program.t) (assignments : assignment list) =
           Mfunc.size_bytes f
       in
       stats :=
-        {
-          sequences_outlined = !stats.sequences_outlined + List.length sites;
-          functions_created =
-            (!stats.functions_created
-            + match a.asg_host with Some _ -> 1 | None -> 0);
-          outlined_bytes = !stats.outlined_bytes + hosted_bytes;
-          bytes_saved = !stats.bytes_saved + site_gain - hosted_bytes;
-        })
+        add_stats !stats
+          {
+            sequences_outlined = List.length sites;
+            functions_created = (if a.asg_host = None then 0 else 1);
+            outlined_bytes = hosted_bytes;
+            bytes_saved = site_gain - hosted_bytes;
+          })
     assignments;
-  let rewrite_func (f : Mfunc.t) =
-    match Hashtbl.find_opt func_plans f.name with
-    | None -> f
-    | Some blocks ->
-      Mfunc.map_blocks
-        (fun b ->
-          match List.assoc_opt b.Block.label !blocks with
-          | None -> b
-          | Some entries -> rewrite_block entries b)
-        f
-  in
-  let p' = Program.replace_funcs p (List.map rewrite_func p.funcs) in
-  (p', List.rev !hosted, !stats)
+  (rewrite_program p func_plans [], List.rev !hosted, !stats)
 
 (* --- Per-phase timing hooks -------------------------------------------- *)
 
@@ -752,40 +711,39 @@ let set_enum rp d = rp.Profile.rp_enumerate <- rp.Profile.rp_enumerate +. d
 let set_score rp d = rp.Profile.rp_score <- rp.Profile.rp_score +. d
 let set_rewrite rp d = rp.Profile.rp_rewrite <- rp.Profile.rp_rewrite +. d
 
-(* --- From-scratch engine ----------------------------------------------- *)
+(* --- The round, shared by both engines --------------------------------- *)
 
-let run_round ?profile options (p : Program.t) =
-  let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
-  let imap = Instr_map.create () in
-  let seqs, metas = timed rp set_seq (fun () -> build_sequences imap p) in
-  if seqs = [] then (p, { sequences_outlined = 0; functions_created = 0; outlined_bytes = 0; bytes_saved = 0 }, no_dirty)
+(* Everything after the sequence table: [build_tree] and [repeats] are the
+   engine's suffix tree (repeats of at least [options.min_length]),
+   [liveness_of] its liveness memo.  Returns the rewritten program, the
+   stats and the rewritten (func, block) pairs. *)
+let outline_round rp options p (seqs, metas) ~liveness_of build_tree repeats =
+  if seqs = [] then (p, no_stats, [])
   else begin
-    let tree = timed rp set_tree (fun () -> Sufftree.Suffix_tree.build seqs) in
+    let tree = timed rp set_tree (fun () -> build_tree seqs) in
     let cands =
       timed rp set_enum (fun () ->
-          let reps =
-            Sufftree.Suffix_tree.repeats ~min_length:options.min_length tree
-          in
-          let callee_sp_unsafe = sp_unsafe_callees p in
-          let liveness_cache : (string, Liveness.t) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let liveness_of (f : Mfunc.t) =
-            match Hashtbl.find_opt liveness_cache f.name with
-            | Some lv -> lv
-            | None ->
-              let lv = Liveness.compute f in
-              Hashtbl.replace liveness_cache f.name lv;
-              lv
-          in
-          let lr_live = lr_live_memo metas liveness_of in
-          List.filter_map
-            (candidate_of_repeat options ~callee_sp_unsafe metas lr_live)
-            reps)
+          discover ~lax:false options ~liveness_of metas p (fun k ->
+              List.iter k (repeats tree)))
     in
     let sorted = timed rp set_score (fun () -> score_candidates cands) in
     timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)
   end
+
+(* --- From-scratch engine ----------------------------------------------- *)
+
+let run_round ?profile options (p : Program.t) =
+  let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
+  let table =
+    timed rp set_seq (fun () -> build_sequences (Instr_map.create ()) p)
+  in
+  let p', stats, _ =
+    outline_round rp options p table
+      ~liveness_of:(liveness_memo (Hashtbl.create 64))
+      Sufftree.Suffix_tree.build
+      (Sufftree.Suffix_tree.repeats ~min_length:options.min_length)
+  in
+  (p', stats)
 
 (* --- Incremental engine ------------------------------------------------ *)
 
@@ -870,7 +828,7 @@ let fault_skip_invalidation = ref false
 
 let run_round_incremental ?profile engine options (p : Program.t) =
   let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
-  let seqs, metas =
+  let table =
     timed rp set_seq (fun () ->
         let seqs = ref [] and metas = ref [] in
         List.iter
@@ -910,44 +868,19 @@ let run_round_incremental ?profile engine options (p : Program.t) =
           p.funcs;
         (List.rev !seqs, Array.of_list (List.rev !metas)))
   in
-  if seqs = [] then (p, { sequences_outlined = 0; functions_created = 0; outlined_bytes = 0; bytes_saved = 0 }, no_dirty)
-  else begin
-    let tree =
-      timed rp set_tree (fun () ->
-          Sufftree.Arena_tree.build ~pool:engine.eng_pool seqs)
-    in
-    let cands =
-      timed rp set_enum (fun () ->
-          let reps =
-            Sufftree.Arena_tree.repeats ~min_length:options.min_length tree
-          in
-          let callee_sp_unsafe = sp_unsafe_callees p in
-          let liveness_of (f : Mfunc.t) =
-            match Hashtbl.find_opt engine.eng_live f.name with
-            | Some lv -> lv
-            | None ->
-              let lv = Liveness.compute f in
-              Hashtbl.replace engine.eng_live f.name lv;
-              lv
-          in
-          let lr_live = lr_live_memo metas liveness_of in
-          List.filter_map
-            (candidate_of_repeat options ~callee_sp_unsafe metas lr_live)
-            reps)
-    in
-    let sorted = timed rp set_score (fun () -> score_candidates cands) in
-    let p', stats, dirty =
-      timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)
-    in
-    if not !fault_skip_invalidation then begin
-      List.iter
-        (fun ((fname, blabel) as key) ->
-          Hashtbl.replace engine.eng_rewritten key ();
-          (match Hashtbl.find_opt engine.eng_seqs fname with
-          | Some tbl -> Hashtbl.remove tbl blabel
-          | None -> ());
-          Hashtbl.remove engine.eng_live fname)
-        dirty.dirty_blocks
-    end;
-    (p', stats, dirty)
-  end
+  let p', stats, dirty_blocks =
+    outline_round rp options p table
+      ~liveness_of:(liveness_memo engine.eng_live)
+      (Sufftree.Arena_tree.build ~pool:engine.eng_pool)
+      (Sufftree.Arena_tree.repeats ~min_length:options.min_length)
+  in
+  if not !fault_skip_invalidation then
+    List.iter
+      (fun ((fname, blabel) as key) ->
+        Hashtbl.replace engine.eng_rewritten key ();
+        (match Hashtbl.find_opt engine.eng_seqs fname with
+        | Some tbl -> Hashtbl.remove tbl blabel
+        | None -> ());
+        Hashtbl.remove engine.eng_live fname)
+      dirty_blocks;
+  (p', stats)

@@ -6,8 +6,23 @@
     lattice differential): {!run_round} rebuilds everything from scratch
     every round — the readable reference — while {!run_round_incremental}
     keeps an interner, per-block symbol arrays, and liveness alive across
-    rounds, re-deriving only what the previous round's dirty set
-    invalidated (the build-time fix the paper's §VII calls for). *)
+    rounds, re-deriving only what the previous round's rewrite invalidated
+    (the build-time fix the paper's §VII calls for).  Which engine runs,
+    and how rounds are numbered, is {!Repeat}'s choice: it is the only
+    caller of the two round functions.
+
+    Everything else exists once and is shared by both engines, by
+    {!enumerate} / {!probe_windows} and by thin-WPO:
+    - discovery: one private function turns repeats into candidates (the
+      SP-unsafe-callee analysis, the per-point LR-liveness memo and the
+      legality/strategy checks), over a fresh liveness memo or the
+      incremental engine's;
+    - site occupancy: one greedy slot-array rule ([site_free] /
+      [site_take]) over a per-caller slot lookup — sequence ids for the
+      serial selector, (func, block) for {!make_occupancy};
+    - the rewrite tail: one per-function rewrite of a
+      func -> (label, planned sites) table, used by the serial selector
+      and {!apply_assignments}. *)
 
 type options = {
   scope_name : string;
@@ -30,11 +45,11 @@ type round_stats = {
   bytes_saved : int;         (** net size reduction achieved this round *)
 }
 
-type dirty = {
-  dirty_blocks : (string * string) list;
-      (** (function, block label) pairs whose bodies the round rewrote *)
-  dirty_new_funcs : string list;  (** outlined functions the round created *)
-}
+val no_stats : round_stats
+(** All zeros: the stats of a round that outlines nothing. *)
+
+val add_stats : round_stats -> round_stats -> round_stats
+(** Field-wise sum. *)
 
 val enumerate :
   ?min_length:int ->
@@ -79,12 +94,12 @@ val sp_unsafe_callees :
 val make_occupancy :
   Machine.Program.t ->
   (Candidate.site -> bool) * (Candidate.site -> unit)
-(** [(site_free, site_take)] over lazily allocated per-block slot arrays —
-    the greedy overlap-resolution primitive shared by thin-WPO's ranked
-    local site assignment (phase 2's parallel step) and
-    {!apply_assignments}.  The serial selector keeps its faster
-    int-indexed variant, which needs the sequence table thin-WPO shards
-    don't build. *)
+(** [(site_free, site_take)] over lazily allocated per-(func, block) slot
+    arrays, for thin-WPO's ranked local site assignment (phase 2's
+    parallel step) and {!apply_assignments}.  The occupancy rule is the
+    serial selector's; only the slot lookup differs (the serial selector
+    indexes by sequence id, which needs the sequence table thin-WPO
+    shards don't build). *)
 
 type assignment = {
   asg_cand : Candidate.t;
@@ -113,7 +128,7 @@ val run_round :
   ?profile:Profile.t ->
   options ->
   Machine.Program.t ->
-  Machine.Program.t * round_stats * dirty
+  Machine.Program.t * round_stats
 (** From-scratch engine.  When [profile] is given, appends one
     {!Profile.round_profile} with the phase split. *)
 
@@ -147,9 +162,9 @@ val run_round_incremental :
   engine ->
   options ->
   Machine.Program.t ->
-  Machine.Program.t * round_stats * dirty
+  Machine.Program.t * round_stats
 (** Like {!run_round} but reusing [engine]'s caches; after rewriting it
-    invalidates exactly the returned dirty set.  Must be fed the program
+    invalidates exactly the blocks the round rewrote.  Must be fed the program
     returned by its own previous round. *)
 
 val fault_skip_invalidation : bool ref

@@ -1,47 +1,34 @@
-let run ?(options = Outliner.default_options) ?profile
-    ?(engine = `Incremental) ?use_engine ~rounds p =
+let round ?(options = Outliner.default_options) ?profile
+    ?(engine = `Incremental) ?use_engine () =
   let eng =
     match (engine, use_engine) with
     | `Incremental, Some e -> Some e
     | `Incremental, None -> Some (Outliner.create_engine ())
     | `Scratch, _ -> None
   in
-  let rec go round p acc =
-    if round > rounds then (p, List.rev acc)
+  fun k p ->
+    let opts = { options with Outliner.round = options.Outliner.round + k - 1 } in
+    match eng with
+    | Some e -> Outliner.run_round_incremental ?profile e opts p
+    | None -> Outliner.run_round ?profile opts p
+
+let run ?options ?profile ?engine ?use_engine ~rounds p =
+  let round = round ?options ?profile ?engine ?use_engine () in
+  let rec go k p acc =
+    if k > rounds then (p, List.rev acc)
     else begin
-      let opts = { options with Outliner.round = options.Outliner.round + round - 1 } in
-      let p', stats, _dirty =
-        match eng with
-        | Some e -> Outliner.run_round_incremental ?profile e opts p
-        | None -> Outliner.run_round ?profile opts p
-      in
+      let p', stats = round k p in
       if stats.Outliner.sequences_outlined = 0 then (p, List.rev acc)
-      else go (round + 1) p' (stats :: acc)
+      else go (k + 1) p' (stats :: acc)
     end
   in
   go 1 p []
 
 let cumulative stats =
-  let add (a : Outliner.round_stats) (b : Outliner.round_stats) =
-    {
-      Outliner.sequences_outlined = a.sequences_outlined + b.sequences_outlined;
-      functions_created = a.functions_created + b.functions_created;
-      outlined_bytes = a.outlined_bytes + b.outlined_bytes;
-      bytes_saved = a.bytes_saved + b.bytes_saved;
-    }
-  in
-  let zero =
-    {
-      Outliner.sequences_outlined = 0;
-      functions_created = 0;
-      outlined_bytes = 0;
-      bytes_saved = 0;
-    }
-  in
   List.rev
     (snd
        (List.fold_left
           (fun (acc, out) s ->
-            let acc = add acc s in
+            let acc = Outliner.add_stats acc s in
             (acc, acc :: out))
-          (zero, []) stats))
+          (Outliner.no_stats, []) stats))

@@ -41,16 +41,20 @@ let pass_combos =
 let with_passes f (c : Pipeline.config) =
   { c with Pipeline.passes = Some (f (Pipeline.spec_of_config c)) }
 
+(* The lattice's normalized base: attribute flag semantics, module-order
+   data, outlined functions appended, no recorded profile.  The reference
+   oracle links under the same semantics. *)
+let normalized (c : Pipeline.config) =
+  {
+    c with
+    Pipeline.flag_semantics = Link.Attributes;
+    data_order = Link.Module_preserving;
+    outlined_layout = `Append;
+    layout_profile = None;
+  }
+
 let points base =
-  let base =
-    {
-      base with
-      Pipeline.flag_semantics = Link.Attributes;
-      data_order = Link.Module_preserving;
-      outlined_layout = `Append;
-      layout_profile = None;
-    }
-  in
+  let base = normalized base in
   let modes = [ ("pm", Pipeline.Per_module); ("wp", Pipeline.Whole_program) ] in
   let rounds = [ 0; 1; 3 ] in
   let main =
@@ -630,79 +634,124 @@ let serve_differential ?(edits = 1) sources =
   | _ -> ());
   !failure
 
-let check ?(verify_each = false) (p : Swiftgen.program) =
+(* The reference oracle every Swiftlet check starts from: compile, attach
+   the program's flag style, link whole under the normalized semantics and
+   run the MIR interpreter.  A front-end, link or eval failure skips the
+   program; otherwise [k] gets the modules, the linked module and the
+   reference result. *)
+let with_oracle (p : Swiftgen.program) k =
   match Swiftlet.Compile.compile_program (Swiftgen.to_sources p) with
   | Error msg -> Skip ("front-end: " ^ msg)
   | Ok modules -> (
     let modules = attach_flags p.flag_style modules in
+    let base = normalized Pipeline.default_config in
     match
-      Link.link ~flag_semantics:Link.Attributes
-        ~data_order:Link.Module_preserving ~name:"whole" modules
+      Link.link ~flag_semantics:base.Pipeline.flag_semantics
+        ~data_order:base.Pipeline.data_order ~name:"whole" modules
     with
     | Error e -> Skip ("reference link: " ^ Link.error_to_string e)
     | Ok whole -> (
       match Eval.run ~max_steps:5_000_000 ~entry:"main" whole with
       | Error e -> Skip ("reference eval: " ^ Eval.error_to_string e)
-      | Ok ref_res -> (
-        let ref_exit = ref_res.exit_value and ref_output = ref_res.output in
-        let pts =
-          points { Pipeline.default_config with Pipeline.verify_each }
-        in
-        let failure = ref (transition_differential modules) in
-        if !failure = None then
-          failure := merge_refactor_differential modules whole;
-        let sizes = ref [] in
-        let thins = ref [] in
-        let full_wpo = ref None in
-        let full_prog = ref None in
-        List.iter
-          (fun ((label, cfg) as pt) ->
-            if !failure = None then
-              match
-                run_point modules pt ~style:p.flag_style ~ref_exit ~ref_output
-              with
-              | Error f -> failure := Some f
-              | Ok None -> ()
-              | Ok (Some res) ->
-                sizes :=
-                  (label, cfg, cfg.Pipeline.outline_rounds, res.binary_size)
-                  :: !sizes;
-                if label = "wp/r3/plain" then begin
-                  full_wpo := Some res.binary_size;
-                  full_prog := Some res.Pipeline.program
-                end;
-                (match cfg.Pipeline.mode with
-                | Pipeline.Thin_wpo _ ->
-                  thins :=
-                    ( label,
-                      Machine.Asm_printer.to_source res.Pipeline.program,
-                      res.binary_size )
-                    :: !thins
-                | _ -> ()))
-          pts;
-        match !failure with
+      | Ok res ->
+        k ~modules ~whole ~ref_exit:res.exit_value ~ref_output:res.output))
+
+let check ?(verify_each = false) (p : Swiftgen.program) =
+  with_oracle p (fun ~modules ~whole ~ref_exit ~ref_output ->
+      let pts =
+        points { Pipeline.default_config with Pipeline.verify_each }
+      in
+      let failure = ref (transition_differential modules) in
+      if !failure = None then
+        failure := merge_refactor_differential modules whole;
+      let sizes = ref [] in
+      let thins = ref [] in
+      let full_wpo = ref None in
+      let full_prog = ref None in
+      List.iter
+        (fun ((label, cfg) as pt) ->
+          if !failure = None then
+            match
+              run_point modules pt ~style:p.flag_style ~ref_exit ~ref_output
+            with
+            | Error f -> failure := Some f
+            | Ok None -> ()
+            | Ok (Some res) ->
+              sizes :=
+                (label, cfg, cfg.Pipeline.outline_rounds, res.binary_size)
+                :: !sizes;
+              if label = "wp/r3/plain" then begin
+                full_wpo := Some res.binary_size;
+                full_prog := Some res.Pipeline.program
+              end;
+              (match cfg.Pipeline.mode with
+              | Pipeline.Thin_wpo _ ->
+                thins :=
+                  ( label,
+                    Machine.Asm_printer.to_source res.Pipeline.program,
+                    res.binary_size )
+                  :: !thins
+              | _ -> ()))
+        pts;
+      match !failure with
+      | Some f -> Fail f
+      | None -> (
+        match check_monotone (List.rev !sizes) with
         | Some f -> Fail f
         | None -> (
-          match check_monotone (List.rev !sizes) with
+          match thin_differential (List.rev !thins) !full_wpo with
           | Some f -> Fail f
           | None -> (
-            match thin_differential (List.rev !thins) !full_wpo with
+            match
+              Option.join (Option.map compress_property !full_prog)
+            with
             | Some f -> Fail f
             | None -> (
-              match
-                Option.join (Option.map compress_property !full_prog)
-              with
+              match serve_differential (Swiftgen.to_sources p) with
               | Some f -> Fail f
-              | None -> (
-                match serve_differential (Swiftgen.to_sources p) with
-                | Some f -> Fail f
-                (* every point, plus the two transition-differential
-                   points, the two refactor-exactness differentials
-                   (merge-functions and fmsa against their frozen
-                   pre-refactor copies), the two thin-WPO differentials,
-                   the compressed-size property check, and the three serve
-                   replay steps (build, edit, retry) *)
-                | None -> Pass (List.length pts + 4 + 2 + 1 + 3))))))))
+              (* every point, plus the two transition-differential
+                 points, the two refactor-exactness differentials
+                 (merge-functions and fmsa against their frozen
+                 pre-refactor copies), the two thin-WPO differentials,
+                 the compressed-size property check, and the three serve
+                 replay steps (build, edit, retry) *)
+              | None -> Pass (List.length pts + 4 + 2 + 1 + 3))))))
+
+(* The focused checks' shared sweep: run [pts] until the first failure
+   under the machine check's tight step budget — the corrupted programs
+   they hunt often loop until the budget, the full 20M-step allowance
+   would make the shrink loop crawl, and honest programs finish well
+   within 2M — then hold the thin points to [thin_differential] against
+   [full].  [extra] counts the differentials on top of the points. *)
+let focused_points (p : Swiftgen.program) ~modules ~ref_exit ~ref_output
+    ~full ~extra pts =
+  let failure = ref None in
+  let thins = ref [] in
+  List.iter
+    (fun ((label, cfg) as pt) ->
+      if !failure = None then
+        match
+          run_point ~interp:machine_interp_config modules pt
+            ~style:p.flag_style ~ref_exit ~ref_output
+        with
+        | Error f -> failure := Some f
+        | Ok None -> ()
+        | Ok (Some res) -> (
+          match cfg.Pipeline.mode with
+          | Pipeline.Thin_wpo _ ->
+            thins :=
+              ( label,
+                Machine.Asm_printer.to_source res.Pipeline.program,
+                res.binary_size )
+              :: !thins
+          | _ -> ()))
+    pts;
+  match !failure with
+  | Some f -> Fail f
+  | None -> (
+    match thin_differential (List.rev !thins) full with
+    | Some f -> Fail f
+    | None -> Pass (List.length pts + extra))
 
 (* The thin-only check: reference oracle, the three thin points, and both
    thin differentials — nothing else.  This is
@@ -710,74 +759,30 @@ let check ?(verify_each = false) (p : Swiftgen.program) =
    [check] sweeps fifty-odd points per program, which the greedy shrinker
    would multiply by hundreds of deletion attempts. *)
 let check_thin (p : Swiftgen.program) =
-  match Swiftlet.Compile.compile_program (Swiftgen.to_sources p) with
-  | Error msg -> Skip ("front-end: " ^ msg)
-  | Ok modules -> (
-    let modules = attach_flags p.flag_style modules in
-    match
-      Link.link ~flag_semantics:Link.Attributes
-        ~data_order:Link.Module_preserving ~name:"whole" modules
-    with
-    | Error e -> Skip ("reference link: " ^ Link.error_to_string e)
-    | Ok whole -> (
-      match Eval.run ~max_steps:5_000_000 ~entry:"main" whole with
-      | Error e -> Skip ("reference eval: " ^ Eval.error_to_string e)
-      | Ok ref_res -> (
-        let ref_exit = ref_res.exit_value and ref_output = ref_res.output in
-        let pts =
-          List.filter
-            (fun (_, (cfg : Pipeline.config)) ->
-              match cfg.Pipeline.mode with
-              | Pipeline.Thin_wpo _ -> true
-              | _ -> false)
-            (points Pipeline.default_config)
-        in
-        let wp3 =
-          match
-            Pipeline.build
-              ~config:
-                {
-                  Pipeline.default_config with
-                  Pipeline.mode = Whole_program;
-                  outline_rounds = 3;
-                  flag_semantics = Link.Attributes;
-                  data_order = Link.Module_preserving;
-                  outlined_layout = `Append;
-                  layout_profile = None;
-                }
-              modules
-          with
-          | Ok res -> Some res.Pipeline.binary_size
-          | Error _ -> None
-        in
-        let failure = ref None in
-        let thins = ref [] in
-        List.iter
-          (fun ((label, _) as pt) ->
-            if !failure = None then
-              (* The corrupted programs this check hunts often loop until
-                 the step budget; the full 20M-step allowance would make
-                 the shrink loop crawl, and honest fuel-10 programs finish
-                 within the machine check's 2M budget anyway. *)
-              match
-                run_point ~interp:machine_interp_config modules pt
-                  ~style:p.flag_style ~ref_exit ~ref_output
-              with
-              | Error f -> failure := Some f
-              | Ok None -> ()
-              | Ok (Some res) ->
-                thins :=
-                  ( label,
-                    Machine.Asm_printer.to_source res.Pipeline.program,
-                    res.binary_size )
-                  :: !thins)
-          pts;
-        match !failure with
-        | Some f -> Fail f
-        | None -> (
-          match thin_differential (List.rev !thins) wp3 with
-          | Some f -> Fail f
-          | None -> Pass (List.length pts + 2)))))
+  with_oracle p (fun ~modules ~whole:_ ~ref_exit ~ref_output ->
+      let pts =
+        List.filter
+          (fun (_, (cfg : Pipeline.config)) ->
+            match cfg.Pipeline.mode with
+            | Pipeline.Thin_wpo _ -> true
+            | _ -> false)
+          (points Pipeline.default_config)
+      in
+      let wp3 =
+        match
+          Pipeline.build
+            ~config:
+              {
+                (normalized Pipeline.default_config) with
+                Pipeline.mode = Whole_program;
+                outline_rounds = 3;
+              }
+            modules
+        with
+        | Ok res -> Some res.Pipeline.binary_size
+        | Error _ -> None
+      in
+      focused_points p ~modules ~ref_exit ~ref_output ~full:wp3 ~extra:2 pts)
 
 (* The serve-only check: front-end gate, then the serve replay differential
    with two edits — what the self-test's stale-cache fault phase and its
@@ -801,72 +806,26 @@ let check_serve (p : Swiftgen.program) =
    entirely in Global_merge, so sweeping the full lattice per deletion
    attempt would bury the signal in unrelated points. *)
 let check_gmerge (p : Swiftgen.program) =
-  match Swiftlet.Compile.compile_program (Swiftgen.to_sources p) with
-  | Error msg -> Skip ("front-end: " ^ msg)
-  | Ok modules -> (
-    let modules = attach_flags p.flag_style modules in
-    match
-      Link.link ~flag_semantics:Link.Attributes
-        ~data_order:Link.Module_preserving ~name:"whole" modules
-    with
-    | Error e -> Skip ("reference link: " ^ Link.error_to_string e)
-    | Ok whole -> (
-      match Eval.run ~max_steps:5_000_000 ~entry:"main" whole with
-      | Error e -> Skip ("reference eval: " ^ Eval.error_to_string e)
-      | Ok ref_res -> (
-        let ref_exit = ref_res.exit_value and ref_output = ref_res.output in
-        let base =
-          with_passes
-            (List.assoc "gmerge" pass_combos)
-            {
-              Pipeline.default_config with
-              Pipeline.flag_semantics = Link.Attributes;
-              data_order = Link.Module_preserving;
-              outlined_layout = `Append;
-              layout_profile = None;
-              outline_rounds = 0;
-            }
-        in
-        let pts =
-          [
-            ("gmerge/pm/r0", { base with Pipeline.mode = Per_module });
-            ("gmerge/wp/r0", { base with Pipeline.mode = Whole_program });
-            ( "gmerge/thin/r0/w1",
-              { base with Pipeline.mode = Thin_wpo { workers = 1 } } );
-            ( "gmerge/thin/r0/w2",
-              { base with Pipeline.mode = Thin_wpo { workers = 2 } } );
-          ]
-        in
-        let failure = ref None in
-        let thins = ref [] in
-        List.iter
-          (fun ((label, cfg) as pt) ->
-            if !failure = None then
-              (* Corrupted merges routinely loop; the tight machine budget
-                 keeps the shrink loop fast (honest round-0 programs finish
-                 well within it). *)
-              match
-                run_point ~interp:machine_interp_config modules pt
-                  ~style:p.flag_style ~ref_exit ~ref_output
-              with
-              | Error f -> failure := Some f
-              | Ok None -> ()
-              | Ok (Some res) -> (
-                match cfg.Pipeline.mode with
-                | Pipeline.Thin_wpo _ ->
-                  thins :=
-                    ( label,
-                      Machine.Asm_printer.to_source res.Pipeline.program,
-                      res.binary_size )
-                    :: !thins
-                | _ -> ()))
-          pts;
-        match !failure with
-        | Some f -> Fail f
-        | None -> (
-          match thin_differential (List.rev !thins) None with
-          | Some f -> Fail f
-          | None -> Pass (List.length pts + 1)))))
+  with_oracle p (fun ~modules ~whole:_ ~ref_exit ~ref_output ->
+      let base =
+        with_passes
+          (List.assoc "gmerge" pass_combos)
+          {
+            (normalized Pipeline.default_config) with
+            Pipeline.outline_rounds = 0;
+          }
+      in
+      let pts =
+        [
+          ("gmerge/pm/r0", { base with Pipeline.mode = Per_module });
+          ("gmerge/wp/r0", { base with Pipeline.mode = Whole_program });
+          ( "gmerge/thin/r0/w1",
+            { base with Pipeline.mode = Thin_wpo { workers = 1 } } );
+          ( "gmerge/thin/r0/w2",
+            { base with Pipeline.mode = Thin_wpo { workers = 2 } } );
+        ]
+      in
+      focused_points p ~modules ~ref_exit ~ref_output ~full:None ~extra:1 pts)
 
 (* --- the machine check ------------------------------------------------------- *)
 

@@ -266,9 +266,30 @@ type 'ir pass = {
 
 let find_pass passes name = List.find_opt (fun p -> p.p_name = name) passes
 
+(* Pipelines no build can honour: a repeated outliner names its functions
+   by round alone, so running one twice defines every outlined symbol
+   twice; and the layout markers each pick the final image's placement, so
+   at most one of them can hold. *)
+let check_pipeline specs =
+  let names = List.map (fun sp -> sp.sp_name) specs in
+  let count n = List.length (List.filter (String.equal n) names) in
+  match List.find_opt (fun n -> count n > 1) [ "outline"; "thin-outline" ] with
+  | Some n ->
+    Error
+      (Printf.sprintf "pass %s appears twice (its outlined symbols would clash)"
+         n)
+  | None -> (
+    let markers = [ "caller-affinity-layout"; "pgo-layout"; "stitch" ] in
+    match List.filter (fun n -> List.mem n markers) names with
+    | _ :: _ :: _ as ms ->
+      Error
+        (Printf.sprintf "more than one layout marker (%s); keep one"
+           (String.concat ", " ms))
+    | _ -> Ok ())
+
 let validate_specs ~known specs =
   let rec go = function
-    | [] -> Ok ()
+    | [] -> check_pipeline specs
     | sp :: rest -> (
       match known sp.sp_name with
       | None -> Error (Printf.sprintf "unknown pass %S" sp.sp_name)
@@ -504,38 +525,23 @@ let outline_pass env unit_name =
     p_across = None;
     p_run =
       (fun ctx sp p ->
-        let eng =
-          match (env.me_engine, env.me_warm) with
-          | `Incremental, Some (e, changed) ->
-            (* Warm engine from the serve daemon: invalidate at the build
-               boundary, then reuse its caches across this build's rounds. *)
-            Outcore.Outliner.engine_begin_build e ~changed p;
-            Some e
-          | `Incremental, None -> Some (Outcore.Outliner.create_engine ())
-          | `Scratch, _ -> None
-        in
-        let options =
-          { Outcore.Outliner.default_options with scope_name = env.me_scope }
+        (* A warm engine from the serve daemon is invalidated at the build
+           boundary, before round 1; Repeat.round reuses its caches across
+           this build's rounds. *)
+        let use_engine =
+          Option.map
+            (fun (e, changed) ->
+              Outcore.Outliner.engine_begin_build e ~changed p;
+              e)
+            env.me_warm
         in
         run_rounds ctx ~pass:"outline" ~unit_name
           ~rounds:(int_param sp "rounds" ~default:5)
           ~on_stats:env.me_on_stats
-          (fun round p ->
-            let opts =
-              {
-                options with
-                Outcore.Outliner.round =
-                  options.Outcore.Outliner.round + round - 1;
-              }
-            in
-            let p', stats, _dirty =
-              match eng with
-              | Some e ->
-                Outcore.Outliner.run_round_incremental ~profile:env.me_profile
-                  e opts p
-              | None -> Outcore.Outliner.run_round ~profile:env.me_profile opts p
-            in
-            (p', stats))
+          (Outcore.Repeat.round
+             ~options:
+               { Outcore.Outliner.default_options with scope_name = env.me_scope }
+             ~profile:env.me_profile ~engine:env.me_engine ?use_engine ())
           p);
   }
 

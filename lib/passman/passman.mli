@@ -133,8 +133,12 @@ val find_pass : 'ir pass list -> string -> 'ir pass option
 val validate_specs :
   known:(string -> string list option) -> spec list -> (unit, string) result
 (** [known name] returns the accepted parameter keys of a registered pass,
-    or [None] for an unknown name.  Checks every spec's name, parameter
-    keys, and that integer-looking values parse. *)
+    or [None] for an unknown name.  Checks every spec's name and parameter
+    keys, then rejects the pipelines no build can honour: the same
+    outliner ([outline] or [thin-outline]) twice — both runs would name
+    their functions from the same round numbers — and more than one
+    layout marker ([caller-affinity-layout], [pgo-layout], [stitch]),
+    which are alternatives for the final placement. *)
 
 val run_passes :
   ctx -> 'ir stage -> 'ir pass list -> ?unit_name:string -> spec list -> 'ir -> 'ir
@@ -209,15 +213,18 @@ type machine_env = {
   me_warm : (Outcore.Outliner.engine * (string -> bool)) option;
       (** warm incremental engine owned by a caller that outlives one build
           (the serve daemon), with the changed-module predicate for its
-          build-boundary invalidation.  When present (and [me_engine] is
-          [`Incremental]) the [outline] pass calls
-          {!Outcore.Outliner.engine_begin_build} and reuses this engine
-          instead of creating a fresh one per run.  [None] everywhere else. *)
+          build-boundary invalidation.  When present the [outline] pass
+          calls {!Outcore.Outliner.engine_begin_build} once per run, before
+          round 1, and hands the engine to {!Outcore.Repeat.round}, which
+          reuses it instead of a fresh one under [`Incremental].  [None]
+          everywhere else. *)
 }
 
 val machine_passes : machine_env -> Machine.Program.t pass list
 (** [canonicalize], [outline(rounds=N)] (self-gated: every round is one
-    bisect step, recorded as ["round K"] details), the linked self-gated
+    bisect step, recorded as ["round K"] details; the round itself, engine
+    choice and round numbering included, is {!Outcore.Repeat.round}, the
+    function [Outcore.Repeat.run] loops over), the linked self-gated
     [thin-outline(workers=N,rounds=N,min=N)] (sharded parallel
     whole-program outlining; each three-phase round is one bisect step),
     the linked [caller-affinity-layout], and the linked layout markers

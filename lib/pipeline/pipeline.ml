@@ -176,53 +176,54 @@ let config_of_passes ?(base = default_config) s =
         let find n =
           List.find_opt (fun sp -> sp.Passman.sp_name = n) specs
         in
-        let has n = find n <> None in
         let outline_rounds =
           match (find "outline", find "thin-outline") with
           | Some sp, _ | None, Some sp -> Passman.int_param sp "rounds" ~default:5
           | None, None -> 0
         in
-        let pgo_layout =
-          match find "pgo-layout" with
-          | None -> None
-          | Some sp -> (
-            let param k = List.assoc_opt k sp.Passman.sp_params in
-            let w =
-              match param "w" with
-              | None -> Pgo.Order.default_w
-              | Some v -> (
-                match float_of_string_opt v with
-                | Some w when w >= 0.0 && w <= 1.0 -> w
-                | Some _ | None ->
-                  failwith
-                    (Printf.sprintf "pgo-layout: w=%s is not in 0..1" v))
-            in
-            match Option.value ~default:"bp-compress" (param "strategy") with
-            | "order-file" -> Some `Order_file
-            | "c3" -> Some `C3
-            | "balanced" -> Some `Balanced
-            | "bp-compress" -> Some (`Bp_compress w)
-            | s ->
-              failwith
-                (Printf.sprintf
-                   "pgo-layout: unknown strategy %S (want order-file, c3, \
-                    balanced or bp-compress)"
-                   s))
+        let pgo_layout sp : layout_strategy =
+          let param k = List.assoc_opt k sp.Passman.sp_params in
+          let w =
+            match param "w" with
+            | None -> Pgo.Order.default_w
+            | Some v -> (
+              match float_of_string_opt v with
+              | Some w when w >= 0.0 && w <= 1.0 -> w
+              | Some _ | None ->
+                failwith (Printf.sprintf "pgo-layout: w=%s is not in 0..1" v))
+          in
+          match
+            layout_strategy_of_string
+              (Option.value ~default:"bp-compress" (param "strategy"))
+          with
+          | Ok ((`Order_file | `C3 | `Balanced) as l) -> l
+          | Ok (`Bp_compress _) -> `Bp_compress w
+          | Ok ((`Append | `Caller_affinity | `Stitch) as l) ->
+            failwith
+              (Printf.sprintf "pgo-layout: %s is not a profile-guided strategy"
+                 (layout_strategy_name l))
+          | Error e -> failwith ("pgo-layout: " ^ e)
+        in
+        (* [validate_specs] admits at most one layout marker. *)
+        let marker =
+          List.find_map
+            (fun sp ->
+              match sp.Passman.sp_name with
+              | "caller-affinity-layout" -> Some `Caller_affinity
+              | "stitch" -> Some `Stitch
+              | "pgo-layout" -> Some (pgo_layout sp)
+              | _ -> None)
+            specs
         in
         Ok
           {
             base with
             outline_rounds;
             outlined_layout =
-              (if has "caller-affinity-layout" then `Caller_affinity
-               else if has "stitch" then `Stitch
-               else
-                 match pgo_layout with
-                 | Some l -> l
-                 | None -> (
-                   match base.outlined_layout with
-                   | `Caller_affinity | `Stitch -> `Append
-                   | l -> l));
+              (match (marker, base.outlined_layout) with
+              | Some l, _ -> l
+              | None, (`Caller_affinity | `Stitch) -> `Append
+              | None, l -> l);
             passes = Some specs;
           }
       with Failure e -> Error ("bad pass pipeline: " ^ e)))
@@ -531,7 +532,13 @@ let build ?dump ?(config = default_config) modules =
               Array.to_list (Array.map (fun (p, _, _) -> p) compiled))
         in
         timed "system-linker-merge" (fun () ->
-            let merged = Machine.Program.concat units in
+            (* Two units defining one symbol (e.g. helpers a MIR pass
+               names without a module scope) is a link error, not a
+               crash. *)
+            let merged =
+              try Machine.Program.concat units
+              with Invalid_argument e -> failwith ("system linker: " ^ e)
+            in
             if machine_linked_specs <> [] then
               Passman.run_passes ctx Passman.machine_stage
                 (machine_registry "") machine_linked_specs merged

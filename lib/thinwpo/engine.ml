@@ -61,23 +61,6 @@ let shard_by_module (p : Program.t) =
   |> List.map (fun (m, cell) -> (m, List.rev !cell))
   |> Array.of_list
 
-let sum_stats =
-  Array.fold_left
-    (fun acc (s : Outliner.round_stats) ->
-      {
-        Outliner.sequences_outlined =
-          acc.Outliner.sequences_outlined + s.Outliner.sequences_outlined;
-        functions_created = acc.functions_created + s.functions_created;
-        outlined_bytes = acc.outlined_bytes + s.outlined_bytes;
-        bytes_saved = acc.bytes_saved + s.bytes_saved;
-      })
-    {
-      Outliner.sequences_outlined = 0;
-      functions_created = 0;
-      outlined_bytes = 0;
-      bytes_saved = 0;
-    }
-
 (* Window fingerprinting is exhaustive up to this pattern length (symbols,
    counting a trailing [ret]); longer patterns rely on per-shard suffix
    trees plus the post-ranking probe. *)
@@ -266,12 +249,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
         (fun (_, funcs, _) ->
           ( funcs,
             ([] : (int * Mfunc.t) list),
-            {
-              Outliner.sequences_outlined = 0;
-              functions_created = 0;
-              outlined_bytes = 0;
-              bytes_saved = 0;
-            },
+            Outliner.no_stats,
             0. ))
         jobs
     else
@@ -297,12 +275,7 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
           if asgs = [] then
             ( funcs,
               [],
-              {
-                Outliner.sequences_outlined = 0;
-                functions_created = 0;
-                outlined_bytes = 0;
-                bytes_saved = 0;
-              },
+              Outliner.no_stats,
               Unix.gettimeofday () -. t0 )
           else begin
             let shard_p = Program.replace_funcs p funcs in
@@ -338,7 +311,11 @@ let run_round ?report ~workers ~facts ~(options : Outliner.options)
         rr_decide = decide_s;
         rr_selected = List.length decisions;
       });
-  let stats = sum_stats (Array.map (fun (_, _, s, _) -> s) rewritten) in
+  let stats =
+    Array.fold_left
+      (fun acc (_, _, s, _) -> Outliner.add_stats acc s)
+      Outliner.no_stats rewritten
+  in
   if stats.Outliner.sequences_outlined = 0 then (p, stats)
   else begin
     let funcs' =

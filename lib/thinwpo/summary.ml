@@ -99,83 +99,6 @@ let of_candidates ~modul pairs =
     pairs;
   { sm_module = modul; sm_patterns = List.rev_map (fun p -> !p) !order }
 
-(* --- serialization ------------------------------------------------------ *)
-
-let strategy_name = function
-  | Candidate.Ends_with_ret -> "ret"
-  | Candidate.Thunk -> "thunk"
-  | Candidate.Plain_call -> "call"
-
-let strategy_of_name = function
-  | "ret" -> Some Candidate.Ends_with_ret
-  | "thunk" -> Some Candidate.Thunk
-  | "call" -> Some Candidate.Plain_call
-  | _ -> None
-
-let to_string s =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "thin-summary module=%s patterns=%d\n" s.sm_module
-       (List.length s.sm_patterns));
-  List.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "%016Lx len=%d strat=%s lr=%d sp=%d free=%d save=%d\n"
-           p.ps_hash p.ps_length
-           (strategy_name p.ps_strategy)
-           (if p.ps_needs_lr_frame then 1 else 0)
-           (if p.ps_touches_sp then 1 else 0)
-           p.ps_n_free p.ps_n_save))
-    s.sm_patterns;
-  Buffer.contents buf
-
-let of_string text =
-  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match String.split_on_char '\n' (String.trim text) with
-  | [] -> fail "empty summary"
-  | header :: lines -> (
-    match
-      Scanf.sscanf header "thin-summary module=%s@ patterns=%d" (fun m n ->
-          (m, n))
-    with
-    | exception _ -> fail "malformed summary header: %S" header
-    | modul, n ->
-      if List.length lines <> n then
-        fail "summary for %s declares %d patterns but carries %d" modul n
-          (List.length lines)
-      else begin
-        let parse line =
-          match
-            Scanf.sscanf line "%Lx len=%d strat=%s@ lr=%d sp=%d free=%d save=%d"
-              (fun h len strat lr sp free save ->
-                (h, len, strat, lr, sp, free, save))
-          with
-          | exception _ -> Error (Printf.sprintf "malformed pattern: %S" line)
-          | h, len, strat, lr, sp, free, save -> (
-            match strategy_of_name strat with
-            | None -> Error (Printf.sprintf "unknown strategy: %S" strat)
-            | Some strategy ->
-              Ok
-                {
-                  ps_hash = h;
-                  ps_length = len;
-                  ps_strategy = strategy;
-                  ps_needs_lr_frame = lr <> 0;
-                  ps_touches_sp = sp <> 0;
-                  ps_n_free = free;
-                  ps_n_save = save;
-                })
-        in
-        let rec go acc = function
-          | [] -> Ok { sm_module = modul; sm_patterns = List.rev acc }
-          | line :: rest -> (
-            match parse line with
-            | Error e -> Error e
-            | Ok p -> go (p :: acc) rest)
-        in
-        go [] lines
-      end)
-
 (* --- the global decision round ------------------------------------------ *)
 
 type decision = {

@@ -49,10 +49,6 @@ val of_candidates : modul:string -> (int64 * Outcore.Candidate.t) list -> t
     silent merge whose downstream corruption the fuzz differentials must
     catch. *)
 
-val to_string : t -> string
-val of_string : string -> (t, string) result
-(** Textual round-trip: [of_string (to_string s) = Ok s]. *)
-
 type decision = {
   dc_hash : int64;
   dc_name : string;     (** stable outlined symbol: rank under this round *)

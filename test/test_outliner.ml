@@ -601,6 +601,46 @@ let prop_canonicalize_preserves_semantics =
 
 (* Analysis / statistics pass ------------------------------------------- *)
 
+(* Discovery has three front doors over one candidate core: the classic
+   suffix tree (the serial selector, Analysis), the pooled arena tree
+   (thin-WPO's shards) and single-site window probing (thin-WPO's search
+   for patterns a shard holds once).  On generated programs the two trees
+   must yield the same candidates, and probing a reported pattern length
+   must find every site the tree reported for it. *)
+let test_discovery_paths_agree () =
+  let pool = Sufftree.Arena_tree.create_pool () in
+  let sites = ref 0 and covered = ref 0 in
+  for seed = 1 to 40 do
+    let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
+    let sorted l = List.sort compare l in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: arena and suffix tree agree" seed)
+      true
+      (sorted (Outcore.Outliner.enumerate p)
+      = sorted (Outcore.Outliner.enumerate ~pool p));
+    let all = Outcore.Outliner.enumerate ~all:true p in
+    List.iter
+      (fun len ->
+        let probed = Hashtbl.create 64 in
+        List.iter
+          (fun (c : Outcore.Candidate.t) ->
+            List.iter (fun s -> Hashtbl.replace probed s ()) c.sites)
+          (Outcore.Outliner.probe_windows ~lengths:[ len ] p);
+        List.iter
+          (fun (c : Outcore.Candidate.t) ->
+            if c.length = len then
+              List.iter
+                (fun s ->
+                  incr sites;
+                  if Hashtbl.mem probed s then incr covered)
+                c.sites)
+          all)
+      (List.sort_uniq compare
+         (List.map (fun (c : Outcore.Candidate.t) -> c.length) all))
+  done;
+  Alcotest.(check bool) "the programs have sites to probe" true (!sites > 0);
+  Alcotest.(check int) "probing covers every enumerated site" !sites !covered
+
 let test_analysis_report () =
   let p = fig11_prog () in
   let r = Outcore.Analysis.analyze p in
@@ -766,6 +806,11 @@ let () =
             test_unprofitable_not_outlined;
           Alcotest.test_case "cumulative stats monotonic" `Quick
             test_round_stats_monotonic;
+        ] );
+      ( "discovery",
+        [
+          Alcotest.test_case "arena, suffix tree and probing agree" `Quick
+            test_discovery_paths_agree;
         ] );
       ("analysis", [ Alcotest.test_case "report" `Quick test_analysis_report ]);
       ( "future-work",

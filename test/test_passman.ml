@@ -69,8 +69,8 @@ let test_registry () =
       { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers = 2 } };
     ];
   (* Explicit specs: pinned verbatim, outline rounds and layout derived.
-     outline and thin-outline, and the three layout markers, are
-     alternatives, so it takes three specs to reach the whole registry. *)
+     The three layout markers are alternatives (a spec may hold at most
+     one), so it takes three specs to reach the whole registry. *)
   let explicit =
     [
       ( "dce,sil-outline(min=12),merge-functions,fmsa,\
@@ -130,6 +130,56 @@ let test_negative_rounds_reservation () =
       ("pm", Pipeline.Per_module);
       ("thin w2", Pipeline.Thin_wpo { workers = 2 });
     ]
+
+(* Pipelines no build can honour are refused up front: an outliner run
+   twice would define its round-named symbols twice, and the layout
+   markers are alternatives for the one final placement. *)
+let test_rejected_pipelines () =
+  List.iter
+    (fun s ->
+      match Pipeline.config_of_passes s with
+      | Ok _ -> Alcotest.failf "expected %S to be rejected" s
+      | Error e ->
+        Alcotest.(check bool) (s ^ ": " ^ e) true
+          (contains e "bad pass pipeline"))
+    [
+      "dce,outline(rounds=1),outline(rounds=1)";
+      "dce,thin-outline(rounds=1),thin-outline(rounds=2)";
+      "dce,outline(rounds=3),pgo-layout(strategy=c3),stitch";
+      "dce,outline(rounds=3),caller-affinity-layout,pgo-layout";
+      "dce,outline(rounds=3),stitch,stitch";
+      "dce,outline(rounds=3),pgo-layout(strategy=stitch)";
+      "dce,outline(rounds=3),pgo-layout(strategy=nope)";
+    ];
+  (* A config that carries such a spec directly fails the build instead. *)
+  let config =
+    {
+      Pipeline.default_config with
+      passes = Some (ok_exn (Passman.parse "dce,stitch,caller-affinity-layout"));
+    }
+  in
+  match Pipeline.build ~config [] with
+  | Ok _ -> Alcotest.fail "a two-marker config built"
+  | Error e ->
+    Alcotest.(check bool) ("build error names the markers: " ^ e) true
+      (contains e "layout marker")
+
+(* Two units defining one symbol is the build's error, not an exception
+   escaping it: sil-outline(min=1) names its helpers without a module
+   scope, so per-module units collide at the system-linker merge. *)
+let test_duplicate_symbols_are_errors () =
+  let config =
+    ok_exn
+      (Pipeline.config_of_passes
+         ~base:{ Pipeline.default_config with mode = Pipeline.Per_module }
+         "dce,sil-outline(min=1)")
+  in
+  let sources = Workload.Appgen.generate_sources Workload.Appgen.small in
+  match Pipeline.build_sources ~config sources with
+  | Ok _ -> Alcotest.fail "colliding helpers linked"
+  | Error e ->
+    Alcotest.(check bool) ("error names the symbol: " ^ e) true
+      (contains e "duplicate function")
 
 (* --- verify-each ------------------------------------------------------------ *)
 
@@ -268,6 +318,10 @@ let () =
           Alcotest.test_case "completeness" `Quick test_registry;
           Alcotest.test_case "negative rounds reserve no steps" `Quick
             test_negative_rounds_reservation;
+          Alcotest.test_case "impossible pipelines rejected" `Quick
+            test_rejected_pipelines;
+          Alcotest.test_case "duplicate symbols are a build error" `Quick
+            test_duplicate_symbols_are_errors;
         ] );
       ( "verify-each",
         [

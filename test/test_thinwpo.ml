@@ -22,70 +22,14 @@ let small_srcs =
 
 (* --- summaries -------------------------------------------------------------- *)
 
-let handmade_summary =
-  {
-    Thinwpo.Summary.sm_module = "feature_one";
-    sm_patterns =
-      [
-        {
-          Thinwpo.Summary.ps_hash = 0xdeadbeefcafef00dL;
-          ps_length = 6;
-          ps_strategy = Outcore.Candidate.Ends_with_ret;
-          ps_needs_lr_frame = false;
-          ps_touches_sp = false;
-          ps_n_free = 4;
-          ps_n_save = 0;
-        };
-        {
-          Thinwpo.Summary.ps_hash = 0x8000000000000001L;
-          (* high bit set: the textual form must round-trip unsigned *)
-          ps_length = 9;
-          ps_strategy = Outcore.Candidate.Thunk;
-          ps_needs_lr_frame = true;
-          ps_touches_sp = true;
-          ps_n_free = 2;
-          ps_n_save = 3;
-        };
-        {
-          Thinwpo.Summary.ps_hash = 0x42L;
-          ps_length = 3;
-          ps_strategy = Outcore.Candidate.Plain_call;
-          ps_needs_lr_frame = false;
-          ps_touches_sp = true;
-          ps_n_free = 0;
-          ps_n_save = 2;
-        };
-      ];
-  }
-
-let test_summary_roundtrip () =
-  let s = handmade_summary in
-  let s' = ok_exn (Thinwpo.Summary.of_string (Thinwpo.Summary.to_string s)) in
-  Alcotest.(check bool) "handmade summary round-trips" true (s = s');
-  (* And a summary built from real candidates of a real program. *)
-  let p = Fuzz.Machgen.generate (Random.State.make [| 21; 7 |]) ~fuel:8 in
-  let cands = Outcore.Outliner.enumerate p in
-  Alcotest.(check bool) "the probe program yields candidates" true
-    (cands <> []);
-  let pairs =
-    List.map (fun c -> (Thinwpo.Summary.hash_candidate c, c)) cands
-  in
-  let s = Thinwpo.Summary.of_candidates ~modul:"probe" pairs in
-  let s' = ok_exn (Thinwpo.Summary.of_string (Thinwpo.Summary.to_string s)) in
-  Alcotest.(check bool) "real summary round-trips" true (s = s');
-  List.iter
-    (fun bad ->
-      match Thinwpo.Summary.of_string bad with
-      | Ok _ -> Alcotest.failf "expected a parse error for %S" bad
-      | Error _ -> ())
-    [ ""; "garbage"; "thin-summary module=m patterns=2\n" ]
-
 let test_hash_stability () =
   (* Same candidate list hashed twice: identical hashes (no interner or
      scheduling dependence), and honest hashes use the full 64-bit space
      (no two distinct patterns of this probe collide). *)
   let p = Fuzz.Machgen.generate (Random.State.make [| 22; 7 |]) ~fuel:8 in
   let cands = Outcore.Outliner.enumerate p in
+  Alcotest.(check bool) "the probe program yields candidates" true
+    (cands <> []);
   let h1 = List.map Thinwpo.Summary.hash_candidate cands in
   let h2 = List.map Thinwpo.Summary.hash_candidate cands in
   Alcotest.(check bool) "hashing is pure" true (h1 = h2)
@@ -279,8 +223,6 @@ let () =
     [
       ( "summary",
         [
-          Alcotest.test_case "serialization round-trip" `Quick
-            test_summary_roundtrip;
           Alcotest.test_case "hash stability" `Quick test_hash_stability;
         ] );
       ( "decide",
