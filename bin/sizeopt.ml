@@ -170,16 +170,7 @@ let appgen_cmd =
   in
   let week = Arg.(value & opt int 0 & info [ "week" ] ~docv:"W") in
   let run dir profile_name week =
-    let profile =
-      match profile_name with
-      | "rider" -> Workload.Appgen.uber_rider
-      | "driver" -> Workload.Appgen.uber_driver
-      | "eats" -> Workload.Appgen.uber_eats
-      | "small" -> Workload.Appgen.small
-      | other ->
-        prerr_endline ("unknown profile " ^ other);
-        exit 1
-    in
+    let profile = or_die (Workload.Appgen.profile_of_name profile_name) in
     let profile = Workload.Appgen.at_week profile week in
     let sources = Workload.Appgen.generate_sources profile in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -198,33 +189,46 @@ let appgen_cmd =
 
 (* --- build ----------------------------------------------------------------- *)
 
-let app_profile = function
-  | "rider" -> Workload.Appgen.uber_rider
-  | "driver" -> Workload.Appgen.uber_driver
-  | "eats" -> Workload.Appgen.uber_eats
-  | "small" -> Workload.Appgen.small
-  | other ->
-    prerr_endline ("unknown profile " ^ other);
-    exit 1
-
-let layout_strategy_of_string s =
-  match Pipeline.layout_strategy_of_string s with
-  | Ok l -> l
-  | Error e ->
-    prerr_endline e;
-    exit 1
-
-let build_cmd =
+(* The input of [build] and [profile]: a directory of .swl modules or a
+   synthetic app profile ([--app], aged by [--week]).  The term yields a
+   thunk returning (workload name, sources), so resolution errors come
+   from the command body. *)
+let sources_term ~app_doc =
   let dir =
     Arg.(value & pos 0 (some dir) None & info [] ~docv:"DIR"
            ~doc:"Directory of .swl modules (one module per file).")
   in
   let app_arg =
     Arg.(value & opt (some string) None
-         & info [ "app" ] ~docv:"rider|driver|eats|small"
-             ~doc:"Build a synthetic app profile instead of a directory.")
+         & info [ "app" ] ~docv:"rider|driver|eats|small" ~doc:app_doc)
   in
   let week = Arg.(value & opt int 0 & info [ "week" ] ~docv:"W") in
+  let resolve dir app week () =
+    match (app, dir) with
+    | Some name, _ ->
+      ( name,
+        Workload.Appgen.generate_sources
+          (Workload.Appgen.at_week
+             (or_die (Workload.Appgen.profile_of_name name))
+             week) )
+    | None, Some d ->
+      ( Filename.basename d,
+        Sys.readdir d |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".swl")
+        |> List.sort String.compare
+        |> List.map (fun f ->
+               (Filename.chop_suffix f ".swl", read_file (Filename.concat d f)))
+      )
+    | None, None ->
+      prerr_endline "error: pass a DIR of .swl modules or --app PROFILE";
+      exit 1
+  in
+  Term.(const resolve $ dir $ app_arg $ week)
+
+let build_cmd =
+  let sources =
+    sources_term ~app_doc:"Build a synthetic app profile instead of a directory."
+  in
   let mode =
     Arg.(value & opt string "wp" & info [ "mode" ] ~docv:"wp|pm|thin"
            ~doc:"Whole-program, per-module, or thin (sharded parallel \
@@ -302,32 +306,10 @@ let build_cmd =
              ~doc:"Stop applying passes (and individual outline rounds) \
                    after N steps, and print the step table.")
   in
-  let run dir app week mode workers rounds engine profile layout profile_in
+  let run sources mode workers rounds engine profile layout profile_in
       passes verify_each print_after print_after_all bisect_limit =
-    let sources =
-      match (app, dir) with
-      | Some name, _ ->
-        Workload.Appgen.generate_sources
-          (Workload.Appgen.at_week (app_profile name) week)
-      | None, Some d ->
-        Sys.readdir d |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".swl")
-        |> List.sort String.compare
-        |> List.map (fun f ->
-               (Filename.chop_suffix f ".swl", read_file (Filename.concat d f)))
-      | None, None ->
-        prerr_endline "error: pass a DIR of .swl modules or --app PROFILE";
-        exit 1
-    in
-    let mode =
-      match mode with
-      | "wp" -> Pipeline.Whole_program
-      | "pm" -> Pipeline.Per_module
-      | "thin" -> Pipeline.Thin_wpo { workers }
-      | other ->
-        prerr_endline ("unknown mode " ^ other ^ " (want wp, pm or thin)");
-        exit 1
-    in
+    let _, sources = sources () in
+    let mode = or_die (Pipeline.mode_of_string ~workers mode) in
     let outline_engine =
       match engine with
       | "incremental" -> `Incremental
@@ -336,7 +318,7 @@ let build_cmd =
         prerr_endline ("unknown engine " ^ other ^ " (want incremental or scratch)");
         exit 1
     in
-    let outlined_layout = layout_strategy_of_string layout in
+    let outlined_layout = or_die (Pipeline.layout_strategy_of_string layout) in
     let layout_profile =
       match profile_in with
       | None -> None
@@ -414,25 +396,18 @@ let build_cmd =
          "Run the full pipeline over a module directory or synthetic app, \
           reporting sizes, phase timings and (with --profile) the per-round \
           outliner phase split.")
-    Term.(const run $ dir $ app_arg $ week $ mode $ workers $ rounds $ engine
+    Term.(const run $ sources $ mode $ workers $ rounds $ engine
           $ profile_flag $ layout_arg $ profile_in $ passes_arg $ verify_each
           $ print_after $ print_after_all $ bisect_arg)
 
 (* --- profile --------------------------------------------------------------- *)
 
 let profile_cmd =
-  let dir =
-    Arg.(value & pos 0 (some dir) None & info [] ~docv:"DIR"
-           ~doc:"Directory of .swl modules (one module per file).")
+  let sources =
+    sources_term ~app_doc:"Profile a synthetic app instead of a directory."
   in
-  let app_arg =
-    Arg.(value & opt (some string) None
-         & info [ "app" ] ~docv:"rider|driver|eats|small"
-             ~doc:"Profile a synthetic app instead of a directory.")
-  in
-  let week = Arg.(value & opt int 0 & info [ "week" ] ~docv:"W") in
   let mode =
-    Arg.(value & opt string "wp" & info [ "mode" ] ~docv:"wp|pm"
+    Arg.(value & opt string "wp" & info [ "mode" ] ~docv:"wp|pm|thin"
            ~doc:"Pipeline used for the instrumented build.")
   in
   let rounds =
@@ -449,36 +424,9 @@ let profile_cmd =
     Arg.(value & opt string "profile.pgo"
          & info [ "o"; "output" ] ~docv:"FILE.pgo")
   in
-  let run dir app week mode rounds entries output =
-    let sources =
-      match (app, dir) with
-      | Some name, _ ->
-        Workload.Appgen.generate_sources
-          (Workload.Appgen.at_week (app_profile name) week)
-      | None, Some d ->
-        Sys.readdir d |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".swl")
-        |> List.sort String.compare
-        |> List.map (fun f ->
-               (Filename.chop_suffix f ".swl", read_file (Filename.concat d f)))
-      | None, None ->
-        prerr_endline "error: pass a DIR of .swl modules or --app PROFILE";
-        exit 1
-    in
-    let mode =
-      match mode with
-      | "wp" -> Pipeline.Whole_program
-      | "pm" -> Pipeline.Per_module
-      | other ->
-        prerr_endline ("unknown mode " ^ other ^ " (want wp or pm)");
-        exit 1
-    in
-    let workload =
-      match (app, dir) with
-      | Some name, _ -> name
-      | None, Some d -> Filename.basename d
-      | None, None -> assert false
-    in
+  let run sources mode rounds entries output =
+    let workload, sources = sources () in
+    let mode = or_die (Pipeline.mode_of_string ~workers:0 mode) in
     let entries =
       if entries <> [] then entries
       else "main" :: Workload.Appgen.span_entries
@@ -504,7 +452,7 @@ let profile_cmd =
          "Build a program, trace its entry points in the simulator, and \
           write the execution profile (dynamic call graph, per-function \
           counts, startup first-touch order) for sizeopt build --profile-in.")
-    Term.(const run $ dir $ app_arg $ week $ mode $ rounds $ entries $ output)
+    Term.(const run $ sources $ mode $ rounds $ entries $ output)
 
 (* --- report --------------------------------------------------------------- *)
 

@@ -23,18 +23,21 @@ val fuzz :
     point. *)
 
 val self_test : ?log:(string -> unit) -> seed:int -> unit -> (string, string) result
-(** Prove the harness catches real outliner bugs, one injected fault at a
-    time: first flip {!Outcore.Legality.unsafe_outline_lr} and fuzz machine
-    programs until the corrupted-LR divergence appears, then flip
-    {!Outcore.Outliner.fault_skip_invalidation} so the incremental engine
-    keeps stale dirty-block caches and require the incremental-vs-scratch
-    differential to flag the divergence, then flip
-    {!Thinwpo.Summary.fault_truncate_hash} so thin-WPO's decision table
-    merges colliding patterns and require the thin lattice differentials
-    ({!Lattice.check_thin}) to flag the corrupted rewrite, and finally
-    flip {!Serve.Server.fault_stale_cache_entry} so the serve daemon's
-    result cache ignores module content and require the serve-vs-cold
-    replay differential ({!Lattice.check_serve}) to flag the stale
-    bytes.  Each failure is shrunk and must fit in a small reproducer.
-    [Ok report] carries all four shrunk reproducers; [Error] means the
-    harness failed to catch or shrink a bug. *)
+(** Prove the harness catches real bugs, one injected fault at a time.
+    The self-test is a list of phases, all run by one fault-injection
+    function parameterized by program kind (generator, check, shrinker,
+    line counter, printer): each flips a fault flag, fuzzes until its
+    differential fails, shrinks the failure and requires a small
+    reproducer that still fails.  The faults, in order:
+    {!Outcore.Legality.unsafe_outline_lr} (corrupted LR, machine programs
+    against the execution oracle); {!Outcore.Outliner.fault_skip_invalidation}
+    (stale dirty-block caches, caught by the incremental-vs-scratch
+    differential); {!Thinwpo.Summary.fault_truncate_hash} (colliding
+    thin-WPO summaries, Swiftlet programs against {!Lattice.check_thin});
+    {!Serve.Server.fault_stale_cache_entry} (a serve result cache that
+    ignores module content, against {!Lattice.check_serve});
+    {!Blocklayout.fault_drop_materialized_branch} (the stitch differential
+    in {!Lattice.check_machine}); and {!Merge.fault_drop_rollback}
+    (against {!Lattice.check_gmerge}).  [Ok report] carries all six shrunk
+    reproducers; [Error] means the harness failed to catch or shrink a
+    bug. *)

@@ -3,6 +3,12 @@ type mode =
   | Whole_program
   | Thin_wpo of { workers : int }
 
+let mode_of_string ~workers = function
+  | "wp" -> Ok Whole_program
+  | "pm" -> Ok Per_module
+  | "thin" -> Ok (Thin_wpo { workers })
+  | m -> Error (Printf.sprintf "unknown mode: %S (want wp|pm|thin)" m)
+
 type layout_strategy =
   [ `Append | `Caller_affinity | `Order_file | `C3 | `Balanced
   | `Bp_compress of float | `Stitch ]

@@ -34,6 +34,11 @@ type mode =
           summary-exchange decision round, and parallel rewrite.  Output is
           byte-identical for every [workers] value. *)
 
+val mode_of_string : workers:int -> string -> (mode, string) Stdlib.result
+(** [wp], [pm] or [thin] (with [workers]): the one mode-name table behind
+    [sizeopt build --mode], [profile --mode] and the serve daemon's
+    [mode:] field.  The error lists the valid names. *)
+
 type layout_strategy =
   [ `Append | `Caller_affinity | `Order_file | `C3 | `Balanced
   | `Bp_compress of float | `Stitch ]

@@ -10,42 +10,46 @@ let frame payload = string_of_int (String.length payload) ^ "\n" ^ payload
 
 let is_digits s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
+(* The one length rule of the wire format, shared by both frame decoders
+   and by the [module]/[image] section headers: 1 to 12 decimal digits
+   naming at most [max_frame] bytes.  The digit bound comes first, so
+   [int_of_string] never sees a number it cannot represent. *)
+let bounded_length s =
+  if not (is_digits s) || String.length s > 12 then
+    Error "malformed frame header"
+  else
+    let len = int_of_string s in
+    if len > max_frame then Error "frame too large" else Ok len
+
 let pop_frame buf =
   match String.index_opt buf '\n' with
   | None ->
     if String.length buf > 12 then Error "frame header too long"
     else if buf = "" || is_digits buf then Ok None
     else Error "malformed frame header"
-  | Some nl ->
-    let hdr = String.sub buf 0 nl in
-    if not (is_digits hdr) || String.length hdr > 12 then
-      Error "malformed frame header"
-    else
-      let len = int_of_string hdr in
-      if len > max_frame then Error "frame too large"
-      else if String.length buf >= nl + 1 + len then
+  | Some nl -> (
+    match bounded_length (String.sub buf 0 nl) with
+    | Error e -> Error e
+    | Ok len ->
+      if String.length buf >= nl + 1 + len then
         Ok
           (Some
              ( String.sub buf (nl + 1) len,
                String.sub buf (nl + 1 + len)
                  (String.length buf - nl - 1 - len) ))
-      else Ok None
+      else Ok None)
 
 let read_frame ic =
   match input_line ic with
   | exception End_of_file -> `Eof
-  | hdr ->
-    if not (is_digits hdr) || String.length hdr > 12 then
-      `Bad "malformed frame header"
-    else
-      let len = int_of_string hdr in
-      if len > max_frame then `Bad "frame too large"
-      else begin
-        let b = Bytes.create len in
-        match really_input ic b 0 len with
-        | () -> `Frame (Bytes.to_string b)
-        | exception End_of_file -> `Bad "truncated frame"
-      end
+  | hdr -> (
+    match bounded_length hdr with
+    | Error e -> `Bad e
+    | Ok len -> (
+      let b = Bytes.create len in
+      match really_input ic b 0 len with
+      | () -> `Frame (Bytes.to_string b)
+      | exception End_of_file -> `Bad "truncated frame"))
 
 (* --- hashing ------------------------------------------------------------ *)
 
@@ -80,24 +84,44 @@ let line_at s i =
   | Some nl -> (String.sub s i (nl - i), nl + 1)
   | None -> (String.sub s i (String.length s - i), String.length s)
 
-let take_bytes s i n =
-  if n < 0 || i + n > String.length s then Error "section length out of range"
-  else
-    let bytes = String.sub s i n in
-    (* the section is followed by a cosmetic newline *)
-    let j = i + n in
-    if j < String.length s && s.[j] = '\n' then Ok (bytes, j + 1)
-    else Ok (bytes, j)
-
 let split1 line =
   match String.index_opt line ' ' with
   | Some sp ->
     (String.sub line 0 sp, String.sub line (sp + 1) (String.length line - sp - 1))
   | None -> (line, "")
 
-let int_field name v =
+(* The one field scanner of request and response bodies.  Every non-blank
+   line is split at its first space and handed to [field] as (key, value)
+   together with the whole line; [field] calls [take len] to consume the
+   [len]-byte section that follows the current line ([len] is a digit
+   string, bounded by the frame rule).  The first error stops the scan. *)
+let scan_fields body field =
+  let i = ref 0 and err = ref None in
+  let take lenstr =
+    match bounded_length lenstr with
+    | Error _ -> Error "section length out of range"
+    | Ok n when !i + n > String.length body ->
+      Error "section length out of range"
+    | Ok n ->
+      let bytes = String.sub body !i n in
+      (* the section is followed by a cosmetic newline *)
+      let j = !i + n in
+      i := if j < String.length body && body.[j] = '\n' then j + 1 else j;
+      Ok bytes
+  in
+  while !err = None && !i < String.length body do
+    let line, next = line_at body !i in
+    i := next;
+    if line <> "" then
+      match field ~take line (split1 line) with
+      | Ok () -> ()
+      | Error e -> err := Some e
+  done;
+  match !err with Some e -> Error e | None -> Ok ()
+
+let int_field name r v =
   match int_of_string_opt v with
-  | Some n -> Ok n
+  | Some n -> Ok (r := n)
   | None -> Error (Printf.sprintf "bad integer for %s: %S" name v)
 
 let parse_build_body id body =
@@ -110,79 +134,50 @@ let parse_build_body id body =
   let week = ref 0 in
   let mult = ref 1 in
   let modules = ref [] in
-  let err = ref None in
-  let fail m = err := Some m in
-  let i = ref 0 in
-  let len = String.length body in
-  while !err = None && !i < len do
-    let line, next = line_at body !i in
-    i := next;
-    if line = "" then ()
-    else
-      match split1 line with
-      | "app:", v -> app := v
-      | "mode:", v -> mode := v
-      | "workers:", v -> (
-        match int_field "workers" v with
-        | Ok n -> workers := n
-        | Error e -> fail e)
-      | "passes:", v -> passes := Some v
-      | "want-image:", v -> (
-        match v with
-        | "true" -> want_image := true
-        | "false" -> want_image := false
-        | _ -> fail (Printf.sprintf "bad boolean for want-image: %S" v))
-      | "profile:", v -> profile := Some v
-      | "week:", v -> (
-        match int_field "week" v with
-        | Ok n -> week := n
-        | Error e -> fail e)
-      | "mult:", v -> (
-        match int_field "mult" v with
-        | Ok n -> mult := n
-        | Error e -> fail e)
+  let scanned =
+    scan_fields body (fun ~take line -> function
+      | "app:", v -> Ok (app := v)
+      | "mode:", v -> Ok (mode := v)
+      | "workers:", v -> int_field "workers" workers v
+      | "passes:", v -> Ok (passes := Some v)
+      | "want-image:", "true" -> Ok (want_image := true)
+      | "want-image:", "false" -> Ok (want_image := false)
+      | "want-image:", v ->
+        Error (Printf.sprintf "bad boolean for want-image: %S" v)
+      | "profile:", v -> Ok (profile := Some v)
+      | "week:", v -> int_field "week" week v
+      | "mult:", v -> int_field "mult" mult v
       | "module", rest -> (
         match split1 rest with
-        | name, lenstr when name <> "" && is_digits lenstr -> (
-          match take_bytes body !i (int_of_string lenstr) with
-          | Ok (src, next) ->
-            modules := (name, src) :: !modules;
-            i := next
-          | Error e -> fail e)
-        | _ -> fail (Printf.sprintf "bad module header: %S" line))
-      | k, _ -> fail (Printf.sprintf "unknown request field: %S" k)
-  done;
-  match !err with
-  | Some e -> Error e
-  | None -> (
-    let modules = List.rev !modules in
-    match (!profile, modules) with
-    | Some _, _ :: _ -> Error "request has both profile and inline modules"
-    | None, [] -> Error "request names neither a profile nor inline modules"
-    | Some p, [] ->
-      Ok
-        (Build
-           {
-             br_id = id;
-             br_app = !app;
-             br_mode = !mode;
-             br_workers = !workers;
-             br_passes = !passes;
-             br_want_image = !want_image;
-             br_source = Seeded { sd_profile = p; sd_week = !week; sd_mult = !mult };
-           })
-    | None, mods ->
-      Ok
-        (Build
-           {
-             br_id = id;
-             br_app = !app;
-             br_mode = !mode;
-             br_workers = !workers;
-             br_passes = !passes;
-             br_want_image = !want_image;
-             br_source = Inline mods;
-           }))
+        | name, lenstr when name <> "" && is_digits lenstr ->
+          Result.map
+            (fun src -> modules := (name, src) :: !modules)
+            (take lenstr)
+        | _ -> Error (Printf.sprintf "bad module header: %S" line))
+      | k, _ -> Error (Printf.sprintf "unknown request field: %S" k))
+  in
+  let source =
+    match (scanned, !profile, List.rev !modules) with
+    | Error e, _, _ -> Error e
+    | Ok (), Some _, _ :: _ -> Error "request has both profile and inline modules"
+    | Ok (), None, [] -> Error "request names neither a profile nor inline modules"
+    | Ok (), Some p, [] ->
+      Ok (Seeded { sd_profile = p; sd_week = !week; sd_mult = !mult })
+    | Ok (), None, mods -> Ok (Inline mods)
+  in
+  Result.map
+    (fun src ->
+      Build
+        {
+          br_id = id;
+          br_app = !app;
+          br_mode = !mode;
+          br_workers = !workers;
+          br_passes = !passes;
+          br_want_image = !want_image;
+          br_source = src;
+        })
+    source
 
 let parse_request payload =
   let first, rest_at = line_at payload 0 in
@@ -298,35 +293,16 @@ let parse_built_body id body =
   let hash = ref "" in
   let phases = ref [] in
   let image = ref None in
-  let err = ref None in
-  let fail m = err := Some m in
-  let i = ref 0 in
-  let len = String.length body in
-  while !err = None && !i < len do
-    let line, next = line_at body !i in
-    i := next;
-    if line = "" then ()
-    else
-      match split1 line with
-      | "cache:", "hit" -> cache_hit := true
-      | "cache:", "miss" -> cache_hit := false
-      | "binary-size:", v -> (
-        match int_field "binary-size" v with
-        | Ok n -> binary := n
-        | Error e -> fail e)
-      | "code-size:", v -> (
-        match int_field "code-size" v with
-        | Ok n -> code := n
-        | Error e -> fail e)
-      | "text:", v -> (
-        match int_field "text" v with Ok n -> text := n | Error e -> fail e)
-      | "data:", v -> (
-        match int_field "data" v with Ok n -> data := n | Error e -> fail e)
-      | "overhead:", v -> (
-        match int_field "overhead" v with
-        | Ok n -> overhead := n
-        | Error e -> fail e)
-      | "image-hash:", v -> hash := v
+  let scanned =
+    scan_fields body (fun ~take line -> function
+      | "cache:", "hit" -> Ok (cache_hit := true)
+      | "cache:", "miss" -> Ok (cache_hit := false)
+      | "binary-size:", v -> int_field "binary-size" binary v
+      | "code-size:", v -> int_field "code-size" code v
+      | "text:", v -> int_field "text" text v
+      | "data:", v -> int_field "data" data v
+      | "overhead:", v -> int_field "overhead" overhead v
+      | "image-hash:", v -> Ok (hash := v)
       | "phase", rest -> (
         (* the phase name may contain spaces; seconds are the last field *)
         match String.rindex_opt rest ' ' with
@@ -334,33 +310,28 @@ let parse_built_body id body =
           let name = String.sub rest 0 sp in
           let secs = String.sub rest (sp + 1) (String.length rest - sp - 1) in
           match float_of_string_opt secs with
-          | Some f -> phases := (name, f) :: !phases
-          | None -> fail (Printf.sprintf "bad phase seconds: %S" secs))
-        | None -> fail (Printf.sprintf "bad phase line: %S" line))
-      | "image", lenstr when is_digits lenstr -> (
-        match take_bytes body !i (int_of_string lenstr) with
-        | Ok (bytes, next) ->
-          image := Some bytes;
-          i := next
-        | Error e -> fail e)
-      | k, _ -> fail (Printf.sprintf "unknown response field: %S" k)
-  done;
-  match !err with
-  | Some e -> Error e
-  | None ->
-    Ok
-      (Built
-         {
-           b_id = id;
-           b_cache_hit = !cache_hit;
-           b_binary_size = !binary;
-           b_code_size = !code;
-           b_sections =
-             { sec_text = !text; sec_data = !data; sec_overhead = !overhead };
-           b_image_hash = !hash;
-           b_phases = List.rev !phases;
-           b_image = !image;
-         })
+          | Some f -> Ok (phases := (name, f) :: !phases)
+          | None -> Error (Printf.sprintf "bad phase seconds: %S" secs))
+        | None -> Error (Printf.sprintf "bad phase line: %S" line))
+      | "image", lenstr when is_digits lenstr ->
+        Result.map (fun bytes -> image := Some bytes) (take lenstr)
+      | k, _ -> Error (Printf.sprintf "unknown response field: %S" k))
+  in
+  Result.map
+    (fun () ->
+      Built
+        {
+          b_id = id;
+          b_cache_hit = !cache_hit;
+          b_binary_size = !binary;
+          b_code_size = !code;
+          b_sections =
+            { sec_text = !text; sec_data = !data; sec_overhead = !overhead };
+          b_image_hash = !hash;
+          b_phases = List.rev !phases;
+          b_image = !image;
+        })
+    scanned
 
 let parse_counters body =
   let get name =

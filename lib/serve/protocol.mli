@@ -13,7 +13,15 @@
 (** {1 Framing} *)
 
 val max_frame : int
-(** Upper bound on a frame payload (16 MiB); larger headers are malformed. *)
+(** Upper bound on a frame payload (16 MiB); larger headers are malformed.
+
+    One length rule covers every length on the wire: a frame header and
+    the [module <name> <len>] / [image <len>] section lengths are 1 to 12
+    decimal digits naming at most [max_frame] bytes.  {!pop_frame},
+    {!read_frame} and the request and response parsers all check it with
+    the same function, so an oversized or overlong length is an ordinary
+    parse error (for a section: [section length out of range]) rather than
+    an integer overflow. *)
 
 val frame : string -> string
 (** [frame payload] is the on-wire encoding. *)

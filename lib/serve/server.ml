@@ -63,7 +63,7 @@ let app_state t name =
 (* --- front-end cache ---------------------------------------------------- *)
 
 (* Stable rendering of exported signatures: a module's compiled MIR depends
-   on its own source and on the signatures compile_program imports from
+   on its own source and on the signatures compile_with imports from
    every other module, so that is exactly what the cache key hashes. *)
 let rec ty_str = function
   | Swiftlet.Ast.T_int -> "i"
@@ -110,58 +110,33 @@ let ident_set src =
   done;
   tbl
 
-(* Mirror of Swiftlet.Compile.compile_program with both passes cached:
-   signatures keyed on own source, module bodies keyed on own source plus
-   the signatures of the externals the module mentions, in source order.
-   Byte-equal output is an invariant the fuzz differential checks. *)
+(* [compute ()] memoized in [tbl] under [name], valid while [key] is. *)
+let memo tbl name key compute =
+  match Hashtbl.find_opt tbl name with
+  | Some (k0, v) when String.equal k0 key -> Ok v
+  | _ ->
+    Result.map
+      (fun v ->
+        Hashtbl.replace tbl name (key, v);
+        v)
+      (compute ())
+
+(* The shared front-end loop with both passes memoized: signatures keyed
+   on own source, module bodies keyed on own source plus the signatures of
+   the externals the module mentions. *)
 let compile_cached st hashes sources =
-  let rec gather acc = function
-    | [] -> Ok (List.rev acc)
-    | (name, src) :: rest -> (
-      let h = List.assoc name hashes in
-      let cached =
-        match Hashtbl.find_opt st.as_sigs name with
-        | Some (h0, sigs) when String.equal h0 h -> Ok sigs
-        | _ -> (
-          match Swiftlet.Compile.signatures_of ~name src with
-          | Ok sigs ->
-            Hashtbl.replace st.as_sigs name (h, sigs);
-            Ok sigs
-          | Error e -> Error e)
-      in
-      match cached with
-      | Ok sigs -> gather ((name, sigs) :: acc) rest
-      | Error e -> Error e)
+  let signatures_of ~name src =
+    memo st.as_sigs name (List.assoc name hashes) (fun () ->
+        Swiftlet.Compile.signatures_of ~name src)
   in
-  match gather [] sources with
-  | Error e -> Error e
-  | Ok per_module ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (name, src) :: rest -> (
-        let externals =
-          List.concat_map
-            (fun (m, sigs) -> if String.equal m name then [] else sigs)
-            per_module
-        in
-        let idents = ident_set src in
-        let visible =
-          List.filter (fun (n, _) -> Hashtbl.mem idents n) externals
-        in
-        let ext_fp =
-          hash_hex (String.concat ";" (List.map fsig_str visible))
-        in
-        let key = List.assoc name hashes ^ ":" ^ ext_fp in
-        match Hashtbl.find_opt st.as_mods name with
-        | Some (k0, m) when String.equal k0 key -> go (m :: acc) rest
-        | _ -> (
-          match Swiftlet.Compile.compile_module ~externals ~name src with
-          | Ok m ->
-            Hashtbl.replace st.as_mods name (key, m);
-            go (m :: acc) rest
-          | Error e -> Error e))
-    in
-    go [] sources
+  let compile_module ~externals ~name src =
+    let idents = ident_set src in
+    let visible = List.filter (fun (n, _) -> Hashtbl.mem idents n) externals in
+    let ext_fp = hash_hex (String.concat ";" (List.map fsig_str visible)) in
+    memo st.as_mods name (List.assoc name hashes ^ ":" ^ ext_fp) (fun () ->
+        Swiftlet.Compile.compile_module ~externals ~name src)
+  in
+  Swiftlet.Compile.compile_with ~signatures_of ~compile_module sources
 
 (* --- request resolution -------------------------------------------------- *)
 
@@ -170,29 +145,12 @@ let spec_fp b =
     (match b.br_passes with Some s -> s | None -> "<default>")
 
 let config_of b =
-  let base =
-    match b.br_mode with
-    | "wp" -> Ok { Pipeline.default_config with mode = Pipeline.Whole_program }
-    | "pm" -> Ok { Pipeline.default_config with mode = Pipeline.Per_module }
-    | "thin" ->
-      Ok
-        {
-          Pipeline.default_config with
-          mode = Pipeline.Thin_wpo { workers = b.br_workers };
-        }
-    | m -> Error (Printf.sprintf "unknown mode: %S (want wp|pm|thin)" m)
-  in
-  match (base, b.br_passes) with
-  | (Error _ as e), _ -> e
-  | Ok cfg, None -> Ok cfg
-  | Ok cfg, Some spec -> Pipeline.config_of_passes ~base:cfg spec
-
-let profile_named = function
-  | "small" -> Ok Workload.Appgen.small
-  | "rider" -> Ok Workload.Appgen.uber_rider
-  | "driver" -> Ok Workload.Appgen.uber_driver
-  | "eats" -> Ok Workload.Appgen.uber_eats
-  | p -> Error (Printf.sprintf "unknown profile: %S (want small|rider|driver|eats)" p)
+  Result.bind (Pipeline.mode_of_string ~workers:b.br_workers b.br_mode)
+    (fun mode ->
+      let base = { Pipeline.default_config with mode } in
+      match b.br_passes with
+      | None -> Ok base
+      | Some spec -> Pipeline.config_of_passes ~base spec)
 
 let resolve_sources = function
   | Inline mods -> (
@@ -211,7 +169,7 @@ let resolve_sources = function
     | Some (n, _) -> Error ("duplicate module name: " ^ n)
     | None -> Ok mods)
   | Seeded { sd_profile; sd_week; sd_mult } -> (
-    match profile_named sd_profile with
+    match Workload.Appgen.profile_of_name sd_profile with
     | Error e -> Error e
     | Ok p ->
       if sd_week < 0 then Error "week must be >= 0"
@@ -329,32 +287,6 @@ let counters t =
 
 (* --- serving ------------------------------------------------------------- *)
 
-let handle t payload =
-  t.served <- t.served + 1;
-  match parse_request payload with
-  | Error e ->
-    (print_response (Error_reply { e_id = "?"; e_message = e }), `Continue)
-  | Ok Ping -> (print_response Pong, `Continue)
-  | Ok Stats -> (print_response (Stats_reply (counters t)), `Continue)
-  | Ok Shutdown -> (print_response Bye, `Stop)
-  | Ok (Build b) ->
-    let resp =
-      match resolve_sources b.br_source with
-      | Error e -> Error_reply { e_id = b.br_id; e_message = e }
-      | Ok sources -> (
-        let key = result_key b sources in
-        match Cache.find t.results key with
-        | Some c -> built_of b ~hit:true c
-        | None -> (
-          let st = app_state t b.br_app in
-          match build_miss st b sources with
-          | Error e -> Error_reply { e_id = b.br_id; e_message = e }
-          | Ok c ->
-            Cache.add t.results key c;
-            built_of b ~hit:false c))
-    in
-    (print_response resp, `Continue)
-
 let handle_batch t payloads =
   let stop = ref `Continue in
   let n = List.length payloads in
@@ -428,14 +360,14 @@ let handle_batch t payloads =
     end
   in
   (* Serial pass: cache insertion and response assembly. *)
-  List.iter
-    (fun (slot, b, key, outcome) ->
-      match outcome with
-      | Error e -> set slot (Error_reply { e_id = b.br_id; e_message = e })
-      | Ok c ->
-        Cache.add t.results key c;
-        set slot (built_of b ~hit:false c))
-    results;
+  let answer_miss (slot, b, key, outcome) =
+    match outcome with
+    | Error e -> set slot (Error_reply { e_id = b.br_id; e_message = e })
+    | Ok c ->
+      Cache.add t.results key c;
+      set slot (built_of b ~hit:false c)
+  in
+  List.iter answer_miss results;
   (* In-batch duplicates hit the entry their first occurrence inserted; if
      that build failed (nothing inserted), they build for themselves just
      as they would have when served alone. *)
@@ -443,32 +375,38 @@ let handle_batch t payloads =
     (fun (slot, b, sources, key) ->
       match Cache.find t.results key with
       | Some c -> set slot (built_of b ~hit:true c)
-      | None -> (
-        let st = app_state t b.br_app in
-        match build_miss st b sources with
-        | Error e -> set slot (Error_reply { e_id = b.br_id; e_message = e })
-        | Ok c ->
-          Cache.add t.results key c;
-          set slot (built_of b ~hit:false c)))
+      | None ->
+        answer_miss
+          (slot, b, key, build_miss (app_state t b.br_app) b sources))
     (List.rev !dups);
   (Array.to_list responses, !stop)
 
+let handle t payload =
+  match handle_batch t [ payload ] with
+  | [ resp ], stop -> (resp, stop)
+  | _ -> assert false
+
 (* --- transports ---------------------------------------------------------- *)
 
+(* The reply to an unreadable frame, after which the stream cannot be
+   resynchronised and the connection is closed. *)
+let framing_error msg =
+  frame
+    (print_response
+       (Error_reply { e_id = "?"; e_message = "framing: " ^ msg }))
+
 let serve_channels t ic oc =
-  let send payload =
-    output_string oc (frame payload);
+  let send bytes =
+    output_string oc bytes;
     flush oc
   in
   let rec loop () =
     match read_frame ic with
     | `Eof -> ()
-    | `Bad msg ->
-      (* the stream cannot be resynchronised; answer and hang up *)
-      send (print_response (Error_reply { e_id = "?"; e_message = "framing: " ^ msg }))
+    | `Bad msg -> send (framing_error msg)
     | `Frame payload ->
       let resp, cont = handle t payload in
-      send resp;
+      send (frame resp);
       if cont = `Continue then loop ()
   in
   loop ()
@@ -517,12 +455,7 @@ let serve_unix t ~path =
               drain rest
             | Ok None -> data
             | Error msg ->
-              (try
-                 send_all fd
-                   (frame
-                      (print_response
-                         (Error_reply
-                            { e_id = "?"; e_message = "framing: " ^ msg })))
+              (try send_all fd (framing_error msg)
                with Unix.Unix_error _ -> ());
               dead := fd :: !dead;
               ""

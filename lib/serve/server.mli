@@ -3,12 +3,13 @@
     One [t] holds all warm state:
     - a content-hash result cache keyed on (pipeline spec, module hashes in
       request order) with LRU eviction ({!Cache});
-    - per-app front-end caches (module signatures and compiled MIR, keyed
-      on own source hash plus the signatures of the externals the module's
-      source mentions — a conservative refinement of
-      {!Swiftlet.Compile.compile_program}'s import semantics, so appending
-      a fresh function to one module leaves the others' cached bodies
-      valid);
+    - per-app front-end caches: memoized [signatures_of] / [compile_module]
+      hooks for {!Swiftlet.Compile.compile_with}, the same two-pass loop
+      {!Swiftlet.Compile.compile_program} runs.  Signatures are keyed on
+      own source hash; compiled MIR on own source hash plus the signatures
+      of the externals the module's source mentions (a conservative
+      refinement of the import semantics, so appending a fresh function to
+      one module leaves the others' cached bodies valid);
     - per-app warm incremental outline engines, invalidated at each build
       boundary via {!Outcore.Outliner.engine_begin_build} with a
       changed-module predicate derived from the previous request's hashes.
@@ -24,22 +25,26 @@ type t
 val create : ?cache_capacity:int -> unit -> t
 (** Default capacity: 64 results. *)
 
-val handle : t -> string -> string * [ `Continue | `Stop ]
-(** Serve one request payload, returning the response payload.  Never
-    raises: malformed requests and failed builds come back as [error]
-    replies.  [`Stop] only after a [shutdown] request. *)
-
 val handle_batch : t -> string list -> string list * [ `Continue | `Stop ]
-(** Serve a batch collected from concurrent clients.  Cache hits and
+(** The one request path: serve a batch of request payloads, returning one
+    response payload per request, in request order.  Never raises:
+    malformed requests and failed builds come back as [error] replies.
+    [`Stop] only when the batch holds a [shutdown] request.  Cache hits and
     control requests answer inline; cache-missing builds are grouped by
     app and distinct apps run in parallel on the thin-WPO domain pool
     (requests for the same app keep their order; thin-mode requests force
-    the serial path — no nested pools).  Responses come back in request
-    order with identical bytes to serving each request alone. *)
+    the serial path — no nested pools).  Responses have identical bytes to
+    serving each request alone. *)
+
+val handle : t -> string -> string * [ `Continue | `Stop ]
+(** [handle t payload] is the one-request batch [handle_batch t [payload]]:
+    it has no request logic of its own.  The [--stdio] transport serves
+    every frame through it. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
-(** The [--stdio] transport: one frame in, one frame out, until EOF, a
-    framing error, or [shutdown]. *)
+(** The [--stdio] transport: one frame in, one frame out through {!handle},
+    until EOF, a framing error (answered with an [error] reply, then the
+    loop stops), or [shutdown] (answered with [bye]). *)
 
 val serve_unix : t -> path:string -> unit
 (** The Unix-socket transport: accepts any number of clients, reads

@@ -28,29 +28,37 @@ let signatures_of ~name src =
       in
       Ok exported)
 
-let compile_program sources =
-  (* First pass: gather exported signatures of every module. *)
-  let rec gather acc = function
+(* [f] over [xs] in order; the first error wins. *)
+let map_ok f xs =
+  let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | (name, src) :: rest -> (
-      match signatures_of ~name src with
-      | Error e -> Error e
-      | Ok sigs -> gather ((name, sigs) :: acc) rest)
+    | x :: rest -> (
+      match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
   in
-  match gather [] sources with
+  go [] xs
+
+let compile_with ~signatures_of ~compile_module sources =
+  (* First pass: gather exported signatures of every module. *)
+  match
+    map_ok
+      (fun (name, src) ->
+        Result.map (fun sigs -> (name, sigs)) (signatures_of ~name src))
+      sources
+  with
   | Error e -> Error e
   | Ok per_module ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (name, src) :: rest -> (
+    map_ok
+      (fun (name, src) ->
         (* Imports: every other module's exports. *)
         let externals =
           List.concat_map
             (fun (m, sigs) -> if String.equal m name then [] else sigs)
             per_module
         in
-        match compile_module ~externals ~name src with
-        | Error e -> Error e
-        | Ok m -> go (m :: acc) rest)
-    in
-    go [] sources
+        compile_module ~externals ~name src)
+      sources
+
+let compile_program sources =
+  compile_with ~signatures_of
+    ~compile_module:(fun ~externals -> compile_module ~externals)
+    sources

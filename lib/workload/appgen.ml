@@ -58,6 +58,15 @@ let small =
     week = 0;
   }
 
+(* The one table of CLI/serve profile names. *)
+let profile_of_name = function
+  | "rider" -> Ok uber_rider
+  | "driver" -> Ok uber_driver
+  | "eats" -> Ok uber_eats
+  | "small" -> Ok small
+  | p ->
+    Error (Printf.sprintf "unknown profile: %S (want small|rider|driver|eats)" p)
+
 let at_week p week =
   { p with week; n_modules = p.n_modules + (week / 4) }
 

@@ -32,6 +32,11 @@ val uber_eats : profile
 val small : profile
 (** A fast profile for tests. *)
 
+val profile_of_name : string -> (profile, string) Stdlib.result
+(** [rider], [driver], [eats] or [small]: the one name table behind
+    [sizeopt appgen --profile], [build --app], [profile --app] and the
+    serve daemon's seeded sources.  The error lists the valid names. *)
+
 val at_week : profile -> int -> profile
 (** The growth model behind Figure 1: each week adds features to existing
     modules and occasionally a whole module. *)

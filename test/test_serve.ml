@@ -188,12 +188,18 @@ let test_framing () =
   (match Serve.Protocol.pop_frame "not a length\nx" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed header must be an error");
+  (match
+     Serve.Protocol.pop_frame
+       (string_of_int (Serve.Protocol.max_frame + 1) ^ "\n")
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "oversized header must be an error");
+  (* section lengths follow the frame-header rule *)
   match
-    Serve.Protocol.pop_frame
-      (string_of_int (Serve.Protocol.max_frame + 1) ^ "\n")
+    Serve.Protocol.parse_response "built r1\nimage 99999999999999999999\nx\n"
   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "oversized header must be an error"
+  | Ok _ -> Alcotest.fail "an oversized image length must be a parse error"
 
 let test_masked_printing () =
   let b =
@@ -233,6 +239,8 @@ let test_masked_printing () =
 
 (* --- server robustness ----------------------------------------------------- *)
 
+let oversized_section = "build x\nmodule m 99999999999999999999999"
+
 let test_malformed_requests () =
   let server = Serve.Server.create () in
   List.iter
@@ -252,6 +260,8 @@ let test_malformed_requests () =
       "build r1\napp: a\nmode: warp9\nworkers: 0\nwant-image: no";
       "build r1\napp: a\nmode: wp\nworkers: 0\nwant-image: no\n\
        module m 999999\ntruncated";
+      (* a section length too long for an int once crashed the daemon *)
+      oversized_section;
     ];
   (* the server must still be alive and serving *)
   (match serve server (Serve.Protocol.print_request Serve.Protocol.Ping) with
@@ -270,6 +280,67 @@ let test_malformed_requests () =
     | Ok Serve.Protocol.Bye -> ()
     | _ -> Alcotest.fail "shutdown should reply bye")
   | _, `Continue -> Alcotest.fail "shutdown should stop the loop"
+
+(* Drive [serve_channels] over temp files: [input] is the raw byte stream
+   the client sends; the result is every reply frame, parsed, in order. *)
+let serve_stdio input =
+  let inp = Filename.temp_file "serve_in" ".bin" in
+  let out = Filename.temp_file "serve_out" ".bin" in
+  let write path s =
+    let oc = open_out_bin path in
+    output_string oc s;
+    close_out oc
+  in
+  let read path =
+    let ic = open_in_bin path in
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+  in
+  write inp input;
+  let ic = open_in_bin inp and oc = open_out_bin out in
+  Serve.Server.serve_channels (Serve.Server.create ()) ic oc;
+  close_in ic;
+  close_out oc;
+  let replies = read out in
+  Sys.remove inp;
+  Sys.remove out;
+  let rec frames acc buf =
+    match Serve.Protocol.pop_frame buf with
+    | Ok (Some (payload, rest)) ->
+      frames (ok_exn (Serve.Protocol.parse_response payload) :: acc) rest
+    | Ok None when buf = "" -> List.rev acc
+    | _ -> Alcotest.failf "reply stream is not whole frames: %S" buf
+  in
+  frames [] replies
+
+let test_stdio_transport () =
+  let req r = Serve.Protocol.frame (Serve.Protocol.print_request r) in
+  let describe = function
+    | Serve.Protocol.Pong -> "pong"
+    | Serve.Protocol.Bye -> "bye"
+    | Serve.Protocol.Error_reply { e_message; _ } -> "error: " ^ e_message
+    | Serve.Protocol.Built _ -> "built"
+    | Serve.Protocol.Stats_reply _ -> "stats"
+  in
+  let check label input expected =
+    Alcotest.(check (list string))
+      label expected
+      (List.map describe (serve_stdio input))
+  in
+  (* the oversized section earns an error and the loop keeps serving; it
+     stops at bye, leaving the trailing ping unanswered *)
+  check "ping, oversized section, shutdown"
+    (req Serve.Protocol.Ping
+    ^ Serve.Protocol.frame oversized_section
+    ^ req Serve.Protocol.Shutdown ^ req Serve.Protocol.Ping)
+    [ "pong"; "error: section length out of range"; "bye" ];
+  (* a framing error after a valid frame is answered, then the loop stops
+     without reading further *)
+  check "framing error after a valid frame"
+    (req Serve.Protocol.Ping ^ "12x\n" ^ req Serve.Protocol.Ping)
+    [ "pong"; "error: framing: malformed frame header" ];
+  check "end of input stops the loop" (req Serve.Protocol.Ping) [ "pong" ]
 
 (* --- result cache ---------------------------------------------------------- *)
 
@@ -502,6 +573,7 @@ let () =
         [
           Alcotest.test_case "malformed requests get error replies" `Quick
             test_malformed_requests;
+          Alcotest.test_case "stdio transport" `Quick test_stdio_transport;
         ] );
       ( "cache",
         [
