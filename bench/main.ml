@@ -467,6 +467,12 @@ let table4 () =
 
 (* ----------------------------------------------------------------- E11 *)
 
+(* A build's wall time: the sum of its timing tree's root phases. *)
+let phase_total (r : Pipeline.result) =
+  List.fold_left
+    (fun a (t : Passman.timing) -> a +. t.t_seconds)
+    0. r.Pipeline.timing_tree
+
 let buildtime () =
   title "Build time: pipeline phases (seconds), per SVII-C";
   let mods = Lazy.force rider_modules in
@@ -475,11 +481,15 @@ let buildtime () =
     (fun rounds ->
       let r = build_passes (passes_for_rounds rounds) mods in
       let phase name =
-        match List.assoc_opt name r.Pipeline.timings with
-        | Some t -> Printf.sprintf "%.2f" t
+        match
+          List.find_opt
+            (fun (t : Passman.timing) -> t.t_name = name)
+            r.Pipeline.timing_tree
+        with
+        | Some t -> Printf.sprintf "%.2f" t.t_seconds
         | None -> "-"
       in
-      let total = List.fold_left (fun a (_, t) -> a +. t) 0. r.Pipeline.timings in
+      let total = phase_total r in
       rows :=
         [
           string_of_int rounds;
@@ -493,7 +503,7 @@ let buildtime () =
         :: !rows)
     [ 0; 1; 2; 5 ];
   let d = build ~config:per_module_cfg mods in
-  let dtotal = List.fold_left (fun a (_, t) -> a +. t) 0. d.Pipeline.timings in
+  let dtotal = phase_total d in
   print_string
     (table
        ~header:[ "rounds"; "llvm-link"; "opt"; "llc"; "outliner"; "linker"; "total" ]
@@ -673,23 +683,35 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
     | (_, _, first) :: rest ->
       List.for_all (fun (_, _, r) -> src r = src first) rest
   in
-  (* Amdahl split from the workers=1 report (every report is identical in
-     shape; workers=1 keeps the shard timings uninflated by contention). *)
+  (* Amdahl split from the workers=1 timing tree (every tree is identical
+     in shape; workers=1 keeps the shard timings uninflated by contention):
+     the global-decision leaves are serial, the shard leaves parallel. *)
   let _, _, thin1 =
     List.find (fun (w, _, _) -> w = List.hd workers_list) runs
   in
-  let serial_s, parallel_s =
+  let rec nodes (t : Passman.timing) = t :: List.concat_map nodes t.t_children in
+  let thin_nodes = List.concat_map nodes thin1.Pipeline.timing_tree in
+  let sum_where p =
     List.fold_left
-      (fun (ser, par) (rd : Thinwpo.Engine.Report.round) ->
-        let shard_t =
-          List.fold_left
-            (fun a (s : Thinwpo.Engine.Report.shard) ->
-              a +. s.rs_discover +. s.rs_rewrite)
-            0. rd.rr_shards
-        in
-        (ser +. rd.rr_decide, par +. shard_t))
-      (0., 0.)
-      (Thinwpo.Engine.Report.rounds thin1.Pipeline.thin_profile)
+      (fun a (t : Passman.timing) -> if p t.t_name then a +. t.t_seconds else a)
+      0. thin_nodes
+  in
+  let serial_s = sum_where (String.equal "global-decision") in
+  let parallel_s = sum_where (String.starts_with ~prefix:"shard ") in
+  let rec json_of_timing (t : Passman.timing) =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"seconds\":%.6f,\"note\":\"%s\",\"children\":[%s]}"
+      t.t_name t.t_seconds t.t_note
+      (String.concat "," (List.map json_of_timing t.t_children))
+  in
+  let thin_rounds =
+    match
+      List.find_opt
+        (fun (t : Passman.timing) -> t.t_name = "thin-outline")
+        thin_nodes
+    with
+    | Some t -> t.t_children
+    | None -> []
   in
   let modeled w = (serial_s +. parallel_s) /. (serial_s +. (parallel_s /. float_of_int w)) in
   let thin_size = (fun (_, _, r) -> r.Pipeline.binary_size) (List.hd runs) in
@@ -742,7 +764,7 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
                 w wall r.Pipeline.binary_size (modeled w))
             runs))
       serial_s parallel_s (modeled 4) identical
-      (Thinwpo.Engine.Report.to_json thin1.Pipeline.thin_profile)
+      ("[" ^ String.concat "," (List.map json_of_timing thin_rounds) ^ "]")
   in
   let oc = open_out "BENCH_thinwpo.json" in
   output_string oc json;

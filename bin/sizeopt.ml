@@ -252,9 +252,11 @@ let build_cmd =
   let profile_flag =
     Arg.(value & flag
          & info [ "profile" ]
-             ~doc:"Print the per-outline-round phase profile (sequence \
-                   build, tree build, enumerate, score, rewrite) after the \
-                   coarse pipeline phase timings.")
+             ~doc:"Print the build's whole timing tree after the phase \
+                   timings: every pass step with its size delta, each \
+                   outline round with its phase split (sequence build, \
+                   tree build, enumerate, score, rewrite) and each \
+                   thin-outline round with its shards.")
   in
   let layout_arg =
     Arg.(value & opt string "append"
@@ -365,8 +367,9 @@ let build_cmd =
       res.outline_stats;
     Printf.printf "\nphase timings:\n";
     List.iter
-      (fun (name, t) -> Printf.printf "  %-22s %8.4fs\n" name t)
-      res.timings;
+      (fun (t : Passman.timing) ->
+        Printf.printf "  %-22s %8.4fs\n" t.t_name t.t_seconds)
+      res.timing_tree;
     if profile then begin
       Printf.printf "\npass profile (%s engine):\n%s" engine
         (Passman.render_tree res.timing_tree)

@@ -26,7 +26,6 @@ let new_round t round =
   rp
 
 let rounds t = List.rev t.rev_rounds
-let append ~into t = into.rev_rounds <- t.rev_rounds @ into.rev_rounds
 
 let round_total rp =
   rp.rp_seq_build +. rp.rp_tree_build +. rp.rp_enumerate +. rp.rp_score

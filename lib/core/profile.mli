@@ -1,9 +1,9 @@
 (** Structured build-time profile for the outliner (§VII build-time
     discussion): per-round wall time split into the five phases of a round.
     Accumulated by {!Outliner.run_round} / the incremental engine when a
-    profile is passed in, surfaced through {!Pipeline.result} and the
-    [sizeopt build --profile] flag, and serialized into
-    [BENCH_outline.json] by the bench harness. *)
+    profile is passed in, copied round by round into the build's timing
+    tree by the pass manager's [outline] pass ([sizeopt build --profile]),
+    and serialized into [BENCH_outline.json] by the bench harness. *)
 
 type round_profile = {
   rp_round : int;
@@ -24,10 +24,6 @@ val new_round : t -> int -> round_profile
 
 val rounds : t -> round_profile list
 (** Chronological order. *)
-
-val append : into:t -> t -> unit
-(** Add [t]'s rounds after [into]'s, e.g. a per-unit profile merged back
-    into the build's in module order. *)
 
 val round_total : round_profile -> float
 val total : t -> float

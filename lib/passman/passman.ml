@@ -119,6 +119,30 @@ let int_param sp key ~default =
         (Printf.sprintf "pass %s: parameter %s=%s is not an integer" sp.sp_name
            key v))
 
+(* --- timing tree ----------------------------------------------------------- *)
+
+type timing = {
+  t_name : string;
+  t_seconds : float;
+  t_note : string;
+  t_children : timing list;
+}
+
+let leaf ?(note = "") name seconds =
+  { t_name = name; t_seconds = seconds; t_note = note; t_children = [] }
+
+let render_tree ts =
+  let buf = Buffer.create 1024 in
+  let rec go depth t =
+    let name = String.make (2 * depth) ' ' ^ t.t_name in
+    Buffer.add_string buf
+      (Printf.sprintf "%-34s %9.4fs%s\n" name t.t_seconds
+         (if t.t_note = "" then "" else "  " ^ t.t_note));
+    List.iter (go (depth + 1)) t.t_children
+  in
+  List.iter (go 0) ts;
+  Buffer.contents buf
+
 (* --- the pass context ------------------------------------------------------ *)
 
 type print_after = [ `Never | `All | `Passes of string list ]
@@ -141,6 +165,8 @@ type ctx = {
   cx_dump : string -> string -> unit;
   mutable cx_counter : int;          (* bisect steps counted so far *)
   mutable cx_rev_steps : step list;
+  mutable cx_rev_nodes : timing list;
+      (* finished timing nodes under the open span, newest first *)
   cx_forked : (string * string) list ref option;
       (* a forked shard context buffers its print-after dumps here so the
          parent can replay them in shard order at [join] *)
@@ -160,6 +186,7 @@ let create_ctx ?(verify_each = false) ?(print_after = `Never) ?bisect_limit
     cx_dump = dump;
     cx_counter = 0;
     cx_rev_steps = [];
+    cx_rev_nodes = [];
     cx_forked = None;
   }
 
@@ -170,8 +197,9 @@ let create_ctx ?(verify_each = false) ?(print_after = `Never) ?bisect_limit
    counter.  Instead each shard forks a context whose counter starts at a
    precomputed offset ([reserved_steps] per preceding shard); the parent
    then joins the shards in deterministic order, appending their step logs
-   and replaying their buffered dumps, and advances its own counter by the
-   whole reservation — whether or not the shards used every reserved step
+   and timing nodes and replaying their buffered dumps, and advances its
+   own counter by the whole reservation — whether or not the shards used
+   every reserved step
    (a self-gated pass that stops early leaves its remaining step numbers
    unused, exactly like a skipped round under a bisect limit). *)
 
@@ -192,6 +220,7 @@ let fork ctx ~offset =
     cx_dump = (fun label text -> buf := (label, text) :: !buf);
     cx_counter = ctx.cx_counter + offset;
     cx_rev_steps = [];
+    cx_rev_nodes = [];
     cx_forked = Some buf;
   }
 
@@ -201,11 +230,37 @@ let join ctx ~advance children =
       (match child.cx_forked with
       | Some buf -> List.iter (fun (l, t) -> ctx.cx_dump l t) (List.rev !buf)
       | None -> ());
-      ctx.cx_rev_steps <- child.cx_rev_steps @ ctx.cx_rev_steps)
+      ctx.cx_rev_steps <- child.cx_rev_steps @ ctx.cx_rev_steps;
+      ctx.cx_rev_nodes <- child.cx_rev_nodes @ ctx.cx_rev_nodes)
     children;
   ctx.cx_counter <- ctx.cx_counter + advance
 
 let steps ctx = List.rev ctx.cx_rev_steps
+let timing_tree ctx = List.rev ctx.cx_rev_nodes
+
+(* Run [f] with an empty open span; return its result, its wall time and
+   the nodes it recorded, leaving the enclosing span as it was. *)
+let measure ctx f =
+  let outer = ctx.cx_rev_nodes in
+  ctx.cx_rev_nodes <- [];
+  let t0 = Unix.gettimeofday () in
+  match f () with
+  | r ->
+    let seconds = Unix.gettimeofday () -. t0 in
+    let children = List.rev ctx.cx_rev_nodes in
+    ctx.cx_rev_nodes <- outer;
+    (r, seconds, children)
+  | exception e ->
+    ctx.cx_rev_nodes <- outer;
+    raise e
+
+let add_node ctx t = ctx.cx_rev_nodes <- t :: ctx.cx_rev_nodes
+
+let span ctx name f =
+  let r, seconds, children = measure ctx f in
+  add_node ctx
+    { t_name = name; t_seconds = seconds; t_note = ""; t_children = children };
+  r
 
 let should_print_after ctx name =
   match ctx.cx_print_after with
@@ -218,11 +273,23 @@ let unit_label unit_name name =
 
 (* One bisect step: take the next step number and, within the limit, time
    [run ()] and log its size delta; beyond it, log a skip and return
-   [None] so the caller keeps its input. *)
+   [None] so the caller keeps its input.  Either way the step adds one
+   timing node to the open span — ["<unit>/<pass>"], or its [detail] for
+   a sub-step — holding whatever nodes [run] recorded. *)
 let bisect_step ctx ~pass ?(detail = "") ~unit_name ~size ir run =
   ctx.cx_counter <- ctx.cx_counter + 1;
   let gate = ctx.cx_counter and before = size ir in
-  let log ~applied ~seconds ~after =
+  let log ~applied ~seconds ~after children =
+    add_node ctx
+      {
+        t_name = (if detail = "" then unit_label unit_name pass else detail);
+        t_seconds = seconds;
+        t_note =
+          (if not applied then "skipped (opt-bisect)"
+           else if before = after then string_of_int after
+           else Printf.sprintf "%d -> %d" before after);
+        t_children = children;
+      };
     ctx.cx_rev_steps <-
       {
         st_pass = pass;
@@ -238,12 +305,11 @@ let bisect_step ctx ~pass ?(detail = "") ~unit_name ~size ir run =
   in
   match ctx.cx_bisect_limit with
   | Some limit when gate > limit ->
-    log ~applied:false ~seconds:0. ~after:before;
+    log ~applied:false ~seconds:0. ~after:before [];
     None
   | _ ->
-    let t0 = Unix.gettimeofday () in
-    let ((ir', _) as out) = run () in
-    log ~applied:true ~seconds:(Unix.gettimeofday () -. t0) ~after:(size ir');
+    let ((ir', _) as out), seconds, children = measure ctx run in
+    log ~applied:true ~seconds ~after:(size ir') children;
     Some out
 
 (* --- stages and passes ----------------------------------------------------- *)
@@ -383,38 +449,6 @@ let bisect ~hi ~fails =
     in
     go 1 hi
 
-(* --- timing tree ----------------------------------------------------------- *)
-
-type timing = {
-  t_name : string;
-  t_seconds : float;
-  t_note : string;
-  t_children : timing list;
-}
-
-let leaf ?(note = "") name seconds =
-  { t_name = name; t_seconds = seconds; t_note = note; t_children = [] }
-
-let node ?(note = "") ?seconds name children =
-  let seconds =
-    match seconds with
-    | Some s -> s
-    | None -> List.fold_left (fun a c -> a +. c.t_seconds) 0. children
-  in
-  { t_name = name; t_seconds = seconds; t_note = note; t_children = children }
-
-let render_tree ts =
-  let buf = Buffer.create 1024 in
-  let rec go depth t =
-    let name = String.make (2 * depth) ' ' ^ t.t_name in
-    Buffer.add_string buf
-      (Printf.sprintf "%-34s %9.4fs%s\n" name t.t_seconds
-         (if t.t_note = "" then "" else "  " ^ t.t_note));
-    List.iter (go (depth + 1)) t.t_children
-  in
-  List.iter (go 0) ts;
-  Buffer.contents buf
-
 (* --- the concrete registries ----------------------------------------------- *)
 
 let mir_stage =
@@ -481,7 +515,9 @@ type machine_env = {
    recorded as ["round K"], verified on its own under --verify-each, and a
    round that outlines nothing ends the repetition with the pre-round
    program (Outcore.Repeat.run's contract, which the byte-identity checks
-   depend on).  [round_fn k p] runs round [k]. *)
+   depend on).  [round_fn k p] runs round [k], recording its own timing
+   split under the round's node; the rounds group under one
+   ["<unit>/<pass>"] node. *)
 let run_rounds ctx ~pass ~unit_name ~rounds ~on_stats round_fn p =
   let stats_acc = ref [] in
   let rec go round p =
@@ -509,9 +545,20 @@ let run_rounds ctx ~pass ~unit_name ~rounds ~on_stats round_fn p =
           go (round + 1) p')
     end
   in
-  let final = go 1 p in
+  let final, seconds, rounds_run = measure ctx (fun () -> go 1 p) in
+  if rounds_run <> [] then
+    add_node ctx
+      {
+        t_name = unit_label unit_name pass;
+        t_seconds = seconds;
+        t_note = "";
+        t_children = rounds_run;
+      };
   on_stats (List.rev !stats_acc);
   final
+
+(* The newest record of a round sink: the round that just ran. *)
+let latest rounds = List.nth rounds (List.length rounds - 1)
 
 (* The repeated outliner as a self-gated pass: every round is one bisect
    step, so --opt-bisect-limit can cut the repetition mid-way and
@@ -535,13 +582,29 @@ let outline_pass env unit_name =
               e)
             env.me_warm
         in
+        let round =
+          Outcore.Repeat.round
+            ~options:
+              { Outcore.Outliner.default_options with scope_name = env.me_scope }
+            ~profile:env.me_profile ~engine:env.me_engine ?use_engine ()
+        in
         run_rounds ctx ~pass:"outline" ~unit_name
           ~rounds:(int_param sp "rounds" ~default:5)
           ~on_stats:env.me_on_stats
-          (Outcore.Repeat.round
-             ~options:
-               { Outcore.Outliner.default_options with scope_name = env.me_scope }
-             ~profile:env.me_profile ~engine:env.me_engine ?use_engine ())
+          (fun k p ->
+            let out = round k p in
+            let rp : Outcore.Profile.round_profile =
+              latest (Outcore.Profile.rounds env.me_profile)
+            in
+            List.iter (add_node ctx)
+              [
+                leaf "seq-build" rp.rp_seq_build;
+                leaf "tree-build" rp.rp_tree_build;
+                leaf "enumerate" rp.rp_enumerate;
+                leaf "score" rp.rp_score;
+                leaf "rewrite" rp.rp_rewrite;
+              ];
+            out)
           p);
   }
 
@@ -572,8 +635,24 @@ let thin_outline_pass env =
             let options =
               { Outcore.Outliner.default_options with round; min_length }
             in
-            Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers ~facts
-              ~options p)
+            let out =
+              Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers
+                ~facts ~options p
+            in
+            let rr = latest (Thinwpo.Engine.Report.rounds env.me_thin_report) in
+            List.iter
+              (fun (sh : Thinwpo.Engine.Report.shard) ->
+                add_node ctx
+                  (leaf
+                     ~note:(Printf.sprintf "%d funcs" sh.rs_funcs)
+                     ("shard " ^ sh.rs_module)
+                     (sh.rs_discover +. sh.rs_rewrite)))
+              rr.rr_shards;
+            add_node ctx
+              (leaf
+                 ~note:(Printf.sprintf "%d selected" rr.rr_selected)
+                 "global-decision" rr.rr_decide);
+            out)
           p);
   }
 

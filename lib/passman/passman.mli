@@ -61,10 +61,22 @@ type step = {
   st_after : int;      (** … and after (instrs for MIR, bytes for machine) *)
 }
 
+type timing = {
+  t_name : string;
+  t_seconds : float;
+  t_note : string;             (** e.g. a size delta; [""] for none *)
+  t_children : timing list;
+}
+(** One node of a build's timing tree: a phase ({!span}), a pass step, an
+    outline round, or a round's own phase split or shard. *)
+
+val render_tree : timing list -> string
+(** Indented table: name, seconds, note. *)
+
 type ctx
-(** One per pipeline run, shared by every stage so the bisect counter and
-    the step log span MIR and machine passes.  Bisect numbers start at 1;
-    steps numbered beyond the limit are skipped (LLVM's
+(** One per pipeline run, shared by every stage so the bisect counter, the
+    step log and the timing tree span MIR and machine passes.  Bisect
+    numbers start at 1; steps numbered beyond the limit are skipped (LLVM's
     [-opt-bisect-limit] contract; no limit means run everything). *)
 
 val create_ctx :
@@ -80,6 +92,20 @@ val create_ctx :
 val steps : ctx -> step list
 (** Chronological. *)
 
+val span : ctx -> string -> (unit -> 'a) -> 'a
+(** [span ctx name f] runs [f] as one timing node [name] with its wall
+    time; the nodes recorded meanwhile become its children.  Spans nest.
+    Every bisect step adds its own node to the open span: a leaf
+    ["<unit>/<pass>"] whose note is the size delta (["skipped
+    (opt-bisect)"] when the limit cut it), or for the outliners one
+    ["round K"] node per round under an ["<unit>/<pass>"] node, holding
+    the round's phase split ([outline]: seq-build, tree-build, enumerate,
+    score, rewrite) or its ["shard <module>"] leaves and
+    ["global-decision"] ([thin-outline]). *)
+
+val timing_tree : ctx -> timing list
+(** The finished top-level nodes, in order. *)
+
 (* --- sharded contexts (the per-unit phase of the per-module modes) ---------- *)
 
 val reserved_steps : spec list -> int
@@ -92,15 +118,17 @@ val reserved_steps : spec list -> int
 val fork : ctx -> offset:int -> ctx
 (** A shard context for one unit of a parallel phase: same configuration,
     private step log, bisect counter pre-advanced [offset] steps past the
-    parent's, print-after dumps buffered for deterministic replay.  Shards
-    of one phase must receive disjoint reservations
-    ([offset = i * reserved_steps unit_specs] for the i-th unit). *)
+    parent's, print-after dumps buffered for deterministic replay, and a
+    timing tree of its own.  Shards of one phase must receive disjoint
+    reservations ([offset = i * reserved_steps unit_specs] for the i-th
+    unit). *)
 
 val join : ctx -> advance:int -> ctx list -> unit
-(** Merge forked shard contexts back in list order (append their steps,
-    replay their dumps through the parent's sink) and advance the parent's
-    bisect counter by [advance] — the phase's whole reservation, however
-    many steps the shards actually used. *)
+(** Merge forked shard contexts back in list order (append their steps
+    and timing nodes to the open span, replay their dumps through the
+    parent's sink) and advance the parent's bisect counter by [advance] —
+    the phase's whole reservation, however many steps the shards actually
+    used. *)
 
 (* --- stages and passes ----------------------------------------------------- *)
 
@@ -171,23 +199,6 @@ val bisect : hi:int -> fails:(int -> bool) -> int option
     [bisect_limit = n] and compares against a reference, so the returned
     [n] indexes the first faulty step in {!steps}. *)
 
-(* --- timing tree ----------------------------------------------------------- *)
-
-type timing = {
-  t_name : string;
-  t_seconds : float;
-  t_note : string;             (** e.g. a size delta; [""] for none *)
-  t_children : timing list;
-}
-
-val leaf : ?note:string -> string -> float -> timing
-val node : ?note:string -> ?seconds:float -> string -> timing list -> timing
-(** [node] sums its children's seconds unless [seconds] (the measured wall
-    time of the enclosing phase) is given. *)
-
-val render_tree : timing list -> string
-(** Indented table: name, seconds, note. *)
-
 (* --- the concrete registries ----------------------------------------------- *)
 
 val mir_stage : Ir.modul stage
@@ -203,13 +214,16 @@ type machine_env = {
   me_engine : [ `Incremental | `Scratch ];
   me_scope : string;  (** outlined-symbol scope: module name or [""] *)
   me_profile : Outcore.Profile.t;
+      (** receives the phase split of every [outline] round; each round
+          also copies its record into the timing tree *)
   me_on_stats : Outcore.Outliner.round_stats list -> unit;
   me_thin_workers : int;
       (** default worker count for [thin-outline] when the spec does not
           say ([workers=N] wins); [<= 0] auto-detects *)
   me_thin_report : Thinwpo.Engine.Report.t;
-      (** per-shard/per-round wall-time split of every [thin-outline] run,
-          woven into the [--profile] tree by [Pipeline.build] *)
+      (** receives the per-shard/per-round wall-time split of every
+          [thin-outline] round; each round also copies its record into the
+          timing tree *)
   me_warm : (Outcore.Outliner.engine * (string -> bool)) option;
       (** warm incremental engine owned by a caller that outlives one build
           (the serve daemon), with the changed-module predicate for its

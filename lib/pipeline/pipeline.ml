@@ -103,12 +103,9 @@ type result = {
   binary_size : int;
   code_size : int;
   function_order : string list option;
-  timings : (string * float) list;
   timing_tree : Passman.timing list;
   pass_steps : Passman.step list;
   outline_stats : Outcore.Outliner.round_stats list;
-  outline_profile : Outcore.Profile.t;
-  thin_profile : Thinwpo.Engine.Report.t;
 }
 
 (* --- pipeline specs -------------------------------------------------------- *)
@@ -250,136 +247,19 @@ let mark_no_outline config (p : Machine.Program.t) =
            else f)
          p.Machine.Program.funcs)
 
-(* --- the timing tree ------------------------------------------------------- *)
-
-let delta_note (st : Passman.step) =
-  if not st.Passman.st_applied then "skipped (opt-bisect)"
-  else if st.Passman.st_before = st.Passman.st_after then
-    Printf.sprintf "%d" st.Passman.st_after
-  else Printf.sprintf "%d -> %d" st.Passman.st_before st.Passman.st_after
-
-(* One tree: coarse phases at the root, the pass steps of each phase as
-   children, outline rounds as children of the outline pass, and the
-   outliner's per-phase split (from Outcore.Profile) — or, for thin-outline
-   rounds, the per-shard timing subtree plus the global decision round
-   (from the thin report) — as grandchildren. *)
-let build_timing_tree phases steps profile thin_report =
-  let steps = Array.of_list steps in
-  let prof = ref (Outcore.Profile.rounds profile) in
-  let next_prof () =
-    match !prof with
-    | [] -> None
-    | r :: rest ->
-      prof := rest;
-      Some r
-  in
-  let tprof = ref (Thinwpo.Engine.Report.rounds thin_report) in
-  let next_tprof () =
-    match !tprof with
-    | [] -> None
-    | r :: rest ->
-      tprof := rest;
-      Some r
-  in
-  let step_name (st : Passman.step) =
-    if st.Passman.st_unit = "" then st.Passman.st_pass
-    else st.Passman.st_unit ^ "/" ^ st.Passman.st_pass
-  in
-  let children lo hi =
-    let out = ref [] in
-    let i = ref lo in
-    while !i < hi do
-      let st = steps.(!i) in
-      if st.Passman.st_detail = "" then begin
-        out :=
-          Passman.leaf ~note:(delta_note st) (step_name st)
-            st.Passman.st_seconds
-          :: !out;
-        incr i
-      end
-      else begin
-        (* a run of sub-steps of one pass instance (e.g. outline rounds) *)
-        let kids = ref [] in
-        let j = ref !i in
-        while
-          !j < hi
-          && steps.(!j).Passman.st_pass = st.Passman.st_pass
-          && steps.(!j).Passman.st_unit = st.Passman.st_unit
-          && steps.(!j).Passman.st_detail <> ""
-        do
-          let s = steps.(!j) in
-          let grand =
-            if s.Passman.st_pass = "outline" && s.Passman.st_applied then
-              match next_prof () with
-              | Some rp ->
-                [
-                  Passman.leaf "seq-build" rp.Outcore.Profile.rp_seq_build;
-                  Passman.leaf "tree-build" rp.Outcore.Profile.rp_tree_build;
-                  Passman.leaf "enumerate" rp.Outcore.Profile.rp_enumerate;
-                  Passman.leaf "score" rp.Outcore.Profile.rp_score;
-                  Passman.leaf "rewrite" rp.Outcore.Profile.rp_rewrite;
-                ]
-              | None -> []
-            else if s.Passman.st_pass = "thin-outline" && s.Passman.st_applied
-            then
-              match next_tprof () with
-              | Some tr ->
-                List.map
-                  (fun (sh : Thinwpo.Engine.Report.shard) ->
-                    Passman.leaf
-                      ~note:(Printf.sprintf "%d funcs" sh.rs_funcs)
-                      ("shard " ^ sh.rs_module)
-                      (sh.rs_discover +. sh.rs_rewrite))
-                  tr.Thinwpo.Engine.Report.rr_shards
-                @ [
-                    Passman.leaf
-                      ~note:
-                        (Printf.sprintf "%d selected"
-                           tr.Thinwpo.Engine.Report.rr_selected)
-                      "global-decision" tr.Thinwpo.Engine.Report.rr_decide;
-                  ]
-              | None -> []
-            else []
-          in
-          kids :=
-            Passman.node ~note:(delta_note s) ~seconds:s.Passman.st_seconds
-              s.Passman.st_detail grand
-            :: !kids;
-          incr j
-        done;
-        out := Passman.node (step_name st) (List.rev !kids) :: !out;
-        i := !j
-      end
-    done;
-    List.rev !out
-  in
-  List.map
-    (fun (name, dt, lo, hi) -> Passman.node ~seconds:dt name (children lo hi))
-    phases
-
 (* --- the pass-manager pipeline --------------------------------------------- *)
 
-let build ?dump ?(config = default_config) modules =
-  let timings = ref [] in
-  let phases = ref [] in
+(* The one build body: [front_end ctx] yields the modules, then every
+   phase runs as a root span of the context's timing tree. *)
+let run_build ?dump ~config front_end =
   let outline_stats = ref [] in
-  let outline_profile = Outcore.Profile.create () in
-  let thin_report = Thinwpo.Engine.Report.create () in
   let ctx =
     Passman.create_ctx ~verify_each:config.verify_each
       ~print_after:config.print_after ?bisect_limit:config.bisect_limit ?dump
       ()
   in
-  let timed name f =
-    let steps_before = List.length (Passman.steps ctx) in
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    timings := (name, dt) :: !timings;
-    phases := (name, dt, steps_before, List.length (Passman.steps ctx)) :: !phases;
-    r
-  in
   try
+    let modules = front_end ctx in
     let specs = spec_of_config config in
     (match Passman.validate_specs ~known:known_pass specs with
     | Ok () -> ()
@@ -389,16 +269,16 @@ let build ?dump ?(config = default_config) modules =
     let thin_workers =
       match config.mode with Thin_wpo { workers } -> workers | _ -> 1
     in
-    let machine_registry ?(profile = outline_profile)
+    let machine_registry
         ?(on_stats = fun s -> outline_stats := !outline_stats @ s) scope =
       Passman.machine_passes
         {
           Passman.me_engine = config.outline_engine;
           me_scope = scope;
-          me_profile = profile;
+          me_profile = Outcore.Profile.create ();
           me_on_stats = on_stats;
           me_thin_workers = thin_workers;
-          me_thin_report = thin_report;
+          me_thin_report = Thinwpo.Engine.Report.create ();
           (* The warm engine is whole-program state: per-module scopes get
              their own dirty-set reuse within a run but never share caches
              across requests (module-scoped symbol arrays would leak between
@@ -424,7 +304,7 @@ let build ?dump ?(config = default_config) modules =
       | Whole_program ->
         (* llvm-link -> opt -> llc(+machine passes over everything). *)
         let merged =
-          timed "llvm-link" (fun () ->
+          Passman.span ctx "llvm-link" (fun () ->
               match
                 Link.link ~flag_semantics:config.flag_semantics
                   ~data_order:config.data_order ~name:"whole" modules
@@ -433,16 +313,16 @@ let build ?dump ?(config = default_config) modules =
               | Error e -> failwith (Link.error_to_string e))
         in
         let optimized =
-          timed "opt" (fun () ->
+          Passman.span ctx "opt" (fun () ->
               Passman.run_passes ctx Passman.mir_stage mir_registry mir_specs
                 merged)
         in
         let machine =
-          timed "llc" (fun () ->
+          Passman.span ctx "llc" (fun () ->
               mark_no_outline config (Codegen.compile_modul optimized))
         in
         if machine_specs <> [] then
-          timed "machine-outliner" (fun () ->
+          Passman.span ctx "machine-outliner" (fun () ->
               Passman.run_passes ctx Passman.machine_stage
                 (machine_registry "") machine_specs machine)
         else machine
@@ -452,10 +332,10 @@ let build ?dump ?(config = default_config) modules =
            units and the linked passes run over the result.  Thin-WPO is
            the same shape on a domain pool, with thin-outline as its
            linked pass.  Each unit runs in a forked pass context with a
-           reserved block of bisect steps and private outline
-           profile/stats sinks, so step numbering, dump order and stats
-           order are functions of the module list alone, never of domain
-           scheduling — per-module is simply the one-worker pool. *)
+           reserved block of bisect steps and a private stats sink, so
+           step numbering, dump order, timing nodes and stats order are
+           functions of the module list alone, never of domain scheduling
+           — per-module is simply the one-worker pool. *)
         let workers =
           match config.mode with
           | Thin_wpo { workers } -> Thinwpo.Pool.resolve_workers workers
@@ -496,10 +376,10 @@ let build ?dump ?(config = default_config) modules =
           List.fold_left
             (fun units (local, sp) ->
               let locals =
-                timed "compile-modules-local" (fun () ->
+                Passman.span ctx "compile-modules-local" (fun () ->
                     per_unit local (fun fctx m -> run_mir fctx local m) units)
               in
-              timed sp.Passman.sp_name (fun () ->
+              Passman.span ctx sp.Passman.sp_name (fun () ->
                   Passman.run_across ctx Passman.mir_stage mir_registry ~workers
                     sp
                     (List.map
@@ -509,11 +389,10 @@ let build ?dump ?(config = default_config) modules =
             (Array.of_list modules) across_phases
         in
         let units =
-          timed "compile-modules" (fun () ->
+          Passman.span ctx "compile-modules" (fun () ->
               let compiled =
                 per_unit (finish_specs @ machine_unit_specs)
                   (fun fctx m ->
-                    let profile = Outcore.Profile.create () in
                     let stats = ref [] in
                     let machine =
                       mark_no_outline config
@@ -521,34 +400,33 @@ let build ?dump ?(config = default_config) modules =
                     in
                     let machine =
                       Passman.run_passes fctx Passman.machine_stage
-                        (machine_registry ~profile
+                        (machine_registry
                            ~on_stats:(fun s -> stats := !stats @ s)
                            m.Ir.m_name)
                         ~unit_name:m.Ir.m_name machine_unit_specs machine
                     in
-                    (machine, profile, !stats))
+                    (machine, !stats))
                   units
               in
-              (* Merge the per-unit sinks in module order. *)
+              (* Merge the per-unit stats in module order. *)
               Array.iter
-                (fun (_, profile, stats) ->
-                  Outcore.Profile.append ~into:outline_profile profile;
-                  outline_stats := !outline_stats @ stats)
+                (fun (_, stats) -> outline_stats := !outline_stats @ stats)
                 compiled;
-              Array.to_list (Array.map (fun (p, _, _) -> p) compiled))
+              Array.to_list (Array.map fst compiled))
         in
-        timed "system-linker-merge" (fun () ->
-            (* Two units defining one symbol (e.g. helpers a MIR pass
-               names without a module scope) is a link error, not a
-               crash. *)
-            let merged =
+        let merged =
+          Passman.span ctx "system-linker-merge" (fun () ->
+              (* Two units defining one symbol (e.g. helpers a MIR pass
+                 names without a module scope) is a link error, not a
+                 crash. *)
               try Machine.Program.concat units
-              with Invalid_argument e -> failwith ("system linker: " ^ e)
-            in
-            if machine_linked_specs <> [] then
+              with Invalid_argument e -> failwith ("system linker: " ^ e))
+        in
+        if machine_linked_specs <> [] then
+          Passman.span ctx "linked-passes" (fun () ->
               Passman.run_passes ctx Passman.machine_stage
-                (machine_registry "") machine_linked_specs merged
-            else merged)
+                (machine_registry "") machine_linked_specs merged)
+        else merged
     in
     (match Machine.Program.validate program with
     | Ok () -> ()
@@ -560,7 +438,7 @@ let build ?dump ?(config = default_config) modules =
       match config.layout_profile with
       | Some p -> p
       | None ->
-        timed "pgo-collect" (fun () ->
+        Passman.span ctx "pgo-collect" (fun () ->
             Pgo.Collect.collect
               ~config:
                 {
@@ -576,7 +454,7 @@ let build ?dump ?(config = default_config) modules =
         let profile = layout_profile () in
         ( program,
           Some
-            (timed "pgo-layout" (fun () ->
+            (Passman.span ctx "pgo-layout" (fun () ->
                  Pgo.Order.compute strategy profile program)) )
       | `Stitch ->
         (* Block-granularity placement transforms the program itself:
@@ -585,20 +463,20 @@ let build ?dump ?(config = default_config) modules =
            ordered along the hottest interprocedural edges. *)
         let profile = layout_profile () in
         let split =
-          timed "stitch-split" (fun () ->
+          Passman.span ctx "stitch-split" (fun () ->
               Blocklayout.split_program ~profile program)
         in
         (match Machine.Program.validate split with
         | Ok () -> ()
         | Error e -> failwith ("stitch produced invalid program: " ^ e));
         let order =
-          timed "stitch-order" (fun () ->
+          Passman.span ctx "stitch-order" (fun () ->
               Blocklayout.stitch_order ~profile split)
         in
         (split, Some order)
     in
     let layout =
-      timed "system-linker" (fun () ->
+      Passman.span ctx "system-linker" (fun () ->
           Linker.link ?order:function_order program)
     in
     Ok
@@ -608,21 +486,21 @@ let build ?dump ?(config = default_config) modules =
         binary_size = Linker.binary_size layout;
         code_size = layout.Linker.text_size;
         function_order;
-        timings = List.rev !timings;
-        timing_tree =
-          build_timing_tree (List.rev !phases) (Passman.steps ctx)
-            outline_profile thin_report;
+        timing_tree = Passman.timing_tree ctx;
         pass_steps = Passman.steps ctx;
         outline_stats = !outline_stats;
-        outline_profile;
-        thin_profile = thin_report;
       }
   with Failure e -> Error e
 
-let build_sources ?dump ?config sources =
-  match Swiftlet.Compile.compile_program sources with
-  | Error e -> Error e
-  | Ok modules -> build ?dump ?config modules
+let build ?dump ?(config = default_config) modules =
+  run_build ?dump ~config (fun _ -> modules)
+
+let build_sources ?dump ?(config = default_config) sources =
+  run_build ?dump ~config (fun ctx ->
+      Passman.span ctx "front-end" (fun () ->
+          match Swiftlet.Compile.compile_program sources with
+          | Ok modules -> modules
+          | Error e -> failwith e))
 
 (* --- the pre-refactor sequencing (transitional reference) ------------------ *)
 
@@ -630,12 +508,6 @@ let build_sources ?dump ?config sources =
    refactor, kept so the fuzz lattice can assert the refactor is
    observationally exact: the default config must produce byte-identical
    programs through both paths.  Delete once the differential has soaked. *)
-
-let reference_timed timings name f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  timings := (name, Unix.gettimeofday () -. t0) :: !timings;
-  r
 
 (* The pass facts the reference sequencing obeys, read off the spec. *)
 let reference_find config name =
@@ -662,9 +534,7 @@ let reference_outline_options ~scope =
   { Outcore.Outliner.default_options with scope_name = scope }
 
 let build_reference ?(config = default_config) modules =
-  let timings = ref [] in
   let outline_stats = ref [] in
-  let outline_profile = Outcore.Profile.create () in
   try
     let program =
       match config.mode with
@@ -672,72 +542,63 @@ let build_reference ?(config = default_config) modules =
         failwith "build_reference: thin-WPO postdates the pass-manager refactor"
       | Whole_program ->
         let merged =
-          reference_timed timings "llvm-link" (fun () ->
-              match
-                Link.link ~flag_semantics:config.flag_semantics
-                  ~data_order:config.data_order ~name:"whole" modules
-              with
-              | Ok m -> m
-              | Error e -> failwith (Link.error_to_string e))
+          match
+            Link.link ~flag_semantics:config.flag_semantics
+              ~data_order:config.data_order ~name:"whole" modules
+          with
+          | Ok m -> m
+          | Error e -> failwith (Link.error_to_string e)
         in
-        let optimized =
-          reference_timed timings "opt" (fun () ->
-              reference_opt_module config merged)
-        in
-        let machine =
-          reference_timed timings "llc" (fun () ->
-              mark_no_outline config (Codegen.compile_modul optimized))
-        in
-        if config.outline_rounds > 0 then
-          reference_timed timings "machine-outliner" (fun () ->
-              let machine =
-                if reference_find config "canonicalize" <> None then
-                  fst (Outcore.Canonicalize.run machine)
-                else machine
-              in
-              let p, stats =
-                Outcore.Repeat.run
-                  ~options:(reference_outline_options ~scope:"")
-                  ~profile:outline_profile ~engine:config.outline_engine
-                  ~rounds:config.outline_rounds machine
-              in
-              outline_stats := stats;
-              match config.outlined_layout with
-              | `Caller_affinity -> Outcore.Layout.optimize p
-              | `Append | `Order_file | `C3 | `Balanced | `Bp_compress _
-              | `Stitch ->
-                p)
+        let optimized = reference_opt_module config merged in
+        let machine = mark_no_outline config (Codegen.compile_modul optimized) in
+        if config.outline_rounds > 0 then begin
+          let machine =
+            if reference_find config "canonicalize" <> None then
+              fst (Outcore.Canonicalize.run machine)
+            else machine
+          in
+          let p, stats =
+            Outcore.Repeat.run
+              ~options:(reference_outline_options ~scope:"")
+              ~engine:config.outline_engine ~rounds:config.outline_rounds
+              machine
+          in
+          outline_stats := stats;
+          match config.outlined_layout with
+          | `Caller_affinity -> Outcore.Layout.optimize p
+          | `Append | `Order_file | `C3 | `Balanced | `Bp_compress _ | `Stitch
+            ->
+            p
+        end
         else machine
-      | Per_module ->
+      | Per_module -> (
         let units =
-          reference_timed timings "compile-modules" (fun () ->
-              List.map
-                (fun (m : Ir.modul) ->
-                  let optimized = reference_opt_module config m in
-                  let machine =
-                    mark_no_outline config (Codegen.compile_modul optimized)
-                  in
-                  if config.outline_rounds > 0 then begin
-                    let p, stats =
-                      Outcore.Repeat.run
-                        ~options:(reference_outline_options ~scope:m.Ir.m_name)
-                        ~profile:outline_profile ~engine:config.outline_engine
-                        ~rounds:config.outline_rounds machine
-                    in
-                    outline_stats := !outline_stats @ stats;
-                    p
-                  end
-                  else machine)
-                modules)
+          List.map
+            (fun (m : Ir.modul) ->
+              let optimized = reference_opt_module config m in
+              let machine =
+                mark_no_outline config (Codegen.compile_modul optimized)
+              in
+              if config.outline_rounds > 0 then begin
+                let p, stats =
+                  Outcore.Repeat.run
+                    ~options:(reference_outline_options ~scope:m.Ir.m_name)
+                    ~engine:config.outline_engine
+                    ~rounds:config.outline_rounds machine
+                in
+                outline_stats := !outline_stats @ stats;
+                p
+              end
+              else machine)
+            modules
         in
-        reference_timed timings "system-linker-merge" (fun () ->
-            let merged = Machine.Program.concat units in
-            match config.outlined_layout with
-            | `Caller_affinity when config.outline_rounds > 0 ->
-              Outcore.Layout.optimize merged
-            | `Caller_affinity | `Append | `Order_file | `C3 | `Balanced
-            | `Bp_compress _ | `Stitch ->
-              merged)
+        let merged = Machine.Program.concat units in
+        match config.outlined_layout with
+        | `Caller_affinity when config.outline_rounds > 0 ->
+          Outcore.Layout.optimize merged
+        | `Caller_affinity | `Append | `Order_file | `C3 | `Balanced
+        | `Bp_compress _ | `Stitch ->
+          merged)
     in
     (match Machine.Program.validate program with
     | Ok () -> ()
@@ -752,23 +613,17 @@ let build_reference ?(config = default_config) modules =
           match config.layout_profile with
           | Some p -> p
           | None ->
-            reference_timed timings "pgo-collect" (fun () ->
-                Pgo.Collect.collect
-                  ~config:
-                    {
-                      Pgo.Collect.default_config with
-                      Perfsim.Interp.max_steps = 20_000_000;
-                    }
-                  ~workload:"self" ~entries:[ "main" ] program)
+            Pgo.Collect.collect
+              ~config:
+                {
+                  Pgo.Collect.default_config with
+                  Perfsim.Interp.max_steps = 20_000_000;
+                }
+              ~workload:"self" ~entries:[ "main" ] program
         in
-        Some
-          (reference_timed timings "pgo-layout" (fun () ->
-               Pgo.Order.compute strategy profile program))
+        Some (Pgo.Order.compute strategy profile program)
     in
-    let layout =
-      reference_timed timings "system-linker" (fun () ->
-          Linker.link ?order:function_order program)
-    in
+    let layout = Linker.link ?order:function_order program in
     Ok
       {
         program;
@@ -776,11 +631,8 @@ let build_reference ?(config = default_config) modules =
         binary_size = Linker.binary_size layout;
         code_size = layout.Linker.text_size;
         function_order;
-        timings = List.rev !timings;
         timing_tree = [];
         pass_steps = [];
         outline_stats = !outline_stats;
-        outline_profile;
-        thin_profile = Thinwpo.Engine.Report.create ();
       }
   with Failure e -> Error e

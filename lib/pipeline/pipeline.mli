@@ -162,24 +162,24 @@ type result = {
       (** the explicit placement the layout was linked with (profile-guided
           strategies only); pass it to [Perfsim.Interp.run ~order] so
           measurement sees the same addresses the linker produced *)
-  timings : (string * float) list;   (** coarse phase name, seconds, in order *)
   timing_tree : Passman.timing list;
-      (** the same phases as a tree: per-pass children with size-delta
-          notes, outline rounds under the [outline] pass, and the
-          outliner's per-phase split (sequence build, tree build,
-          enumerate, score, rewrite) under each round — rendered by
-          [sizeopt build --profile] *)
+      (** the build's one timing record, built by the pass context as the
+          build runs ({!Passman.span}).  The roots are the coarse phases in
+          order — [front-end] ({!build_sources} only), then [llvm-link],
+          [opt], [llc], [machine-outliner] (whole-program) or
+          [compile-modules-local] / a cross-unit pass / [compile-modules],
+          [system-linker-merge] and — when the spec has linked machine
+          passes — [linked-passes] (per-module and thin), then the layout
+          phases and [system-linker].  Below them: per-pass step leaves
+          with size-delta notes, outline rounds under their pass, and each
+          round's phase split or thin shard report.  The CLI's phase list
+          and the serve daemon's [phase] lines are the roots; [sizeopt
+          build --profile] renders the whole tree. *)
   pass_steps : Passman.step list;
       (** every pass application (and outline round) in order, with bisect
           skips marked; a {!Passman.bisect} result names the step whose
           [st_gate] it is *)
   outline_stats : Outcore.Outliner.round_stats list;
-  outline_profile : Outcore.Profile.t;
-      (** per-outline-round phase split, also woven into [timing_tree] *)
-  thin_profile : Thinwpo.Engine.Report.t;
-      (** thin-WPO only: per-round shard timings and the global decision
-          round, also woven into [timing_tree] (one subtree per shard) and
-          serialized into BENCH_thinwpo.json by the bench harness *)
 }
 
 val build :
@@ -196,7 +196,9 @@ val build_sources :
   ?config:config ->
   (string * string) list ->
   (result, string) Stdlib.result
-(** Front-end included: (module name, Swiftlet source) pairs. *)
+(** Front-end included: (module name, Swiftlet source) pairs.  The same
+    build body as {!build}, with the Swiftlet front end timed as the
+    [front-end] root of [timing_tree]. *)
 
 val build_reference :
   ?config:config -> Ir.modul list -> (result, string) Stdlib.result

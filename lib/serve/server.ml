@@ -256,7 +256,10 @@ let build_miss st b sources =
               sec_overhead = layout.Linker.image_overhead;
             };
           cb_image_hash = hash_hex image;
-          cb_phases = res.Pipeline.timings;
+          cb_phases =
+            List.map
+              (fun (t : Passman.timing) -> (t.t_name, t.t_seconds))
+              res.Pipeline.timing_tree;
           cb_image = image;
         })
 

@@ -26,20 +26,6 @@ module Report = struct
   let create () = { rev_rounds = [] }
   let rounds t = List.rev t.rev_rounds
   let add t r = t.rev_rounds <- r :: t.rev_rounds
-
-  let to_json t =
-    let shard s =
-      Printf.sprintf
-        "{\"module\":\"%s\",\"funcs\":%d,\"discover_s\":%.6f,\"rewrite_s\":%.6f}"
-        s.rs_module s.rs_funcs s.rs_discover s.rs_rewrite
-    in
-    let round r =
-      Printf.sprintf
-        "{\"round\":%d,\"decide_s\":%.6f,\"selected\":%d,\"shards\":[%s]}"
-        r.rr_round r.rr_decide r.rr_selected
-        (String.concat "," (List.map shard r.rr_shards))
-    in
-    "[" ^ String.concat "," (List.map round (rounds t)) ^ "]"
 end
 
 (* Shards in first-appearance order of [from_module], functions in program

@@ -22,9 +22,10 @@ val create_facts : unit -> facts
 val fact_sp_unsafe : facts -> string -> bool
 
 module Report : sig
-  (** Per-round wall-time split for [--profile] and the bench harness: one
-      entry per shard (discovery and rewrite seconds) plus the serial
-      global decision round. *)
+  (** Per-round wall-time split: one entry per shard (discovery and
+      rewrite seconds) plus the serial global decision round.  The pass
+      manager's [thin-outline] pass copies each round into the build's
+      timing tree ([--profile], [bench thinwpo]). *)
 
   type shard = {
     rs_module : string;
@@ -44,9 +45,6 @@ module Report : sig
 
   val create : unit -> t
   val rounds : t -> round list   (** chronological *)
-
-  val to_json : t -> string
-  (** JSON array, one object per round, for BENCH_thinwpo.json. *)
 end
 
 val run_round :

@@ -1,5 +1,5 @@
 (* The unified pass manager: spec grammar, registry completeness,
-   --verify-each, and opt-bisect fault localization. *)
+   --verify-each, the timing tree, and opt-bisect fault localization. *)
 
 let ok_exn = function Ok x -> x | Error e -> failwith e
 
@@ -216,6 +216,162 @@ let test_verify_each_catches () =
     Alcotest.(check bool) ("failure names the pass: " ^ msg) true
       (contains msg "break")
 
+(* --- timing tree ------------------------------------------------------------- *)
+
+let small_sources =
+  lazy
+    (Workload.Appgen.generate_sources
+       (Workload.Appgen.at_week Workload.Appgen.small 0))
+
+let build_small ?(base = Pipeline.default_config) passes =
+  let config = ok_exn (Pipeline.config_of_passes ~base passes) in
+  ok_exn (Pipeline.build_sources ~config (Lazy.force small_sources))
+
+(* Thin builds are the slow ones: one per worker count, shared. *)
+let thin_builds = Hashtbl.create 2
+
+let thin_build workers =
+  match Hashtbl.find_opt thin_builds workers with
+  | Some res -> res
+  | None ->
+    let res =
+      build_small
+        ~base:
+          { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers } }
+        "dce,merge-functions,thin-outline(rounds=2)"
+    in
+    Hashtbl.replace thin_builds workers res;
+    res
+
+let root_names (res : Pipeline.result) =
+  List.map (fun (t : Passman.timing) -> t.Passman.t_name) res.Pipeline.timing_tree
+
+let find_root (res : Pipeline.result) name =
+  match
+    List.find_opt
+      (fun (t : Passman.timing) -> t.Passman.t_name = name)
+      res.Pipeline.timing_tree
+  with
+  | Some t -> t
+  | None ->
+    Alcotest.failf "no %s root in [%s]" name
+      (String.concat "; " (root_names res))
+
+(* The step nodes of a tree, in order, each with its parent's name: below
+   the roots, the ["round K"] nodes and the leaves named after a pass
+   (["<unit>/<pass>"] or ["<pass>"]). *)
+let step_nodes (res : Pipeline.result) =
+  let is_pass_label name =
+    let pass =
+      match String.rindex_opt name '/' with
+      | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+      | None -> name
+    in
+    List.mem pass Passman.registered_names
+  in
+  let rec go parent (t : Passman.timing) =
+    let here =
+      if
+        String.starts_with ~prefix:"round " t.Passman.t_name
+        || (t.Passman.t_children = [] && is_pass_label t.Passman.t_name)
+      then [ (parent, t) ]
+      else []
+    in
+    here @ List.concat_map (go t.Passman.t_name) t.Passman.t_children
+  in
+  List.concat_map
+    (fun (t : Passman.timing) ->
+      List.concat_map (go t.Passman.t_name) t.Passman.t_children)
+    res.Pipeline.timing_tree
+
+(* Every bisect step adds its own node as the build runs, so the tree's
+   step nodes are the step log: same count, same order, a skipped step
+   noted as such and a round filed under its pass. *)
+let check_steps_match name (res : Pipeline.result) =
+  let nodes = step_nodes res and steps = res.Pipeline.pass_steps in
+  Alcotest.(check int) (name ^ ": one node per step") (List.length steps)
+    (List.length nodes);
+  List.iter2
+    (fun (st : Passman.step) (parent, (t : Passman.timing)) ->
+      let label =
+        if st.Passman.st_unit = "" then st.Passman.st_pass
+        else st.Passman.st_unit ^ "/" ^ st.Passman.st_pass
+      in
+      if st.Passman.st_detail = "" then
+        Alcotest.(check string) (name ^ ": step leaf") label t.Passman.t_name
+      else begin
+        Alcotest.(check string) (name ^ ": round node") st.Passman.st_detail
+          t.Passman.t_name;
+        Alcotest.(check string) (name ^ ": round's pass") label parent
+      end;
+      Alcotest.(check bool)
+        (name ^ ": skipped iff noted")
+        (not st.Passman.st_applied)
+        (t.Passman.t_note = "skipped (opt-bisect)"))
+    steps nodes
+
+let test_tree_matches_steps () =
+  check_steps_match "wp" (build_small "dce,outline(rounds=3)");
+  let pm =
+    build_small
+      ~base:
+        {
+          Pipeline.default_config with
+          mode = Pipeline.Per_module;
+          bisect_limit = Some 9;
+        }
+      "dce,merge-functions,outline(rounds=3)"
+  in
+  Alcotest.(check bool) "pm: the limit skips a round" true
+    (List.exists
+       (fun (st : Passman.step) ->
+         st.Passman.st_detail <> "" && not st.Passman.st_applied)
+       pm.Pipeline.pass_steps);
+  check_steps_match "pm bisect" pm;
+  check_steps_match "thin"
+    (thin_build 1)
+
+(* The front end is timed as the first root of a source build. *)
+let test_front_end_root () =
+  Alcotest.(check string) "first root" "front-end"
+    (List.hd (root_names (build_small "dce,outline(rounds=1)")))
+
+(* Thin outlining is billed to its own linked-passes phase, not to the
+   unit concat of system-linker-merge. *)
+let test_linked_passes_phase () =
+  let thin = thin_build 1 in
+  Alcotest.(check int) "system-linker-merge times only the concat" 0
+    (List.length (find_root thin "system-linker-merge").Passman.t_children);
+  Alcotest.(check (list string)) "thin-outline sits under linked-passes"
+    [ "thin-outline" ]
+    (List.map
+       (fun (t : Passman.timing) -> t.Passman.t_name)
+       (find_root thin "linked-passes").Passman.t_children);
+  (* Without linked passes there is no linked-passes phase. *)
+  let pm =
+    build_small
+      ~base:{ Pipeline.default_config with mode = Pipeline.Per_module }
+      "dce,outline(rounds=1)"
+  in
+  Alcotest.(check (list string)) "pm roots"
+    [ "front-end"; "compile-modules"; "system-linker-merge"; "system-linker" ]
+    (root_names pm)
+
+(* With seconds masked, the tree is a function of the pipeline and the
+   module list alone: forked units join in module order. *)
+let test_tree_worker_independent () =
+  let rec mask (t : Passman.timing) =
+    {
+      t with
+      Passman.t_seconds = 0.;
+      t_children = List.map mask t.Passman.t_children;
+    }
+  in
+  let tree workers =
+    Passman.render_tree (List.map mask (thin_build workers).Pipeline.timing_tree)
+  in
+  Alcotest.(check string) "thin tree at workers 1 and 2" (tree 1) (tree 2)
+
 (* --- opt-bisect ------------------------------------------------------------- *)
 
 let outline_spec =
@@ -327,6 +483,17 @@ let () =
         [
           Alcotest.test_case "catches a broken pass" `Quick
             test_verify_each_catches;
+        ] );
+      ( "timing-tree",
+        [
+          Alcotest.test_case "step nodes are the step log" `Quick
+            test_tree_matches_steps;
+          Alcotest.test_case "front end is the first root" `Quick
+            test_front_end_root;
+          Alcotest.test_case "linked passes have their own phase" `Quick
+            test_linked_passes_phase;
+          Alcotest.test_case "independent of the worker count" `Quick
+            test_tree_worker_independent;
         ] );
       ( "opt-bisect",
         [
