@@ -1602,14 +1602,18 @@ let () =
     | [] -> List.map fst experiments
     | args -> args
   in
+  (* Every name is checked before any experiment runs, so a misspelled one
+     fails the invocation instead of being skipped. *)
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) chosen with
+  | [] -> ()
+  | unknown ->
+    List.iter (Printf.eprintf "unknown experiment %S\n") unknown;
+    Printf.eprintf "available: %s\n"
+      (String.concat " " (List.map fst experiments));
+    exit 1);
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0)
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst experiments)))
+      let t0 = Unix.gettimeofday () in
+      (List.assoc name experiments) ();
+      Printf.printf "[%s done in %.1fs]\n%!" name (Unix.gettimeofday () -. t0))
     chosen

@@ -24,17 +24,19 @@ let write_out path contents =
     output_string oc contents;
     close_out oc
 
+(* Every program a command reads is validated before anything runs on it:
+   an undefined branch target or a duplicate function is an error here, not
+   a crash (or a silently wrong answer) later. *)
 let load_program path =
   let text = read_file path in
-  if Filename.check_suffix path ".swl" then begin
-    match Swiftlet.Compile.compile_module ~name:"cli" text with
-    | Error e -> Error e
-    | Ok m -> Ok (Codegen.compile_modul m)
-  end
-  else
-    match Machine.Asm_parser.parse_program text with
-    | Ok p -> Ok p
-    | Error e -> Error e
+  let prog =
+    if Filename.check_suffix path ".swl" then
+      Result.map Codegen.compile_modul
+        (Swiftlet.Compile.compile_module ~name:"cli" text)
+    else Machine.Asm_parser.parse_program text
+  in
+  Result.bind prog (fun p ->
+      Result.map (fun () -> p) (Machine.Program.validate p))
 
 let or_die = function
   | Ok x -> x

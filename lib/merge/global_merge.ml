@@ -211,9 +211,3 @@ let run_modules ?(workers = 1) ?(min_instrs = 4) ?(max_holes = 6)
       merged_created = !created;
       rolled_back = !rolled;
     } )
-
-let run_module ?min_instrs ?max_holes ?keep (m : Ir.modul) =
-  let ms, st =
-    run_modules ~workers:1 ?min_instrs ?max_holes ?keep [ m ]
-  in
-  (List.hd ms, st)

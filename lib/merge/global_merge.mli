@@ -33,13 +33,3 @@ val run_modules :
     of differing operands; the register-passed argument limit is enforced
     on top).  [keep] exempts functions (entry points) from merging.
     [workers <= 1] runs the parallel rounds inline. *)
-
-val run_module :
-  ?min_instrs:int ->
-  ?max_holes:int ->
-  ?keep:(Ir.func -> bool) ->
-  Ir.modul ->
-  Ir.modul * stats
-(** Single-module convenience used by the pass manager: in whole-program
-    mode the modules were already linked into one, so cross-"module"
-    merging degenerates to intra-module merging with the global policy. *)

@@ -112,6 +112,20 @@ type result = {
 
 let spec name params = { Passman.sp_name = name; sp_params = params }
 
+(* The marker pass that names a layout strategy in a spec; [`Append] is
+   the linker's default order and has none. *)
+let layout_marker = function
+  | `Append -> None
+  | `Caller_affinity -> Some (spec "caller-affinity-layout" [])
+  | `Stitch -> Some (spec "stitch" [])
+  | `Bp_compress w ->
+    Some
+      (spec "pgo-layout"
+         [ ("strategy", "bp-compress"); ("w", Printf.sprintf "%g" w) ])
+  | `Order_file -> Some (spec "pgo-layout" [ ("strategy", "order-file") ])
+  | `C3 -> Some (spec "pgo-layout" [ ("strategy", "c3") ])
+  | `Balanced -> Some (spec "pgo-layout" [ ("strategy", "balanced") ])
+
 (* What [sizeopt build] expresses without --passes: dce, then — with
    outlining on — the mode's outliner and the layout strategy's marker
    pass (layout only ever ran together with outlining). *)
@@ -125,19 +139,7 @@ let lowered_spec (c : config) =
      | Thin_wpo { workers } ->
        spec "thin-outline" [ ("workers", string_of_int workers); rounds ]
      | Per_module | Whole_program -> spec "outline" [ rounds ])
-     ::
-     (match c.outlined_layout with
-     | `Append -> []
-     | `Caller_affinity -> [ spec "caller-affinity-layout" [] ]
-     | `Stitch -> [ spec "stitch" [] ]
-     | `Bp_compress w ->
-       [
-         spec "pgo-layout"
-           [ ("strategy", "bp-compress"); ("w", Printf.sprintf "%g" w) ];
-       ]
-     | `Order_file -> [ spec "pgo-layout" [ ("strategy", "order-file") ] ]
-     | `C3 -> [ spec "pgo-layout" [ ("strategy", "c3") ] ]
-     | `Balanced -> [ spec "pgo-layout" [ ("strategy", "balanced") ] ]))
+     :: Option.to_list (layout_marker c.outlined_layout))
 
 let spec_of_config c =
   match c.passes with
@@ -218,17 +220,15 @@ let config_of_passes ?(base = default_config) s =
               | _ -> None)
             specs
         in
-        Ok
-          {
-            base with
-            outline_rounds;
-            outlined_layout =
-              (match (marker, base.outlined_layout) with
-              | Some l, _ -> l
-              | None, (`Caller_affinity | `Stitch) -> `Append
-              | None, l -> l);
-            passes = Some specs;
-          }
+        (* A spec without a marker keeps the base layout and names it. *)
+        let outlined_layout, specs =
+          match marker with
+          | Some l -> (l, specs)
+          | None ->
+            ( base.outlined_layout,
+              specs @ Option.to_list (layout_marker base.outlined_layout) )
+        in
+        Ok { base with outline_rounds; outlined_layout; passes = Some specs }
       with Failure e -> Error ("bad pass pipeline: " ^ e)))
 
 (* --- shared helpers -------------------------------------------------------- *)

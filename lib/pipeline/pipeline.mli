@@ -147,7 +147,9 @@ val config_of_passes : ?base:config -> string -> (config, string) result
 (** Parse and validate a pipeline string ([--passes "dce,outline(rounds=5)"])
     and pin it in [passes]; [outline_rounds] (a missing outliner means 0)
     and [outlined_layout] are derived from it, every other axis keeps
-    [base]'s value.  Errors on unknown pass names, unknown parameters,
+    [base]'s value.  A spec without a layout marker keeps [base]'s layout
+    and gets its marker appended, so {!spec_of_config} names the layout
+    that runs.  Errors on unknown pass names, unknown parameters,
     malformed syntax, the pipelines {!Passman.validate_specs} refuses (an
     outliner twice, more than one layout marker), and a [pgo-layout]
     strategy that {!layout_strategy_of_string} rejects or that is not

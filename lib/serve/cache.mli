@@ -1,4 +1,5 @@
-(** String-keyed LRU result cache with hit/miss/eviction counters.
+(** String-keyed LRU cache with hit/miss/eviction counters: the daemon's
+    result cache and its per-app warm state.
 
     Deterministic: recency is a logical tick bumped on every insert and
     hit, so for a fixed request sequence the eviction order is fixed too —

@@ -33,19 +33,23 @@ type app_state = {
 
 type t = {
   results : cached Cache.t;
-  apps : (string, app_state) Hashtbl.t;
+  apps : app_state Cache.t;
   mutable served : int;
 }
+
+(* Warm state is kept for this many app labels; the least recently served
+   one is evicted and its next build runs cold, with the same bytes. *)
+let max_apps = 16
 
 let create ?(cache_capacity = 64) () =
   {
     results = Cache.create ~capacity:cache_capacity;
-    apps = Hashtbl.create 8;
+    apps = Cache.create ~capacity:max_apps;
     served = 0;
   }
 
 let app_state t name =
-  match Hashtbl.find_opt t.apps name with
+  match Cache.find t.apps name with
   | Some st -> st
   | None ->
     let st =
@@ -57,7 +61,7 @@ let app_state t name =
         as_mods = Hashtbl.create 32;
       }
     in
-    Hashtbl.replace t.apps name st;
+    Cache.add t.apps name st;
     st
 
 (* --- front-end cache ---------------------------------------------------- *)
@@ -198,9 +202,7 @@ let result_key b sources =
 
 (* --- building ------------------------------------------------------------ *)
 
-(* Cache-missing build against one app's warm state.  Only touches [st]
-   (never the shared result cache), so distinct apps may run on pool
-   domains concurrently. *)
+(* Cache-missing build against one app's warm state. *)
 let build_miss st b sources =
   match config_of b with
   | Error e -> Error e
@@ -284,110 +286,36 @@ let counters t =
     c_misses = Cache.misses t.results;
     c_evictions = Cache.evictions t.results;
     c_entries = Cache.entries t.results;
-    c_apps = Hashtbl.length t.apps;
+    c_apps = Cache.entries t.apps;
     c_served = t.served;
   }
 
 (* --- serving ------------------------------------------------------------- *)
 
-let handle_batch t payloads =
-  let stop = ref `Continue in
-  let n = List.length payloads in
-  let responses = Array.make n "" in
-  let set slot r = responses.(slot) <- print_response r in
-  (* Serial pass: parse, resolve, answer control requests / cache hits /
-     malformed builds inline; collect cache misses. *)
-  let pending = ref [] in
-  let pending_keys = Hashtbl.create 8 in
-  let dups = ref [] in
-  List.iteri
-    (fun slot payload ->
-      t.served <- t.served + 1;
-      match parse_request payload with
-      | Error e -> set slot (Error_reply { e_id = "?"; e_message = e })
-      | Ok Ping -> set slot Pong
-      | Ok Stats -> set slot (Stats_reply (counters t))
-      | Ok Shutdown ->
-        stop := `Stop;
-        set slot Bye
-      | Ok (Build b) -> (
-        match resolve_sources b.br_source with
-        | Error e -> set slot (Error_reply { e_id = b.br_id; e_message = e })
-        | Ok sources ->
-          let key = result_key b sources in
-          if Hashtbl.mem pending_keys key then
-            (* same key as a miss earlier in this batch: resolved after the
-               builds, exactly as if the requests had arrived in turn *)
-            dups := (slot, b, sources, key) :: !dups
-          else (
-            match Cache.find t.results key with
-            | Some c -> set slot (built_of b ~hit:true c)
-            | None ->
-              Hashtbl.replace pending_keys key ();
-              pending := (slot, b, sources, key) :: !pending)))
-    payloads;
-  let pending = List.rev !pending in
-  (* Group misses by app, in first-appearance order; within an app the
-     request order is preserved (warm state is sequential). *)
-  let order = ref [] in
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun ((_, b, _, _) as item) ->
-      match Hashtbl.find_opt groups b.br_app with
-      | Some r -> r := item :: !r
-      | None ->
-        Hashtbl.replace groups b.br_app (ref [ item ]);
-        order := b.br_app :: !order)
-    pending;
-  let apps_in_order = List.rev !order in
-  (* App states must exist before any pool domain runs. *)
-  List.iter (fun app -> ignore (app_state t app)) apps_in_order;
-  let run_group app =
-    let items = List.rev !(Hashtbl.find groups app) in
-    let st = app_state t app in
-    List.map
-      (fun (slot, b, sources, key) -> (slot, b, key, build_miss st b sources))
-      items
-  in
-  let any_thin = List.exists (fun (_, b, _, _) -> b.br_mode = "thin") pending in
-  let results =
-    (* Thin builds own the domain pool themselves; never nest pools. *)
-    if any_thin || List.length apps_in_order <= 1 then
-      List.concat_map run_group apps_in_order
-    else begin
-      let arr = Array.of_list apps_in_order in
-      let workers =
-        min (Array.length arr) (Thinwpo.Pool.resolve_workers 0)
-      in
-      Thinwpo.Pool.map ~workers run_group arr |> Array.to_list |> List.concat
-    end
-  in
-  (* Serial pass: cache insertion and response assembly. *)
-  let answer_miss (slot, b, key, outcome) =
-    match outcome with
-    | Error e -> set slot (Error_reply { e_id = b.br_id; e_message = e })
-    | Ok c ->
-      Cache.add t.results key c;
-      set slot (built_of b ~hit:false c)
-  in
-  List.iter answer_miss results;
-  (* In-batch duplicates hit the entry their first occurrence inserted; if
-     that build failed (nothing inserted), they build for themselves just
-     as they would have when served alone. *)
-  List.iter
-    (fun (slot, b, sources, key) ->
-      match Cache.find t.results key with
-      | Some c -> set slot (built_of b ~hit:true c)
-      | None ->
-        answer_miss
-          (slot, b, key, build_miss (app_state t b.br_app) b sources))
-    (List.rev !dups);
-  (Array.to_list responses, !stop)
-
 let handle t payload =
-  match handle_batch t [ payload ] with
-  | [ resp ], stop -> (resp, stop)
-  | _ -> assert false
+  t.served <- t.served + 1;
+  let reply =
+    match parse_request payload with
+    | Error e -> Error_reply { e_id = "?"; e_message = e }
+    | Ok Ping -> Pong
+    | Ok Stats -> Stats_reply (counters t)
+    | Ok Shutdown -> Bye
+    | Ok (Build b) -> (
+      let error e = Error_reply { e_id = b.br_id; e_message = e } in
+      match resolve_sources b.br_source with
+      | Error e -> error e
+      | Ok sources -> (
+        let key = result_key b sources in
+        match Cache.find t.results key with
+        | Some c -> built_of b ~hit:true c
+        | None -> (
+          match build_miss (app_state t b.br_app) b sources with
+          | Error e -> error e
+          | Ok c ->
+            Cache.add t.results key c;
+            built_of b ~hit:false c)))
+  in
+  (print_response reply, match reply with Bye -> `Stop | _ -> `Continue)
 
 (* --- transports ---------------------------------------------------------- *)
 
@@ -438,47 +366,38 @@ let serve_unix t ~path =
       clients := !clients @ [ (fd, Buffer.create 1024) ]
     end;
     let dead = ref [] in
+    let kill fd = if not (List.memq fd !dead) then dead := fd :: !dead in
     List.iter
       (fun (fd, buf) ->
         if List.memq fd readable then
           match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> dead := fd :: !dead
+          | 0 -> kill fd
           | n -> Buffer.add_subbytes buf chunk 0 n
-          | exception Unix.Unix_error _ -> dead := fd :: !dead)
+          | exception Unix.Unix_error _ -> kill fd)
       !clients;
-    (* one select round's complete frames form one batch, in client order *)
-    let batch = ref [] in
+    (* each complete frame is answered as it is drained, in client order *)
     List.iter
       (fun (fd, buf) ->
-        if not (List.memq fd !dead) then begin
-          let rec drain data =
+        let send s = try send_all fd s with Unix.Unix_error _ -> kill fd in
+        let rec drain data =
+          if !stop || List.memq fd !dead then ""
+          else
             match pop_frame data with
             | Ok (Some (payload, rest)) ->
-              batch := (fd, payload) :: !batch;
+              let resp, s = handle t payload in
+              send (frame resp);
+              if s = `Stop then stop := true;
               drain rest
             | Ok None -> data
             | Error msg ->
-              (try send_all fd (framing_error msg)
-               with Unix.Unix_error _ -> ());
-              dead := fd :: !dead;
+              send (framing_error msg);
+              kill fd;
               ""
-          in
-          let rest = drain (Buffer.contents buf) in
-          Buffer.clear buf;
-          Buffer.add_string buf rest
-        end)
+        in
+        let rest = drain (Buffer.contents buf) in
+        Buffer.clear buf;
+        Buffer.add_string buf rest)
       !clients;
-    let batch = List.rev !batch in
-    if batch <> [] then begin
-      let resps, s = handle_batch t (List.map snd batch) in
-      List.iter2
-        (fun (fd, _) resp ->
-          if not (List.memq fd !dead) then
-            try send_all fd (frame resp)
-            with Unix.Unix_error _ -> dead := fd :: !dead)
-        batch resps;
-      if s = `Stop then stop := true
-    end;
     List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !dead;
     clients := List.filter (fun (fd, _) -> not (List.memq fd !dead)) !clients
   done;

@@ -16,30 +16,24 @@
 
     Warm state is keyed by the request's [app] label, so two apps never
     share name-keyed engine caches; a spec change invalidates the whole
-    engine for that app.  Every response is byte-identical to a
-    from-scratch {!Pipeline.build} of the same request — the fuzz
-    differential and the replay bench both gate on it. *)
+    engine for that app.  At most 16 apps keep warm state: the least
+    recently served app is evicted (an LRU over app labels, reported as
+    [apps] in [stats]) and its next build runs cold.  Every response is
+    byte-identical to a from-scratch {!Pipeline.build} of the same request
+    — the fuzz differential and the replay bench both gate on it. *)
 
 type t
 
 val create : ?cache_capacity:int -> unit -> t
 (** Default capacity: 64 results. *)
 
-val handle_batch : t -> string list -> string list * [ `Continue | `Stop ]
-(** The one request path: serve a batch of request payloads, returning one
-    response payload per request, in request order.  Never raises:
-    malformed requests and failed builds come back as [error] replies.
-    [`Stop] only when the batch holds a [shutdown] request.  Cache hits and
-    control requests answer inline; cache-missing builds are grouped by
-    app and distinct apps run in parallel on the thin-WPO domain pool
-    (requests for the same app keep their order; thin-mode requests force
-    the serial path — no nested pools).  Responses have identical bytes to
-    serving each request alone. *)
-
 val handle : t -> string -> string * [ `Continue | `Stop ]
-(** [handle t payload] is the one-request batch [handle_batch t [payload]]:
-    it has no request logic of its own.  The [--stdio] transport serves
-    every frame through it. *)
+(** The one request path: serve one request payload and return its
+    response payload.  Requests are handled one at a time, in arrival
+    order: parse, answer control requests, look the build up in the result
+    cache, and on a miss build it against the app's warm state and insert
+    the result.  Never raises: malformed requests and failed builds come
+    back as [error] replies.  [`Stop] only for a [shutdown] request. *)
 
 val serve_channels : t -> in_channel -> out_channel -> unit
 (** The [--stdio] transport: one frame in, one frame out through {!handle},
@@ -48,9 +42,9 @@ val serve_channels : t -> in_channel -> out_channel -> unit
 
 val serve_unix : t -> path:string -> unit
 (** The Unix-socket transport: accepts any number of clients, reads
-    complete frames as they arrive and serves each select round as one
-    {!handle_batch}.  Returns after [shutdown]; the socket file is
-    unlinked. *)
+    complete frames as they arrive and answers each through {!handle}, in
+    client order.  Returns after [shutdown] (frames queued behind it go
+    unanswered); the socket file is unlinked. *)
 
 val fault_stale_cache_entry : bool ref
 (** Fault injection for [sizeopt fuzz --self-test]: drop the module-content

@@ -102,6 +102,38 @@ let test_registry () =
     (List.sort compare Passman.registered_names)
     (List.sort_uniq compare covered)
 
+(* --layout composes with --passes: a spec without a layout marker keeps
+   the base strategy, names it, and builds what the explicit marker
+   builds.  Stitch and caller-affinity bases used to build append. *)
+let test_base_layout_kept () =
+  let sources =
+    Workload.Appgen.generate_sources
+      (Workload.Appgen.at_week Workload.Appgen.small 0)
+  in
+  let image config =
+    let res = ok_exn (Pipeline.build_sources ~config sources) in
+    ( res.Pipeline.binary_size,
+      Machine.Asm_printer.to_source res.Pipeline.program,
+      res.Pipeline.function_order )
+  in
+  List.iter
+    (fun (layout, marker) ->
+      let base = { Pipeline.default_config with outlined_layout = layout } in
+      let c = ok_exn (Pipeline.config_of_passes ~base "dce,outline(rounds=2)") in
+      let name = Pipeline.layout_strategy_name layout in
+      Alcotest.(check bool) (name ^ " kept") true
+        (c.Pipeline.outlined_layout = layout);
+      Alcotest.(check string) (name ^ " named in the spec")
+        ("dce,outline(rounds=2)," ^ marker)
+        (Passman.print (Pipeline.spec_of_config c));
+      let explicit =
+        ok_exn
+          (Pipeline.config_of_passes ("dce,outline(rounds=2)," ^ marker))
+      in
+      Alcotest.(check bool) (name ^ " builds what its marker builds") true
+        (image c = image explicit))
+    [ (`Stitch, "stitch"); (`Caller_affinity, "caller-affinity-layout") ]
+
 (* A negative round count runs no rounds and reserves no bisect steps:
    otherwise consecutive units get overlapping step numbers and a sharded
    build runs steps its limit should have cut. *)
@@ -472,6 +504,8 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "completeness" `Quick test_registry;
+          Alcotest.test_case "a marker-free spec keeps the base layout" `Quick
+            test_base_layout_kept;
           Alcotest.test_case "negative rounds reserve no steps" `Quick
             test_negative_rounds_reservation;
           Alcotest.test_case "impossible pipelines rejected" `Quick

@@ -1,7 +1,8 @@
 (* The persistent build service: wire-protocol round-trips, framing, the
    LRU result cache, byte-identity of served images against from-scratch
-   builds, warm-state isolation between apps sharing function names, and a
-   golden-transcript snapshot of a scripted build/edit/rebuild session. *)
+   builds, warm-state isolation between apps sharing function names, the
+   bound on per-app warm state, and a golden-transcript snapshot of a
+   scripted build/edit/rebuild session. *)
 
 let ok_exn = function Ok x -> x | Error e -> Alcotest.fail e
 
@@ -478,34 +479,34 @@ let test_engine_begin_build_unit () =
   Alcotest.(check string) "back to the first program" (cold p1)
     (warm ~changed:all_changed p1)
 
-let test_batch_matches_serial () =
-  let mask payload =
-    Serve.Protocol.print_response_masked
-      (ok_exn (Serve.Protocol.parse_response payload))
+let test_app_state_bound () =
+  (* more app labels than the daemon keeps warm state for: the [apps] stat
+     stays at the bound, and an evicted label rebuilds cold (the result
+     cache is off, so the rebuild really runs) with scratch-identical bytes *)
+  let server = Serve.Server.create ~cache_capacity:0 () in
+  let label i = Printf.sprintf "a%d" i in
+  let srcs i =
+    edit app_a "util"
+      (Printf.sprintf "\nfunc extra%d(v: Int) -> Int {\n  return v + %d\n}\n"
+         i i)
   in
-  let reqs =
-    [
-      build_req ~id:"q1" ~app:"alpha" app_a;
-      Serve.Protocol.print_request Serve.Protocol.Ping;
-      build_req ~id:"q2" ~app:"beta" app_b;
-      build_req ~id:"q3" ~app:"alpha" app_a;
-      "complete junk";
-    ]
+  let first = built (serve server (build_req ~id:"f" ~app:(label 1) (srcs 1))) in
+  for i = 2 to 20 do
+    ignore (built (serve server (build_req ~app:(label i) (srcs i))))
+  done;
+  let apps () =
+    match serve server (Serve.Protocol.print_request Serve.Protocol.Stats) with
+    | Serve.Protocol.Stats_reply c -> c.Serve.Protocol.c_apps
+    | _ -> Alcotest.fail "expected a stats reply"
   in
-  let batch_server = Serve.Server.create () in
-  let batched, _ = Serve.Server.handle_batch batch_server reqs in
-  let serial_server = Serve.Server.create () in
-  let serial =
-    List.map (fun r -> fst (Serve.Server.handle serial_server r)) reqs
-  in
-  Alcotest.(check int) "one response per request" (List.length reqs)
-    (List.length batched);
-  List.iteri
-    (fun i (b, s) ->
-      Alcotest.(check string)
-        (Printf.sprintf "response %d matches serial serving" i)
-        (mask s) (mask b))
-    (List.combine batched serial)
+  Alcotest.(check bool) "apps within the bound" true (apps () <= 16);
+  let again = built (serve server (build_req ~id:"g" ~app:(label 1) (srcs 1))) in
+  Alcotest.(check bool) "evicted app misses" false again.b_cache_hit;
+  Alcotest.(check string) "evicted app rebuilds scratch-identical bytes"
+    (scratch (srcs 1)) (image again);
+  Alcotest.(check string) "and the bytes it first served" (image first)
+    (image again);
+  Alcotest.(check bool) "still within the bound" true (apps () <= 16)
 
 (* --- golden transcript ----------------------------------------------------- *)
 
@@ -592,8 +593,8 @@ let () =
             test_same_app_full_swap;
           Alcotest.test_case "engine_begin_build at the outliner level" `Quick
             test_engine_begin_build_unit;
-          Alcotest.test_case "batch matches serial" `Quick
-            test_batch_matches_serial;
+          Alcotest.test_case "app state is bounded" `Quick
+            test_app_state_bound;
         ] );
       ( "snapshot",
         [
