@@ -39,8 +39,6 @@ let term_uses = function
     in
     go 0 (Regset.singleton Reg.lr)
 
-let equal_terminator (a : terminator) b = a = b
-
 let pp_terminator ppf = function
   | Ret -> Format.pp_print_string ppf "ret"
   | B l -> Format.fprintf ppf "b %s" l

@@ -32,6 +32,5 @@ val size_bytes : t -> int
 
 val successors : terminator -> string list
 val term_uses : terminator -> Regset.t
-val equal_terminator : terminator -> terminator -> bool
 val pp_terminator : Format.formatter -> terminator -> unit
 val pp : Format.formatter -> t -> unit

@@ -1,13 +1,5 @@
 type t = Eq | Ne | Lt | Le | Gt | Ge
 
-let negate = function
-  | Eq -> Ne
-  | Ne -> Eq
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-
 let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 

@@ -2,7 +2,6 @@
 
 type t = Eq | Ne | Lt | Le | Gt | Ge
 
-val negate : t -> t
 val equal : t -> t -> bool
 val compare : t -> t -> int
 

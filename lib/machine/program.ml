@@ -25,9 +25,6 @@ let concat units =
 let code_size_bytes p =
   List.fold_left (fun acc f -> acc + Mfunc.size_bytes f) 0 p.funcs
 
-let data_size_bytes p =
-  List.fold_left (fun acc d -> acc + Dataobj.size_bytes d) 0 p.data
-
 let insn_count p =
   List.fold_left (fun acc f -> acc + Mfunc.insn_count f) 0 p.funcs
 
@@ -35,7 +32,6 @@ let find_func p name =
   List.find_opt (fun (f : Mfunc.t) -> String.equal f.name name) p.funcs
 
 let replace_funcs p funcs = { p with funcs }
-let add_funcs p funcs = { p with funcs = p.funcs @ funcs }
 
 let validate p =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in

@@ -13,11 +13,9 @@ val concat : t list -> t
 (** Concatenate units; function and data names must not collide (checked). *)
 
 val code_size_bytes : t -> int
-val data_size_bytes : t -> int
 val insn_count : t -> int
 val find_func : t -> string -> Mfunc.t option
 val replace_funcs : t -> Mfunc.t list -> t
-val add_funcs : t -> Mfunc.t list -> t
 val validate : t -> (unit, string) result
 (** Check label/symbol integrity: unique function names, unique block labels
     per function, branch targets resolve, called symbols are defined or

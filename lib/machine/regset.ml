@@ -6,10 +6,8 @@ let add r s = s lor (1 lsl Reg.index r)
 let remove r s = s land lnot (1 lsl Reg.index r)
 let mem r s = s land (1 lsl Reg.index r) <> 0
 let union = ( lor )
-let inter = ( land )
 let diff a b = a land lnot b
 let equal = Int.equal
-let is_empty s = s = 0
 let of_list rs = List.fold_left (fun s r -> add r s) empty rs
 
 let to_list s =

@@ -9,10 +9,8 @@ val add : Reg.t -> t -> t
 val remove : Reg.t -> t -> t
 val mem : Reg.t -> t -> bool
 val union : t -> t -> t
-val inter : t -> t -> t
 val diff : t -> t -> t
 val equal : t -> t -> bool
-val is_empty : t -> bool
 val of_list : Reg.t list -> t
 val to_list : t -> Reg.t list
 val cardinal : t -> int

@@ -86,8 +86,3 @@ let find name =
   match List.find_opt (fun d -> d.name = name) devices with
   | Some d -> d
   | None -> invalid_arg ("Device.find: unknown device " ^ name)
-
-let find_os name =
-  match List.find_opt (fun o -> o.os_name = name) oses with
-  | Some o -> o
-  | None -> invalid_arg ("Device.find_os: unknown OS " ^ name)

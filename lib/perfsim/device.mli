@@ -39,4 +39,3 @@ val oses : os list
 val default : t
 val default_os : os
 val find : string -> t
-val find_os : string -> os

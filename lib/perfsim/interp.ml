@@ -1,11 +1,5 @@
 open Machine
 
-type trace_event =
-  | Ev_entry of string
-  | Ev_call of { caller : string; callee : string; tail : bool }
-  | Ev_first_touch of string
-  | Ev_block of { func : string; label : string }
-
 type config = {
   device : Device.t;
   os : Device.os;
@@ -13,7 +7,6 @@ type config = {
   model_perf : bool;
   unknown_extern : [ `Error | `Noop ];
   trace_ring : int;  (* >0: keep a ring of recent pc slots, dumped on errors *)
-  trace : (trace_event -> unit) option;
 }
 
 let default_config =
@@ -24,8 +17,39 @@ let default_config =
     model_perf = true;
     unknown_extern = `Error;
     trace_ring = 0;
-    trace = None;
   }
+
+type counts = {
+  entry_counts : (string, int) Hashtbl.t;
+  edge_counts : (string * string, int) Hashtbl.t;
+  block_counts : (string * string, int) Hashtbl.t;
+  mutable touch_rev : string list;
+}
+
+let create_counts () =
+  {
+    entry_counts = Hashtbl.create 256;
+    edge_counts = Hashtbl.create 1024;
+    block_counts = Hashtbl.create 4096;
+    touch_rev = [];
+  }
+
+let bump tbl k =
+  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+(* A function begins executing: the run's entry, or an intra-image call or
+   tail transfer from [caller].  A function first touches when it is first
+   entered, so the entry table doubles as the touched set. *)
+let count_entry counts ?caller callee =
+  match counts with
+  | None -> ()
+  | Some c ->
+    (match caller with
+    | Some caller -> bump c.edge_counts (caller, callee)
+    | None -> ());
+    if not (Hashtbl.mem c.entry_counts callee) then
+      c.touch_rev <- callee :: c.touch_rev;
+    bump c.entry_counts callee
 
 type result = {
   exit_value : int;
@@ -475,7 +499,8 @@ let last_backtrace = ref []
 let last_trace_ref : string list ref = ref []
 let last_trace () = !last_trace_ref
 
-let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
+let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
+    (p : Program.t) =
   last_backtrace := [];
   last_trace_ref := [];
   match Program.find_func p entry with
@@ -489,7 +514,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           func_names,
           slot_outlined,
           block_starts ) =
-      build_slots ~track_blocks:(config.trace <> None) p layout
+      build_slots ~track_blocks:(Option.is_some counts) p layout
     in
     let d = config.device in
     let st =
@@ -588,33 +613,16 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           Printf.eprintf "---------------------------------\n%!"
       in
       dump_hook := dump_ring;
-      (* Structured trace events (function entry / call edge / first
-         touch) for profile collection — see Pgo.Collect. *)
-      let touched = Hashtbl.create 64 in
-      let emit_enter ~caller ~tail callee =
-        match config.trace with
-        | None -> ()
-        | Some emit ->
-          (match caller with
-          | Some c -> emit (Ev_call { caller = c; callee; tail })
-          | None -> ());
-          if not (Hashtbl.mem touched callee) then begin
-            Hashtbl.replace touched callee ();
-            emit (Ev_first_touch callee)
-          end;
-          emit (Ev_entry callee)
-      in
-      emit_enter ~caller:None ~tail:false entry;
-      let emit_block =
-        match config.trace with
+      (* Profile counts: the entry, each intra-image call or tail
+         transfer, and each block entry. *)
+      count_entry counts entry;
+      let count_block =
+        match counts with
         | None -> fun _ -> ()
-        | Some emit ->
+        | Some c ->
           fun idx ->
             (match Hashtbl.find_opt block_starts idx with
-            | Some bs ->
-              List.iter
-                (fun (fn, l) -> emit (Ev_block { func = fn; label = l }))
-                bs
+            | Some bs -> List.iter (bump c.block_counts) bs
             | None -> ())
       in
       let jump_to_address a =
@@ -624,19 +632,24 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           | Some idx -> pc := idx
           | None -> raise (Exec_error (Bad_jump a))
       in
-      let do_extern name next =
+      let call_extern name =
         st.calls <- st.calls + 1;
-        if runtime_call st name then pc := next
-        else
+        if not (runtime_call st name) then
           match config.unknown_extern with
           | `Error -> raise (Exec_error (Unknown_symbol name))
-          | `Noop ->
-            set_reg st (Reg.x 0) 0;
-            pc := next
+          | `Noop -> set_reg st (Reg.x 0) 0
+      in
+      let call_slot idx s =
+        st.calls <- st.calls + 1;
+        cold_push st;
+        count_entry counts ~caller:func_names.(idx) func_names.(s);
+        st.shadow_stack <- func_names.(s) :: st.shadow_stack;
+        pc := s
       in
       let charge_branch () =
         if config.model_perf then
-          st.cycles <- st.cycles + config.device.Device.branch_cost
+          st.cycles <- st.cycles + config.device.Device.branch_cost;
+        st.branches <- st.branches + 1
       in
       while !running do
         if st.steps >= config.max_steps then raise (Exec_error Step_limit_exceeded);
@@ -650,7 +663,7 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           incr ring_pos
         | None -> ());
         fetch_costs st addr;
-        emit_block idx;
+        count_block idx;
         st.steps <- st.steps + 1;
         if slot_outlined.(idx) then st.outlined_steps <- st.outlined_steps + 1;
         (match st.slots.(idx) with
@@ -662,60 +675,45 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           if config.model_perf then st.cycles <- st.cycles + insn_cost st i;
           set_reg st Reg.lr (st.addr_of_slot.(idx) + 4);
           match target with
-          | T_slot s ->
-            st.calls <- st.calls + 1;
-            cold_push st;
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:false func_names.(s);
-            st.shadow_stack <- func_names.(s) :: st.shadow_stack;
-            pc := s
-          | T_extern name -> do_extern name (idx + 1))
+          | T_slot s -> call_slot idx s
+          | T_extern name ->
+            call_extern name;
+            pc := idx + 1)
         | S_blr r -> (
           if config.model_perf then
             st.cycles <- st.cycles + insn_cost st (Insn.Blr r);
           let dest = get_reg st r in
           set_reg st Reg.lr (st.addr_of_slot.(idx) + 4);
           match Hashtbl.find_opt st.slot_of_addr dest with
-          | Some s ->
-            st.calls <- st.calls + 1;
-            cold_push st;
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:false func_names.(s);
-            st.shadow_stack <- func_names.(s) :: st.shadow_stack;
-            pc := s
+          | Some s -> call_slot idx s
           | None -> (
             match Hashtbl.find_opt st.extern_of_addr dest with
-            | Some name -> do_extern name (idx + 1)
+            | Some name ->
+              call_extern name;
+              pc := idx + 1
             | None -> raise (Exec_error (Bad_jump dest))))
         | S_ret ->
           charge_branch ();
-          st.branches <- st.branches + 1;
           cold_pop st;
           (match st.shadow_stack with _ :: rest -> st.shadow_stack <- rest | [] -> ());
           jump_to_address (get_reg st Reg.lr)
         | S_b t ->
           charge_branch ();
-          st.branches <- st.branches + 1;
           pc := t
         | S_bcond (c, a, b) ->
-          (if config.model_perf then
-             st.cycles <- st.cycles + config.device.Device.branch_cost);
-          st.branches <- st.branches + 1;
-          if Cond.holds c (get_reg st Reg.NZCV) then pc := a else pc := b
+          charge_branch ();
+          pc := if Cond.holds c (get_reg st Reg.NZCV) then a else b
         | S_cbz (r, a, b) ->
-          (if config.model_perf then
-             st.cycles <- st.cycles + config.device.Device.branch_cost);
-          st.branches <- st.branches + 1;
-          if get_reg st r = 0 then pc := a else pc := b
+          charge_branch ();
+          pc := if get_reg st r = 0 then a else b
         | S_cbnz (r, a, b) ->
-          (if config.model_perf then
-             st.cycles <- st.cycles + config.device.Device.branch_cost);
-          st.branches <- st.branches + 1;
-          if get_reg st r <> 0 then pc := a else pc := b
+          charge_branch ();
+          pc := if get_reg st r <> 0 then a else b
         | S_tail t -> (
           charge_branch ();
-          st.branches <- st.branches + 1;
           match t with
           | T_slot s ->
-            emit_enter ~caller:(Some func_names.(idx)) ~tail:true func_names.(s);
+            count_entry counts ~caller:func_names.(idx) func_names.(s);
             (match st.shadow_stack with
             | _ :: rest -> st.shadow_stack <- func_names.(s) :: rest
             | [] -> st.shadow_stack <- [ func_names.(s) ]);
@@ -723,15 +721,9 @@ let run ?(config = default_config) ?(args = []) ?order ~entry (p : Program.t) =
           | T_extern name ->
             (* A tail call to an extern returns to the current LR. *)
             let ret = get_reg st Reg.lr in
-            st.calls <- st.calls + 1;
             cold_pop st;
-            if runtime_call st name then jump_to_address ret
-            else (
-              match config.unknown_extern with
-              | `Error -> raise (Exec_error (Unknown_symbol name))
-              | `Noop ->
-                set_reg st (Reg.x 0) 0;
-                jump_to_address ret)))
+            call_extern name;
+            jump_to_address ret))
       done;
       Ok
         {

@@ -5,25 +5,15 @@
     exactly as on hardware: [BL] writes the return address into LR, [RET]
     jumps to it, tail branches leave LR untouched.  This is what lets the
     test suite prove that outlining preserves semantics, and what drives
-    the performance experiments (Figure 13, Tables III/IV).
+    the performance experiments (Figure 13, Tables III/IV).  Given a
+    {!counts} accumulator, a run also counts function entries, call edges,
+    block entries and first touches: the profile that {!Pgo.Collect}
+    turns into a layout profile.
 
     The runtime symbols of our Swift-like language are built in:
     [swift_retain], [swift_release], [swift_allocObject], [swift_allocArray],
     [objc_retain], [objc_release], [swift_beginAccess], [swift_endAccess],
     [print_i64], [swift_bounds_fail], [memcpy8]. *)
-
-type trace_event =
-  | Ev_entry of string
-      (** a function begins executing: the initial entry, a resolved
-          [BL]/[BLR], or a tail transfer *)
-  | Ev_call of { caller : string; callee : string; tail : bool }
-      (** a resolved intra-image dynamic call edge *)
-  | Ev_first_touch of string
-      (** the first time any instruction of the function executes —
-          the startup first-touch order *)
-  | Ev_block of { func : string; label : string }
-      (** a basic block begins executing; the block-granularity counts
-          behind hot/cold splitting (see Blocklayout) *)
 
 type config = {
   device : Device.t;
@@ -37,14 +27,28 @@ type config = {
       (** when positive, keep a ring of the most recent program counters
           and dump a symbolized trace (also exposed via {!last_trace})
           if execution fails *)
-  trace : (trace_event -> unit) option;
-      (** structured observability surface: when set, every function
-          entry, resolved call edge and first touch is reported in
-          execution order.  This is what {!Pgo.Collect} hooks to build
-          layout profiles; it does not perturb the cost model. *)
 }
 
 val default_config : config
+
+type counts = {
+  entry_counts : (string, int) Hashtbl.t;
+      (** function entries: the run's entry, each resolved [BL]/[BLR]
+          and each tail transfer within the image *)
+  edge_counts : (string * string, int) Hashtbl.t;
+      (** resolved intra-image (caller, callee) edges, tail transfers
+          included *)
+  block_counts : (string * string, int) Hashtbl.t;
+      (** (function, label) block entries; the block-granularity counts
+          behind hot/cold splitting (see Blocklayout) *)
+  mutable touch_rev : string list;
+      (** functions in first-execution order across every run that
+          shared this accumulator, newest first *)
+}
+(** The execution profile {!run} records when given [?counts]: what
+    {!Pgo.Collect} turns into a layout profile. *)
+
+val create_counts : unit -> counts
 
 type result = {
   exit_value : int;          (** x0 at the final return *)
@@ -88,6 +92,7 @@ val run :
   ?config:config ->
   ?args:int list ->
   ?order:string list ->
+  ?counts:counts ->
   entry:string ->
   Machine.Program.t ->
   (result, error) Stdlib.result
@@ -95,7 +100,9 @@ val run :
     completion.  [?order] is forwarded to {!Linker.link}: it changes
     function placement (and hence icache/iTLB behaviour) without
     touching a single code byte — the lever the profile-guided layout
-    experiments pull. *)
+    experiments pull.  [?counts] accumulates this run's profile counts
+    on top of what earlier runs left there, also when the run fails; it
+    does not perturb the cost model. *)
 
 val run_with_backtrace :
   ?config:config ->

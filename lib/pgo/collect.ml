@@ -1,54 +1,5 @@
-type t = {
-  mutable entries_rev : string list;
-  counts : (string, int) Hashtbl.t;
-  edges : (string * string, int) Hashtbl.t;
-  blocks : (string * string, int) Hashtbl.t;
-  mutable touch_rev : string list;
-  touched : (string, unit) Hashtbl.t;
-}
-
-let create () =
-  {
-    entries_rev = [];
-    counts = Hashtbl.create 256;
-    edges = Hashtbl.create 1024;
-    blocks = Hashtbl.create 4096;
-    touch_rev = [];
-    touched = Hashtbl.create 256;
-  }
-
-let hook c (ev : Perfsim.Interp.trace_event) =
-  match ev with
-  | Perfsim.Interp.Ev_entry f ->
-    Hashtbl.replace c.counts f (1 + Option.value ~default:0 (Hashtbl.find_opt c.counts f))
-  | Perfsim.Interp.Ev_call { caller; callee; tail = _ } ->
-    let key = (caller, callee) in
-    Hashtbl.replace c.edges key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt c.edges key))
-  | Perfsim.Interp.Ev_first_touch f ->
-    (* First-touch is per run; across runs keep the earliest global order. *)
-    if not (Hashtbl.mem c.touched f) then begin
-      Hashtbl.replace c.touched f ();
-      c.touch_rev <- f :: c.touch_rev
-    end
-  | Perfsim.Interp.Ev_block { func; label } ->
-    let key = (func, label) in
-    Hashtbl.replace c.blocks key
-      (1 + Option.value ~default:0 (Hashtbl.find_opt c.blocks key))
-
-let record_entry c e = c.entries_rev <- e :: c.entries_rev
-
-let profile c ~workload =
-  Profile.make ~workload
-    ~entries:(List.rev c.entries_rev)
-    ~first_touch:(List.rev c.touch_rev)
-    ~counts:(Hashtbl.fold (fun f n acc -> (f, n) :: acc) c.counts [])
-    ~edges:(Hashtbl.fold (fun k n acc -> (k, n) :: acc) c.edges [])
-    ~blocks:(Hashtbl.fold (fun k n acc -> (k, n) :: acc) c.blocks [])
-    ()
-
-(* Profiling wants events, not timings: the cost model off makes the run
-   cheaper without changing a single event.  Unknown externs are no-ops so
+(* Profiling wants counts, not timings: the cost model off makes the run
+   cheaper without changing a single count.  Unknown externs are no-ops so
    partially-modelled programs still yield a usable (partial) profile. *)
 let default_config =
   {
@@ -60,13 +11,17 @@ let default_config =
 
 let collect ?(config = default_config) ?(args_for = fun _ -> []) ~workload
     ~entries program =
-  let c = create () in
+  let c = Perfsim.Interp.create_counts () in
   List.iter
     (fun entry ->
-      record_entry c entry;
-      let cfg = { config with Perfsim.Interp.trace = Some (hook c) } in
-      (* Errors (missing entry, trap, step limit) keep the events seen so
+      (* Errors (missing entry, trap, step limit) keep the counts seen so
          far: a crashing span still contributes its prefix. *)
-      ignore (Perfsim.Interp.run ~config:cfg ~args:(args_for entry) ~entry program))
+      ignore
+        (Perfsim.Interp.run ~config ~counts:c ~args:(args_for entry) ~entry
+           program))
     entries;
-  profile c ~workload
+  let bindings tbl = List.of_seq (Hashtbl.to_seq tbl) in
+  Profile.make ~workload ~entries
+    ~first_touch:(List.rev c.touch_rev)
+    ~counts:(bindings c.entry_counts) ~edges:(bindings c.edge_counts)
+    ~blocks:(bindings c.block_counts) ()

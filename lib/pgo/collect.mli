@@ -1,26 +1,12 @@
-(** Trace collection: turn {!Perfsim.Interp} trace events into a
-    {!Profile.t}.
+(** Profile collection: run entry points under {!Perfsim.Interp} with a
+    counts accumulator and turn the counts into a {!Profile.t}.
 
     The simulator is deterministic, so the same program + the same
     entries produce a byte-identical serialized profile — profiles can
     be recorded in one build and replayed in another. *)
 
-type t
-(** Mutable collector state, accumulating across several runs. *)
-
-val create : unit -> t
-
-val hook : t -> Perfsim.Interp.trace_event -> unit
-(** The function to install as {!Perfsim.Interp.config.trace}. *)
-
-val record_entry : t -> string -> unit
-(** Note an entry point about to be traced (recorded in the profile's
-    [entries] list). *)
-
-val profile : t -> workload:string -> Profile.t
-
 val default_config : Perfsim.Interp.config
-(** Cost model off (events are unaffected), unknown externs no-op,
+(** Cost model off (counts are unaffected), unknown externs no-op,
     50M-step budget. *)
 
 val collect :
@@ -30,7 +16,7 @@ val collect :
   entries:string list ->
   Machine.Program.t ->
   Profile.t
-(** Run every entry under the tracing interpreter and distill one
+(** Run every entry with one shared counts accumulator and distill one
     profile.  Failed runs (missing entry, trap, step limit) contribute
-    the events up to the failure; [args_for] supplies per-entry integer
+    the counts up to the failure; [args_for] supplies per-entry integer
     arguments. *)

@@ -334,26 +334,25 @@ let parse_built_body id body =
     scanned
 
 let parse_counters body =
-  let get name =
-    let prefix = name ^ ": " in
-    let found = ref None in
-    List.iter
-      (fun line ->
-        match String.length line >= String.length prefix with
-        | true when String.sub line 0 (String.length prefix) = prefix ->
-          found :=
-            int_of_string_opt
-              (String.sub line (String.length prefix)
-                 (String.length line - String.length prefix))
-        | _ -> ())
-      (String.split_on_char '\n' body);
-    !found
+  let hits = ref None and misses = ref None and evictions = ref None in
+  let entries = ref None and apps = ref None and served = ref None in
+  let counter name r v =
+    let n = ref 0 in
+    Result.map (fun () -> r := Some !n) (int_field name n v)
   in
-  match
-    ( get "hits", get "misses", get "evictions", get "entries", get "apps",
-      get "served" )
-  with
-  | Some h, Some m, Some e, Some n, Some a, Some s ->
+  let scanned =
+    scan_fields body (fun ~take:_ _ -> function
+      | "hits:", v -> counter "hits" hits v
+      | "misses:", v -> counter "misses" misses v
+      | "evictions:", v -> counter "evictions" evictions v
+      | "entries:", v -> counter "entries" entries v
+      | "apps:", v -> counter "apps" apps v
+      | "served:", v -> counter "served" served v
+      | k, _ -> Error (Printf.sprintf "unknown response field: %S" k))
+  in
+  match (scanned, !hits, !misses, !evictions, !entries, !apps, !served) with
+  | Error e, _, _, _, _, _, _ -> Error e
+  | Ok (), Some h, Some m, Some e, Some n, Some a, Some s ->
     Ok
       (Stats_reply
          {
@@ -364,7 +363,7 @@ let parse_counters body =
            c_apps = a;
            c_served = s;
          })
-  | _ -> Error "incomplete stats reply"
+  | Ok (), _, _, _, _, _, _ -> Error "incomplete stats reply"
 
 let parse_response payload =
   let first, rest_at = line_at payload 0 in

@@ -446,14 +446,3 @@ let parse_module ~name src =
   with
   | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
   | Lexer.Lex_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-
-let parse_expr_string src =
-  try
-    let st = { toks = Lexer.tokenize src } in
-    let e = parse_expr st in
-    match peek st with
-    | Lexer.EOF -> Ok e
-    | t -> Error ("trailing tokens: " ^ Lexer.token_to_string t)
-  with
-  | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)
-  | Lexer.Lex_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)

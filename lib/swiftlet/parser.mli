@@ -6,6 +6,3 @@
 
 val parse_module : name:string -> string -> (Ast.module_ast, string) result
 (** Errors carry the line number. *)
-
-val parse_expr_string : string -> (Ast.expr, string) result
-(** Convenience for tests. *)

@@ -1,5 +1,5 @@
 (* Tests for the profile-guided layout subsystem (lib/pgo): profile
-   serialization, trace collection determinism, the ordering strategies'
+   serialization, profile collection determinism, the ordering strategies'
    permutation/hot-cold/differential properties, Linker.link ~order, and
    the caller-affinity anchor chasing they compete against. *)
 
@@ -91,7 +91,7 @@ let test_profile_rejects_garbage () =
 
 (* --- Collection ----------------------------------------------------------- *)
 
-let test_collect_events () =
+let test_collect_counts () =
   let _, profile = collect_sample () in
   Alcotest.(check (list string))
     "first touch follows execution order"
@@ -107,7 +107,8 @@ let test_collect_events () =
     (Pgo.Profile.executed profile "cold_never")
 
 let test_profile_determinism () =
-  (* Same program + same workload twice: byte-identical serialization. *)
+  (* Same program + same workload twice: byte-identical serialization,
+     and the bytes the collector has always written for this workload. *)
   let sources =
     Workload.Appgen.generate_sources Workload.Appgen.small
   in
@@ -123,7 +124,10 @@ let test_profile_determinism () =
       (Pgo.Collect.collect ~args_for ~workload:"small" ~entries
          res.Pipeline.program)
   in
-  Alcotest.(check string) "byte-identical profiles" (collect ()) (collect ())
+  let profile = collect () in
+  Alcotest.(check string) "byte-identical profiles" profile (collect ());
+  Alcotest.(check string) "pinned profile MD5" "b82266f3c2d7dd49032dec6ccd3bf5e3"
+    (Digest.to_hex (Digest.string profile))
 
 (* --- Ordering strategies -------------------------------------------------- *)
 
@@ -402,7 +406,8 @@ let () =
         ] );
       ( "collect",
         [
-          Alcotest.test_case "trace events -> profile" `Quick test_collect_events;
+          Alcotest.test_case "interpreter counts -> profile" `Quick
+            test_collect_counts;
           Alcotest.test_case "deterministic serialized profile" `Slow
             test_profile_determinism;
         ] );

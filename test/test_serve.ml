@@ -202,6 +202,23 @@ let test_framing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "an oversized image length must be a parse error"
 
+(* Stats replies go through the same field scanner as built replies: an
+   unknown field and a bad integer are named, a missing field is not. *)
+let test_malformed_stats_replies () =
+  let counters =
+    "hits: 1\nmisses: 2\nevictions: 0\nentries: 2\napps: 1\nserved: 3\n"
+  in
+  let expect_error payload want =
+    match Serve.Protocol.parse_response payload with
+    | Error e -> Alcotest.(check string) payload want e
+    | Ok _ -> Alcotest.failf "accepted malformed stats reply:\n%s" payload
+  in
+  expect_error
+    ("stats\n" ^ counters ^ "uptime: 5\n")
+    "unknown response field: \"uptime:\"";
+  expect_error "stats\nhits: x\n" "bad integer for hits: \"x\"";
+  expect_error "stats\nhits: 1\nmisses: 2\n" "incomplete stats reply"
+
 let test_masked_printing () =
   let b =
     Serve.Protocol.Built
@@ -569,6 +586,8 @@ let () =
             test_response_roundtrip;
           Alcotest.test_case "framing" `Quick test_framing;
           Alcotest.test_case "masked printing" `Quick test_masked_printing;
+          Alcotest.test_case "malformed stats replies" `Quick
+            test_malformed_stats_replies;
         ] );
       ( "robustness",
         [
