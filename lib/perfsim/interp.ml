@@ -19,37 +19,96 @@ let default_config =
     trace_ring = 0;
   }
 
+(* Profile counts are slot-indexed: names are interned once into dense
+   ids when a run links its program, so counting a call, a tail transfer
+   or a block entry is array arithmetic plus, for call edges, one int-keyed
+   table bump.  Interning is by name, so one accumulator spans runs of
+   different programs. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Keys interned into dense ids, with an entry count per id. *)
+type 'k interned = {
+  ids : ('k, int) Hashtbl.t;
+  mutable keys : 'k array;      (* id -> key *)
+  mutable entries : int array;  (* id -> entries *)
+}
+
+let interned n = { ids = Hashtbl.create n; keys = [||]; entries = [||] }
+
+let intern t key =
+  match Hashtbl.find_opt t.ids key with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.ids in
+    if id = Array.length t.keys then begin
+      let grow a x = Array.append a (Array.make (max 64 id) x) in
+      t.keys <- grow t.keys key;
+      t.entries <- grow t.entries 0
+    end;
+    t.keys.(id) <- key;
+    Hashtbl.add t.ids key id;
+    id
+
+(* Every key entered at least once, with its entries. *)
+let entered t =
+  List.filter_map
+    (fun id ->
+      if t.entries.(id) > 0 then Some (t.keys.(id), t.entries.(id)) else None)
+    (List.init (Hashtbl.length t.ids) Fun.id)
+
 type counts = {
-  entry_counts : (string, int) Hashtbl.t;
-  edge_counts : (string * string, int) Hashtbl.t;
-  block_counts : (string * string, int) Hashtbl.t;
-  mutable touch_rev : string list;
+  funcs : string interned;
+  blocks : (string * string) interned;  (* (function, label) *)
+  edges : int Int_tbl.t;                (* [edge_key caller callee] -> calls *)
+  mutable touch_rev : int list;         (* function ids, newest first *)
 }
 
 let create_counts () =
   {
-    entry_counts = Hashtbl.create 256;
-    edge_counts = Hashtbl.create 1024;
-    block_counts = Hashtbl.create 4096;
+    funcs = interned 256;
+    blocks = interned 1024;
+    edges = Int_tbl.create 1024;
     touch_rev = [];
   }
 
-let bump tbl k =
-  Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+(* Function ids stay far below 2^30, so one int packs an edge. *)
+let edge_bits = 30
+let edge_key caller callee = (caller lsl edge_bits) lor callee
 
 (* A function begins executing: the run's entry, or an intra-image call or
-   tail transfer from [caller].  A function first touches when it is first
-   entered, so the entry table doubles as the touched set. *)
-let count_entry counts ?caller callee =
-  match counts with
-  | None -> ()
-  | Some c ->
-    (match caller with
-    | Some caller -> bump c.edge_counts (caller, callee)
-    | None -> ());
-    if not (Hashtbl.mem c.entry_counts callee) then
-      c.touch_rev <- callee :: c.touch_rev;
-    bump c.entry_counts callee
+   tail transfer.  A function first touches when it is first entered. *)
+let count_entry c id =
+  let e = c.funcs.entries in
+  if e.(id) = 0 then c.touch_rev <- id :: c.touch_rev;
+  e.(id) <- e.(id) + 1
+
+let count_call c caller callee =
+  count_entry c callee;
+  let k = edge_key caller callee in
+  match Int_tbl.find c.edges k with
+  | n -> Int_tbl.replace c.edges k (n + 1)
+  | exception Not_found -> Int_tbl.add c.edges k 1
+
+type count_lists = {
+  first_touch : string list;
+  entry_counts : (string * int) list;
+  edge_counts : ((string * string) * int) list;
+  block_counts : ((string * string) * int) list;
+}
+
+let count_lists c =
+  let name id = c.funcs.keys.(id) in
+  {
+    first_touch = List.rev_map name c.touch_rev;
+    entry_counts = entered c.funcs;
+    edge_counts =
+      Int_tbl.fold
+        (fun k n acc ->
+          ((name (k lsr edge_bits), name (k land ((1 lsl edge_bits) - 1))), n)
+          :: acc)
+        c.edges [];
+    block_counts = entered c.blocks;
+  }
 
 type result = {
   exit_value : int;
@@ -270,7 +329,11 @@ let runtime_call st name =
 let term_slots (b : Block.t) =
   match b.Block.term with Block.Fallthrough _ -> 0 | _ -> 1
 
-let build_slots ?(track_blocks = false) (p : Program.t) layout =
+(* With [counts], also intern every chain's function and every block:
+   [slot_func] maps each slot to its function's id, and [slot_blocks] to
+   the ids of the blocks that start there, in execution order (several
+   when empty blocks share a start).  Both are empty without [counts]. *)
+let build_slots ?counts (p : Program.t) layout =
   let chains =
     List.concat_map
       (fun (f : Mfunc.t) ->
@@ -292,27 +355,31 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
      next block in the chain. *)
   let block_slot = Hashtbl.create 1024 in
   let func_slot = Hashtbl.create 256 in
-  let block_starts = Hashtbl.create (if track_blocks then 1024 else 1) in
+  let starts_rev = ref [] in
   let counter = ref 0 in
   List.iter
     (fun (_, (f : Mfunc.t), blocks) ->
       List.iter
         (fun (b : Block.t) ->
           Hashtbl.replace block_slot (f.name, b.Block.label) !counter;
-          if track_blocks then
-            Hashtbl.replace block_starts !counter
-              ((f.name, b.Block.label)
-              :: Option.value ~default:[]
-                   (Hashtbl.find_opt block_starts !counter));
+          Option.iter
+            (fun c ->
+              let id = intern c.blocks (f.name, b.Block.label) in
+              starts_rev := (!counter, id) :: !starts_rev)
+            counts;
           counter := !counter + Array.length b.Block.body + term_slots b)
         blocks)
     chains;
-  if track_blocks then
-    (* Shared start slots accumulate labels in reverse chain order; put
-       them back in execution order. *)
-    Hashtbl.iter
-      (fun k v -> Hashtbl.replace block_starts k (List.rev v))
-      (Hashtbl.copy block_starts);
+  (* A start at [!counter] belongs to trailing empty blocks no slot
+     reaches. *)
+  let slot_blocks =
+    Array.make (if Option.is_none counts then 0 else !counter) [||]
+  in
+  List.iter
+    (fun (s, id) ->
+      if s < !counter then
+        slot_blocks.(s) <- Array.append slot_blocks.(s) [| id |])
+    (List.rev !starts_rev);
   List.iter
     (fun (f : Mfunc.t) ->
       match f.blocks with
@@ -381,6 +448,7 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
         blocks)
     chains;
   let func_names = Array.make !n "" in
+  let slot_func = Array.make (if Option.is_none counts then 0 else !n) 0 in
   let slot_outlined = Array.make !n false in
   let fidx = ref 0 in
   List.iter
@@ -392,6 +460,9 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
           0 blocks
       in
       Array.fill func_names !fidx count f.name;
+      Option.iter
+        (fun c -> Array.fill slot_func !fidx count (intern c.funcs f.name))
+        counts;
       if f.is_outlined then Array.fill slot_outlined !fidx count true;
       fidx := !fidx + count)
     chains;
@@ -401,7 +472,8 @@ let build_slots ?(track_blocks = false) (p : Program.t) layout =
     extern_of_addr,
     func_names,
     slot_outlined,
-    block_starts )
+    slot_func,
+    slot_blocks )
 
 let init_memory (p : Program.t) layout mem =
   List.iter
@@ -513,8 +585,9 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
           extern_of_addr,
           func_names,
           slot_outlined,
-          block_starts ) =
-      build_slots ~track_blocks:(Option.is_some counts) p layout
+          slot_func,
+          slot_blocks ) =
+      build_slots ?counts p layout
     in
     let d = config.device in
     let st =
@@ -615,15 +688,11 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
       dump_hook := dump_ring;
       (* Profile counts: the entry, each intra-image call or tail
          transfer, and each block entry. *)
-      count_entry counts entry;
-      let count_block =
+      Option.iter (fun c -> count_entry c (intern c.funcs entry)) counts;
+      let count_transfer idx s =
         match counts with
-        | None -> fun _ -> ()
-        | Some c ->
-          fun idx ->
-            (match Hashtbl.find_opt block_starts idx with
-            | Some bs -> List.iter (bump c.block_counts) bs
-            | None -> ())
+        | Some c -> count_call c slot_func.(idx) slot_func.(s)
+        | None -> ()
       in
       let jump_to_address a =
         if a = exit_address then running := false
@@ -642,7 +711,7 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
       let call_slot idx s =
         st.calls <- st.calls + 1;
         cold_push st;
-        count_entry counts ~caller:func_names.(idx) func_names.(s);
+        count_transfer idx s;
         st.shadow_stack <- func_names.(s) :: st.shadow_stack;
         pc := s
       in
@@ -663,7 +732,14 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
           incr ring_pos
         | None -> ());
         fetch_costs st addr;
-        count_block idx;
+        (match counts with
+        | Some c ->
+          let bs = slot_blocks.(idx) in
+          let e = c.blocks.entries in
+          for i = 0 to Array.length bs - 1 do
+            e.(bs.(i)) <- e.(bs.(i)) + 1
+          done
+        | None -> ());
         st.steps <- st.steps + 1;
         if slot_outlined.(idx) then st.outlined_steps <- st.outlined_steps + 1;
         (match st.slots.(idx) with
@@ -713,7 +789,7 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
           charge_branch ();
           match t with
           | T_slot s ->
-            count_entry counts ~caller:func_names.(idx) func_names.(s);
+            count_transfer idx s;
             (match st.shadow_stack with
             | _ :: rest -> st.shadow_stack <- func_names.(s) :: rest
             | [] -> st.shadow_stack <- [ func_names.(s) ]);

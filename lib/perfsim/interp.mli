@@ -31,24 +31,32 @@ type config = {
 
 val default_config : config
 
-type counts = {
-  entry_counts : (string, int) Hashtbl.t;
-      (** function entries: the run's entry, each resolved [BL]/[BLR]
-          and each tail transfer within the image *)
-  edge_counts : (string * string, int) Hashtbl.t;
-      (** resolved intra-image (caller, callee) edges, tail transfers
-          included *)
-  block_counts : (string * string, int) Hashtbl.t;
-      (** (function, label) block entries; the block-granularity counts
-          behind hot/cold splitting (see Blocklayout) *)
-  mutable touch_rev : string list;
-      (** functions in first-execution order across every run that
-          shared this accumulator, newest first *)
-}
-(** The execution profile {!run} records when given [?counts]: what
-    {!Pgo.Collect} turns into a layout profile. *)
+type counts
+(** The execution profile {!run} records when given [?counts]: function
+    entries (the run's entry, each resolved [BL]/[BLR] and each tail
+    transfer within the image), resolved intra-image (caller, callee)
+    edges, (function, label) block entries and the first-touch order.
+    Names are interned into dense ids once per run, when the program is
+    linked, so counting never hashes a string; interning is by name, so
+    one accumulator can span runs of different programs. *)
 
 val create_counts : unit -> counts
+
+type count_lists = {
+  first_touch : string list;
+      (** functions in first-execution order across every run that shared
+          the accumulator *)
+  entry_counts : (string * int) list;
+  edge_counts : ((string * string) * int) list;
+      (** (caller, callee) -> calls, tail transfers included *)
+  block_counts : ((string * string) * int) list;
+      (** (function, label) -> entries; the block-granularity counts
+          behind hot/cold splitting (see Blocklayout) *)
+}
+(** A counts accumulator by name.  Only executed keys appear; the three
+    count lists are in no particular order. *)
+
+val count_lists : counts -> count_lists
 
 type result = {
   exit_value : int;          (** x0 at the final return *)
@@ -102,7 +110,9 @@ val run :
     touching a single code byte — the lever the profile-guided layout
     experiments pull.  [?counts] accumulates this run's profile counts
     on top of what earlier runs left there, also when the run fails; it
-    does not perturb the cost model. *)
+    does not perturb the cost model.  Setup maps every slot to its
+    function's id and to the ids of the blocks starting there, so a step
+    costs one array read and a call one int-keyed table bump. *)
 
 val run_with_backtrace :
   ?config:config ->

@@ -9,19 +9,20 @@ let default_config =
     max_steps = 50_000_000;
   }
 
-let collect ?(config = default_config) ?(args_for = fun _ -> []) ~workload
-    ~entries program =
+let collect ?(config = default_config) ?(args_for = fun _ -> [])
+    ?(on_error = fun _ _ -> ()) ~workload ~entries program =
   let c = Perfsim.Interp.create_counts () in
   List.iter
     (fun entry ->
       (* Errors (missing entry, trap, step limit) keep the counts seen so
          far: a crashing span still contributes its prefix. *)
-      ignore
-        (Perfsim.Interp.run ~config ~counts:c ~args:(args_for entry) ~entry
-           program))
+      match
+        Perfsim.Interp.run ~config ~counts:c ~args:(args_for entry) ~entry
+          program
+      with
+      | Ok _ -> ()
+      | Error e -> on_error entry e)
     entries;
-  let bindings tbl = List.of_seq (Hashtbl.to_seq tbl) in
-  Profile.make ~workload ~entries
-    ~first_touch:(List.rev c.touch_rev)
-    ~counts:(bindings c.entry_counts) ~edges:(bindings c.edge_counts)
-    ~blocks:(bindings c.block_counts) ()
+  let l = Perfsim.Interp.count_lists c in
+  Profile.make ~workload ~entries ~first_touch:l.first_touch
+    ~counts:l.entry_counts ~edges:l.edge_counts ~blocks:l.block_counts ()

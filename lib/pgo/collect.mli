@@ -12,11 +12,14 @@ val default_config : Perfsim.Interp.config
 val collect :
   ?config:Perfsim.Interp.config ->
   ?args_for:(string -> int list) ->
+  ?on_error:(string -> Perfsim.Interp.error -> unit) ->
   workload:string ->
   entries:string list ->
   Machine.Program.t ->
   Profile.t
 (** Run every entry with one shared counts accumulator and distill one
     profile.  Failed runs (missing entry, trap, step limit) contribute
-    the counts up to the failure; [args_for] supplies per-entry integer
-    arguments. *)
+    the counts up to the failure, and each failure is passed to
+    [on_error] with its entry (default: ignored), so a caller can report
+    a profile the step budget truncated; [args_for] supplies per-entry
+    integer arguments. *)

@@ -1,5 +1,13 @@
 let current_version = 2
 
+(* Hash indexes over the list fields, built once by [make]. *)
+type index = {
+  count_of : (string, int) Hashtbl.t;
+  edge_of : (string * string, int) Hashtbl.t;
+  block_of : (string * string, int) Hashtbl.t;
+  touched : (string, unit) Hashtbl.t;
+}
+
 type t = {
   workload : string;
   entries : string list;
@@ -7,34 +15,49 @@ type t = {
   counts : (string * int) list;
   edges : ((string * string) * int) list;
   blocks : ((string * string) * int) list;
+  index : index;
 }
 
 let compare_edge ((c1, e1), _) ((c2, e2), _) =
   match String.compare c1 c2 with 0 -> String.compare e1 e2 | n -> n
 
+(* The first binding of a key wins, as [List.assoc_opt] would pick it. *)
+let index_of l =
+  let tbl = Hashtbl.create (List.length l) in
+  List.iter (fun (k, v) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v) l;
+  tbl
+
 let make ?(blocks = []) ~workload ~entries ~first_touch ~counts ~edges () =
+  let counts = List.sort (fun (a, _) (b, _) -> String.compare a b) counts in
+  let edges = List.sort compare_edge edges in
+  let blocks = List.sort compare_edge blocks in
   {
     workload;
     entries;
     first_touch;
-    counts = List.sort (fun (a, _) (b, _) -> String.compare a b) counts;
-    edges = List.sort compare_edge edges;
-    blocks = List.sort compare_edge blocks;
+    counts;
+    edges;
+    blocks;
+    index =
+      {
+        count_of = index_of counts;
+        edge_of = index_of edges;
+        block_of = index_of blocks;
+        touched = index_of (List.map (fun f -> (f, ())) first_touch);
+      };
   }
 
 let empty ~workload =
   make ~workload ~entries:[] ~first_touch:[] ~counts:[] ~edges:[] ()
 
-let count p f = Option.value ~default:0 (List.assoc_opt f p.counts)
-let edge_weight p ~caller ~callee =
-  Option.value ~default:0 (List.assoc_opt (caller, callee) p.edges)
-
-let block_count p ~func ~label =
-  Option.value ~default:0 (List.assoc_opt (func, label) p.blocks)
+let find tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k)
+let count p f = find p.index.count_of f
+let edge_weight p ~caller ~callee = find p.index.edge_of (caller, callee)
+let block_count p ~func ~label = find p.index.block_of (func, label)
 
 let has_block_counts p = p.blocks <> []
 
-let executed p f = List.mem f p.first_touch
+let executed p f = Hashtbl.mem p.index.touched f
 
 let total_edge_weight p = List.fold_left (fun a (_, w) -> a + w) 0 p.edges
 
@@ -82,10 +105,13 @@ let to_string p =
   Buffer.contents buf
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  match List.filter (fun l -> String.trim l <> "") lines with
+  let lines =
+    List.filter (fun (_, l) -> String.trim l <> "")
+      (List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text))
+  in
+  match lines with
   | [] -> Error "empty profile"
-  | header :: rest ->
+  | (_, header) :: rest ->
     let version =
       if header = "pgo-profile v1" then Some 1
       else if header = "pgo-profile v2" then Some 2
@@ -102,28 +128,39 @@ let of_string text =
       let entries = ref [] and touches = ref [] in
       let counts = ref [] and edges = ref [] and blocks = ref [] in
       let err = ref None in
-      List.iteri
-        (fun i line ->
+      (* Directive and key of every touch, count, edge and block line: a
+         repeat would leave lookups to pick one of two values. *)
+      let seen = Hashtbl.create 1024 in
+      List.iter
+        (fun (lineno, line) ->
           if !err = None then
             let fail msg =
-              err := Some (Printf.sprintf "line %d: %s: %S" (i + 2) msg line)
+              err := Some (Printf.sprintf "line %d: %s: %S" lineno msg line)
+            in
+            let record key x acc =
+              if Hashtbl.mem seen key then
+                fail ("duplicate " ^ List.hd key ^ " key")
+              else begin
+                Hashtbl.add seen key ();
+                acc := x :: !acc
+              end
             in
             match String.split_on_char ' ' line with
             | "workload" :: rest when rest <> [] ->
               workload := String.concat " " rest
             | [ "entry"; e ] -> entries := e :: !entries
-            | [ "touch"; f ] -> touches := f :: !touches
+            | [ "touch"; f ] -> record [ "touch"; f ] f touches
             | [ "count"; f; n ] -> (
               match int_of_string_opt n with
-              | Some n -> counts := (f, n) :: !counts
+              | Some n -> record [ "count"; f ] (f, n) counts
               | None -> fail "bad count")
             | [ "edge"; c; e; n ] -> (
               match int_of_string_opt n with
-              | Some n -> edges := ((c, e), n) :: !edges
+              | Some n -> record [ "edge"; c; e ] ((c, e), n) edges
               | None -> fail "bad edge weight")
             | [ "block"; f; l; n ] when version >= 2 -> (
               match int_of_string_opt n with
-              | Some n -> blocks := ((f, l), n) :: !blocks
+              | Some n -> record [ "block"; f; l ] ((f, l), n) blocks
               | None -> fail "bad block count")
             | _ -> fail "unknown directive")
         rest;

@@ -7,7 +7,10 @@
     [sizeopt profile] writes it, [sizeopt build --profile-in] and the
     {!Order} algorithms consume it. *)
 
-type t = {
+type index
+(** Hash indexes over a profile's lists, built once by {!make}. *)
+
+type t = private {
   workload : string;             (** e.g. the app profile name *)
   entries : string list;         (** traced entry points, in run order *)
   first_touch : string list;     (** functions in first-execution order *)
@@ -17,7 +20,10 @@ type t = {
   blocks : ((string * string) * int) list;
       (** basic-block execution counts (func, label) -> count, sorted;
           empty for v1 profiles, which predate block-level events *)
+  index : index;
 }
+(** Private: only {!make} (and hence {!of_string}) builds a profile, so
+    the index always matches the lists. *)
 
 val current_version : int
 
@@ -31,11 +37,16 @@ val make :
   unit ->
   t
 (** Canonicalizes: counts, edges and blocks are sorted, so {!to_string}
-    is a deterministic function of the profile's contents. *)
+    is a deterministic function of the profile's contents.  Also builds
+    the index behind the O(1) lookups below; where a list repeats a key,
+    lookups see its first binding in the sorted list. *)
 
 val empty : workload:string -> t
 
 val count : t -> string -> int
+(** Entry count; 0 for a function the profile does not name.  Like
+    {!edge_weight}, {!block_count} and {!executed}, an O(1) lookup. *)
+
 val edge_weight : t -> caller:string -> callee:string -> int
 
 val block_count : t -> func:string -> label:string -> int
@@ -57,7 +68,8 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Accepts v1 (no block counts) and v2 headers; rejects unknown
-    versions and malformed directives with a line-numbered error. *)
+    versions, malformed directives and a repeated [touch], [count],
+    [edge] or [block] key with an error naming the offending line. *)
 
 val save : string -> t -> unit
 val load : string -> (t, string) result

@@ -249,6 +249,34 @@ let mark_no_outline config (p : Machine.Program.t) =
 
 (* --- the pass-manager pipeline --------------------------------------------- *)
 
+(* The step budget of a build's self-profile of [main]. *)
+let self_profile_max_steps = 20_000_000
+
+(* Self-profile by tracing a [main] run of the built program.  A run the
+   budget or a fault stops still yields its prefix counts; say so, since
+   the layout then rests on a truncated profile. *)
+let self_profile program =
+  let on_error entry (e : Perfsim.Interp.error) =
+    let reason =
+      match e with
+      | Step_limit_exceeded ->
+        Printf.sprintf "%s at %d steps" (Perfsim.Interp.error_to_string e)
+          self_profile_max_steps
+      | _ -> Perfsim.Interp.error_to_string e
+    in
+    Printf.eprintf
+      "warning: self-profile of %s stopped (%s); layout uses the counts seen \
+       so far\n%!"
+      entry reason
+  in
+  Pgo.Collect.collect
+    ~config:
+      {
+        Pgo.Collect.default_config with
+        Perfsim.Interp.max_steps = self_profile_max_steps;
+      }
+    ~on_error ~workload:"self" ~entries:[ "main" ] program
+
 (* The one build body: [front_end ctx] yields the modules, then every
    phase runs as a root span of the context's timing tree. *)
 let run_build ?dump ~config front_end =
@@ -438,14 +466,7 @@ let run_build ?dump ~config front_end =
       match config.layout_profile with
       | Some p -> p
       | None ->
-        Passman.span ctx "pgo-collect" (fun () ->
-            Pgo.Collect.collect
-              ~config:
-                {
-                  Pgo.Collect.default_config with
-                  Perfsim.Interp.max_steps = 20_000_000;
-                }
-              ~workload:"self" ~entries:[ "main" ] program)
+        Passman.span ctx "pgo-collect" (fun () -> self_profile program)
     in
     let program, function_order =
       match config.outlined_layout with
@@ -612,14 +633,7 @@ let build_reference ?(config = default_config) modules =
         let profile =
           match config.layout_profile with
           | Some p -> p
-          | None ->
-            Pgo.Collect.collect
-              ~config:
-                {
-                  Pgo.Collect.default_config with
-                  Perfsim.Interp.max_steps = 20_000_000;
-                }
-              ~workload:"self" ~entries:[ "main" ] program
+          | None -> self_profile program
         in
         Some (Pgo.Order.compute strategy profile program)
     in

@@ -54,6 +54,23 @@ let collect_sample () =
   let p = sample_program () in
   (p, Pgo.Collect.collect ~workload:"sample" ~entries:[ "main" ] p)
 
+let build_small ?(config = Pipeline.default_config) () =
+  match
+    Pipeline.build_sources ~config
+      (Workload.Appgen.generate_sources Workload.Appgen.small)
+  with
+  | Ok r -> r.Pipeline.program
+  | Error e -> Alcotest.fail e
+
+(* The small app's default build, and the entries its profiles trace. *)
+let small_app = lazy (build_small ())
+let small_entries = [ "main"; "span1"; "span2" ]
+let small_args e = if e = "main" then [] else [ 1 ]
+
+let collect_small () =
+  Pgo.Collect.collect ~args_for:small_args ~workload:"small"
+    ~entries:small_entries (Lazy.force small_app)
+
 (* --- Profile serialization ------------------------------------------------ *)
 
 let test_profile_roundtrip () =
@@ -87,7 +104,80 @@ let test_profile_rejects_garbage () =
   bad "pgo-profile v99\nworkload w\n";
   bad "not-a-profile\n";
   bad "pgo-profile v1\ncount onlyonefield\n";
-  bad "pgo-profile v1\nedge a b notanumber\n"
+  bad "pgo-profile v1\nedge a b notanumber\n";
+  (* A repeated key is rejected at the repeat's line (blank lines
+     counted), whichever value it carries. *)
+  let duplicate kind line text =
+    match Pgo.Profile.of_string text with
+    | Ok _ -> Alcotest.fail ("accepted a duplicate " ^ kind ^ " key")
+    | Error e ->
+      Alcotest.(check bool)
+        (kind ^ ": " ^ e) true
+        (String.starts_with
+           ~prefix:(Printf.sprintf "line %d: duplicate %s key" line kind)
+           e)
+  in
+  duplicate "count" 5
+    "pgo-profile v2\nworkload w\ncount a 1\ncount b 2\ncount a 1\n";
+  duplicate "touch" 4 "pgo-profile v2\ntouch a\n\ntouch a\n";
+  duplicate "edge" 4 "pgo-profile v2\nedge a b 1\nedge b a 1\nedge a b 7\n";
+  duplicate "block" 3 "pgo-profile v2\nblock f l 1\nblock f l 2\n";
+  (* The same names under different directives are distinct keys. *)
+  match
+    Pgo.Profile.of_string
+      "pgo-profile v2\ntouch a\ncount a 1\nedge a b 1\nblock a b 1\n"
+  with
+  | Ok p ->
+    Alcotest.(check int) "edge a->b" 1
+      (Pgo.Profile.edge_weight p ~caller:"a" ~callee:"b")
+  | Error e -> Alcotest.fail ("rejected distinct keys: " ^ e)
+
+(* Every lookup agrees with a linear scan of the list it indexes, for
+   every key the profile names and for absent ones. *)
+let test_profile_index () =
+  let program = Lazy.force small_app in
+  let check_index label (p : Pgo.Profile.t) =
+    let scan l k = Option.value ~default:0 (List.assoc_opt k l) in
+    let mismatches = ref [] in
+    let expect what a b =
+      if a <> b then
+        mismatches :=
+          Printf.sprintf "%s: scan %d, lookup %d" what a b :: !mismatches
+    in
+    let names =
+      "no_such_function"
+      :: List.map (fun (f : Mfunc.t) -> f.Mfunc.name) program.Program.funcs
+    in
+    List.iter
+      (fun f ->
+        expect ("count " ^ f) (scan p.counts f) (Pgo.Profile.count p f);
+        expect ("executed " ^ f)
+          (Bool.to_int (List.mem f p.first_touch))
+          (Bool.to_int (Pgo.Profile.executed p f)))
+      names;
+    List.iter
+      (fun ((caller, callee), w) ->
+        expect ("edge " ^ caller ^ " " ^ callee) w
+          (Pgo.Profile.edge_weight p ~caller ~callee))
+      p.edges;
+    List.iter
+      (fun ((func, label), n) ->
+        expect ("block " ^ func ^ " " ^ label) n
+          (Pgo.Profile.block_count p ~func ~label))
+      p.blocks;
+    expect "absent edge" 0
+      (Pgo.Profile.edge_weight p ~caller:"main" ~callee:"no_such_function");
+    expect "absent block" 0
+      (Pgo.Profile.block_count p ~func:"main" ~label:"no_such_label");
+    Alcotest.(check bool) (label ^ ": non-empty") true
+      (p.counts <> [] && p.edges <> [] && p.blocks <> []);
+    Alcotest.(check (list string)) (label ^ ": index = scan") [] !mismatches
+  in
+  let profile = collect_small () in
+  check_index "collected" profile;
+  match Pgo.Profile.of_string (Pgo.Profile.to_string profile) with
+  | Ok p -> check_index "round-trip" p
+  | Error e -> Alcotest.fail ("of_string: " ^ e)
 
 (* --- Collection ----------------------------------------------------------- *)
 
@@ -109,25 +199,68 @@ let test_collect_counts () =
 let test_profile_determinism () =
   (* Same program + same workload twice: byte-identical serialization,
      and the bytes the collector has always written for this workload. *)
-  let sources =
-    Workload.Appgen.generate_sources Workload.Appgen.small
-  in
-  let res =
-    match Pipeline.build_sources sources with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let entries = [ "main"; "span1"; "span2" ] in
-  let args_for e = if e = "main" then [] else [ 1 ] in
-  let collect () =
-    Pgo.Profile.to_string
-      (Pgo.Collect.collect ~args_for ~workload:"small" ~entries
-         res.Pipeline.program)
-  in
+  let collect () = Pgo.Profile.to_string (collect_small ()) in
   let profile = collect () in
   Alcotest.(check string) "byte-identical profiles" profile (collect ());
   Alcotest.(check string) "pinned profile MD5" "b82266f3c2d7dd49032dec6ccd3bf5e3"
     (Digest.to_hex (Digest.string profile))
+
+(* A run the step budget stops is reported to [on_error] and still
+   contributes the counts up to the cap. *)
+let test_collect_reports_step_cap () =
+  let errors = ref [] in
+  let profile =
+    Pgo.Collect.collect
+      ~config:{ Pgo.Collect.default_config with Perfsim.Interp.max_steps = 1000 }
+      ~on_error:(fun entry e -> errors := (entry, e) :: !errors)
+      ~workload:"capped" ~entries:[ "main" ] (Lazy.force small_app)
+  in
+  Alcotest.(check bool) "main reported step-capped" true
+    (!errors = [ ("main", Perfsim.Interp.Step_limit_exceeded) ]);
+  Alcotest.(check bool) "prefix counts kept" true
+    (profile.first_touch <> [] && profile.counts <> [] && profile.blocks <> [])
+
+(* One accumulator across two different programs — the small app built
+   without outlining and with it — counts by name: its profile is the
+   sum of the two single-program profiles, and its first touches are the
+   first program's followed by the second's new ones. *)
+let test_counts_accumulate_across_programs () =
+  let plain =
+    build_small ~config:{ Pipeline.default_config with outline_rounds = 0 } ()
+  in
+  let outlined = Lazy.force small_app in
+  Alcotest.(check bool) "the builds differ" false
+    (List.length plain.Program.funcs = List.length outlined.Program.funcs);
+  let config = Pgo.Collect.default_config in
+  let c = Perfsim.Interp.create_counts () in
+  List.iter
+    (fun p -> ignore (Perfsim.Interp.run ~config ~counts:c ~entry:"main" p))
+    [ plain; outlined ];
+  let l = Perfsim.Interp.count_lists c in
+  let shared =
+    Pgo.Profile.make ~workload:"w" ~entries:[ "main" ] ~first_touch:l.first_touch
+      ~counts:l.entry_counts ~edges:l.edge_counts ~blocks:l.block_counts ()
+  in
+  let one p = Pgo.Collect.collect ~workload:"w" ~entries:[ "main" ] p in
+  let a = one plain and b = one outlined in
+  let sum xs ys =
+    let t = Hashtbl.create 256 in
+    List.iter
+      (fun (k, n) ->
+        Hashtbl.replace t k (n + Option.value ~default:0 (Hashtbl.find_opt t k)))
+      (xs @ ys);
+    List.of_seq (Hashtbl.to_seq t)
+  in
+  let summed =
+    Pgo.Profile.make ~workload:"w" ~entries:[ "main" ]
+      ~first_touch:
+        (a.first_touch
+        @ List.filter (fun f -> not (List.mem f a.first_touch)) b.first_touch)
+      ~counts:(sum a.counts b.counts) ~edges:(sum a.edges b.edges)
+      ~blocks:(sum a.blocks b.blocks) ()
+  in
+  Alcotest.(check string) "shared accumulator = sum of single runs"
+    (Pgo.Profile.to_string summed) (Pgo.Profile.to_string shared)
 
 (* --- Ordering strategies -------------------------------------------------- *)
 
@@ -217,18 +350,8 @@ let test_bp_compress_w0_is_balanced () =
 let test_bp_compress_w0_is_balanced_app () =
   (* The degeneration must hold on a program big enough for the bisection
      and local search to actually run, not just on toy inputs. *)
-  let sources = Workload.Appgen.generate_sources Workload.Appgen.small in
-  let res =
-    match Pipeline.build_sources sources with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let program = res.Pipeline.program in
-  let entries = [ "main"; "span1"; "span2" ] in
-  let args_for e = if e = "main" then [] else [ 1 ] in
-  let profile =
-    Pgo.Collect.collect ~args_for ~workload:"small" ~entries program
-  in
+  let program = Lazy.force small_app in
+  let profile = collect_small () in
   Alcotest.(check (list string))
     "w=0 produces exactly the balanced order (small app)"
     (Pgo.Order.balanced profile program)
@@ -403,6 +526,8 @@ let () =
             test_profile_roundtrip;
           Alcotest.test_case "rejects malformed input" `Quick
             test_profile_rejects_garbage;
+          Alcotest.test_case "lookups agree with the lists" `Slow
+            test_profile_index;
         ] );
       ( "collect",
         [
@@ -410,6 +535,10 @@ let () =
             test_collect_counts;
           Alcotest.test_case "deterministic serialized profile" `Slow
             test_profile_determinism;
+          Alcotest.test_case "step cap reported, prefix kept" `Slow
+            test_collect_reports_step_cap;
+          Alcotest.test_case "one accumulator across two programs" `Slow
+            test_counts_accumulate_across_programs;
         ] );
       ( "order",
         [
