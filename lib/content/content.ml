@@ -13,9 +13,17 @@ let fnv_prime = 0x100000001b3L
 let fnv_byte h b =
   Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
 
+(* The hot kernel of every content hash: a plain loop, so the compiler
+   keeps the running hash unboxed instead of allocating an [Int64] per
+   byte. *)
 let fnv_string h s =
   let h = ref h in
-  String.iter (fun c -> h := fnv_byte !h (Char.code c)) s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
 
 let hash_string s = fnv_string fnv_offset s

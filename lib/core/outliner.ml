@@ -49,28 +49,36 @@ type seq_meta = {
   sm_has_ret : bool;
 }
 
-let build_sequences imap (p : Program.t) =
-  let seqs = ref [] and metas = ref [] in
-  List.iter
+(* The blocks discovery sees, in program order: every block of an
+   outlinable function with at least one symbol.  Sequence ids, site
+   [block_id]s and window-scanner block indices all index this array. *)
+let seq_metas (p : Program.t) =
+  List.concat_map
     (fun (f : Mfunc.t) ->
-      if not f.no_outline then
-        List.iter
+      if f.no_outline then []
+      else
+        List.filter_map
           (fun (b : Block.t) ->
             let has_ret = b.term = Block.Ret in
-            let n = Array.length b.body in
-            let len = if has_ret then n + 1 else n in
-            if len >= 1 then begin
-              let arr = Array.make len 0 in
-              for i = 0 to n - 1 do
-                arr.(i) <- Instr_map.symbol_of_insn imap b.body.(i)
-              done;
-              if has_ret then arr.(n) <- Instr_map.ret_symbol imap;
-              seqs := arr :: !seqs;
-              metas := { sm_func = f; sm_block = b; sm_has_ret = has_ret } :: !metas
-            end)
+            if Array.length b.body = 0 && not has_ret then None
+            else Some { sm_func = f; sm_block = b; sm_has_ret = has_ret })
           f.blocks)
-    p.funcs;
-  (List.rev !seqs, Array.of_list (List.rev !metas))
+    p.funcs
+  |> Array.of_list
+
+let build_sequences imap (p : Program.t) =
+  let metas = seq_metas p in
+  let seq (m : seq_meta) =
+    let body = m.sm_block.Block.body in
+    let n = Array.length body in
+    let arr = Array.make (if m.sm_has_ret then n + 1 else n) 0 in
+    for i = 0 to n - 1 do
+      arr.(i) <- Instr_map.symbol_of_insn imap body.(i)
+    done;
+    if m.sm_has_ret then arr.(n) <- Instr_map.ret_symbol imap;
+    arr
+  in
+  (Array.to_list (Array.map seq metas), metas)
 
 (* Walk the occurrences that survive self-overlap pruning: an occurrence
    is dropped when it overlaps an earlier-kept occurrence of the same
@@ -287,85 +295,231 @@ let liveness_memo tbl (f : Mfunc.t) =
     Hashtbl.replace tbl f.name lv;
     lv
 
-(* The one discovery step: every repeat that [iter_repeats] feeds in goes
-   through [candidate_of_repeat]; the survivors come back in feed order.
-   The repeats arrive through an iterator so window probing can examine
-   its single-site windows one at a time instead of materializing them. *)
-let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p iter_repeats =
+(* The one discovery step: every repeat goes through
+   [candidate_of_repeat]; the survivors come back in input order. *)
+let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p repeats =
   let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
   let lr_live = lr_live_memo metas liveness_of in
-  let candidate =
-    candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live
-  in
-  let out = ref [] in
-  iter_repeats (fun r ->
-      match candidate r with Some c -> out := c :: !out | None -> ());
-  List.rev !out
-
-(* One-shot discovery over a fresh sequence table and liveness memo
-   ([enumerate] and [probe_windows]); [repeats seqs metas] feeds the
-   repeats to examine. *)
-let discover_fresh ~lax ?extern_sp_unsafe options p repeats =
-  let seqs, metas = build_sequences (Instr_map.create ()) p in
-  if seqs = [] then []
-  else
-    discover ~lax ?extern_sp_unsafe options
-      ~liveness_of:(liveness_memo (Hashtbl.create 64))
-      metas p (repeats seqs metas)
+  List.filter_map
+    (candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live)
+    repeats
 
 let enumerate ?min_length ?(options = default_options) ?(all = false)
     ?extern_sp_unsafe ?pool (p : Program.t) =
   let min_length = Option.value min_length ~default:options.min_length in
-  discover_fresh ~lax:all ?extern_sp_unsafe options p (fun seqs _ k ->
-      List.iter k
-        (match pool with
-        | None ->
-          Sufftree.Suffix_tree.repeats ~min_length
-            (Sufftree.Suffix_tree.build seqs)
-        | Some pool ->
-          Sufftree.Arena_tree.repeats ~min_length
-            (Sufftree.Arena_tree.build ~pool seqs)))
+  let seqs, metas = build_sequences (Instr_map.create ()) p in
+  if seqs = [] then []
+  else
+    discover ~lax:all ?extern_sp_unsafe options
+      ~liveness_of:(liveness_memo (Hashtbl.create 64))
+      metas p
+      (match pool with
+      | None ->
+        Sufftree.Suffix_tree.repeats ~min_length
+          (Sufftree.Suffix_tree.build seqs)
+      | Some pool ->
+        Sufftree.Arena_tree.repeats ~min_length
+          (Sufftree.Arena_tree.build ~pool seqs))
 
-let probe_windows ?(options = default_options) ?extern_sp_unsafe ~lengths
-    (p : Program.t) =
-  match
+(* --- Keyed window scanning --------------------------------------------- *)
+
+(* Thin-WPO keys every legal window of every block in O(1), with no
+   allocation, and materializes a candidate only for the few windows whose
+   key the global decision ranks.  Per block the scanner keeps a rolling
+   polynomial hash (mod 2^63) over per-instruction content hashes — hashes
+   of the printed instruction, so every shard computes the same key for the
+   same content whatever its interner numbering — and prefix counts of
+   illegal, call and SP-relevant instructions, which answer
+   [candidate_of_repeat]'s range checks for any window by subtraction. *)
+
+type windows = {
+  wn_options : options;
+  wn_metas : seq_meta array;
+  wn_prefix : int array array;
+      (** per block: rolling hash of symbols [0, i), the ret slot included *)
+  wn_illegal : int array array;  (** per block: counts over body [0, i) *)
+  wn_calls : int array array;
+  wn_sp : int array array;
+  wn_text : string array array;  (** per block: printed instructions *)
+  wn_pow : int array;            (** [key_base] to the power [i] *)
+  wn_callee_sp_unsafe : string -> bool;
+  wn_lr_live : int -> int -> bool;
+}
+
+(* Odd, so its powers never vanish mod 2^63, and unrelated to the FNV
+   prime: FNV hashes of strings that differ in one byte differ by a small
+   multiple of that prime, which a polynomial over the same base would
+   cancel. *)
+let key_base = 0x2545f4914f6cdd1d
+
+(* An instruction's content hash: FNV-1a of its printed form, through
+   MurmurHash3's 64-bit finalizer so the FNV structure above is gone. *)
+let content_hash s =
+  let mix k m = Int64.mul (Int64.logxor k (Int64.shift_right_logical k 33)) m in
+  let k = mix (Content.hash_string s) 0xff51afd7ed558ccdL in
+  let k = mix k 0xc4ceb9fe1a85ec53L in
+  Int64.to_int (Int64.logxor k (Int64.shift_right_logical k 33))
+
+(* The content hash of a block's virtual [ret] slot: no instruction prints
+   as "ret" (it is a terminator). *)
+let ret_content = content_hash "ret"
+
+let windows ?(options = default_options) ?extern_sp_unsafe (p : Program.t) =
+  let metas = seq_metas p in
+  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
+  let printed : (Insn.t, string * int) Hashtbl.t = Hashtbl.create 512 in
+  let print i =
+    match Hashtbl.find_opt printed i with
+    | Some sh -> sh
+    | None ->
+      let text = Insn.to_string i in
+      let sh = (text, content_hash text) in
+      Hashtbl.replace printed i sh;
+      sh
+  in
+  let body (m : seq_meta) = m.sm_block.Block.body in
+  let texts =
+    Array.map (fun m -> Array.map (fun i -> fst (print i)) (body m)) metas
+  in
+  let prefix_count pred (m : seq_meta) =
+    let b = body m in
+    let a = Array.make (Array.length b + 1) 0 in
+    Array.iteri (fun i insn -> a.(i + 1) <- a.(i) + Bool.to_int (pred insn)) b;
+    a
+  in
+  let prefix_hash (m : seq_meta) =
+    let b = body m in
+    let n = Array.length b in
+    let len = if m.sm_has_ret then n + 1 else n in
+    let h = Array.make (len + 1) 0 in
+    for i = 0 to len - 1 do
+      h.(i + 1) <-
+        (h.(i) * key_base) + if i = n then ret_content else snd (print b.(i))
+    done;
+    h
+  in
+  let sp_relevant i =
+    Insn.touches_sp i
+    || match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false
+  in
+  let longest =
+    Array.fold_left (fun acc m -> max acc (Array.length (body m) + 1)) 0 metas
+  in
+  let pow = Array.make (longest + 1) 1 in
+  for i = 1 to longest do
+    pow.(i) <- pow.(i - 1) * key_base
+  done;
+  {
+    wn_options = options;
+    wn_metas = metas;
+    wn_prefix = Array.map prefix_hash metas;
+    wn_illegal =
+      Array.map
+        (prefix_count (fun i -> Legality.classify i = Legality.Illegal))
+        metas;
+    wn_calls = Array.map (prefix_count Insn.is_call) metas;
+    wn_sp = Array.map (prefix_count sp_relevant) metas;
+    wn_text = texts;
+    wn_pow = pow;
+    wn_callee_sp_unsafe = callee_sp_unsafe;
+    wn_lr_live = lr_live_memo metas (liveness_memo (Hashtbl.create 64));
+  }
+
+(* A window's shape packed in one int, or [-1] when [candidate_of_repeat]
+   would reject it for any site: bits 0-1 the strategy tag (1 ret-ending,
+   2 thunk, 3 plain call), bit 2 the LR-frame bit, bit 3 SP relevance.
+   The checks are [candidate_of_repeat]'s, answered from prefix counts. *)
+let window_shape w s pos len =
+  let m = w.wn_metas.(s) in
+  let body = m.sm_block.Block.body in
+  let n = Array.length body in
+  let bad = w.wn_illegal.(s) in
+  (* The virtual ret slot at [n] is always legal. *)
+  if bad.(min (pos + len) n) - bad.(pos) <> 0 then -1
+  else
+    let with_ret = m.sm_has_ret && pos + len = n + 1 in
+    let insn_len = if with_ret then len - 1 else len in
+    let tag =
+      if insn_len = 0 then 0
+      else if with_ret then if w.wn_options.allow_ret then 1 else 0
+      else
+        match body.(pos + insn_len - 1) with
+        | Insn.Bl _ when w.wn_options.allow_thunk -> 2
+        | _ -> 3
+    in
+    if tag = 0 then -1
+    else
+      (* A thunk's final call becomes the tail branch: exempt from both
+         range checks. *)
+      let hi = if tag = 2 then pos + insn_len - 1 else pos + insn_len in
+      let lr = w.wn_calls.(s).(hi) - w.wn_calls.(s).(pos) > 0 in
+      let sp = w.wn_sp.(s).(hi) - w.wn_sp.(s).(pos) > 0 in
+      if lr && sp then -1
+      else tag lor (if lr then 4 else 0) lor if sp then 8 else 0
+
+(* Content, then length, then strategy and LR-frame bit, as further
+   polynomial terms. *)
+let key_of_shape w s pos len shape =
+  let h = w.wn_prefix.(s) in
+  let content = h.(pos + len) - (h.(pos) * w.wn_pow.(len)) in
+  (((content * key_base) + len) * key_base) + (shape land 7)
+
+let window_key w ~block ~pos ~len =
+  key_of_shape w block pos len (window_shape w block pos len)
+
+(* A plain-call window spills LR around its call when LR is live there;
+   an SP-relevant body cannot, so the site is dropped. *)
+let window_call w s pos shape =
+  if shape land 3 <> 3 || not (w.wn_lr_live s pos) then
+    Some Candidate.Call_free
+  else if w.wn_options.allow_save_lr && shape land 8 = 0 then
+    Some Candidate.Call_save_lr
+  else None
+
+let iter_windows w ~lengths f =
+  let lengths =
     List.sort_uniq Int.compare (List.filter (fun l -> l >= 2) lengths)
-  with
-  | [] -> []
-  | lengths ->
-    discover_fresh ~lax:true ?extern_sp_unsafe options p (fun _ metas k ->
-        Array.iteri
-          (fun s (m : seq_meta) ->
-            let body = m.sm_block.Block.body in
-            let n = Array.length body in
-            let seq_len = n + if m.sm_has_ret then 1 else 0 in
-            (* The suffix-tree path enforces per-instruction legality
-               through the alphabet — illegal instructions get unique
-               symbols and can never be part of a repeat.  Raw windows see
-               the body directly, so the same rule must be applied by hand:
-               [bad.(i)] counts illegal instructions in [body[0..i)], and
-               any window touching one is skipped.  The virtual ret slot at
-               [n] is always legal. *)
-            let bad = Array.make (n + 1) 0 in
-            for i = 0 to n - 1 do
-              bad.(i + 1) <-
-                bad.(i)
-                + (match Legality.classify body.(i) with
-                  | Legality.Illegal -> 1
-                  | Legality.Legal -> 0)
-            done;
-            List.iter
-              (fun len ->
-                for pos = 0 to seq_len - len do
-                  if bad.(min (pos + len) n) - bad.(pos) = 0 then
-                    k
-                      {
-                        Sufftree.Suffix_tree.length = len;
-                        occs = [ { Sufftree.Suffix_tree.seq = s; pos } ];
-                      }
-                done)
-              lengths)
-          metas)
+  in
+  Array.iteri
+    (fun s (m : seq_meta) ->
+      let seq_len =
+        Array.length m.sm_block.Block.body + Bool.to_int m.sm_has_ret
+      in
+      List.iter
+        (fun len ->
+          for pos = 0 to seq_len - len do
+            let shape = window_shape w s pos len in
+            if shape >= 0 then begin
+              let strategy =
+                match shape land 3 with
+                | 1 -> Candidate.Ends_with_ret
+                | 2 -> Candidate.Thunk
+                | _ -> Candidate.Plain_call
+              in
+              match window_call w s pos shape with
+              | None -> ()
+              | Some call ->
+                f ~block:s ~pos ~len ~key:(key_of_shape w s pos len shape) ~call
+                  ~strategy ~needs_lr_frame:(shape land 4 <> 0)
+                  ~touches_sp:(shape land 8 <> 0)
+            end
+          done)
+        lengths)
+    w.wn_metas
+
+let window_text w ~block ~pos ~len =
+  let text = w.wn_text.(block) in
+  List.init (min len (Array.length text - pos)) (fun i -> text.(pos + i))
+
+let window_candidate w ~block ~pos ~len =
+  if window_shape w block pos len < 0 then None
+  else
+    candidate_of_repeat ~lax:true w.wn_options
+      ~callee_sp_unsafe:w.wn_callee_sp_unsafe w.wn_metas w.wn_lr_live
+      {
+        Sufftree.Suffix_tree.length = len;
+        occs = [ { Sufftree.Suffix_tree.seq = block; pos } ];
+      }
 
 (* --- Greedy selection order ------------------------------------------- *)
 
@@ -485,27 +639,35 @@ let make_outlined_function ~name ~from_module (c : Candidate.t) =
 (* --- Site occupancy and the rewrite tail ------------------------------- *)
 
 (* Greedy overlap resolution: a site is free when none of its slots was
-   taken by a higher-priority site.  [slots s] is the slot array of [s]'s
-   block, one slot per instruction plus slot [n] (one past the body) for
-   the terminator, which ret-ending patterns occupy.  The serial selector
-   looks the array up by sequence id; thin-WPO, which builds no sequence
-   table, by (func, block). *)
-let site_hi (s : Candidate.site) =
-  if s.with_ret then s.start + s.len else s.start + s.len - 1
+   taken by a higher-priority site.  One lazily allocated slot array per
+   sequence-table block, found by the site's [block_id]: one slot per
+   instruction plus slot [n] (one past the body) for the terminator, which
+   ret-ending patterns occupy. *)
+let occupancy (metas : seq_meta array) =
+  let consumed = Array.make (Array.length metas) [||] in
+  let slots (s : Candidate.site) =
+    let id = s.block_id in
+    if Array.length consumed.(id) = 0 then
+      consumed.(id) <-
+        Array.make (Array.length metas.(id).sm_block.Block.body + 1) false;
+    consumed.(id)
+  in
+  let hi (s : Candidate.site) =
+    if s.with_ret then s.start + s.len else s.start + s.len - 1
+  in
+  let free s =
+    let a = slots s and free = ref true in
+    for i = s.Candidate.start to hi s do
+      if a.(i) then free := false
+    done;
+    !free
+  in
+  let take s =
+    Array.fill (slots s) s.Candidate.start (hi s - s.start + 1) true
+  in
+  (free, take)
 
-let site_free slots (s : Candidate.site) =
-  let a = slots s in
-  let free = ref true in
-  for i = s.start to site_hi s do
-    if a.(i) then free := false
-  done;
-  !free
-
-let site_take slots (s : Candidate.site) =
-  let a = slots s in
-  for i = s.start to site_hi s do
-    a.(i) <- true
-  done
+let make_occupancy p = occupancy (seq_metas p)
 
 (* Rewrite every block [func_plans] (func -> (label, entries)) names and
    append [new_funcs]; functions without plans are returned physically
@@ -524,25 +686,12 @@ let rewrite_program (p : Program.t) func_plans new_funcs =
   in
   Program.replace_funcs p (List.map rewrite_func p.funcs @ new_funcs)
 
-(* Greedy site selection over int-indexed occupancy arrays (one lazily
-   allocated [bool array] per sequence-table block, no tuple hashing per
-   probe), then the program rewrite.  Shared by both engines; also returns
-   the (func, block) pairs it rewrote, which the incremental engine
-   invalidates. *)
+(* Greedy site selection, then the program rewrite.  Shared by both
+   engines; also returns the (func, block) pairs it rewrote, which the
+   incremental engine invalidates. *)
 let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
   let nseq = Array.length metas in
-  let consumed : bool array option array = Array.make nseq None in
-  let slots (s : Candidate.site) =
-    let id = s.Candidate.block_id in
-    match consumed.(id) with
-    | Some a -> a
-    | None ->
-      let n = Array.length metas.(id).sm_block.Block.body in
-      let a = Array.make (n + 1) false in
-      consumed.(id) <- Some a;
-      a
-  in
-  let free = site_free slots and take = site_take slots in
+  let free, take = occupancy metas in
   let plans : plan_entry list array = Array.make nseq [] in
   let new_funcs = ref [] in
   let idx = ref 0 in
@@ -616,34 +765,6 @@ type assignment = {
   asg_host : string option; (** [Some m]: this shard emits the body, with
                                 [from_module = m] *)
 }
-
-(* Occupancy per (func, block label): thin-WPO phases work without the
-   sequence table that [select_and_rewrite]'s int-indexed occupancy needs,
-   and per-round site counts are small enough for string-keyed probes. *)
-let make_occupancy (p : Program.t) =
-  let block_len : (string * string, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Mfunc.t) ->
-      List.iter
-        (fun (b : Block.t) ->
-          Hashtbl.replace block_len (f.name, b.Block.label)
-            (Array.length b.body))
-        f.blocks)
-    p.funcs;
-  let consumed : (string * string, bool array) Hashtbl.t = Hashtbl.create 64 in
-  let slots (s : Candidate.site) =
-    let key = (s.Candidate.func, s.Candidate.block) in
-    match Hashtbl.find_opt consumed key with
-    | Some a -> a
-    | None ->
-      let n =
-        match Hashtbl.find_opt block_len key with Some n -> n | None -> 0
-      in
-      let a = Array.make (n + 1) false in
-      Hashtbl.replace consumed key a;
-      a
-  in
-  (site_free slots, site_take slots)
 
 let apply_assignments (p : Program.t) (assignments : assignment list) =
   let free, take = make_occupancy p in
@@ -723,8 +844,7 @@ let outline_round rp options p (seqs, metas) ~liveness_of build_tree repeats =
     let tree = timed rp set_tree (fun () -> build_tree seqs) in
     let cands =
       timed rp set_enum (fun () ->
-          discover ~lax:false options ~liveness_of metas p (fun k ->
-              List.iter k (repeats tree)))
+          discover ~lax:false options ~liveness_of metas p (repeats tree))
     in
     let sorted = timed rp set_score (fun () -> score_candidates cands) in
     timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)

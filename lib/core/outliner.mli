@@ -12,14 +12,13 @@
     caller of the two round functions.
 
     Everything else exists once and is shared by both engines, by
-    {!enumerate} / {!probe_windows} and by thin-WPO:
+    {!enumerate} and by thin-WPO:
     - discovery: one private function turns repeats into candidates (the
       SP-unsafe-callee analysis, the per-point LR-liveness memo and the
       legality/strategy checks), over a fresh liveness memo or the
       incremental engine's;
-    - site occupancy: one greedy slot-array rule ([site_free] /
-      [site_take]) over a per-caller slot lookup — sequence ids for the
-      serial selector, (func, block) for {!make_occupancy};
+    - site occupancy: one greedy slot-array rule over per-block slot
+      arrays ({!make_occupancy});
     - the rewrite tail: one per-function rewrite of a
       func -> (label, planned sites) table, used by the serial selector
       and {!apply_assignments}. *)
@@ -70,19 +69,56 @@ val enumerate :
     implementation so a worker can recycle its backing store across the
     shards it processes. *)
 
-val probe_windows :
+type windows
+(** A keyed window scanner over one program (thin-WPO's per-shard
+    discovery).  Built in one pass over the blocks; every query after that
+    is O(1). *)
+
+val windows :
   ?options:options ->
   ?extern_sp_unsafe:(string -> bool) ->
-  lengths:int list ->
   Machine.Program.t ->
-  Candidate.t list
-(** Every legal single-site candidate over every instruction window of the
-    given lengths — thin-WPO's answer to patterns this shard contains only
-    {e once}: the suffix tree reports local repeats only, so after the
-    provisional global ranking a shard probes its own windows for
-    advertised pattern lengths and matches them to foreign discoveries by
-    content hash.  No filtering beyond legality; the caller intersects the
-    result with the hashes it wants. *)
+  windows
+(** Precompute, per block of [p], per-instruction content hashes, prefix
+    rolling hashes, prefix counts of illegal, call and SP-relevant
+    instructions ([extern_sp_unsafe] as in {!enumerate}), and a lazy
+    LR-liveness memo.  Block indices are the site [block_id]s {!enumerate}
+    reports for the same program. *)
+
+val iter_windows :
+  windows ->
+  lengths:int list ->
+  (block:int ->
+  pos:int ->
+  len:int ->
+  key:int ->
+  call:Candidate.site_call ->
+  strategy:Candidate.strategy ->
+  needs_lr_frame:bool ->
+  touches_sp:bool ->
+  unit) ->
+  unit
+(** Visit every window of the given lengths (those [>= 2]) that
+    {!window_candidate} would turn into a candidate, block by block, then
+    by ascending length, then by position, without allocating.  [key] is a
+    63-bit hash of the window's printed content, strategy, LR-frame bit
+    and length: two windows share it exactly when their candidates have
+    equal content, strategy, LR-frame bit and length (up to hash
+    collisions), in any program. *)
+
+val window_key : windows -> block:int -> pos:int -> len:int -> int
+(** The key {!iter_windows} reports for a window; [len] counts a trailing
+    [ret].  Meaningful for legal candidate windows, such as the sites of
+    candidates {!enumerate} finds in the same program. *)
+
+val window_text : windows -> block:int -> pos:int -> len:int -> string list
+(** The printed instructions of the window's body (any trailing [ret]
+    excluded), from the scanner's rendering cache. *)
+
+val window_candidate :
+  windows -> block:int -> pos:int -> len:int -> Candidate.t option
+(** The single-site candidate for one window, exactly as discovery builds
+    it for that occurrence; [None] when the window is no candidate. *)
 
 val sp_unsafe_callees :
   ?extern:(string -> bool) -> Machine.Program.t -> string -> bool
@@ -94,12 +130,11 @@ val sp_unsafe_callees :
 val make_occupancy :
   Machine.Program.t ->
   (Candidate.site -> bool) * (Candidate.site -> unit)
-(** [(site_free, site_take)] over lazily allocated per-(func, block) slot
-    arrays, for thin-WPO's ranked local site assignment (phase 2's
-    parallel step) and {!apply_assignments}.  The occupancy rule is the
-    serial selector's; only the slot lookup differs (the serial selector
-    indexes by sequence id, which needs the sequence table thin-WPO
-    shards don't build). *)
+(** [(site_free, site_take)]: the serial selector's greedy occupancy rule
+    over lazily allocated per-block slot arrays, found by the site's
+    [block_id] (the block index {!enumerate} and {!windows} use for the
+    same program).  For thin-WPO's ranked local site assignment (phase 2's
+    parallel step) and {!apply_assignments}. *)
 
 type assignment = {
   asg_cand : Candidate.t;

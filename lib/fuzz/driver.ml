@@ -193,10 +193,10 @@ let self_test ?(log = null_log) ~seed () =
          differential must catch the stale-cache divergence. *)
       machine ~salt:104729 ~flag:Outcore.Outliner.fault_skip_invalidation
         ~fault_name:"stale-dirty-set" ~max_reproducer_lines:40;
-      (* Truncate thin-WPO's summary content hashes to six bits so
-         unrelated patterns collide in the global decision table and
-         shards rewrite call sites against the wrong hosted body; the thin
-         lattice differentials must catch the corruption. *)
+      (* Truncate thin-WPO's window keys, which join summary entries, to
+         six bits so unrelated patterns collide in the global decision
+         table and shards rewrite call sites against the wrong hosted
+         body; the thin lattice differentials must catch the corruption. *)
       swiftlet Lattice.check_thin ~salt:224737
         ~flag:Thinwpo.Summary.fault_truncate_hash
         ~fault_name:"summary-hash-truncation" ~max_reproducer_lines:60;

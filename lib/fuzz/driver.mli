@@ -33,7 +33,7 @@ val self_test : ?log:(string -> unit) -> seed:int -> unit -> (string, string) re
     against the execution oracle); {!Outcore.Outliner.fault_skip_invalidation}
     (stale dirty-block caches, caught by the incremental-vs-scratch
     differential); {!Thinwpo.Summary.fault_truncate_hash} (colliding
-    thin-WPO summaries, Swiftlet programs against {!Lattice.check_thin});
+    thin-WPO window keys, Swiftlet programs against {!Lattice.check_thin});
     {!Serve.Server.fault_stale_cache_entry} (a serve result cache that
     ignores module content, against {!Lattice.check_serve});
     {!Blocklayout.fault_drop_materialized_branch} (the stitch differential

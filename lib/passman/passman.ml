@@ -643,10 +643,19 @@ let thin_outline_pass env =
             List.iter
               (fun (sh : Thinwpo.Engine.Report.shard) ->
                 add_node ctx
-                  (leaf
-                     ~note:(Printf.sprintf "%d funcs" sh.rs_funcs)
-                     ("shard " ^ sh.rs_module)
-                     (sh.rs_discover +. sh.rs_rewrite)))
+                  {
+                    (leaf
+                       ~note:(Printf.sprintf "%d funcs" sh.rs_funcs)
+                       ("shard " ^ sh.rs_module)
+                       (sh.rs_discover +. sh.rs_rewrite))
+                    with
+                    t_children =
+                      [
+                        leaf "discover" (sh.rs_discover -. sh.rs_refine);
+                        leaf "refine" sh.rs_refine;
+                        leaf "rewrite" sh.rs_rewrite;
+                      ];
+                  })
               rr.rr_shards;
             add_node ctx
               (leaf

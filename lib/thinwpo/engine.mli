@@ -1,8 +1,10 @@
 (** The thin-WPO round engine: shard the merged program by originating
-    module, discover outline candidates per shard in parallel (phase 1),
-    take one serial global decision over the exchanged summaries (phase 2),
-    and rewrite every shard in parallel against the decision table
-    (phase 3).
+    module, key every instruction window of every shard in parallel
+    (phase 1), take the global decision over the exchanged summaries —
+    serial joins and ranking around two parallel steps, the ranking hashes
+    and the ranked site assignment (phase 2) — and rewrite every shard in
+    parallel against the decision table (phase 3).  A candidate is built
+    only for a window whose pattern the provisional decision ranked.
 
     Determinism contract: the output program is a function of the input
     program and the options alone — {e never} of [workers] or domain
@@ -22,15 +24,18 @@ val create_facts : unit -> facts
 val fact_sp_unsafe : facts -> string -> bool
 
 module Report : sig
-  (** Per-round wall-time split: one entry per shard (discovery and
-      rewrite seconds) plus the serial global decision round.  The pass
-      manager's [thin-outline] pass copies each round into the build's
-      timing tree ([--profile], [bench thinwpo]). *)
+  (** Per-round wall-time split: one entry per shard (discovery, refine
+      and rewrite seconds) plus the serial global decision round.  The
+      pass manager's [thin-outline] pass copies each round into the
+      build's timing tree ([--profile], [bench thinwpo]). *)
 
   type shard = {
     rs_module : string;
     rs_funcs : int;
     rs_discover : float;
+        (** phase 1 window keying, the ranking hashes the decision round
+            asks of this shard, and the refine pass *)
+    rs_refine : float;  (** the ranked site assignment alone *)
     rs_rewrite : float;
   }
 
@@ -46,6 +51,16 @@ module Report : sig
   val create : unit -> t
   val rounds : t -> round list   (** chronological *)
 end
+
+val summarize :
+  facts:facts ->
+  options:Outcore.Outliner.options ->
+  modul:string ->
+  Machine.Program.t ->
+  Summary.t
+(** Phase 1 for one shard program: the summary it sends to the decision
+    round ([ps_rep] indexes {!Outcore.Outliner.windows} of the same
+    program).  Exposed for tests. *)
 
 val run_round :
   ?report:Report.t ->

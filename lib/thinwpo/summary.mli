@@ -1,22 +1,30 @@
 (** Module summaries and the serial global decision round of thin-WPO.
 
-    Phase 1 workers compress each shard's outline candidates into a
-    summary: one entry per pattern, carrying a stable 64-bit content hash,
-    the pattern's length and strategy, its legality bits, and the shard's
-    pruned occurrence counts by call kind.  {e No instruction bodies cross
-    the summary boundary} — the decision round joins entries by hash and
-    runs the cost model on summed counts alone; the bodies stay in the
-    worker that discovered them until phase 3 rewrites its own shard.
+    Phase 1 workers compress each shard into a summary: one entry per
+    pattern, carrying the pattern's window key, its length, strategy and
+    legality bits, one representative window, and the shard's pruned
+    occurrence counts by call kind.  {e No instruction bodies cross the
+    summary boundary} — the decision round joins entries by key and runs
+    the cost model on summed counts alone; the bodies stay in the worker
+    that discovered them until phase 3 rewrites its own shard.
 
-    The hash is FNV-1a over a canonical rendering of the pattern
-    (strategy, LR-frame bit, symbol count, then each instruction's
-    printed form), so it is independent of interner symbol numbering,
-    worker count, and scheduling order — two shards that discovered the
-    same pattern always produce the same hash, which is what makes the
-    optimistic cross-shard join sound. *)
+    The key ({!Outcore.Outliner.iter_windows}) is an O(1) rolling hash of
+    the window's printed content, strategy, LR-frame bit and length, so it
+    is independent of interner symbol numbering, worker count and
+    scheduling order — two shards that discovered the same pattern always
+    produce the same key, which is what makes the optimistic cross-shard
+    join sound.  Ranking needs a hash that orders patterns the same way in
+    every build: the FNV-1a {!hash_candidate}.  Only patterns that survive
+    the join's site and benefit filters get one, computed by the shard
+    that contributed them first, from its representative window. *)
 
 type pattern = {
-  ps_hash : int64;
+  ps_key : int;                         (** window key: joins shards *)
+  ps_hash : int64 Lazy.t;
+      (** {!hash_candidate} of the representative, forced only for
+          patterns the decision round ranks *)
+  ps_rep : int * int;
+      (** (block index, position) of one local window of the pattern *)
   ps_length : int;                      (** symbols, including any ret *)
   ps_strategy : Outcore.Candidate.strategy;
   ps_needs_lr_frame : bool;
@@ -30,27 +38,83 @@ type pattern = {
 
 type t = {
   sm_module : string;
-  sm_patterns : pattern list;  (** deterministic per-shard order *)
+  sm_keys : int array;
+      (** one per pattern, grouped into buckets by the keys' top bits *)
+  sm_free : int array;   (** [ps_n_free] of each pattern *)
+  sm_save : int array;   (** [ps_n_save] of each pattern *)
+  sm_buckets : int array;
+      (** patterns [sm_buckets.(b)] to [sm_buckets.(b + 1) - 1] are those
+          of bucket [b] *)
+  sm_pattern : int -> pattern;
+      (** the whole entry of pattern [i]; the decision round asks only for
+          patterns with at least two global sites *)
 }
+(** Columns, not records: the decision round joins every pattern of every
+    shard, nearly all of them seen once, and does so one key bucket at a
+    time so that its tables stay in cache. *)
+
+val of_columns :
+  modul:string ->
+  count:int ->
+  keys:int array ->
+  free:int array ->
+  save:int array ->
+  (int -> pattern) ->
+  t
+(** The summary of patterns [0 .. count - 1], given by column, with the
+    whole entry of each on demand; grouping by bucket happens here. *)
+
+val of_patterns : modul:string -> pattern list -> t
+
+module Index : sig
+  (** Int keys to dense ids [0, 1, ...] in first-insertion order: open
+      addressing over one flat array, no allocation per key. *)
+
+  type t
+
+  val create : int -> t
+  (** Room for this many keys. *)
+
+  val add : t -> int -> int
+  (** The key's id, a fresh one if the key is new.  Raises
+      [Invalid_argument] when a new key finds no room. *)
+
+  val find : t -> int -> int
+  (** The key's id, or [-1]. *)
+
+  val size : t -> int
+  (** Keys added so far. *)
+
+  val clear : t -> unit
+end
 
 val hash_candidate : Outcore.Candidate.t -> int64
-(** Stable content hash (see above).  Subject to {!fault_truncate_hash}. *)
+(** The ranking hash: FNV-1a over a canonical rendering of the pattern
+    (strategy, LR-frame bit, symbol count, then each instruction's printed
+    form). *)
 
-val hasher : unit -> Outcore.Candidate.t -> int64
-(** {!hash_candidate} with a private instruction-rendering cache — the
-    window-probing phase hashes heavily overlapping candidates, so each
-    distinct instruction is rendered once per shard instead of once per
-    window.  The cache is mutable: keep each hasher on one domain. *)
+val hash_rendered :
+  Outcore.Candidate.strategy ->
+  needs_lr_frame:bool ->
+  length:int ->
+  string list ->
+  int64
+(** {!hash_candidate} from the pattern's fields and its printed
+    instructions, for callers that already hold the printed forms. *)
 
-val of_candidates : modul:string -> (int64 * Outcore.Candidate.t) list -> t
-(** Group a shard's (hash, candidate) pairs into summary entries.  Distinct
-    candidates never share a hash in honest runs; if they do (fault
-    injection), the first pair's metadata wins and the counts sum — the
-    silent merge whose downstream corruption the fuzz differentials must
-    catch. *)
+val join_key : int -> int
+(** The key patterns join on: the window key, or its low 6 bits under
+    {!fault_truncate_hash}.  Every key the engine derives passes through
+    here. *)
+
+val of_candidates :
+  modul:string -> (int * int64 * Outcore.Candidate.t) list -> t
+(** One entry per (key, ranking hash, candidate) triple, counting the
+    candidate's sites; the keys must be distinct. *)
 
 type decision = {
-  dc_hash : int64;
+  dc_key : int;
+  dc_hash : int64;      (** ranking hash *)
   dc_name : string;     (** stable outlined symbol: rank under this round *)
   dc_host : string;     (** lexicographically least contributing module;
                             its shard emits the one shared body *)
@@ -59,17 +123,37 @@ type decision = {
   dc_sp_unsafe : bool;  (** record the new symbol in the sp-unsafe facts *)
 }
 
+type survivor = {
+  sv_shard : int;          (** index of the first contributor's summary *)
+  sv_pattern : pattern;    (** its entry *)
+  sv_benefit : int;        (** of the summed global counts *)
+  sv_host : string;        (** least contributing module name *)
+}
+
+val join : t list -> survivor list
+(** The first half of {!decide}: join by key, sum the occurrence counts,
+    and keep patterns with at least two global sites whose
+    {!Outcore.Cost_model.benefit_of_counts} is positive.  Forces no
+    ranking hash, so the engine can have each shard hash the survivors it
+    contributed first, in parallel. *)
+
+val order : survivor list -> (int64 * survivor) array
+(** The second half of {!decide}: force the remaining ranking hashes and
+    sort by (benefit descending, unsigned hash ascending); position [r] is
+    rank [r]. *)
+
 val decide : round:int -> t list -> decision list
-(** The serial global decision round: join summaries by hash, sum the
+(** The serial global decision round: join summaries by key, sum the
     occurrence counts, keep patterns with at least two global sites whose
-    {!Outcore.Cost_model.benefit_of_counts} is positive, and rank them by
-    (benefit descending, hash ascending) — a total order on honest inputs,
-    so names and priorities are byte-identical whatever the worker count
-    or summary arrival order. *)
+    {!Outcore.Cost_model.benefit_of_counts} is positive, force their
+    ranking hashes, and rank them by (benefit descending, unsigned hash
+    ascending) — a total order on honest inputs, so names and priorities
+    are byte-identical whatever the worker count or summary arrival order.
+    Metadata comes from the first contributor in summary order. *)
 
 val fault_truncate_hash : bool ref
-(** Fault injection for [sizeopt fuzz --self-test]: truncate every content
-    hash to its low 6 bits, manufacturing collisions so unrelated patterns
-    merge in the decision table and shards rewrite call sites against the
-    wrong hosted body.  The thin-WPO lattice differentials must catch the
-    corruption. *)
+(** Fault injection for [sizeopt fuzz --self-test]: truncate every window
+    key to its low 6 bits ({!join_key}), manufacturing collisions so
+    unrelated patterns merge in the decision table and shards rewrite call
+    sites against the wrong hosted body.  The thin-WPO lattice
+    differentials must catch the corruption. *)

@@ -315,6 +315,22 @@ let prop_asm_roundtrip =
         Asm_printer.to_source p' = src
         && Program.code_size_bytes p' = Program.code_size_bytes p)
 
+(* The published FNV-1a 64-bit test vectors: every content hash in the
+   repo (compression model, merge fingerprints, thin-WPO ranking, serve
+   cache keys) rests on this kernel. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, h) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" s)
+        h
+        (Printf.sprintf "%016Lx" (Content.hash_string s)))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -348,4 +364,5 @@ let () =
             test_printer_parser_roundtrip;
           QCheck_alcotest.to_alcotest prop_asm_roundtrip;
         ] );
+      ("content", [ Alcotest.test_case "fnv vectors" `Quick test_fnv_vectors ]);
     ]

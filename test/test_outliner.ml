@@ -603,13 +603,14 @@ let prop_canonicalize_preserves_semantics =
 
 (* Discovery has three front doors over one candidate core: the classic
    suffix tree (the serial selector, Analysis), the pooled arena tree
-   (thin-WPO's shards) and single-site window probing (thin-WPO's search
-   for patterns a shard holds once).  On generated programs the two trees
-   must yield the same candidates, and probing a reported pattern length
-   must find every site the tree reported for it. *)
+   (thin-WPO's long patterns) and the keyed window scanner (thin-WPO's
+   windows up to length 32).  On generated programs the two trees must
+   yield the same candidates, and every site the tree reports at a scanned
+   length must be a scanned window, with the same call kind, and all of
+   one candidate's sites under one key. *)
 let test_discovery_paths_agree () =
   let pool = Sufftree.Arena_tree.create_pool () in
-  let sites = ref 0 and covered = ref 0 in
+  let sites = ref 0 and covered = ref 0 and split = ref 0 in
   for seed = 1 to 40 do
     let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
     let sorted l = List.sort compare l in
@@ -618,28 +619,32 @@ let test_discovery_paths_agree () =
       true
       (sorted (Outcore.Outliner.enumerate p)
       = sorted (Outcore.Outliner.enumerate ~pool p));
-    let all = Outcore.Outliner.enumerate ~all:true p in
+    let scanned = Hashtbl.create 256 in
+    Outcore.Outliner.iter_windows (Outcore.Outliner.windows p)
+      ~lengths:(List.init 31 (fun i -> i + 2))
+      (fun ~block ~pos ~len ~key ~call ~strategy:_ ~needs_lr_frame:_
+           ~touches_sp:_ -> Hashtbl.replace scanned (block, pos, len) (key, call));
     List.iter
-      (fun len ->
-        let probed = Hashtbl.create 64 in
-        List.iter
-          (fun (c : Outcore.Candidate.t) ->
-            List.iter (fun s -> Hashtbl.replace probed s ()) c.sites)
-          (Outcore.Outliner.probe_windows ~lengths:[ len ] p);
-        List.iter
-          (fun (c : Outcore.Candidate.t) ->
-            if c.length = len then
-              List.iter
-                (fun s ->
-                  incr sites;
-                  if Hashtbl.mem probed s then incr covered)
-                c.sites)
-          all)
-      (List.sort_uniq compare
-         (List.map (fun (c : Outcore.Candidate.t) -> c.length) all))
+      (fun (c : Outcore.Candidate.t) ->
+        if c.length <= 32 then begin
+          let keys =
+            List.filter_map
+              (fun (s : Outcore.Candidate.site) ->
+                incr sites;
+                match Hashtbl.find_opt scanned (s.block_id, s.start, c.length) with
+                | Some (key, call) when call = s.call ->
+                  incr covered;
+                  Some key
+                | _ -> None)
+              c.sites
+          in
+          if List.length (List.sort_uniq compare keys) > 1 then incr split
+        end)
+      (Outcore.Outliner.enumerate ~all:true p)
   done;
-  Alcotest.(check bool) "the programs have sites to probe" true (!sites > 0);
-  Alcotest.(check int) "probing covers every enumerated site" !sites !covered
+  Alcotest.(check bool) "the programs have sites to scan" true (!sites > 0);
+  Alcotest.(check int) "scanning covers every enumerated site" !sites !covered;
+  Alcotest.(check int) "one key per candidate" 0 !split
 
 let test_analysis_report () =
   let p = fig11_prog () in

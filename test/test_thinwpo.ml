@@ -34,12 +34,99 @@ let test_hash_stability () =
   let h2 = List.map Thinwpo.Summary.hash_candidate cands in
   Alcotest.(check bool) "hashing is pure" true (h1 = h2)
 
+(* Keys join patterns, ranking hashes order them: on every keyed window,
+   two materialized windows must share a key exactly when their candidates
+   hash alike, and every summary entry's ranking hash must be the hash of
+   the candidate at its representative.  [hash_candidate] with the
+   instruction printer memoized, as it runs over every window. *)
+let check_window_keys label p =
+  let w = Outcore.Outliner.windows p in
+  let printed = Hashtbl.create 1024 in
+  let print i =
+    match Hashtbl.find_opt printed i with
+    | Some s -> s
+    | None ->
+      let s = Insn.to_string i in
+      Hashtbl.replace printed i s;
+      s
+  in
+  let hash_candidate (c : Outcore.Candidate.t) =
+    Thinwpo.Summary.hash_rendered c.strategy ~needs_lr_frame:c.needs_lr_frame
+      ~length:c.length (List.map print c.insns)
+  in
+  let by_key = Hashtbl.create 4096 and by_hash = Hashtbl.create 4096 in
+  let windows = ref 0 and bad = ref 0 in
+  let agree tbl k v =
+    match Hashtbl.find_opt tbl k with
+    | Some v' -> if v' <> v then incr bad
+    | None -> Hashtbl.replace tbl k v
+  in
+  Outcore.Outliner.iter_windows w ~lengths:(List.init 31 (fun i -> i + 2))
+    (fun ~block ~pos ~len ~key ~call:_ ~strategy:_ ~needs_lr_frame:_
+         ~touches_sp:_ ->
+      match Outcore.Outliner.window_candidate w ~block ~pos ~len with
+      | None -> incr bad
+      | Some c ->
+        incr windows;
+        let h = hash_candidate c in
+        agree by_key key h;
+        agree by_hash h key);
+  let s =
+    Thinwpo.Engine.summarize ~facts:(Thinwpo.Engine.create_facts ())
+      ~options:Outcore.Outliner.default_options ~modul:label p
+  in
+  Array.iteri
+    (fun i _ ->
+      let pt = s.Thinwpo.Summary.sm_pattern i in
+      let block, pos = pt.ps_rep in
+      match Outcore.Outliner.window_candidate w ~block ~pos ~len:pt.ps_length with
+      | Some c when hash_candidate c = Lazy.force pt.ps_hash ->
+        if i = 0 then
+          Alcotest.(check bool) (label ^ ": memoized printing hashes alike")
+            true
+            (hash_candidate c = Thinwpo.Summary.hash_candidate c)
+      | _ -> incr bad)
+    s.sm_keys;
+  Alcotest.(check int) (label ^ ": keys and hashes agree") 0 !bad;
+  !windows
+
+let test_window_keys () =
+  let windows = ref 0 in
+  for seed = 1 to 40 do
+    let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
+    windows := !windows + check_window_keys (Printf.sprintf "seed %d" seed) p
+  done;
+  let linked =
+    (ok_exn
+       (Pipeline.build_sources
+          ~config:{ (thin_config 1) with outline_rounds = 0 }
+          (Lazy.force small_srcs)))
+      .Pipeline.program
+  in
+  let modules =
+    List.sort_uniq compare
+      (List.map (fun (f : Mfunc.t) -> f.from_module) linked.Program.funcs)
+  in
+  List.iter
+    (fun modul ->
+      let shard =
+        Program.replace_funcs linked
+          (List.filter
+             (fun (f : Mfunc.t) -> f.from_module = modul)
+             linked.Program.funcs)
+      in
+      windows := !windows + check_window_keys modul shard)
+    modules;
+  Alcotest.(check bool) "windows were keyed" true (!windows > 0)
+
 (* --- the global decision round ---------------------------------------------- *)
 
 let mk_pattern ?(strategy = Outcore.Candidate.Ends_with_ret) ?(lr = false)
     ?(sp = false) ?(len = 8) ?(free = 6) ?(save = 0) hash =
   {
-    Thinwpo.Summary.ps_hash = hash;
+    Thinwpo.Summary.ps_key = Int64.to_int hash;
+    ps_hash = Lazy.from_val hash;
+    ps_rep = (0, 0);
     ps_length = len;
     ps_strategy = strategy;
     ps_needs_lr_frame = lr;
@@ -48,8 +135,7 @@ let mk_pattern ?(strategy = Outcore.Candidate.Ends_with_ret) ?(lr = false)
     ps_n_save = save;
   }
 
-let mk_summary modul patterns =
-  { Thinwpo.Summary.sm_module = modul; sm_patterns = patterns }
+let mk_summary modul patterns = Thinwpo.Summary.of_patterns ~modul patterns
 
 let test_decide_tie_breaking () =
   (* Two patterns with identical benefit must rank by unsigned hash
@@ -224,6 +310,8 @@ let () =
       ( "summary",
         [
           Alcotest.test_case "hash stability" `Quick test_hash_stability;
+          Alcotest.test_case "window keys agree with content hashes" `Quick
+            test_window_keys;
         ] );
       ( "decide",
         [
