@@ -802,8 +802,8 @@ let thinwpo_smoke () =
 
 (* [bench serve]: replay a seeded multi-week Workload.Commits stream twice
    — cold (a fresh from-scratch Pipeline.build_sources per commit) and
-   warm (one persistent Serve.Server keeping the incremental engine,
-   front-end caches and result cache across requests) — and report
+   warm (one persistent Serve.Server keeping the outliner's interner and
+   arena pool, front-end caches and result cache across requests) — and report
    builds/sec and p50/p99 latency for both.  Two hard gates: every served
    image must be byte-identical to the scratch build of the same commit,
    and warm replay must be strictly faster than cold.  Emits

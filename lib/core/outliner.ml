@@ -867,78 +867,35 @@ let run_round ?profile options (p : Program.t) =
 
 (* --- Incremental engine ------------------------------------------------ *)
 
+(* Content-addressed state that may outlive a build: the interner memoizes
+   on instruction and block content and the pool is scratch storage, so
+   neither can bind a name to stale content. *)
+type warm = {
+  w_imap : Instr_map.t;
+  w_pool : Sufftree.Arena_tree.pool;
+      (** backing store recycled across rounds; each round's tree dies when
+          the next round builds *)
+}
+
+let create_warm () =
+  { w_imap = Instr_map.create (); w_pool = Sufftree.Arena_tree.create_pool () }
+
 type engine = {
-  eng_imap : Instr_map.t;
+  eng_warm : warm;
   eng_seqs : (string, (string, int array) Hashtbl.t) Hashtbl.t;
       (** func -> block label -> interned symbol array, invalidated by the
           dirty set each round.  Two-level so the per-round walk hashes each
           function name once instead of allocating and hashing a
           (func, label) pair per block. *)
   eng_live : (string, Liveness.t) Hashtbl.t;
-  eng_pool : Sufftree.Arena_tree.pool;
-      (** backing store recycled across rounds; each round's tree dies when
-          the next round builds *)
-  eng_rewritten : (string * string, unit) Hashtbl.t;
-      (** every (func, block) the rewriter dirtied during the current build.
-          Within a build the per-round invalidation already dropped these,
-          but later rounds re-cache them from their *post-rewrite* bodies; a
-          fresh compile of the same source starts from the original bodies
-          again, so a warm engine must drop them at the next build boundary
-          (see [engine_begin_build]). *)
 }
 
-let create_engine () =
+let create_engine ?(warm = create_warm ()) () =
   {
-    eng_imap = Instr_map.create ();
+    eng_warm = warm;
     eng_seqs = Hashtbl.create 1024;
     eng_live = Hashtbl.create 256;
-    eng_pool = Sufftree.Arena_tree.create_pool ();
-    eng_rewritten = Hashtbl.create 256;
   }
-
-let reset_engine e =
-  Hashtbl.reset e.eng_seqs;
-  Hashtbl.reset e.eng_live;
-  Hashtbl.reset e.eng_rewritten
-
-(* Build-boundary invalidation for engines that outlive one build (the
-   serve daemon).  The interner and arena pool are content-addressed and
-   safe to share unconditionally; the per-block symbol arrays and liveness
-   are keyed by (func, block label) and must be dropped whenever the name
-   can rebind to different content:
-   - functions absent from the incoming pre-outline program (outlined
-     helpers from the previous build regenerate with the same names but
-     possibly different bodies; deleted functions free their names);
-   - functions from modules the caller reports changed;
-   - blocks the previous build's rewriter touched (cached post-rewrite,
-     while this build starts pre-rewrite). *)
-let engine_begin_build e ~changed (p : Program.t) =
-  let present = Hashtbl.create 512 in
-  List.iter
-    (fun (f : Mfunc.t) -> Hashtbl.replace present f.Mfunc.name f.from_module)
-    p.Program.funcs;
-  let stale_of tbl =
-    Hashtbl.fold
-      (fun name _ acc ->
-        match Hashtbl.find_opt present name with
-        | None -> name :: acc
-        | Some m -> if changed m then name :: acc else acc)
-      tbl []
-  in
-  List.iter
-    (fun n ->
-      Hashtbl.remove e.eng_seqs n;
-      Hashtbl.remove e.eng_live n)
-    (stale_of e.eng_seqs);
-  List.iter (fun n -> Hashtbl.remove e.eng_live n) (stale_of e.eng_live);
-  Hashtbl.iter
-    (fun (fname, blabel) () ->
-      (match Hashtbl.find_opt e.eng_seqs fname with
-      | Some tbl -> Hashtbl.remove tbl blabel
-      | None -> ());
-      Hashtbl.remove e.eng_live fname)
-    e.eng_rewritten;
-  Hashtbl.reset e.eng_rewritten
 
 (* Fault injection for the fuzz harness: when set, dirty blocks keep their
    stale cached sequences across rounds, so the incremental engine works on
@@ -973,7 +930,8 @@ let run_round_incremental ?profile engine options (p : Program.t) =
                       | Some arr -> arr
                       | None ->
                         let arr =
-                          Instr_map.seq_of_block engine.eng_imap ~has_ret b.body
+                          Instr_map.seq_of_block engine.eng_warm.w_imap
+                            ~has_ret b.body
                         in
                         Hashtbl.replace cache b.Block.label arr;
                         arr
@@ -991,13 +949,12 @@ let run_round_incremental ?profile engine options (p : Program.t) =
   let p', stats, dirty_blocks =
     outline_round rp options p table
       ~liveness_of:(liveness_memo engine.eng_live)
-      (Sufftree.Arena_tree.build ~pool:engine.eng_pool)
+      (Sufftree.Arena_tree.build ~pool:engine.eng_warm.w_pool)
       (Sufftree.Arena_tree.repeats ~min_length:options.min_length)
   in
   if not !fault_skip_invalidation then
     List.iter
-      (fun ((fname, blabel) as key) ->
-        Hashtbl.replace engine.eng_rewritten key ();
+      (fun (fname, blabel) ->
         (match Hashtbl.find_opt engine.eng_seqs fname with
         | Some tbl -> Hashtbl.remove tbl blabel
         | None -> ());

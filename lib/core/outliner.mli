@@ -7,7 +7,8 @@
     every round — the readable reference — while {!run_round_incremental}
     keeps an interner, per-block symbol arrays, and liveness alive across
     rounds, re-deriving only what the previous round's rewrite invalidated
-    (the build-time fix the paper's §VII calls for).  Which engine runs,
+    (the build-time fix the paper's §VII calls for).  Only the interner and
+    the suffix-tree pool ({!warm}) can outlive a build.  Which engine runs,
     and how rounds are numbered, is {!Repeat}'s choice: it is the only
     caller of the two round functions.
 
@@ -167,30 +168,22 @@ val run_round :
 (** From-scratch engine.  When [profile] is given, appends one
     {!Profile.round_profile} with the phase split. *)
 
+type warm
+(** The incremental engine's content-addressed state: the instruction
+    interner (with its per-block-content sequence memo) and the suffix-tree
+    arena pool.  Nothing in it is keyed by a function or block name, so it
+    may be shared by any number of builds of any programs, one at a time,
+    without affecting their output (the serve daemon keeps one per app). *)
+
+val create_warm : unit -> warm
+
 type engine
-(** Caches carried across rounds by the incremental engine: the shared
-    instruction interner, per-(func, block) symbol arrays, and per-function
-    liveness. *)
+(** One build's incremental engine: per-(func, block) symbol arrays and
+    per-function liveness, keyed by name and therefore valid for the
+    rounds of one build only, over a {!warm} interner and pool. *)
 
-val create_engine : unit -> engine
-
-val reset_engine : engine -> unit
-(** Drop every name-keyed cache (symbol arrays, liveness, rewrite log).
-    The content-addressed interner and arena pool are kept.  Used by the
-    serve daemon when a build fails mid-flight and the engine's view of the
-    program can no longer be trusted. *)
-
-val engine_begin_build : engine -> changed:(string -> bool) -> Machine.Program.t -> unit
-(** Build-boundary invalidation for an engine reused across whole builds
-    (the serve daemon's warm state).  [p] is the merged pre-outline program
-    about to be built; [changed m] reports whether module [m]'s source
-    differs from the build that populated the engine.  Drops cached entries
-    for functions absent from [p] (outlined helpers regenerate under the
-    same names), functions from changed modules, and blocks the previous
-    build's rewriter touched (cached post-rewrite, while this build starts
-    from the original bodies).  The interner and arena pool are
-    content-addressed and survive untouched, so byte-determinism is
-    preserved: candidate ordering never depends on interner numbering. *)
+val create_engine : ?warm:warm -> unit -> engine
+(** A fresh engine over [warm], or over a new interner and pool. *)
 
 val run_round_incremental :
   ?profile:Profile.t ->

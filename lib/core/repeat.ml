@@ -1,10 +1,9 @@
 let round ?(options = Outliner.default_options) ?profile
-    ?(engine = `Incremental) ?use_engine () =
+    ?(engine = `Incremental) ?warm () =
   let eng =
-    match (engine, use_engine) with
-    | `Incremental, Some e -> Some e
-    | `Incremental, None -> Some (Outliner.create_engine ())
-    | `Scratch, _ -> None
+    match engine with
+    | `Incremental -> Some (Outliner.create_engine ?warm ())
+    | `Scratch -> None
   in
   fun k p ->
     let opts = { options with Outliner.round = options.Outliner.round + k - 1 } in
@@ -12,8 +11,8 @@ let round ?(options = Outliner.default_options) ?profile
     | Some e -> Outliner.run_round_incremental ?profile e opts p
     | None -> Outliner.run_round ?profile opts p
 
-let run ?options ?profile ?engine ?use_engine ~rounds p =
-  let round = round ?options ?profile ?engine ?use_engine () in
+let run ?options ?profile ?engine ?warm ~rounds p =
+  let round = round ?options ?profile ?engine ?warm () in
   let rec go k p acc =
     if k > rounds then (p, List.rev acc)
     else begin

@@ -3,34 +3,35 @@
     functions — and the outlined functions themselves — become candidates.
     This is the paper's headline extension to LLVM's MachineOutliner.
 
-    This module is where a round's engine is chosen: {!round} picks the
-    caller's warm engine, a fresh incremental one, or the from-scratch
-    reference, and numbers the rounds.  {!run} is the plain loop over it;
-    the pass manager's bisect-gated outline pass drives the same function
-    one round per step. *)
+    This module is where a round's engine is chosen: {!round} picks a
+    fresh incremental engine (over the caller's warm interner and pool, if
+    given) or the from-scratch reference, and numbers the rounds.  {!run}
+    is the plain loop over it; the pass manager's bisect-gated outline
+    pass drives the same function one round per step. *)
 
 val round :
   ?options:Outliner.options ->
   ?profile:Profile.t ->
   ?engine:[ `Incremental | `Scratch ] ->
-  ?use_engine:Outliner.engine ->
+  ?warm:Outliner.warm ->
   unit ->
   int ->
   Machine.Program.t ->
   Machine.Program.t * Outliner.round_stats
 (** [round () k p] runs round [k] (counted from 1) on [p], naming its
     outlined functions with round number [options.round + k - 1].  The
-    engine is chosen once, when the function is built: [use_engine] if
-    given under [`Incremental] (the default), else a fresh incremental
-    engine whose caches then live across the rounds fed through this
-    function, or none under [`Scratch].  Feed each round the program the
-    previous one returned.  [profile] collects a per-round phase split. *)
+    engine is chosen once, when the function is built: under
+    [`Incremental] (the default) a fresh incremental engine, over [warm]'s
+    interner and pool if given, whose caches then live across the rounds
+    fed through this function; none under [`Scratch], which ignores
+    [warm].  Feed each round the program the previous one returned.
+    [profile] collects a per-round phase split. *)
 
 val run :
   ?options:Outliner.options ->
   ?profile:Profile.t ->
   ?engine:[ `Incremental | `Scratch ] ->
-  ?use_engine:Outliner.engine ->
+  ?warm:Outliner.warm ->
   rounds:int ->
   Machine.Program.t ->
   Machine.Program.t * Outliner.round_stats list
@@ -45,10 +46,9 @@ val run :
     reference).  Both produce byte-identical programs.  [profile] collects
     a per-round phase split.
 
-    [use_engine] supplies a caller-owned incremental engine instead of a
-    fresh one, letting warm state survive across whole builds (the serve
-    daemon).  The caller must run {!Outliner.engine_begin_build} before
-    each build; ignored under [`Scratch]. *)
+    [warm] supplies a caller-owned interner and arena pool for the fresh
+    incremental engine, letting content-addressed state survive across
+    whole builds (the serve daemon); ignored under [`Scratch]. *)
 
 val cumulative : Outliner.round_stats list -> Outliner.round_stats list
 (** Per-round running totals, as presented in Table II of the paper. *)

@@ -522,7 +522,7 @@ let thin_differential thins full_wpo =
    warm server and require every served image byte-identical to a scratch
    [Pipeline.build_sources] of the same request.  The retry must answer
    from the result cache with the previous bytes.  This is what catches a
-   server that leaks warm engine state across edits or serves stale cache
+   server that leaks warm state across edits or serves stale cache
    entries ([Serve.Server.fault_stale_cache_entry] in the self-test). *)
 let serve_spec = "dce,outline(rounds=3)"
 

@@ -508,7 +508,7 @@ type machine_env = {
   me_on_stats : Outcore.Outliner.round_stats list -> unit;
   me_thin_workers : int;
   me_thin_report : Thinwpo.Engine.Report.t;
-  me_warm : (Outcore.Outliner.engine * (string -> bool)) option;
+  me_warm : Outcore.Outliner.warm option;
 }
 
 (* The repeated outliners' self-gated loop: every round is one bisect step
@@ -572,21 +572,11 @@ let outline_pass env unit_name =
     p_across = None;
     p_run =
       (fun ctx sp p ->
-        (* A warm engine from the serve daemon is invalidated at the build
-           boundary, before round 1; Repeat.round reuses its caches across
-           this build's rounds. *)
-        let use_engine =
-          Option.map
-            (fun (e, changed) ->
-              Outcore.Outliner.engine_begin_build e ~changed p;
-              e)
-            env.me_warm
-        in
         let round =
           Outcore.Repeat.round
             ~options:
               { Outcore.Outliner.default_options with scope_name = env.me_scope }
-            ~profile:env.me_profile ~engine:env.me_engine ?use_engine ()
+            ~profile:env.me_profile ~engine:env.me_engine ?warm:env.me_warm ()
         in
         run_rounds ctx ~pass:"outline" ~unit_name
           ~rounds:(int_param sp "rounds" ~default:5)

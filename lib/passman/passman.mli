@@ -224,14 +224,12 @@ type machine_env = {
       (** receives the per-shard/per-round wall-time split of every
           [thin-outline] round; each round also copies its record into the
           timing tree *)
-  me_warm : (Outcore.Outliner.engine * (string -> bool)) option;
-      (** warm incremental engine owned by a caller that outlives one build
-          (the serve daemon), with the changed-module predicate for its
-          build-boundary invalidation.  When present the [outline] pass
-          calls {!Outcore.Outliner.engine_begin_build} once per run, before
-          round 1, and hands the engine to {!Outcore.Repeat.round}, which
-          reuses it instead of a fresh one under [`Incremental].  [None]
-          everywhere else. *)
+  me_warm : Outcore.Outliner.warm option;
+      (** content-addressed outliner state (interner and arena pool) owned
+          by a caller that outlives one build (the serve daemon).  The
+          [outline] pass hands it to {!Outcore.Repeat.round}, whose fresh
+          per-build incremental engine sits over it under [`Incremental].
+          [None] everywhere else. *)
 }
 
 val machine_passes : machine_env -> Machine.Program.t pass list

@@ -146,6 +146,12 @@ let error_to_string = function
   | Trap s -> "trap: " ^ s
   | No_entry s -> "entry function not found: " ^ s
 
+type failure = {
+  error : error;
+  backtrace : string list;
+  trace : string list;
+}
+
 exception Exec_error of error
 
 (* Resolved control transfer targets. *)
@@ -567,16 +573,12 @@ let exec_insn st (i : Insn.t) =
   | Insn.Bl _ | Insn.Blr _ -> assert false (* handled by the driver *)
   | Insn.Nop -> ()
 
-let last_backtrace = ref []
-let last_trace_ref : string list ref = ref []
-let last_trace () = !last_trace_ref
-
-let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
+(* One run; a failure carries that run's own shadow stack and trace-ring
+   dump, so concurrent runs never see each other's diagnostics. *)
+let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
     (p : Program.t) =
-  last_backtrace := [];
-  last_trace_ref := [];
   match Program.find_func p entry with
-  | None -> Error (No_entry entry)
+  | None -> Error { error = No_entry entry; backtrace = []; trace = [] }
   | Some _ -> (
     let layout = Linker.link ?order p in
     let ( slots,
@@ -628,7 +630,7 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
         cold_last_page = -1;
       }
     in
-    let dump_hook = ref (fun () -> ()) in
+    let dump_hook = ref (fun () -> []) in
     try
       init_memory p layout st.mem;
       List.iteri (fun i v -> if i < Reg.max_args then set_reg st (Reg.arg i) v) args;
@@ -647,7 +649,7 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
       let ring_pos = ref 0 in
       let dump_ring () =
         match ring with
-        | None -> ()
+        | None -> []
         | Some r ->
           let n = Array.length r in
           (* Symbolize each ring slot through the linker layout: the
@@ -680,10 +682,10 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
             lines := Printf.sprintf "0x%06x  %-28s %s" addr sym d :: !lines
           done;
           let lines = List.rev !lines in
-          last_trace_ref := lines;
           Printf.eprintf "--- trace ring (oldest first) ---\n";
           List.iter (fun l -> Printf.eprintf "%s\n" l) lines;
-          Printf.eprintf "---------------------------------\n%!"
+          Printf.eprintf "---------------------------------\n%!";
+          lines
       in
       dump_hook := dump_ring;
       (* Profile counts: the entry, each intra-image call or tail
@@ -826,15 +828,19 @@ let run ?(config = default_config) ?(args = []) ?order ?counts ~entry
           calls = st.calls;
         }
     with Exec_error e ->
-      (if config.trace_ring > 0 then try !dump_hook () with _ -> ());
-      last_backtrace := st.shadow_stack;
-      Error e)
+      let trace =
+        if config.trace_ring > 0 then (try !dump_hook () with _ -> []) else []
+      in
+      Error { error = e; backtrace = st.shadow_stack; trace })
+
+let run ?config ?args ?order ?counts ~entry p =
+  Result.map_error
+    (fun f -> f.error)
+    (exec ?config ?args ?order ?counts ~entry p)
 
 
 (* The §VI-4 anecdote: a failure inside an outlined function shows
    OUTLINED_FUNCTION_* on top of the stack; the real feature code is one
    level down.  [run_with_backtrace] surfaces that stack. *)
 let run_with_backtrace ?config ?args ?order ~entry p =
-  match run ?config ?args ?order ~entry p with
-  | Ok r -> Ok r
-  | Error e -> Error (e, !last_backtrace)
+  exec ?config ?args ?order ~entry p

@@ -25,8 +25,8 @@ type config = {
           structural tests on synthetic programs) *)
   trace_ring : int;
       (** when positive, keep a ring of the most recent program counters
-          and dump a symbolized trace (also exposed via {!last_trace})
-          if execution fails *)
+          and dump a symbolized trace (also returned as {!failure.trace}
+          by {!run_with_backtrace}) if execution fails *)
 }
 
 val default_config : config
@@ -114,21 +114,27 @@ val run :
     function's id and to the ids of the blocks starting there, so a step
     costs one array read and a call one int-keyed table bump. *)
 
+type failure = {
+  error : error;
+  backtrace : string list;
+      (** the simulated call stack at the failure, innermost first *)
+  trace : string list;
+      (** the symbolized trace-ring dump, oldest entry first: each line
+          carries the virtual address, ["sym+0xoff"] resolved through the
+          linker layout, and the instruction text.  Empty when
+          [trace_ring] is 0. *)
+}
+(** A failed run's diagnostics, read from that run's own state, so runs on
+    different domains never see each other's. *)
+
 val run_with_backtrace :
   ?config:config ->
   ?args:int list ->
   ?order:string list ->
   entry:string ->
   Machine.Program.t ->
-  (result, error * string list) Stdlib.result
-(** Like {!run}, but failures carry the simulated call stack (innermost
-    first).  This reproduces the debuggability story of §VI-4: a crash
+  (result, failure) Stdlib.result
+(** Like {!run}, but failures carry the run's call stack and trace-ring
+    dump.  This reproduces the debuggability story of §VI-4: a crash
     inside outlined code reports [OUTLINED_FUNCTION_…] as the leaf frame,
     with the responsible feature function one level below. *)
-
-val last_trace : unit -> string list
-(** The symbolized trace-ring dump of the most recent failed [run] with
-    [trace_ring > 0], oldest entry first.  Each line carries the virtual
-    address, ["sym+0xoff"] resolved through the linker layout, and the
-    instruction text.  Empty if the last run succeeded or the ring was
-    off. *)

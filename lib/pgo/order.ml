@@ -60,7 +60,10 @@ let order_file (profile : Profile.t) (p : Program.t) =
    a helper every span calls has no dominant caller, stays unmerged, and
    is placed densely by first-touch rank instead of being dragged into
    one arbitrary caller's chain far from the others. *)
-let c3 ?(max_cluster_bytes = 16 * 1024) (profile : Profile.t) (p : Program.t) =
+(* One 16 KiB page. *)
+let max_cluster_bytes = 16 * 1024
+
+let c3 (profile : Profile.t) (p : Program.t) =
   let hot, cold = split_hot_cold profile p in
   let hot = Array.of_list hot in
   let n = Array.length hot in
@@ -120,14 +123,18 @@ let c3 ?(max_cluster_bytes = 16 * 1024) (profile : Profile.t) (p : Program.t) =
 
 (* --- recursive-bisection balanced partitioning ----------------------------- *)
 
+(* Local-search passes per bisection, and the leaf size explained below. *)
+let passes = 10
+let leaf_bytes = 4096
+
 (* The BP algorithm over utility sets: each hot function is a "document"
    whose utilities are its dynamic call-graph neighbours; recursively
    bisect the current order, locally swapping equal-sized batches between
    the halves to minimize the log-gap cost, so functions sharing utilities
    (e.g. the same callers) converge to the same half — and finally the
-   same page.  Recursion stops once a half fits in [leaf_bytes] (default
-   4 KiB, a quarter of an iOS page): below a few KiB the fully-associative
-   iTLB no longer distinguishes orders, so BP's objective is pure noise
+   same page.  Recursion stops once a half fits in [leaf_bytes] (4 KiB, a
+   quarter of an iOS page): below a few KiB the fully-associative iTLB no
+   longer distinguishes orders, so BP's objective is pure noise
    there, while keeping the initial first-touch order inside each leaf is
    exactly what the icache wants (sequential startup streaming). *)
 (* The shared core, parameterized on the compression weight [w] of the
@@ -140,20 +147,16 @@ let c3 ?(max_cluster_bytes = 16 * 1024) (profile : Profile.t) (p : Program.t) =
    all and every locality weight is exactly 1.0, so the arithmetic — and
    therefore the order — is bit-identical to the original balanced
    partitioner; the w=0 degeneration test holds this. *)
-let balanced_core ?max_depth ?(passes = 10) ?(leaf_bytes = 4096)
-    ~content_weight (profile : Profile.t) (p : Program.t) =
+let balanced_core ~content_weight (profile : Profile.t) (p : Program.t) =
   let hot, cold = split_hot_cold profile p in
   let hot_bytes =
     List.fold_left (fun a f -> a + Mfunc.size_bytes f) 0 hot
   in
   let max_depth =
-    match max_depth with
-    | Some d -> d
-    | None ->
-      let rec depth_for bytes acc =
-        if bytes <= leaf_bytes then acc else depth_for (bytes / 2) (acc + 1)
-      in
-      depth_for hot_bytes 0
+    let rec depth_for bytes acc =
+      if bytes <= leaf_bytes then acc else depth_for (bytes / 2) (acc + 1)
+    in
+    depth_for hot_bytes 0
   in
   let rank = touch_rank profile in
   let hot =
@@ -287,14 +290,13 @@ let balanced_core ?max_depth ?(passes = 10) ?(leaf_bytes = 4096)
   bisect 0 n max_depth;
   Array.to_list ord @ List.map name_of cold
 
-let balanced ?max_depth ?passes ?leaf_bytes profile p =
-  balanced_core ?max_depth ?passes ?leaf_bytes ~content_weight:0.0 profile p
+let balanced profile p = balanced_core ~content_weight:0.0 profile p
 
 let default_w = 0.5
 
-let bp_compress ?max_depth ?passes ?leaf_bytes ?(w = default_w) profile p =
+let bp_compress ?(w = default_w) profile p =
   let w = Float.max 0.0 (Float.min 1.0 w) in
-  balanced_core ?max_depth ?passes ?leaf_bytes ~content_weight:w profile p
+  balanced_core ~content_weight:w profile p
 
 let compute (s : strategy) profile p =
   match s with

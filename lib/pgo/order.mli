@@ -21,29 +21,22 @@ val order_file : Profile.t -> Machine.Program.t -> string list
 (** Startup placement: functions in first-touch order, then everything
     else in program order — the "order file" linkers consume. *)
 
-val c3 : ?max_cluster_bytes:int -> Profile.t -> Machine.Program.t -> string list
+val c3 : Profile.t -> Machine.Program.t -> string list
 (** C³-style call-chain clustering (Codestitcher-family): coalesce the
-    weighted dynamic call graph into clusters bounded by
-    [max_cluster_bytes] (default one 16 KiB page), heaviest edges first,
-    and emit clusters by startup order.  Shared outlined helpers land
+    weighted dynamic call graph into clusters bounded by one 16 KiB page,
+    heaviest edges first, and emit clusters by startup order.  Shared outlined helpers land
     inside their hottest caller's chain instead of next to an arbitrary
     static caller. *)
 
-val balanced :
-  ?max_depth:int ->
-  ?passes:int ->
-  ?leaf_bytes:int ->
-  Profile.t ->
-  Machine.Program.t ->
-  string list
+val balanced : Profile.t -> Machine.Program.t -> string list
 (** Recursive-bisection balanced partitioning over utility sets (the
     Hoag et al. mobile-startup algorithm): hot functions are documents,
     their dynamic call-graph neighbours the utilities; recursive local
-    search keeps functions with shared utilities in the same half, hence
-    on nearby pages.  Unless [max_depth] overrides it, recursion stops
-    at [leaf_bytes]-sized leaves (default 4 KiB), which keep their
-    first-touch order — below a few KiB the fully-associative iTLB sees
-    no difference, while touch order still helps the icache.
+    search (at most 10 passes per bisection) keeps functions with shared
+    utilities in the same half, hence on nearby pages.  Recursion stops
+    at 4 KiB leaves, which keep their first-touch order — below a few KiB
+    the fully-associative iTLB sees no difference, while touch order still
+    helps the icache.
     Deterministic: ties break on function name. *)
 
 val default_w : float
@@ -51,9 +44,6 @@ val default_w : float
     requested without an explicit [w]. *)
 
 val bp_compress :
-  ?max_depth:int ->
-  ?passes:int ->
-  ?leaf_bytes:int ->
   ?w:float ->
   Profile.t ->
   Machine.Program.t ->

@@ -74,7 +74,7 @@ type config = {
   verify_each : bool;
   print_after : Passman.print_after;
   bisect_limit : int option;
-  warm_outline : (Outcore.Outliner.engine * (string -> bool)) option;
+  warm_outline : Outcore.Outliner.warm option;
 }
 
 let default_config =
@@ -307,10 +307,8 @@ let run_build ?dump ~config front_end =
           me_on_stats = on_stats;
           me_thin_workers = thin_workers;
           me_thin_report = Thinwpo.Engine.Report.create ();
-          (* The warm engine is whole-program state: per-module scopes get
-             their own dirty-set reuse within a run but never share caches
-             across requests (module-scoped symbol arrays would leak between
-             apps). *)
+          (* Only the whole-program outline pass takes the caller's warm
+             interner and pool; per-module units build over fresh ones. *)
           me_warm = (if scope = "" then config.warm_outline else None);
         }
     in

@@ -118,13 +118,13 @@ type config = {
       (** LLVM-style opt-bisect: stop applying passes — and individual
           outline rounds — after this many steps; see {!result.pass_steps}
           and {!Passman.bisect} *)
-  warm_outline : (Outcore.Outliner.engine * (string -> bool)) option;
-      (** warm incremental engine surviving across builds (the serve
-          daemon), with the changed-module predicate driving
-          {!Outcore.Outliner.engine_begin_build} at the build boundary.
-          Only consulted by whole-program [outline] runs (scope [""]) with
+  warm_outline : Outcore.Outliner.warm option;
+      (** content-addressed outliner state (interner and arena pool)
+          surviving across builds (the serve daemon).  Only consulted by
+          whole-program [outline] runs (scope [""]) with
           [outline_engine = `Incremental]; per-module and thin modes ignore
-          it.  [None] (the default) keeps every build self-contained. *)
+          it.  Images do not depend on it; [None] (the default) keeps every
+          build self-contained. *)
 }
 
 val default_config : config

@@ -18,13 +18,11 @@ type cached = {
 }
 
 (* Warm per-app state.  Keyed by the request's [app] label: name-keyed
-   caches (the engine's symbol arrays, compiled modules) must never leak
-   between apps whose functions share names. *)
+   caches (compiled modules) must never leak between apps whose modules
+   share names. *)
 type app_state = {
-  as_engine : Outcore.Outliner.engine;
-  mutable as_hashes : (string * string) list;
-      (** module -> source hash of the last successful build *)
-  mutable as_spec : string;  (** spec fingerprint of the last build *)
+  as_warm : Outcore.Outliner.warm;
+      (** content-addressed outliner state, valid for any build *)
   as_sigs : (string, string * (string * Swiftlet.Sigs.fsig) list) Hashtbl.t;
       (** module -> (source hash, exported signatures) *)
   as_mods : (string, string * Ir.modul) Hashtbl.t;
@@ -54,9 +52,7 @@ let app_state t name =
   | None ->
     let st =
       {
-        as_engine = Outcore.Outliner.create_engine ();
-        as_hashes = [];
-        as_spec = "";
+        as_warm = Outcore.Outliner.create_warm ();
         as_sigs = Hashtbl.create 32;
         as_mods = Hashtbl.create 32;
       }
@@ -208,26 +204,7 @@ let build_miss st b sources =
   | Error e -> Error e
   | Ok cfg ->
     let hashes = List.map (fun (n, s) -> (n, hash_hex s)) sources in
-    let fp = spec_fp b in
-    let same_spec = String.equal st.as_spec fp in
-    let prev = st.as_hashes in
-    (* A module is "changed" unless the previous successful build of this
-       app used the same spec and compiled the same bytes for it; the
-       engine's begin-build invalidation trusts this predicate. *)
-    let changed m =
-      (not same_spec)
-      ||
-      match (List.assoc_opt m hashes, List.assoc_opt m prev) with
-      | Some h, Some h0 -> not (String.equal h h0)
-      | _ -> true
-    in
-    let cfg =
-      match cfg.Pipeline.mode with
-      | Pipeline.Whole_program when cfg.Pipeline.outline_engine = `Incremental
-        ->
-        { cfg with Pipeline.warm_outline = Some (st.as_engine, changed) }
-      | _ -> cfg
-    in
+    let cfg = { cfg with Pipeline.warm_outline = Some st.as_warm } in
     let outcome =
       try
         match compile_cached st hashes sources with
@@ -235,16 +212,9 @@ let build_miss st b sources =
         | Ok mods -> Pipeline.build ~config:cfg mods
       with e -> Error (Printexc.to_string e)
     in
-    (match outcome with
-    | Error e ->
-      (* a half-run build may have left partial rounds in the engine *)
-      Outcore.Outliner.reset_engine st.as_engine;
-      st.as_hashes <- [];
-      st.as_spec <- "";
-      Error e
+    match outcome with
+    | Error e -> Error e
     | Ok res ->
-      st.as_hashes <- hashes;
-      st.as_spec <- fp;
       let image = Machine.Asm_printer.to_source res.Pipeline.program in
       let layout = res.Pipeline.layout in
       Ok
@@ -263,7 +233,7 @@ let build_miss st b sources =
               (fun (t : Passman.timing) -> (t.t_name, t.t_seconds))
               res.Pipeline.timing_tree;
           cb_image = image;
-        })
+        }
 
 let built_of b ~hit c =
   Built

@@ -10,15 +10,16 @@
       of the externals the module's source mentions (a conservative
       refinement of the import semantics, so appending a fresh function to
       one module leaves the others' cached bodies valid);
-    - per-app warm incremental outline engines, invalidated at each build
-      boundary via {!Outcore.Outliner.engine_begin_build} with a
-      changed-module predicate derived from the previous request's hashes.
+    - per-app content-addressed outliner state ({!Outcore.Outliner.warm}:
+      the instruction interner and suffix-tree arena pool), handed to
+      every build; each build's incremental engine starts its name-keyed
+      caches afresh over it, so no build, failed or not, can leave stale
+      state for the next.
 
     Warm state is keyed by the request's [app] label, so two apps never
-    share name-keyed engine caches; a spec change invalidates the whole
-    engine for that app.  At most 16 apps keep warm state: the least
-    recently served app is evicted (an LRU over app labels, reported as
-    [apps] in [stats]) and its next build runs cold.  Every response is
+    share name-keyed front-end caches.  At most 16 apps keep warm state:
+    the least recently served app is evicted (an LRU over app labels,
+    reported as [apps] in [stats]) and its next build runs cold.  Every response is
     byte-identical to a from-scratch {!Pipeline.build} of the same request
     — the fuzz differential and the replay bench both gate on it. *)
 

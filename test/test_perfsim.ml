@@ -402,14 +402,19 @@ entry:
   Alcotest.(check bool) "pattern was outlined" true has_outlined;
   match Perfsim.Interp.run_with_backtrace ~entry:"main" p' with
   | Ok _ -> Alcotest.fail "expected a null access"
-  | Error (Perfsim.Interp.Null_access, backtrace) -> (
+  | Error { error = Perfsim.Interp.Null_access; backtrace; _ } -> (
     match backtrace with
     | leaf :: caller :: _ ->
       Alcotest.(check bool) "leaf frame is outlined" true
         (String.length leaf >= 8 && String.sub leaf 0 8 = "OUTLINED");
       Alcotest.(check string) "real function one level down" "feature_a" caller
     | _ -> Alcotest.fail "backtrace too short")
-  | Error (e, _) -> Alcotest.fail (Perfsim.Interp.error_to_string e)
+  | Error f -> Alcotest.fail (Perfsim.Interp.error_to_string f.error)
+
+let mentions sub line =
+  let n = String.length sub and ln = String.length line in
+  let rec at i = i + n <= ln && (String.sub line i n = sub || at (i + 1)) in
+  at 0
 
 let test_trace_ring_symbolized () =
   (* A crashing program with the trace ring on must leave a symbolized
@@ -434,17 +439,13 @@ entry:
 |}
   in
   let config = { Perfsim.Interp.default_config with trace_ring = 16 } in
-  (match Perfsim.Interp.run ~config ~entry:"main" p with
-  | Ok _ -> Alcotest.fail "expected a null access"
-  | Error Perfsim.Interp.Null_access -> ()
-  | Error e -> Alcotest.fail (Perfsim.Interp.error_to_string e));
-  let trace = Perfsim.Interp.last_trace () in
-  Alcotest.(check bool) "trace non-empty" true (trace <> []);
-  let mentions sub line =
-    let n = String.length sub and ln = String.length line in
-    let rec at i = i + n <= ln && (String.sub line i n = sub || at (i + 1)) in
-    at 0
+  let trace =
+    match Perfsim.Interp.run_with_backtrace ~config ~entry:"main" p with
+    | Ok _ -> Alcotest.fail "expected a null access"
+    | Error { error = Perfsim.Interp.Null_access; trace; _ } -> trace
+    | Error f -> Alcotest.fail (Perfsim.Interp.error_to_string f.error)
   in
+  Alcotest.(check bool) "trace non-empty" true (trace <> []);
   Alcotest.(check bool) "crashing function symbolized" true
     (List.exists (mentions "crasher+0x") trace);
   Alcotest.(check bool) "every line symbolized" true
@@ -453,6 +454,71 @@ entry:
     (match List.rev trace with
     | last :: _ -> mentions "ldr" last
     | [] -> false)
+
+let test_concurrent_failures_keep_own_diagnostics () =
+  (* Two failing programs with different call stacks run at the same time
+     on two domains: every failure must carry its own run's backtrace and
+     trace-ring dump, never the other domain's. *)
+  let shallow =
+    parse
+      {|
+func alpha:
+entry:
+  mov x1, #0
+  ldr x6, [x1]
+  ret
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  bl alpha
+  ldp fp, lr, [sp], #16
+  ret
+|}
+  in
+  let deep =
+    parse
+      {|
+func gamma:
+entry:
+  mov x2, #0
+  ldr x7, [x2]
+  ret
+func beta:
+entry:
+  stp fp, lr, [sp, #-16]!
+  bl gamma
+  ldp fp, lr, [sp], #16
+  ret
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  bl beta
+  ldp fp, lr, [sp], #16
+  ret
+|}
+  in
+  let config = { Perfsim.Interp.default_config with trace_ring = 4 } in
+  let diagnostics p =
+    List.init 50 (fun _ ->
+        match Perfsim.Interp.run_with_backtrace ~config ~entry:"main" p with
+        | Ok _ -> Error "expected a null access"
+        | Error f -> Ok (f.backtrace, f.trace))
+  in
+  let other = Domain.spawn (fun () -> diagnostics deep) in
+  let mine = diagnostics shallow in
+  let theirs = Domain.join other in
+  let check label stack crasher results =
+    List.iter
+      (function
+        | Error e -> Alcotest.fail e
+        | Ok (backtrace, trace) ->
+          Alcotest.(check (list string)) (label ^ " backtrace") stack backtrace;
+          Alcotest.(check bool) (label ^ " trace names its crasher") true
+            (List.exists (mentions (crasher ^ "+0x")) trace))
+      results
+  in
+  check "shallow" [ "alpha"; "main" ] "alpha" mine;
+  check "deep" [ "gamma"; "beta"; "main" ] "gamma" theirs
 
 (* --- Differential property: outlining preserves semantics --------------- *)
 
@@ -611,6 +677,8 @@ let () =
             test_backtrace_through_outlined_code;
           Alcotest.test_case "trace ring dump is symbolized" `Quick
             test_trace_ring_symbolized;
+          Alcotest.test_case "concurrent failures keep own diagnostics"
+            `Quick test_concurrent_failures_keep_own_diagnostics;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_outlining_preserves_semantics ] );

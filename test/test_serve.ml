@@ -18,9 +18,9 @@ let scratch ?(s = spec) srcs =
   Machine.Asm_printer.to_source
     (ok_exn (Pipeline.build_sources ~config:(cfg_of s) srcs)).Pipeline.program
 
-(* Two tiny apps whose functions share names but not bodies: the warm
-   engine keys caches by function name, so serving both through one server
-   is exactly the cross-app staleness regression. *)
+(* Two tiny apps whose modules and functions share names but not bodies:
+   the front-end caches key on module name, so serving both through one
+   server is exactly the cross-app staleness regression. *)
 let app_a =
   [
     ("util", "func helper(v: Int) -> Int {\n  return v * 3 + 1\n}\n");
@@ -461,7 +461,7 @@ let test_cross_app_isolation () =
 
 let test_same_app_full_swap () =
   (* swapping an app's entire source set under one app label must fully
-     invalidate its warm front-end and engine state *)
+     invalidate its warm front-end state *)
   let server = Serve.Server.create () in
   let r1 = built (serve server (build_req ~id:"s1" ~app:"swap" app_a)) in
   Alcotest.(check string) "before swap" (scratch app_a) (image r1);
@@ -471,30 +471,47 @@ let test_same_app_full_swap () =
   Alcotest.(check bool) "swap back hits the result cache" true r3.b_cache_hit;
   Alcotest.(check string) "swap back" (scratch app_a) (image r3)
 
-let test_engine_begin_build_unit () =
-  (* Outliner-level contract: one engine carried across builds of different
-     programs (engine_begin_build between them) stays byte-identical to the
-     from-scratch reference *)
+let test_warm_state_unit () =
+  (* Outliner-level contract: one warm interner and arena pool shared by
+     builds of different programs stays byte-identical to the from-scratch
+     reference *)
   let p1 = Fuzz.Machgen.generate (Random.State.make [| 5; 11 |]) ~fuel:8 in
   let p2 = Fuzz.Machgen.generate (Random.State.make [| 6; 11 |]) ~fuel:8 in
-  let e = Outcore.Outliner.create_engine () in
-  let warm ~changed p =
-    Outcore.Outliner.engine_begin_build e ~changed p;
+  let warm = Outcore.Outliner.create_warm () in
+  let build ?engine ?warm p =
     Machine.Asm_printer.to_source
-      (fst (Outcore.Repeat.run ~use_engine:e ~rounds:3 p))
+      (fst (Outcore.Repeat.run ?engine ?warm ~rounds:3 p))
   in
-  let cold p =
-    Machine.Asm_printer.to_source
-      (fst (Outcore.Repeat.run ~engine:`Scratch ~rounds:3 p))
-  in
-  let all_changed _ = true and none_changed _ = false in
-  Alcotest.(check string) "first build" (cold p1) (warm ~changed:all_changed p1);
-  Alcotest.(check string) "clean rebuild reuses warm state" (cold p1)
-    (warm ~changed:none_changed p1);
-  Alcotest.(check string) "different program, all modules changed" (cold p2)
-    (warm ~changed:all_changed p2);
+  let cold = build ~engine:`Scratch in
+  Alcotest.(check string) "first build" (cold p1) (build ~warm p1);
+  Alcotest.(check string) "rebuild of the same program" (cold p1)
+    (build ~warm p1);
+  Alcotest.(check string) "different program" (cold p2) (build ~warm p2);
   Alcotest.(check string) "back to the first program" (cold p1)
-    (warm ~changed:all_changed p1)
+    (build ~warm p1)
+
+let test_failed_request_leaves_no_state () =
+  (* a request that fails in the front end between two builds of one app
+     must not change what the next build serves *)
+  let edited =
+    edit app_a "util" "\nfunc patch(v: Int) -> Int {\n  return v ^ 12\n}\n"
+  in
+  let broken = edit app_a "main" "\nfunc broken( {\n" in
+  let server = Serve.Server.create () in
+  ignore (built (serve server (build_req ~id:"a" ~app:"x" app_a)));
+  (match serve server (build_req ~id:"bad" ~app:"x" broken) with
+  | Serve.Protocol.Error_reply { e_id; _ } ->
+    Alcotest.(check string) "error names the failed request" "bad" e_id
+  | _ -> Alcotest.fail "a front-end failure should earn an error reply");
+  let after = built (serve server (build_req ~id:"a2" ~app:"x" edited)) in
+  let fresh =
+    built
+      (serve (Serve.Server.create ()) (build_req ~id:"a2" ~app:"x" edited))
+  in
+  Alcotest.(check string) "identical to a fresh server" (image fresh)
+    (image after);
+  Alcotest.(check string) "identical to a cold build" (scratch edited)
+    (image after)
 
 let test_app_state_bound () =
   (* more app labels than the daemon keeps warm state for: the [apps] stat
@@ -610,8 +627,10 @@ let () =
             test_cross_app_isolation;
           Alcotest.test_case "same-app full swap" `Quick
             test_same_app_full_swap;
-          Alcotest.test_case "engine_begin_build at the outliner level" `Quick
-            test_engine_begin_build_unit;
+          Alcotest.test_case "warm interner and pool across builds" `Quick
+            test_warm_state_unit;
+          Alcotest.test_case "failed request leaves no state" `Quick
+            test_failed_request_leaves_no_state;
           Alcotest.test_case "app state is bounded" `Quick
             test_app_state_bound;
         ] );
