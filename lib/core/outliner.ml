@@ -332,18 +332,46 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
    illegal, call and SP-relevant instructions, which answer
    [candidate_of_repeat]'s range checks for any window by subtraction. *)
 
+(* One block's scanner row: everything the scanner derives from the
+   block's body and ret slot alone, so a row stays valid for as long as
+   both do. *)
+type row = {
+  rw_body : Insn.t array;
+  rw_has_ret : bool;
+  rw_text : string array;      (** printed instructions *)
+  rw_prefix : int array;
+      (** rolling hash of symbols [0, i), the ret slot included *)
+  rw_illegal : int array;      (** counts over body [0, i) *)
+  rw_calls : int array;
+}
+
+type scan_memo = {
+  ms_rows : (string * string, row) Hashtbl.t;  (** (function, label) *)
+  ms_live : (string, Mfunc.t * Liveness.t) Hashtbl.t;
+  ms_by_name : bool;
+}
+
+let create_scan_memo ?(match_by_name = false) () =
+  {
+    ms_rows = Hashtbl.create 1024;
+    ms_live = Hashtbl.create 256;
+    ms_by_name = match_by_name;
+  }
+
+(* Instruction -> printed form and content hash. *)
+type printer = (Insn.t, string * int) Hashtbl.t
+
+let create_printer () : printer = Hashtbl.create 512
+
 type windows = {
   wn_options : options;
   wn_metas : seq_meta array;
-  wn_prefix : int array array;
-      (** per block: rolling hash of symbols [0, i), the ret slot included *)
-  wn_illegal : int array array;  (** per block: counts over body [0, i) *)
-  wn_calls : int array array;
-  wn_sp : int array array;
-  wn_text : string array array;  (** per block: printed instructions *)
-  wn_pow : int array;            (** [key_base] to the power [i] *)
+  wn_rows : row array;
+  wn_sp : int array array;  (** per block: SP-relevant counts over body [0, i) *)
+  wn_pow : int array;       (** [key_base] to the power [i] *)
   wn_callee_sp_unsafe : string -> bool;
   wn_lr_live : int -> int -> bool;
+  wn_reused : int;          (** rows taken from the memo *)
 }
 
 (* Odd, so its powers never vanish mod 2^63, and unrelated to the FNV
@@ -364,66 +392,92 @@ let content_hash s =
    as "ret" (it is a terminator). *)
 let ret_content = content_hash "ret"
 
-let windows ?(options = default_options) ?extern_sp_unsafe (p : Program.t) =
-  let metas = seq_metas p in
-  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-  let printed : (Insn.t, string * int) Hashtbl.t = Hashtbl.create 512 in
+let prefix_count pred body =
+  let a = Array.make (Array.length body + 1) 0 in
+  Array.iteri (fun i insn -> a.(i + 1) <- a.(i) + Bool.to_int (pred insn)) body;
+  a
+
+let scan_row (printer : printer) (m : seq_meta) =
   let print i =
-    match Hashtbl.find_opt printed i with
+    match Hashtbl.find_opt printer i with
     | Some sh -> sh
     | None ->
       let text = Insn.to_string i in
       let sh = (text, content_hash text) in
-      Hashtbl.replace printed i sh;
+      Hashtbl.replace printer i sh;
       sh
   in
-  let body (m : seq_meta) = m.sm_block.Block.body in
-  let texts =
-    Array.map (fun m -> Array.map (fun i -> fst (print i)) (body m)) metas
+  let b = m.sm_block.Block.body in
+  let n = Array.length b in
+  let len = if m.sm_has_ret then n + 1 else n in
+  let h = Array.make (len + 1) 0 in
+  for i = 0 to len - 1 do
+    h.(i + 1) <-
+      (h.(i) * key_base) + if i = n then ret_content else snd (print b.(i))
+  done;
+  {
+    rw_body = b;
+    rw_has_ret = m.sm_has_ret;
+    rw_text = Array.map (fun i -> fst (print i)) b;
+    rw_prefix = h;
+    rw_illegal =
+      prefix_count (fun i -> Legality.classify i = Legality.Illegal) b;
+    rw_calls = prefix_count Insn.is_call b;
+  }
+
+let windows ?(options = default_options) ?extern_sp_unsafe
+    ?(memo = create_scan_memo ()) ?(printer = create_printer ())
+    (p : Program.t) =
+  let metas = seq_metas p in
+  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
+  let reused = ref 0 in
+  let row (m : seq_meta) =
+    let key = (m.sm_func.Mfunc.name, m.sm_block.Block.label) in
+    match Hashtbl.find_opt memo.ms_rows key with
+    | Some r
+      when memo.ms_by_name
+           || (r.rw_body == m.sm_block.Block.body
+              && r.rw_has_ret = m.sm_has_ret) ->
+      incr reused;
+      r
+    | _ ->
+      let r = scan_row printer m in
+      Hashtbl.replace memo.ms_rows key r;
+      r
   in
-  let prefix_count pred (m : seq_meta) =
-    let b = body m in
-    let a = Array.make (Array.length b + 1) 0 in
-    Array.iteri (fun i insn -> a.(i + 1) <- a.(i) + Bool.to_int (pred insn)) b;
-    a
-  in
-  let prefix_hash (m : seq_meta) =
-    let b = body m in
-    let n = Array.length b in
-    let len = if m.sm_has_ret then n + 1 else n in
-    let h = Array.make (len + 1) 0 in
-    for i = 0 to len - 1 do
-      h.(i + 1) <-
-        (h.(i) * key_base) + if i = n then ret_content else snd (print b.(i))
-    done;
-    h
-  in
+  let rows = Array.map row metas in
   let sp_relevant i =
     Insn.touches_sp i
     || match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false
   in
   let longest =
-    Array.fold_left (fun acc m -> max acc (Array.length (body m) + 1)) 0 metas
+    Array.fold_left (fun acc r -> max acc (Array.length r.rw_prefix)) 0 rows
   in
   let pow = Array.make (longest + 1) 1 in
   for i = 1 to longest do
     pow.(i) <- pow.(i - 1) * key_base
   done;
+  let liveness_of (f : Mfunc.t) =
+    match Hashtbl.find_opt memo.ms_live f.name with
+    | Some (f', lv) when f' == f -> lv
+    | _ ->
+      let lv = Liveness.compute f in
+      Hashtbl.replace memo.ms_live f.name (f, lv);
+      lv
+  in
   {
     wn_options = options;
     wn_metas = metas;
-    wn_prefix = Array.map prefix_hash metas;
-    wn_illegal =
-      Array.map
-        (prefix_count (fun i -> Legality.classify i = Legality.Illegal))
-        metas;
-    wn_calls = Array.map (prefix_count Insn.is_call) metas;
-    wn_sp = Array.map (prefix_count sp_relevant) metas;
-    wn_text = texts;
+    wn_rows = rows;
+    wn_sp =
+      Array.map (fun m -> prefix_count sp_relevant m.sm_block.Block.body) metas;
     wn_pow = pow;
     wn_callee_sp_unsafe = callee_sp_unsafe;
-    wn_lr_live = lr_live_memo metas (liveness_memo (Hashtbl.create 64));
+    wn_lr_live = lr_live_memo metas liveness_of;
+    wn_reused = !reused;
   }
+
+let reuse w = (w.wn_reused, Array.length w.wn_metas)
 
 (* A window's shape packed in one int, or [-1] when [candidate_of_repeat]
    would reject it for any site: bits 0-1 the strategy tag (1 ret-ending,
@@ -433,7 +487,7 @@ let window_shape w s pos len =
   let m = w.wn_metas.(s) in
   let body = m.sm_block.Block.body in
   let n = Array.length body in
-  let bad = w.wn_illegal.(s) in
+  let bad = w.wn_rows.(s).rw_illegal in
   (* The virtual ret slot at [n] is always legal. *)
   if bad.(min (pos + len) n) - bad.(pos) <> 0 then -1
   else
@@ -452,7 +506,8 @@ let window_shape w s pos len =
       (* A thunk's final call becomes the tail branch: exempt from both
          range checks. *)
       let hi = if tag = 2 then pos + insn_len - 1 else pos + insn_len in
-      let lr = w.wn_calls.(s).(hi) - w.wn_calls.(s).(pos) > 0 in
+      let calls = w.wn_rows.(s).rw_calls in
+      let lr = calls.(hi) - calls.(pos) > 0 in
       let sp = w.wn_sp.(s).(hi) - w.wn_sp.(s).(pos) > 0 in
       if lr && sp then -1
       else tag lor (if lr then 4 else 0) lor if sp then 8 else 0
@@ -460,7 +515,7 @@ let window_shape w s pos len =
 (* Content, then length, then strategy and LR-frame bit, as further
    polynomial terms. *)
 let key_of_shape w s pos len shape =
-  let h = w.wn_prefix.(s) in
+  let h = w.wn_rows.(s).rw_prefix in
   let content = h.(pos + len) - (h.(pos) * w.wn_pow.(len)) in
   (((content * key_base) + len) * key_base) + (shape land 7)
 
@@ -507,8 +562,17 @@ let iter_windows w ~lengths f =
         lengths)
     w.wn_metas
 
+let window_bound w ~lengths =
+  Array.fold_left
+    (fun acc (m : seq_meta) ->
+      let n = Array.length m.sm_block.Block.body + Bool.to_int m.sm_has_ret in
+      List.fold_left
+        (fun acc len -> if len >= 2 && len <= n then acc + n - len + 1 else acc)
+        acc lengths)
+    0 w.wn_metas
+
 let window_text w ~block ~pos ~len =
-  let text = w.wn_text.(block) in
+  let text = w.wn_rows.(block).rw_text in
   List.init (min len (Array.length text - pos)) (fun i -> text.(pos + i))
 
 let window_candidate w ~block ~pos ~len =
@@ -520,6 +584,21 @@ let window_candidate w ~block ~pos ~len =
         Sufftree.Suffix_tree.length = len;
         occs = [ { Sufftree.Suffix_tree.seq = block; pos } ];
       }
+
+(* The site record [candidate_of_repeat] builds for one occurrence. *)
+let window_site w ~block ~pos ~len call =
+  let m = w.wn_metas.(block) in
+  let body = m.sm_block.Block.body in
+  let with_ret = m.sm_has_ret && pos + len = Array.length body + 1 in
+  {
+    Candidate.func = m.sm_func.Mfunc.name;
+    block = m.sm_block.Block.label;
+    block_id = block;
+    start = pos;
+    len = (if with_ret then len - 1 else len);
+    with_ret;
+    call;
+  }
 
 (* --- Greedy selection order ------------------------------------------- *)
 

@@ -75,16 +75,44 @@ type windows
     discovery).  Built in one pass over the blocks; every query after that
     is O(1). *)
 
+type scan_memo
+(** What {!windows} may carry from one scan of a program to the next: per
+    block its row (printed instructions, prefix rolling hash, prefix
+    counts of illegal and call instructions), per function its liveness.
+    A row is reused only while the block's body is physically the same
+    array and its ret slot the same, liveness only while the function is
+    physically the same [Mfunc.t] — what {!apply_assignments} keeps for
+    everything it does not rewrite — so nothing is ever invalidated. *)
+
+val create_scan_memo : ?match_by_name:bool -> unit -> scan_memo
+(** An empty memo.  [match_by_name] is fault injection for
+    [sizeopt fuzz --self-test] only: reuse a row whenever the block's
+    (function, label) matches, skipping the identity check. *)
+
+type printer
+(** Printed forms and content hashes by instruction: content-addressed,
+    so any scans may share one, one at a time. *)
+
+val create_printer : unit -> printer
+
 val windows :
   ?options:options ->
   ?extern_sp_unsafe:(string -> bool) ->
+  ?memo:scan_memo ->
+  ?printer:printer ->
   Machine.Program.t ->
   windows
 (** Precompute, per block of [p], per-instruction content hashes, prefix
     rolling hashes, prefix counts of illegal, call and SP-relevant
     instructions ([extern_sp_unsafe] as in {!enumerate}), and a lazy
     LR-liveness memo.  Block indices are the site [block_id]s {!enumerate}
-    reports for the same program. *)
+    reports for the same program.  Rows and liveness still valid in
+    [memo] are reused and new ones added to it; SP relevance depends on
+    [extern_sp_unsafe] and is always recomputed.  The result is the same
+    with any memo and printer (fresh ones by default). *)
+
+val reuse : windows -> int * int
+(** (blocks whose row came from the memo, blocks scanned). *)
 
 val iter_windows :
   windows ->
@@ -107,6 +135,11 @@ val iter_windows :
     equal content, strategy, LR-frame bit and length (up to hash
     collisions), in any program. *)
 
+val window_bound : windows -> lengths:int list -> int
+(** An upper bound on the windows {!iter_windows} visits for these
+    (distinct) lengths, from the block lengths alone: O(blocks), with no
+    window keyed. *)
+
 val window_key : windows -> block:int -> pos:int -> len:int -> int
 (** The key {!iter_windows} reports for a window; [len] counts a trailing
     [ret].  Meaningful for legal candidate windows, such as the sites of
@@ -120,6 +153,16 @@ val window_candidate :
   windows -> block:int -> pos:int -> len:int -> Candidate.t option
 (** The single-site candidate for one window, exactly as discovery builds
     it for that occurrence; [None] when the window is no candidate. *)
+
+val window_site :
+  windows ->
+  block:int ->
+  pos:int ->
+  len:int ->
+  Candidate.site_call ->
+  Candidate.site
+(** The site of a window {!iter_windows} reported with this call kind:
+    the one site of its {!window_candidate}, built in O(1). *)
 
 val sp_unsafe_callees :
   ?extern:(string -> bool) -> Machine.Program.t -> string -> bool

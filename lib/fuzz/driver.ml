@@ -200,6 +200,13 @@ let self_test ?(log = null_log) ~seed () =
       swiftlet Lattice.check_thin ~salt:224737
         ~flag:Thinwpo.Summary.fault_truncate_hash
         ~fault_name:"summary-hash-truncation" ~max_reproducer_lines:60;
+      (* Let thin-WPO's per-module scan memos reuse a block's row by
+         (function, label) alone, so shards key the blocks the previous
+         round rewrote from their stale rows; the thin lattice
+         differentials must catch the wrong keys and call sites. *)
+      swiftlet Lattice.check_thin ~salt:49979687
+        ~flag:Thinwpo.Engine.fault_stale_shard_state
+        ~fault_name:"stale-shard-state" ~max_reproducer_lines:60;
       (* Drop the module-content component of the serve daemon's
          result-cache key, so an edited app hits the previous build's
          image; the serve-vs-cold replay differential must catch the stale

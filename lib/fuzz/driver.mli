@@ -34,10 +34,12 @@ val self_test : ?log:(string -> unit) -> seed:int -> unit -> (string, string) re
     (stale dirty-block caches, caught by the incremental-vs-scratch
     differential); {!Thinwpo.Summary.fault_truncate_hash} (colliding
     thin-WPO window keys, Swiftlet programs against {!Lattice.check_thin});
+    {!Thinwpo.Engine.fault_stale_shard_state} (thin-WPO scan rows reused
+    by name after a rewrite, against {!Lattice.check_thin});
     {!Serve.Server.fault_stale_cache_entry} (a serve result cache that
     ignores module content, against {!Lattice.check_serve});
     {!Blocklayout.fault_drop_materialized_branch} (the stitch differential
     in {!Lattice.check_machine}); and {!Merge.fault_drop_rollback}
-    (against {!Lattice.check_gmerge}).  [Ok report] carries all six shrunk
+    (against {!Lattice.check_gmerge}).  [Ok report] carries all seven shrunk
     reproducers; [Error] means the harness failed to catch or shrink a
     bug. *)

@@ -191,7 +191,12 @@ let run_point ?(interp = interp_config) modules (label, cfg) ~style ~ref_exit
   match spec_round_trip (label, cfg) with
   | Error f -> Error f
   | Ok () -> (
-    match Pipeline.build ~config:cfg modules with
+    (* A stale cache or a corrupted decision can crash a pass outright: an
+       exception is this point's failure, not the whole run's. *)
+    match
+      try Pipeline.build ~config:cfg modules
+      with e -> Error ("raised " ^ Printexc.to_string e)
+    with
     | Error msg ->
       if expect_conflict cfg style (List.length modules) then
         if contains_substring msg "module flag conflict" then Ok None

@@ -617,7 +617,7 @@ let thin_outline_pass env =
             (int_param sp "workers" ~default:env.me_thin_workers)
         in
         let min_length = int_param sp "min" ~default:2 in
-        let facts = Thinwpo.Engine.create_facts () in
+        let state = Thinwpo.Engine.create_state () in
         run_rounds ctx ~pass:"thin-outline" ~unit_name:""
           ~rounds:(int_param sp "rounds" ~default:5)
           ~on_stats:env.me_on_stats
@@ -627,7 +627,7 @@ let thin_outline_pass env =
             in
             let out =
               Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers
-                ~facts ~options p
+                ~state ~options p
             in
             let rr = latest (Thinwpo.Engine.Report.rounds env.me_thin_report) in
             List.iter
@@ -635,7 +635,9 @@ let thin_outline_pass env =
                 add_node ctx
                   {
                     (leaf
-                       ~note:(Printf.sprintf "%d funcs" sh.rs_funcs)
+                       ~note:
+                         (Printf.sprintf "%d funcs, %d/%d blocks reused"
+                            sh.rs_funcs sh.rs_reused sh.rs_blocks)
                        ("shard " ^ sh.rs_module)
                        (sh.rs_discover +. sh.rs_rewrite))
                     with

@@ -3,8 +3,10 @@
     (phase 1), take the global decision over the exchanged summaries —
     serial joins and ranking around two parallel steps, the ranking hashes
     and the ranked site assignment (phase 2) — and rewrite every shard in
-    parallel against the decision table (phase 3).  A candidate is built
-    only for a window whose pattern the provisional decision ranked.
+    parallel against the decision table (phase 3).  Every window is keyed
+    once per round, and only blocks the previous round rewrote are
+    rescanned; one candidate is built per pattern a shard retains, after
+    its sites survive the ranked site assignment.
 
     Determinism contract: the output program is a function of the input
     program and the options alone — {e never} of [workers] or domain
@@ -15,13 +17,30 @@
     byte-identity differential between [workers = 1] and [workers = 4]
     over exactly this contract. *)
 
-type facts
-(** The cross-round global facts table: thin-outlined symbols whose bodies
-    are not SP-neutral callees.  Shared by every shard of every later
-    round, because the callee's body may be hosted anywhere. *)
+type state
+(** One build's state, created by the [thin-outline] pass and dropped with
+    it: the facts table (thin-outlined symbols that are not SP-neutral
+    callees, shared by every later round because a body may be hosted
+    anywhere); per module a {!Outcore.Outliner.scan_memo} and the last
+    round's scan arrays, so a shard rescans only the blocks the previous
+    round rewrote; per worker an arena pool and an instruction printer.
+    None of it changes an output — a row is reused only for a physically
+    unchanged block — so the determinism contract above holds unchanged,
+    and a round gives the same summaries and program as from
+    {!fresh_scans}.  A parallel shard task touches only its own module's
+    entry. *)
 
-val create_facts : unit -> facts
-val fact_sp_unsafe : facts -> string -> bool
+val create_state : unit -> state
+
+val fresh_scans : state -> state
+(** The same facts table (shared, not copied), nothing else: the
+    cold-scan reference for tests. *)
+
+val fault_stale_shard_state : bool ref
+(** Fault injection for [sizeopt fuzz --self-test]: memos created while
+    it is set reuse a block's row by (function, label) alone, so shards
+    key rewritten blocks from stale rows.  The thin-WPO lattice must
+    catch it. *)
 
 module Report : sig
   (** Per-round wall-time split: one entry per shard (discovery, refine
@@ -32,6 +51,8 @@ module Report : sig
   type shard = {
     rs_module : string;
     rs_funcs : int;
+    rs_blocks : int;    (** blocks the shard's scanner covered *)
+    rs_reused : int;    (** of those, rows carried from the last round *)
     rs_discover : float;
         (** phase 1 window keying, the ranking hashes the decision round
             asks of this shard, and the refine pass *)
@@ -53,25 +74,39 @@ module Report : sig
 end
 
 val summarize :
-  facts:facts ->
+  state:state ->
   options:Outcore.Outliner.options ->
   modul:string ->
   Machine.Program.t ->
   Summary.t
-(** Phase 1 for one shard program: the summary it sends to the decision
-    round ([ps_rep] indexes {!Outcore.Outliner.windows} of the same
-    program).  Exposed for tests. *)
+(** Phase 1 for one shard program through [state]'s memo for [modul]: the
+    summary it sends to the decision round ([ps_rep] indexes
+    {!Outcore.Outliner.windows} of the same program).  Exposed for
+    tests. *)
+
+val retained :
+  ?per_window:bool ->
+  workers:int ->
+  options:Outcore.Outliner.options ->
+  Machine.Program.t ->
+  (int, Outcore.Candidate.t) Hashtbl.t array
+(** Phases 1 and 2 of one round from a fresh state: each shard's retained
+    candidates by key, as phase 3 gets them.  [per_window] takes each
+    window's site from its {!Outcore.Outliner.window_candidate} instead
+    of the scanner — the reference the packed claim must match.  Exposed
+    for tests. *)
 
 val run_round :
   ?report:Report.t ->
   workers:int ->
-  facts:facts ->
+  state:state ->
   options:Outcore.Outliner.options ->
   Machine.Program.t ->
   Machine.Program.t * Outcore.Outliner.round_stats
 (** One three-phase round on [workers] domains ([options.round] names the
     round; [options.scope_name] is ignored — thin symbols are named from
     the decision table).  Newly selected sp-unsafe symbols are added to
-    [facts].  When no global site is rewritten the input program is
+    [state]'s facts, and its memos keep this round's scanner rows for the
+    next.  When no global site is rewritten the input program is
     returned unchanged (mirroring the serial outliner's early stop), and
     [sequences_outlined = 0] tells the driver to stop iterating. *)

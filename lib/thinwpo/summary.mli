@@ -53,16 +53,9 @@ type t = {
     shard, nearly all of them seen once, and does so one key bucket at a
     time so that its tables stay in cache. *)
 
-val of_columns :
-  modul:string ->
-  count:int ->
-  keys:int array ->
-  free:int array ->
-  save:int array ->
-  (int -> pattern) ->
-  t
-(** The summary of patterns [0 .. count - 1], given by column, with the
-    whole entry of each on demand; grouping by bucket happens here. *)
+val buckets : int
+val bucket : int -> int
+(** The bucket [[0, buckets)] of a key: its top bits. *)
 
 val of_patterns : modul:string -> pattern list -> t
 
@@ -81,9 +74,6 @@ module Index : sig
 
   val find : t -> int -> int
   (** The key's id, or [-1]. *)
-
-  val size : t -> int
-  (** Keys added so far. *)
 
   val clear : t -> unit
 end

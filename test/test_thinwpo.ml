@@ -20,6 +20,23 @@ let build_thin ~workers srcs =
 let small_srcs =
   lazy (Workload.Appgen.generate_sources Workload.Appgen.small)
 
+let linked_small () =
+  (ok_exn
+     (Pipeline.build_sources
+        ~config:{ (thin_config 1) with outline_rounds = 0 }
+        (Lazy.force small_srcs)))
+    .Pipeline.program
+
+let module_shards (p : Program.t) =
+  List.sort_uniq compare
+    (List.map (fun (f : Mfunc.t) -> f.from_module) p.Program.funcs)
+  |> List.map (fun modul ->
+         ( modul,
+           Program.replace_funcs p
+             (List.filter
+                (fun (f : Mfunc.t) -> f.from_module = modul)
+                p.Program.funcs) ))
+
 (* --- summaries -------------------------------------------------------------- *)
 
 let test_hash_stability () =
@@ -72,7 +89,7 @@ let check_window_keys label p =
         agree by_key key h;
         agree by_hash h key);
   let s =
-    Thinwpo.Engine.summarize ~facts:(Thinwpo.Engine.create_facts ())
+    Thinwpo.Engine.summarize ~state:(Thinwpo.Engine.create_state ())
       ~options:Outcore.Outliner.default_options ~modul:label p
   in
   Array.iteri
@@ -96,28 +113,96 @@ let test_window_keys () =
     let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
     windows := !windows + check_window_keys (Printf.sprintf "seed %d" seed) p
   done;
-  let linked =
-    (ok_exn
-       (Pipeline.build_sources
-          ~config:{ (thin_config 1) with outline_rounds = 0 }
-          (Lazy.force small_srcs)))
-      .Pipeline.program
+  List.iter
+    (fun (modul, shard) ->
+      windows := !windows + check_window_keys modul shard)
+    (module_shards (linked_small ()));
+  Alcotest.(check bool) "windows were keyed" true (!windows > 0)
+
+(* --- carried shard state ------------------------------------------------------ *)
+
+(* Rounds run twice over: once on one state carried across the rounds,
+   once on the same facts with empty scan memos every round.  Each round,
+   every module's summary columns and the round's output must agree.
+   Returns the blocks the carried state reused. *)
+let check_carried_state label p =
+  let carried = Thinwpo.Engine.create_state () in
+  let cold = Thinwpo.Engine.create_state () in
+  let report = Thinwpo.Engine.Report.create () in
+  let rec go round p =
+    if round <= 5 then begin
+      let options = { Outcore.Outliner.default_options with round } in
+      List.iter
+        (fun (modul, shard) ->
+          let columns state =
+            let s = Thinwpo.Engine.summarize ~state ~options ~modul shard in
+            Thinwpo.Summary.(s.sm_keys, s.sm_free, s.sm_save)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s round %d %s: summary columns" label round
+               modul)
+            true
+            (columns carried = columns (Thinwpo.Engine.fresh_scans cold)))
+        (module_shards p);
+      let p1, stats =
+        Thinwpo.Engine.run_round ~report ~workers:2 ~state:carried ~options p
+      in
+      let p2, _ =
+        Thinwpo.Engine.run_round ~workers:1
+          ~state:(Thinwpo.Engine.fresh_scans cold) ~options p
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s round %d: image" label round)
+        (source p2) (source p1);
+      if stats.Outcore.Outliner.sequences_outlined > 0 then go (round + 1) p1
+    end
   in
-  let modules =
-    List.sort_uniq compare
-      (List.map (fun (f : Mfunc.t) -> f.from_module) linked.Program.funcs)
+  go 1 p;
+  List.fold_left
+    (fun acc (r : Thinwpo.Engine.Report.round) ->
+      List.fold_left
+        (fun acc (sh : Thinwpo.Engine.Report.shard) -> acc + sh.rs_reused)
+        acc r.rr_shards)
+    0
+    (Thinwpo.Engine.Report.rounds report)
+
+let test_carried_state () =
+  for seed = 1 to 40 do
+    let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
+    ignore (check_carried_state (Printf.sprintf "seed %d" seed) p)
+  done;
+  let reused = check_carried_state "small app" (linked_small ()) in
+  Alcotest.(check bool) "the small app's later rounds reuse rows" true
+    (reused > 0)
+
+(* The ranked site assignment claims packed windows through the scanner's
+   shape and call bits; building every window's single-site candidate
+   instead must retain the same table. *)
+let test_packed_refine () =
+  let p = linked_small () in
+  let options = Outcore.Outliner.default_options in
+  let sorted table =
+    List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) table [])
   in
   List.iter
-    (fun modul ->
-      let shard =
-        Program.replace_funcs linked
-          (List.filter
-             (fun (f : Mfunc.t) -> f.from_module = modul)
-             linked.Program.funcs)
+    (fun workers ->
+      let packed = Thinwpo.Engine.retained ~workers ~options p in
+      let reference =
+        Thinwpo.Engine.retained ~per_window:true ~workers ~options p
       in
-      windows := !windows + check_window_keys modul shard)
-    modules;
-  Alcotest.(check bool) "windows were keyed" true (!windows > 0)
+      Alcotest.(check int) "one table per shard" (Array.length reference)
+        (Array.length packed);
+      Array.iteri
+        (fun i table ->
+          Alcotest.(check bool)
+            (Printf.sprintf "workers=%d shard %d: same retained candidates"
+               workers i)
+            true
+            (sorted table = sorted reference.(i)))
+        packed;
+      Alcotest.(check bool) "candidates were retained" true
+        (Array.exists (fun t -> Hashtbl.length t > 0) packed))
+    [ 1; 2 ]
 
 (* --- the global decision round ---------------------------------------------- *)
 
@@ -312,6 +397,10 @@ let () =
           Alcotest.test_case "hash stability" `Quick test_hash_stability;
           Alcotest.test_case "window keys agree with content hashes" `Quick
             test_window_keys;
+          Alcotest.test_case "carried shard state equals a cold scan" `Quick
+            test_carried_state;
+          Alcotest.test_case "packed refine equals per-window candidates"
+            `Quick test_packed_refine;
         ] );
       ( "decide",
         [
