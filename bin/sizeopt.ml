@@ -248,8 +248,8 @@ let build_cmd =
   let engine =
     Arg.(value & opt string "incremental"
          & info [ "engine" ] ~docv:"incremental|scratch"
-             ~doc:"Outliner engine: the incremental dirty-block engine \
-                   (default) or the from-scratch reference.")
+             ~doc:"Outliner engine: the incremental engine (default) or \
+                   the from-scratch reference.")
   in
   let profile_flag =
     Arg.(value & flag
@@ -536,11 +536,16 @@ let fuzz_cmd =
   in
   let self_test =
     Arg.(value & flag & info [ "self-test" ]
-           ~doc:"Inject an outliner legality bug, a stale dirty-set bug in \
-                 the incremental engine, a thin-WPO summary-hash collision, \
-                 a stale serve-cache bug and a block splitter that drops \
-                 materialized branches, and require the harness to catch \
-                 all five and shrink each reproducer.")
+           ~doc:"Inject seven bugs one at a time: an outliner legality \
+                 bug (LR-legality), stale symbol rows in the incremental \
+                 engine (stale-engine-rows), a thin-WPO summary-hash \
+                 collision (summary-hash-truncation), stale thin-WPO shard \
+                 rows (stale-shard-state), a stale serve-cache entry \
+                 (stale-serve-cache), a block splitter that drops \
+                 materialized branches (dropped-materialized-branch) and a \
+                 global merge without its rollback \
+                 (dropped-merge-rollback); require the harness to catch \
+                 all seven and shrink each reproducer.")
   in
   let list_points =
     Arg.(value & flag & info [ "list-points" ]

@@ -1,103 +1,32 @@
-type desc =
-  | Insn of Machine.Insn.t
-  | Ret
-  | Unique
-
-(* Block bodies can be long and [Hashtbl.hash] only inspects the first ~10
-   meaningful nodes, which would collapse every block of a function into one
-   bucket.  Hashing the whole body is too slow for the dirty-block refresh
-   path, so sample up to 8 evenly-spaced instructions plus the length —
-   enough spread that unequal blocks rarely share a bucket, while keeping
-   the hash O(1) in body length.  Collisions only cost the structural
-   [equal] probe. *)
-module Block_key = struct
-  type t = Machine.Insn.t array * bool
-
-  let equal (a, ra) (b, rb) = Bool.equal ra rb && a = b
-
-  let hash (body, has_ret) =
-    let n = Array.length body in
-    let h = ref ((n * 2) + Bool.to_int has_ret) in
-    let samples = if n < 8 then n else 8 in
-    let step = if samples = 0 then 1 else n / samples in
-    for i = 0 to samples - 1 do
-      h := (!h * 31) + Hashtbl.hash body.(i * step)
-    done;
-    !h land max_int
-end
-
-module Block_cache = Hashtbl.Make (Block_key)
-
 type t = {
   shared : (Machine.Insn.t, int) Hashtbl.t;
-  back : (int, desc) Hashtbl.t;
-  mutable next : int;
-  (* Content-hash template cache: (body, has_ret) -> symbol array with [-1]
-     placeholders at illegal-instruction positions.  Templates survive across
-     rounds; placeholders are re-materialized with fresh [Unique] ids on
-     every use so identical illegal instructions never alias. *)
-  blocks : int array Block_cache.t;
+  mutable next : int;  (** the next fresh symbol; 0 is [ret] *)
 }
 
-let create () =
-  let t =
-    {
-      shared = Hashtbl.create 1024;
-      back = Hashtbl.create 1024;
-      next = 1;
-      blocks = Block_cache.create 256;
-    }
-  in
-  Hashtbl.replace t.back 0 Ret;
-  t
+let create () = { shared = Hashtbl.create 1024; next = 1 }
 
 let ret_symbol (_ : t) = 0
 
-let fresh t desc =
+let fresh t =
   let id = t.next in
   t.next <- id + 1;
-  Hashtbl.replace t.back id desc;
   id
-
-let shared_symbol t insn =
-  match Hashtbl.find_opt t.shared insn with
-  | Some id -> id
-  | None ->
-    let id = fresh t (Insn insn) in
-    Hashtbl.replace t.shared insn id;
-    id
 
 let symbol_of_insn t insn =
   match Legality.classify insn with
-  | Legality.Illegal -> fresh t Unique
-  | Legality.Legal -> shared_symbol t insn
+  | Legality.Illegal -> fresh t
+  | Legality.Legal -> (
+    match Hashtbl.find_opt t.shared insn with
+    | Some id -> id
+    | None ->
+      let id = fresh t in
+      Hashtbl.replace t.shared insn id;
+      id)
 
 let seq_of_block t ~has_ret body =
-  let templ =
-    let key = (body, has_ret) in
-    match Block_cache.find_opt t.blocks key with
-    | Some a -> a
-    | None ->
-      let n = Array.length body in
-      let a = Array.make (if has_ret then n + 1 else n) 0 in
-      (* slot [n] (if present) keeps the 0 from Array.make = ret symbol *)
-      for i = 0 to n - 1 do
-        a.(i) <-
-          (match Legality.classify body.(i) with
-          | Legality.Illegal -> -1
-          | Legality.Legal -> shared_symbol t body.(i))
-      done;
-      Block_cache.replace t.blocks key a;
-      a
-  in
-  if Array.exists (fun s -> s < 0) templ then begin
-    let a = Array.copy templ in
-    Array.iteri (fun i s -> if s < 0 then a.(i) <- fresh t Unique) a;
-    a
-  end
-  else templ
-
-let describe t id =
-  match Hashtbl.find_opt t.back id with
-  | Some d -> d
-  | None -> invalid_arg "Instr_map.describe: unknown symbol"
+  let n = Array.length body in
+  let arr = Array.make (if has_ret then n + 1 else n) (ret_symbol t) in
+  for i = 0 to n - 1 do
+    arr.(i) <- symbol_of_insn t body.(i)
+  done;
+  arr

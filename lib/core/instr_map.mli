@@ -12,17 +12,6 @@ val symbol_of_insn : t -> Machine.Insn.t -> int
 val ret_symbol : t -> int
 
 val seq_of_block : t -> has_ret:bool -> Machine.Insn.t array -> int array
-(** Interned symbol sequence for a whole block body ([has_ret] appends the
-    ret symbol).  Memoized on block content hash so an interner kept alive
-    across outline rounds re-derives sequences only for blocks whose content
-    actually changed.  Illegal instructions still receive a fresh unique
-    symbol on every call — only the legal (shareable) part of the result is
-    cached — so cached sequences can never manufacture repeats through
-    illegal instructions. *)
-
-type desc =
-  | Insn of Machine.Insn.t
-  | Ret
-  | Unique
-
-val describe : t -> int -> desc
+(** The symbols of a block body in order, {!ret_symbol} last when
+    [has_ret].  Interns afresh on every call: illegal instructions get new
+    symbols each time. *)

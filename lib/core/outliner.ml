@@ -66,19 +66,86 @@ let seq_metas (p : Program.t) =
     p.funcs
   |> Array.of_list
 
-let build_sequences imap (p : Program.t) =
-  let metas = seq_metas p in
-  let seq (m : seq_meta) =
+(* --- The per-build memo -------------------------------------------------- *)
+
+(* What one scan of a program carries to the next: per block a row derived
+   from its body and ret slot alone, per function its liveness.  A row is
+   reused only while the block's body is physically the same array and its
+   ret slot the same, liveness only while the function is physically the
+   same [Mfunc.t] — what the rewrite keeps for everything it does not
+   touch — so nothing is ever invalidated. *)
+type 'row cached = {
+  c_body : Insn.t array;
+  c_has_ret : bool;
+  c_row : 'row;
+}
+
+type 'row memo = {
+  mm_rows : (string, (string, 'row cached) Hashtbl.t) Hashtbl.t;
+      (** function -> block label *)
+  mm_live : (string, Mfunc.t * Liveness.t) Hashtbl.t;
+  mm_by_name : bool;
+}
+
+let create_memo ?(match_by_name = false) () =
+  {
+    mm_rows = Hashtbl.create 256;
+    mm_live = Hashtbl.create 256;
+    mm_by_name = match_by_name;
+  }
+
+(* Every block's row in [metas] order, built by [make] unless [memo] still
+   holds it, and how many were reused.  A function's blocks are adjacent
+   in [metas], so its table is found once. *)
+let memo_rows memo (metas : seq_meta array) make =
+  let reused = ref 0 in
+  let func = ref None and tbl = ref (Hashtbl.create 0) in
+  let row (m : seq_meta) =
+    (match !func with
+    | Some f when f == m.sm_func -> ()
+    | _ ->
+      let name = m.sm_func.Mfunc.name in
+      func := Some m.sm_func;
+      tbl :=
+        match Hashtbl.find_opt memo.mm_rows name with
+        | Some t -> t
+        | None ->
+          let t = Hashtbl.create 16 in
+          Hashtbl.replace memo.mm_rows name t;
+          t);
     let body = m.sm_block.Block.body in
-    let n = Array.length body in
-    let arr = Array.make (if m.sm_has_ret then n + 1 else n) 0 in
-    for i = 0 to n - 1 do
-      arr.(i) <- Instr_map.symbol_of_insn imap body.(i)
-    done;
-    if m.sm_has_ret then arr.(n) <- Instr_map.ret_symbol imap;
-    arr
+    match Hashtbl.find_opt !tbl m.sm_block.Block.label with
+    | Some c
+      when memo.mm_by_name || (c.c_body == body && c.c_has_ret = m.sm_has_ret)
+      ->
+      incr reused;
+      c.c_row
+    | _ ->
+      let r = make m in
+      Hashtbl.replace !tbl m.sm_block.Block.label
+        { c_body = body; c_has_ret = m.sm_has_ret; c_row = r };
+      r
   in
-  (Array.to_list (Array.map seq metas), metas)
+  let rows = Array.map row metas in
+  (rows, !reused)
+
+let memo_liveness memo (f : Mfunc.t) =
+  match Hashtbl.find_opt memo.mm_live f.name with
+  | Some (f', lv) when f' == f -> lv
+  | _ ->
+    let lv = Liveness.compute f in
+    Hashtbl.replace memo.mm_live f.name (f, lv);
+    lv
+
+(* The suffix tree's input: every block's interned symbols, in [seq_metas]
+   order. *)
+let build_sequences memo imap (p : Program.t) =
+  let metas = seq_metas p in
+  let seqs, _ =
+    memo_rows memo metas (fun m ->
+        Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret m.sm_block.Block.body)
+  in
+  (Array.to_list seqs, metas)
 
 (* Walk the occurrences that survive self-overlap pruning: an occurrence
    is dropped when it overlaps an earlier-kept occurrence of the same
@@ -284,17 +351,6 @@ let candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live
             }
     end
 
-(* Per-function liveness, memoized in [tbl]: a fresh table for one-shot
-   discovery and the scratch engine, the engine's [eng_live] for the
-   incremental one. *)
-let liveness_memo tbl (f : Mfunc.t) =
-  match Hashtbl.find_opt tbl f.name with
-  | Some lv -> lv
-  | None ->
-    let lv = Liveness.compute f in
-    Hashtbl.replace tbl f.name lv;
-    lv
-
 (* The one discovery step: every repeat goes through
    [candidate_of_repeat]; the survivors come back in input order. *)
 let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p repeats =
@@ -307,12 +363,12 @@ let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p repeats =
 let enumerate ?min_length ?(options = default_options) ?(all = false)
     ?extern_sp_unsafe ?pool (p : Program.t) =
   let min_length = Option.value min_length ~default:options.min_length in
-  let seqs, metas = build_sequences (Instr_map.create ()) p in
+  let memo = create_memo () in
+  let seqs, metas = build_sequences memo (Instr_map.create ()) p in
   if seqs = [] then []
   else
     discover ~lax:all ?extern_sp_unsafe options
-      ~liveness_of:(liveness_memo (Hashtbl.create 64))
-      metas p
+      ~liveness_of:(memo_liveness memo) metas p
       (match pool with
       | None ->
         Sufftree.Suffix_tree.repeats ~min_length
@@ -335,28 +391,13 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
 (* One block's scanner row: everything the scanner derives from the
    block's body and ret slot alone, so a row stays valid for as long as
    both do. *)
-type row = {
-  rw_body : Insn.t array;
-  rw_has_ret : bool;
+type scan_row = {
   rw_text : string array;      (** printed instructions *)
   rw_prefix : int array;
       (** rolling hash of symbols [0, i), the ret slot included *)
   rw_illegal : int array;      (** counts over body [0, i) *)
   rw_calls : int array;
 }
-
-type scan_memo = {
-  ms_rows : (string * string, row) Hashtbl.t;  (** (function, label) *)
-  ms_live : (string, Mfunc.t * Liveness.t) Hashtbl.t;
-  ms_by_name : bool;
-}
-
-let create_scan_memo ?(match_by_name = false) () =
-  {
-    ms_rows = Hashtbl.create 1024;
-    ms_live = Hashtbl.create 256;
-    ms_by_name = match_by_name;
-  }
 
 (* Instruction -> printed form and content hash. *)
 type printer = (Insn.t, string * int) Hashtbl.t
@@ -366,7 +407,7 @@ let create_printer () : printer = Hashtbl.create 512
 type windows = {
   wn_options : options;
   wn_metas : seq_meta array;
-  wn_rows : row array;
+  wn_rows : scan_row array;
   wn_sp : int array array;  (** per block: SP-relevant counts over body [0, i) *)
   wn_pow : int array;       (** [key_base] to the power [i] *)
   wn_callee_sp_unsafe : string -> bool;
@@ -416,8 +457,6 @@ let scan_row (printer : printer) (m : seq_meta) =
       (h.(i) * key_base) + if i = n then ret_content else snd (print b.(i))
   done;
   {
-    rw_body = b;
-    rw_has_ret = m.sm_has_ret;
     rw_text = Array.map (fun i -> fst (print i)) b;
     rw_prefix = h;
     rw_illegal =
@@ -426,26 +465,11 @@ let scan_row (printer : printer) (m : seq_meta) =
   }
 
 let windows ?(options = default_options) ?extern_sp_unsafe
-    ?(memo = create_scan_memo ()) ?(printer = create_printer ())
+    ?(memo = create_memo ()) ?(printer = create_printer ())
     (p : Program.t) =
   let metas = seq_metas p in
   let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-  let reused = ref 0 in
-  let row (m : seq_meta) =
-    let key = (m.sm_func.Mfunc.name, m.sm_block.Block.label) in
-    match Hashtbl.find_opt memo.ms_rows key with
-    | Some r
-      when memo.ms_by_name
-           || (r.rw_body == m.sm_block.Block.body
-              && r.rw_has_ret = m.sm_has_ret) ->
-      incr reused;
-      r
-    | _ ->
-      let r = scan_row printer m in
-      Hashtbl.replace memo.ms_rows key r;
-      r
-  in
-  let rows = Array.map row metas in
+  let rows, reused = memo_rows memo metas (scan_row printer) in
   let sp_relevant i =
     Insn.touches_sp i
     || match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false
@@ -457,14 +481,6 @@ let windows ?(options = default_options) ?extern_sp_unsafe
   for i = 1 to longest do
     pow.(i) <- pow.(i - 1) * key_base
   done;
-  let liveness_of (f : Mfunc.t) =
-    match Hashtbl.find_opt memo.ms_live f.name with
-    | Some (f', lv) when f' == f -> lv
-    | _ ->
-      let lv = Liveness.compute f in
-      Hashtbl.replace memo.ms_live f.name (f, lv);
-      lv
-  in
   {
     wn_options = options;
     wn_metas = metas;
@@ -473,8 +489,8 @@ let windows ?(options = default_options) ?extern_sp_unsafe
       Array.map (fun m -> prefix_count sp_relevant m.sm_block.Block.body) metas;
     wn_pow = pow;
     wn_callee_sp_unsafe = callee_sp_unsafe;
-    wn_lr_live = lr_live_memo metas liveness_of;
-    wn_reused = !reused;
+    wn_lr_live = lr_live_memo metas (memo_liveness memo);
+    wn_reused = reused;
   }
 
 let reuse w = (w.wn_reused, Array.length w.wn_metas)
@@ -748,10 +764,28 @@ let occupancy (metas : seq_meta array) =
 
 let make_occupancy p = occupancy (seq_metas p)
 
-(* Rewrite every block [func_plans] (func -> (label, entries)) names and
-   append [new_funcs]; functions without plans are returned physically
-   unchanged. *)
-let rewrite_program (p : Program.t) func_plans new_funcs =
+(* Rewrite every block with entries in [plans] (indexed like [metas]) and
+   append [new_funcs]; functions and blocks without plans are returned
+   physically unchanged.  Plans are grouped by function first, so the
+   rewrite does one hash probe per function. *)
+let rewrite_program (p : Program.t) (metas : seq_meta array)
+    (plans : plan_entry list array) new_funcs =
+  let func_plans : (string, (string * plan_entry list) list) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  Array.iteri
+    (fun id entries ->
+      match entries with
+      | [] -> ()
+      | entries ->
+        let m = metas.(id) in
+        let fname = m.sm_func.Mfunc.name in
+        let prev =
+          Option.value ~default:[] (Hashtbl.find_opt func_plans fname)
+        in
+        Hashtbl.replace func_plans fname
+          ((m.sm_block.Block.label, entries) :: prev))
+    plans;
   let rewrite_func (f : Mfunc.t) =
     match Hashtbl.find_opt func_plans f.name with
     | None -> f
@@ -766,12 +800,10 @@ let rewrite_program (p : Program.t) func_plans new_funcs =
   Program.replace_funcs p (List.map rewrite_func p.funcs @ new_funcs)
 
 (* Greedy site selection, then the program rewrite.  Shared by both
-   engines; also returns the (func, block) pairs it rewrote, which the
-   incremental engine invalidates. *)
+   engines. *)
 let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
-  let nseq = Array.length metas in
   let free, take = occupancy metas in
-  let plans : plan_entry list array = Array.make nseq [] in
+  let plans = Array.make (Array.length metas) [] in
   let new_funcs = ref [] in
   let idx = ref 0 in
   let stats = ref no_stats in
@@ -805,24 +837,7 @@ let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
             }
       end)
     sorted;
-  (* Group per-block plans by function so the rewrite does one hash probe
-     per function. *)
-  let func_plans : (string, (string * plan_entry list) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let dirty_blocks = ref [] in
-  for id = 0 to nseq - 1 do
-    match plans.(id) with
-    | [] -> ()
-    | entries ->
-      let m = metas.(id) in
-      let fname = m.sm_func.Mfunc.name in
-      let blabel = m.sm_block.Block.label in
-      dirty_blocks := (fname, blabel) :: !dirty_blocks;
-      let prev = Option.value ~default:[] (Hashtbl.find_opt func_plans fname) in
-      Hashtbl.replace func_plans fname ((blabel, entries) :: prev)
-  done;
-  (rewrite_program p func_plans (List.rev !new_funcs), !stats, !dirty_blocks)
+  (rewrite_program p metas plans (List.rev !new_funcs), !stats)
 
 (* --- Decision-table application (thin-WPO phase 3) ---------------------- *)
 
@@ -846,21 +861,9 @@ type assignment = {
 }
 
 let apply_assignments (p : Program.t) (assignments : assignment list) =
-  let free, take = make_occupancy p in
-  let func_plans : (string, (string * plan_entry list) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let add_plan (s : Candidate.site) name =
-    let blocks =
-      Option.value ~default:[] (Hashtbl.find_opt func_plans s.Candidate.func)
-    in
-    let entries =
-      Option.value ~default:[] (List.assoc_opt s.Candidate.block blocks)
-    in
-    Hashtbl.replace func_plans s.Candidate.func
-      ((s.Candidate.block, { pe_site = s; pe_name = name } :: entries)
-      :: List.remove_assoc s.Candidate.block blocks)
-  in
+  let metas = seq_metas p in
+  let free, take = occupancy metas in
+  let plans = Array.make (Array.length metas) [] in
   let hosted = ref [] in
   let stats = ref no_stats in
   List.iter
@@ -868,7 +871,11 @@ let apply_assignments (p : Program.t) (assignments : assignment list) =
       let c = a.asg_cand in
       let sites = List.filter free c.Candidate.sites in
       List.iter take sites;
-      List.iter (fun s -> add_plan s a.asg_name) sites;
+      List.iter
+        (fun (s : Candidate.site) ->
+          plans.(s.block_id) <-
+            { pe_site = s; pe_name = a.asg_name } :: plans.(s.block_id))
+        sites;
       let site_gain =
         List.fold_left
           (fun acc (s : Candidate.site) ->
@@ -892,7 +899,7 @@ let apply_assignments (p : Program.t) (assignments : assignment list) =
             bytes_saved = site_gain - hosted_bytes;
           })
     assignments;
-  (rewrite_program p func_plans [], List.rev !hosted, !stats)
+  (rewrite_program p metas plans [], List.rev !hosted, !stats)
 
 (* --- Per-phase timing hooks -------------------------------------------- *)
 
@@ -915,10 +922,10 @@ let set_rewrite rp d = rp.Profile.rp_rewrite <- rp.Profile.rp_rewrite +. d
 
 (* Everything after the sequence table: [build_tree] and [repeats] are the
    engine's suffix tree (repeats of at least [options.min_length]),
-   [liveness_of] its liveness memo.  Returns the rewritten program, the
-   stats and the rewritten (func, block) pairs. *)
+   [liveness_of] its liveness memo.  Returns the rewritten program and the
+   stats. *)
 let outline_round rp options p (seqs, metas) ~liveness_of build_tree repeats =
-  if seqs = [] then (p, no_stats, [])
+  if seqs = [] then (p, no_stats)
   else begin
     let tree = timed rp set_tree (fun () -> build_tree seqs) in
     let cands =
@@ -933,110 +940,47 @@ let outline_round rp options p (seqs, metas) ~liveness_of build_tree repeats =
 
 let run_round ?profile options (p : Program.t) =
   let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
+  let memo = create_memo () in
   let table =
-    timed rp set_seq (fun () -> build_sequences (Instr_map.create ()) p)
+    timed rp set_seq (fun () -> build_sequences memo (Instr_map.create ()) p)
   in
-  let p', stats, _ =
-    outline_round rp options p table
-      ~liveness_of:(liveness_memo (Hashtbl.create 64))
-      Sufftree.Suffix_tree.build
-      (Sufftree.Suffix_tree.repeats ~min_length:options.min_length)
-  in
-  (p', stats)
+  outline_round rp options p table ~liveness_of:(memo_liveness memo)
+    Sufftree.Suffix_tree.build
+    (Sufftree.Suffix_tree.repeats ~min_length:options.min_length)
 
 (* --- Incremental engine ------------------------------------------------ *)
 
-(* Content-addressed state that may outlive a build: the interner memoizes
-   on instruction and block content and the pool is scratch storage, so
-   neither can bind a name to stale content. *)
-type warm = {
-  w_imap : Instr_map.t;
-  w_pool : Sufftree.Arena_tree.pool;
-      (** backing store recycled across rounds; each round's tree dies when
-          the next round builds *)
-}
+(* The suffix-tree backing store, recycled across rounds and builds: each
+   round's tree dies when the next round builds. *)
+type warm = Sufftree.Arena_tree.pool
 
-let create_warm () =
-  { w_imap = Instr_map.create (); w_pool = Sufftree.Arena_tree.create_pool () }
+let create_warm = Sufftree.Arena_tree.create_pool
+
+(* Fault injection for the fuzz harness: when set, engines created from
+   then on reuse a block's symbols whenever its (function, label) matches,
+   so they outline from stale sequences.  The incremental-vs-scratch
+   differential must catch the divergence (see lib/fuzz). *)
+let fault_stale_engine_rows = ref false
 
 type engine = {
-  eng_warm : warm;
-  eng_seqs : (string, (string, int array) Hashtbl.t) Hashtbl.t;
-      (** func -> block label -> interned symbol array, invalidated by the
-          dirty set each round.  Two-level so the per-round walk hashes each
-          function name once instead of allocating and hashing a
-          (func, label) pair per block. *)
-  eng_live : (string, Liveness.t) Hashtbl.t;
+  eng_pool : warm;
+  eng_imap : Instr_map.t;
+  eng_memo : int array memo;  (** interned symbols per block *)
 }
 
 let create_engine ?(warm = create_warm ()) () =
   {
-    eng_warm = warm;
-    eng_seqs = Hashtbl.create 1024;
-    eng_live = Hashtbl.create 256;
+    eng_pool = warm;
+    eng_imap = Instr_map.create ();
+    eng_memo = create_memo ~match_by_name:!fault_stale_engine_rows ();
   }
-
-(* Fault injection for the fuzz harness: when set, dirty blocks keep their
-   stale cached sequences across rounds, so the incremental engine works on
-   a corrupted view of the program.  The incremental-vs-scratch differential
-   must catch the resulting divergence (see lib/fuzz). *)
-let fault_skip_invalidation = ref false
 
 let run_round_incremental ?profile engine options (p : Program.t) =
   let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
   let table =
     timed rp set_seq (fun () ->
-        let seqs = ref [] and metas = ref [] in
-        List.iter
-          (fun (f : Mfunc.t) ->
-            if not f.no_outline then begin
-              let cache =
-                match Hashtbl.find_opt engine.eng_seqs f.Mfunc.name with
-                | Some tbl -> tbl
-                | None ->
-                  let tbl = Hashtbl.create 16 in
-                  Hashtbl.replace engine.eng_seqs f.Mfunc.name tbl;
-                  tbl
-              in
-              List.iter
-                (fun (b : Block.t) ->
-                  let has_ret = b.term = Block.Ret in
-                  let n = Array.length b.body in
-                  let len = if has_ret then n + 1 else n in
-                  if len >= 1 then begin
-                    let arr =
-                      match Hashtbl.find_opt cache b.Block.label with
-                      | Some arr -> arr
-                      | None ->
-                        let arr =
-                          Instr_map.seq_of_block engine.eng_warm.w_imap
-                            ~has_ret b.body
-                        in
-                        Hashtbl.replace cache b.Block.label arr;
-                        arr
-                    in
-                    seqs := arr :: !seqs;
-                    metas :=
-                      { sm_func = f; sm_block = b; sm_has_ret = has_ret }
-                      :: !metas
-                  end)
-                f.blocks
-            end)
-          p.funcs;
-        (List.rev !seqs, Array.of_list (List.rev !metas)))
+        build_sequences engine.eng_memo engine.eng_imap p)
   in
-  let p', stats, dirty_blocks =
-    outline_round rp options p table
-      ~liveness_of:(liveness_memo engine.eng_live)
-      (Sufftree.Arena_tree.build ~pool:engine.eng_warm.w_pool)
-      (Sufftree.Arena_tree.repeats ~min_length:options.min_length)
-  in
-  if not !fault_skip_invalidation then
-    List.iter
-      (fun (fname, blabel) ->
-        (match Hashtbl.find_opt engine.eng_seqs fname with
-        | Some tbl -> Hashtbl.remove tbl blabel
-        | None -> ());
-        Hashtbl.remove engine.eng_live fname)
-      dirty_blocks;
-  (p', stats)
+  outline_round rp options p table ~liveness_of:(memo_liveness engine.eng_memo)
+    (Sufftree.Arena_tree.build ~pool:engine.eng_pool)
+    (Sufftree.Arena_tree.repeats ~min_length:options.min_length)

@@ -5,24 +5,27 @@
     Two engines produce byte-identical programs (enforced by the fuzz
     lattice differential): {!run_round} rebuilds everything from scratch
     every round — the readable reference — while {!run_round_incremental}
-    keeps an interner, per-block symbol arrays, and liveness alive across
-    rounds, re-deriving only what the previous round's rewrite invalidated
-    (the build-time fix the paper's §VII calls for).  Only the interner and
-    the suffix-tree pool ({!warm}) can outlive a build.  Which engine runs,
-    and how rounds are numbered, is {!Repeat}'s choice: it is the only
-    caller of the two round functions.
+    keeps an interner and a {!memo} of per-block symbol arrays and
+    per-function liveness alive across rounds, re-deriving only blocks and
+    functions that are no longer physically the ones it saw (the
+    build-time fix the paper's §VII calls for).  Only the suffix-tree pool
+    ({!warm}) can outlive a build.  Which engine runs, and how rounds are
+    numbered, is {!Repeat}'s choice: it is the only caller of the two round
+    functions.
 
     Everything else exists once and is shared by both engines, by
     {!enumerate} and by thin-WPO:
+    - block reuse: one {!memo}, identity-checked, holding the serial
+      engine's symbol arrays and thin-WPO's scanner rows alike (a fresh
+      one for {!enumerate} and {!run_round});
     - discovery: one private function turns repeats into candidates (the
       SP-unsafe-callee analysis, the per-point LR-liveness memo and the
-      legality/strategy checks), over a fresh liveness memo or the
-      incremental engine's;
+      legality/strategy checks);
     - site occupancy: one greedy slot-array rule over per-block slot
       arrays ({!make_occupancy});
-    - the rewrite tail: one per-function rewrite of a
-      func -> (label, planned sites) table, used by the serial selector
-      and {!apply_assignments}. *)
+    - the rewrite tail: one rewrite of a [block_id]-indexed plan table,
+      grouped per function, used by the serial selector and
+      {!apply_assignments}. *)
 
 type options = {
   scope_name : string;
@@ -75,19 +78,25 @@ type windows
     discovery).  Built in one pass over the blocks; every query after that
     is O(1). *)
 
-type scan_memo
-(** What {!windows} may carry from one scan of a program to the next: per
-    block its row (printed instructions, prefix rolling hash, prefix
-    counts of illegal and call instructions), per function its liveness.
-    A row is reused only while the block's body is physically the same
-    array and its ret slot the same, liveness only while the function is
-    physically the same [Mfunc.t] — what {!apply_assignments} keeps for
-    everything it does not rewrite — so nothing is ever invalidated. *)
+type 'row memo
+(** What one scan of a program may carry to the next scan of it or of its
+    rewrite: per block a ['row] derived from its body and ret slot alone,
+    per function its liveness.  A row is reused only while the block's
+    body is physically the same array and its ret slot the same, liveness
+    only while the function is physically the same [Mfunc.t] — what the
+    rewrite ({!run_round_incremental}, {!apply_assignments}) keeps for
+    everything it does not rewrite — so nothing is ever invalidated, and
+    any program may be scanned next.  Rows are found by function, then
+    label. *)
 
-val create_scan_memo : ?match_by_name:bool -> unit -> scan_memo
+val create_memo : ?match_by_name:bool -> unit -> 'row memo
 (** An empty memo.  [match_by_name] is fault injection for
     [sizeopt fuzz --self-test] only: reuse a row whenever the block's
     (function, label) matches, skipping the identity check. *)
+
+type scan_row
+(** {!windows}' row: printed instructions, prefix rolling hash, prefix
+    counts of illegal and call instructions. *)
 
 type printer
 (** Printed forms and content hashes by instruction: content-addressed,
@@ -98,7 +107,7 @@ val create_printer : unit -> printer
 val windows :
   ?options:options ->
   ?extern_sp_unsafe:(string -> bool) ->
-  ?memo:scan_memo ->
+  ?memo:scan_row memo ->
   ?printer:printer ->
   Machine.Program.t ->
   windows
@@ -212,21 +221,20 @@ val run_round :
     {!Profile.round_profile} with the phase split. *)
 
 type warm
-(** The incremental engine's content-addressed state: the instruction
-    interner (with its per-block-content sequence memo) and the suffix-tree
-    arena pool.  Nothing in it is keyed by a function or block name, so it
-    may be shared by any number of builds of any programs, one at a time,
-    without affecting their output (the serve daemon keeps one per app). *)
+(** State that may outlive a build: the suffix-tree arena pool, scratch
+    storage that holds nothing of any program, so it may be shared by any
+    number of builds of any programs, one at a time, without affecting
+    their output (the serve daemon keeps one per app). *)
 
 val create_warm : unit -> warm
 
 type engine
-(** One build's incremental engine: per-(func, block) symbol arrays and
-    per-function liveness, keyed by name and therefore valid for the
-    rounds of one build only, over a {!warm} interner and pool. *)
+(** One build's incremental engine: an instruction interner and a {!memo}
+    of interned symbol arrays and liveness, over a {!warm} pool. *)
 
 val create_engine : ?warm:warm -> unit -> engine
-(** A fresh engine over [warm], or over a new interner and pool. *)
+(** A fresh engine, with a fresh interner and memo, over [warm] or a new
+    pool. *)
 
 val run_round_incremental :
   ?profile:Profile.t ->
@@ -234,11 +242,14 @@ val run_round_incremental :
   options ->
   Machine.Program.t ->
   Machine.Program.t * round_stats
-(** Like {!run_round} but reusing [engine]'s caches; after rewriting it
-    invalidates exactly the blocks the round rewrote.  Must be fed the program
-    returned by its own previous round. *)
+(** Like {!run_round} but reusing [engine]'s memo: blocks and functions
+    physically unchanged since an earlier round keep their symbols and
+    liveness.  Any program may be fed to any round; the result equals
+    {!run_round}'s on it. *)
 
-val fault_skip_invalidation : bool ref
-(** Fault injection for [sizeopt fuzz --self-test]: suppress dirty-set
-    invalidation so the incremental engine runs on stale cached sequences.
-    The incremental-vs-scratch differential must catch the divergence. *)
+val fault_stale_engine_rows : bool ref
+(** Fault injection for [sizeopt fuzz --self-test]: engines created while
+    it is set reuse a block's symbols whenever its (function, label)
+    matches, skipping the identity check, so they outline from stale
+    sequences.  The incremental-vs-scratch differential must catch the
+    divergence. *)

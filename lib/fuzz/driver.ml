@@ -188,11 +188,12 @@ let self_test ?(log = null_log) ~seed () =
       (* The LR-legality fault — execution-oracle divergence. *)
       machine ~salt:7919 ~flag:Outcore.Legality.unsafe_outline_lr
         ~fault_name:"LR-legality" ~max_reproducer_lines:30;
-      (* Corrupt the incremental engine's dirty-set invalidation so it
-         outlines from stale cached sequences; the incremental-vs-scratch
-         differential must catch the stale-cache divergence. *)
-      machine ~salt:104729 ~flag:Outcore.Outliner.fault_skip_invalidation
-        ~fault_name:"stale-dirty-set" ~max_reproducer_lines:40;
+      (* Let the incremental engine's memo reuse a block's symbols by
+         (function, label) alone, so it outlines the blocks the previous
+         round rewrote from their stale sequences; the incremental-vs-scratch
+         differential must catch the divergence. *)
+      machine ~salt:104729 ~flag:Outcore.Outliner.fault_stale_engine_rows
+        ~fault_name:"stale-engine-rows" ~max_reproducer_lines:40;
       (* Truncate thin-WPO's window keys, which join summary entries, to
          six bits so unrelated patterns collide in the global decision
          table and shards rewrite call sites against the wrong hosted

@@ -30,9 +30,9 @@ val self_test : ?log:(string -> unit) -> seed:int -> unit -> (string, string) re
     differential fails, shrinks the failure and requires a small
     reproducer that still fails.  The faults, in order:
     {!Outcore.Legality.unsafe_outline_lr} (corrupted LR, machine programs
-    against the execution oracle); {!Outcore.Outliner.fault_skip_invalidation}
-    (stale dirty-block caches, caught by the incremental-vs-scratch
-    differential); {!Thinwpo.Summary.fault_truncate_hash} (colliding
+    against the execution oracle); {!Outcore.Outliner.fault_stale_engine_rows}
+    (serial engine symbol arrays reused by name after a rewrite, caught by
+    the incremental-vs-scratch differential); {!Thinwpo.Summary.fault_truncate_hash} (colliding
     thin-WPO window keys, Swiftlet programs against {!Lattice.check_thin});
     {!Thinwpo.Engine.fault_stale_shard_state} (thin-WPO scan rows reused
     by name after a rewrite, against {!Lattice.check_thin});

@@ -849,7 +849,7 @@ let check_machine (p : Machine.Program.t) =
         if !failure = None then begin
           let q = if canon then fst (Outcore.Canonicalize.run p) else p in
           let q', _stats = Outcore.Repeat.run ~engine:`Scratch ~rounds q in
-          (* Incremental/scratch differential: the dirty-block engine must
+          (* Incremental/scratch differential: the incremental engine must
              produce a byte-identical program at every point.  A stale
              cache can also crash the rewrite outright, so trap exceptions
              and report them as divergence. *)

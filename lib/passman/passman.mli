@@ -225,8 +225,8 @@ type machine_env = {
           [thin-outline] round; each round also copies its record into the
           timing tree *)
   me_warm : Outcore.Outliner.warm option;
-      (** content-addressed outliner state (interner and arena pool) owned
-          by a caller that outlives one build (the serve daemon).  The
+      (** outliner state that holds nothing of any program (the suffix-tree
+          arena pool) owned by a caller that outlives one build (the serve daemon).  The
           [outline] pass hands it to {!Outcore.Repeat.round}, whose fresh
           per-build incremental engine sits over it under [`Incremental].
           [None] everywhere else. *)

@@ -308,7 +308,7 @@ let run_build ?dump ~config front_end =
           me_thin_workers = thin_workers;
           me_thin_report = Thinwpo.Engine.Report.create ();
           (* Only the whole-program outline pass takes the caller's warm
-             interner and pool; per-module units build over fresh ones. *)
+             pool; per-module units build over fresh ones. *)
           me_warm = (if scope = "" then config.warm_outline else None);
         }
     in

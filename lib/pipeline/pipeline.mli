@@ -100,7 +100,8 @@ type config = {
           built program and feeds that profile straight back into layout. *)
   outline_engine : [ `Incremental | `Scratch ];
       (** which outliner engine drives the [outline] pass: the default
-          incremental engine (dirty-block caches across rounds) or the
+          incremental engine (per-block symbols reused across rounds while
+          a block is physically unchanged) or the
           from-scratch reference.  Both produce byte-identical programs —
           the fuzz lattice checks exactly that. *)
   passes : Passman.spec list option;
@@ -119,8 +120,8 @@ type config = {
           outline rounds — after this many steps; see {!result.pass_steps}
           and {!Passman.bisect} *)
   warm_outline : Outcore.Outliner.warm option;
-      (** content-addressed outliner state (interner and arena pool)
-          surviving across builds (the serve daemon).  Only consulted by
+      (** outliner state that holds nothing of any program (the suffix-tree
+          arena pool) surviving across builds (the serve daemon).  Only consulted by
           whole-program [outline] runs (scope [""]) with
           [outline_engine = `Incremental]; per-module and thin modes ignore
           it.  Images do not depend on it; [None] (the default) keeps every

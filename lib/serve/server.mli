@@ -10,11 +10,10 @@
       of the externals the module's source mentions (a conservative
       refinement of the import semantics, so appending a fresh function to
       one module leaves the others' cached bodies valid);
-    - per-app content-addressed outliner state ({!Outcore.Outliner.warm}:
-      the instruction interner and suffix-tree arena pool), handed to
-      every build; each build's incremental engine starts its name-keyed
-      caches afresh over it, so no build, failed or not, can leave stale
-      state for the next.
+    - a per-app suffix-tree arena pool ({!Outcore.Outliner.warm}), handed
+      to every build; it holds nothing of any program, and each build's
+      incremental engine starts its interner and memo afresh, so no build,
+      failed or not, can leave stale state for the next.
 
     Warm state is keyed by the request's [app] label, so two apps never
     share name-keyed front-end caches.  At most 16 apps keep warm state:

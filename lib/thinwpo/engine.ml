@@ -80,7 +80,7 @@ type scan = {
 }
 
 type shard_state = {
-  ss_memo : Outliner.scan_memo;
+  ss_memo : Outliner.scan_row Outliner.memo;
   mutable ss_scan : scan option;  (** the last round's *)
 }
 
@@ -111,7 +111,7 @@ let shard_state state modul =
     let ss =
       {
         ss_memo =
-          Outliner.create_scan_memo ~match_by_name:!fault_stale_shard_state ();
+          Outliner.create_memo ~match_by_name:!fault_stale_shard_state ();
         ss_scan = None;
       }
     in

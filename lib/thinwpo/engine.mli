@@ -21,9 +21,9 @@ type state
 (** One build's state, created by the [thin-outline] pass and dropped with
     it: the facts table (thin-outlined symbols that are not SP-neutral
     callees, shared by every later round because a body may be hosted
-    anywhere); per module a {!Outcore.Outliner.scan_memo} and the last
-    round's scan arrays, so a shard rescans only the blocks the previous
-    round rewrote; per worker an arena pool and an instruction printer.
+    anywhere); per module an {!Outcore.Outliner.memo} of scanner rows and
+    the last round's scan arrays, so a shard rescans only the blocks the
+    previous round rewrote; per worker an arena pool and an instruction printer.
     None of it changes an output — a row is reused only for a physically
     unchanged block — so the determinism contract above holds unchanged,
     and a round gives the same summaries and program as from

@@ -1,7 +1,9 @@
-(* Tests for the incremental dirty-block outlining engine (the build-time
-   fix the paper's §VII calls for): byte-equality with the from-scratch
-   reference, whole-app determinism, stale-cache fault detection, and the
-   per-phase build profile. *)
+(* Tests for the incremental outlining engine (the build-time fix the
+   paper's §VII calls for), which reuses a block's symbols only while the
+   block is physically unchanged: byte-equality with the from-scratch
+   reference, also on a program edited between rounds, whole-app
+   determinism, stale-row fault detection, and the per-phase build
+   profile. *)
 
 open Machine
 
@@ -29,7 +31,7 @@ let rider_build = lazy (ok_exn (Pipeline.build (Lazy.force rider_mods)))
 
 let test_engines_agree_random () =
   (* Seeded machine programs through both engines at several round counts;
-     the dirty-set bookkeeping must never change the output. *)
+     reusing unchanged blocks' symbols must never change the output. *)
   for seed = 1 to 12 do
     let p = Fuzz.Machgen.generate (Random.State.make [| seed; 11 |]) ~fuel:8 in
     List.iter
@@ -82,27 +84,95 @@ let test_module_order_determinism () =
     r1.Pipeline.code_size r2.Pipeline.code_size
 
 let test_stale_cache_fault_detected () =
-  (* Suppressing dirty-set invalidation must be observable: the incremental
-     engine either produces a different program than the reference or
-     crashes on the stale sequence table.  Either way the differential
-     catches it — this is the fuzz harness's second self-test fault. *)
+  (* Reusing rows by name alone must be observable: the incremental engine
+     either produces a different program than the reference or crashes on
+     the stale sequence table.  Either way the differential catches it —
+     this is the fuzz harness's second self-test fault. *)
   let p = Fuzz.Machgen.generate (Random.State.make [| 1; 11 |]) ~fuel:8 in
   let scratch, _ = Outcore.Repeat.run ~engine:`Scratch ~rounds:5 p in
-  Outcore.Outliner.fault_skip_invalidation := true;
+  Outcore.Outliner.fault_stale_engine_rows := true;
   let caught =
     Fun.protect
-      ~finally:(fun () -> Outcore.Outliner.fault_skip_invalidation := false)
+      ~finally:(fun () -> Outcore.Outliner.fault_stale_engine_rows := false)
       (fun () ->
         try
           let faulty, _ = Outcore.Repeat.run ~engine:`Incremental ~rounds:5 p in
           source scratch <> source faulty
         with _ -> true)
   in
-  Alcotest.(check bool) "stale caches diverge from the reference" true caught;
+  Alcotest.(check bool) "stale rows diverge from the reference" true caught;
   (* The flag reset must restore byte-equality. *)
   let scratch', inc = run_both p in
   Alcotest.(check string) "engines agree again after fault reset"
     (source scratch') (source inc)
+
+(* The engine keeps nothing keyed by name alone, so it may be fed a program
+   edited behind its back: after round 1, double the body of a block round
+   1 left alone (same label, new content) and round 2 must still equal the
+   from-scratch round on the edited program.  Seeds are searched for one
+   where that round rewrites the edited block, so stale symbols for it
+   cannot go unnoticed. *)
+let test_engine_follows_edit () =
+  let opts2 = { Outcore.Outliner.default_options with round = 2 } in
+  let edit (p : Program.t) fname label =
+    Program.replace_funcs p
+      (List.map
+         (fun (f : Mfunc.t) ->
+           if f.name <> fname then f
+           else
+             Mfunc.map_blocks
+               (fun (b : Block.t) ->
+                 if b.label <> label then b
+                 else { b with body = Array.append b.body b.body })
+               f)
+         p.funcs)
+  in
+  let body_of (p : Program.t) fname label =
+    match Program.find_func p fname with
+    | None -> None
+    | Some f ->
+      List.find_map
+        (fun (b : Block.t) -> if b.label = label then Some b.body else None)
+        f.blocks
+  in
+  let attempt seed =
+    let p = Fuzz.Machgen.generate (Random.State.make [| seed; 11 |]) ~fuel:8 in
+    let round = Outcore.Repeat.round ~engine:`Incremental () in
+    let p1, st1 = round 1 p in
+    if st1.Outcore.Outliner.sequences_outlined = 0 then None
+    else
+      let untouched =
+        List.concat_map
+          (fun (f : Mfunc.t) ->
+            if f.no_outline then []
+            else
+              List.filter_map
+                (fun (b : Block.t) ->
+                  match body_of p f.name b.label with
+                  | Some body when body == b.body && Array.length body >= 2 ->
+                    Some (f.name, b.label)
+                  | _ -> None)
+                f.blocks)
+          p1.funcs
+      in
+      List.find_map
+        (fun (fname, label) ->
+          let edited = edit p1 fname label in
+          let expected, _ = Outcore.Outliner.run_round opts2 edited in
+          if body_of expected fname label = body_of edited fname label then
+            None
+          else Some (round, edited, expected))
+        untouched
+  in
+  let rec search seed =
+    if seed > 100 then
+      Alcotest.fail "no seed in 1..100 outlines an edited block in round 2"
+    else match attempt seed with Some x -> x | None -> search (seed + 1)
+  in
+  let round, edited, expected = search 1 in
+  let got, _ = round 2 edited in
+  Alcotest.(check string) "round 2 on the edited program equals scratch"
+    (source expected) (source got)
 
 let test_profile_phases () =
   let p = Fuzz.Machgen.generate (Random.State.make [| 3; 11 |]) ~fuel:8 in
@@ -144,6 +214,8 @@ let () =
             test_engines_agree_random;
           Alcotest.test_case "engines agree on uber_rider" `Slow
             test_engines_agree_uber_rider;
+          Alcotest.test_case "engine follows an edited program" `Quick
+            test_engine_follows_edit;
         ] );
       ( "determinism",
         [
@@ -154,7 +226,7 @@ let () =
         ] );
       ( "fault-injection",
         [
-          Alcotest.test_case "stale dirty set is caught" `Quick
+          Alcotest.test_case "stale engine rows are caught" `Quick
             test_stale_cache_fault_detected;
         ] );
       ( "profile",

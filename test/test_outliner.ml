@@ -783,6 +783,39 @@ let prop_stats_match_size_delta =
       let saved = List.fold_left (fun a s -> a + s.Outcore.Outliner.bytes_saved) 0 stats in
       Program.code_size_bytes p - Program.code_size_bytes p' = saved)
 
+(* The interner: equal legal instructions share one symbol across blocks
+   and calls; an illegal instruction (here one that reads LR) gets a new
+   symbol every time, even when the same body is interned again; the ret
+   symbol comes last exactly when the block ends in [ret]. *)
+let test_interner () =
+  let imap = Outcore.Instr_map.create () in
+  let add = Insn.Binop (Insn.Add, Reg.x 1, Reg.x 2, Insn.Imm 3) in
+  let mov = Insn.Mov (Reg.x 4, Insn.Imm 5) in
+  let save_lr = Insn.Mov (Reg.x 28, Insn.Rop Reg.lr) in
+  Alcotest.(check bool) "reading LR is illegal" true
+    (Outcore.Legality.classify save_lr = Outcore.Legality.Illegal);
+  let body = [| add; save_lr; mov; save_lr |] in
+  let a = Outcore.Instr_map.seq_of_block imap ~has_ret:true body in
+  let b = Outcore.Instr_map.seq_of_block imap ~has_ret:false body in
+  let ret = Outcore.Instr_map.ret_symbol imap in
+  Alcotest.(check int) "ret slot appended" 5 (Array.length a);
+  Alcotest.(check int) "no ret slot" 4 (Array.length b);
+  Alcotest.(check int) "ret symbol last" ret a.(4);
+  Alcotest.(check bool) "ret symbol only in the ret slot" true
+    (Array.for_all (fun s -> s <> ret) b
+    && Array.for_all (fun s -> s <> ret) (Array.sub a 0 4));
+  Alcotest.(check int) "legal shared across blocks" a.(0) b.(0);
+  Alcotest.(check int) "legal shared across blocks (2)" a.(2) b.(2);
+  Alcotest.(check int) "legal shared with single lookups" a.(0)
+    (Outcore.Instr_map.symbol_of_insn imap add);
+  let illegal = [ a.(1); a.(3); b.(1); b.(3) ] in
+  Alcotest.(check int) "illegal symbols all distinct" 4
+    (List.length (List.sort_uniq Int.compare illegal));
+  Alcotest.(check bool) "illegal symbols never shared with legal ones" true
+    (List.for_all (fun s -> s <> a.(0) && s <> a.(2)) illegal);
+  Alcotest.(check bool) "a single illegal lookup is fresh too" true
+    (not (List.mem (Outcore.Instr_map.symbol_of_insn imap save_lr) illegal))
+
 let () =
   Alcotest.run "outliner"
     [
@@ -816,6 +849,11 @@ let () =
         [
           Alcotest.test_case "arena, suffix tree and probing agree" `Quick
             test_discovery_paths_agree;
+        ] );
+      ( "interner",
+        [
+          Alcotest.test_case "legal shared, illegal fresh, ret last" `Quick
+            test_interner;
         ] );
       ("analysis", [ Alcotest.test_case "report" `Quick test_analysis_report ]);
       ( "future-work",

@@ -442,15 +442,15 @@ let engines_agree ?bisect_limit p =
     Machine.Asm_printer.to_source a = Machine.Asm_printer.to_source b
   | Error _, _ | _, Error _ -> false
 
-(* Inject the stale-dirty-set fault, find a program where the incremental
-   engine diverges from scratch at 5 rounds, then let opt-bisect localize
-   the first faulty step.  The fault corrupts cached sequences reused
-   across rounds, so the culprit can never be round 1 (whose cache is
-   fresh) — bisect must land on a later round. *)
+(* Inject the stale-engine-rows fault, find a program where the
+   incremental engine diverges from scratch at 5 rounds, then let
+   opt-bisect localize the first faulty step.  The fault corrupts symbol
+   arrays reused across rounds, so the culprit can never be round 1 (whose
+   memo is empty) — bisect must land on a later round. *)
 let test_bisect_localizes () =
-  Outcore.Outliner.fault_skip_invalidation := true;
+  Outcore.Outliner.fault_stale_engine_rows := true;
   Fun.protect
-    ~finally:(fun () -> Outcore.Outliner.fault_skip_invalidation := false)
+    ~finally:(fun () -> Outcore.Outliner.fault_stale_engine_rows := false)
     (fun () ->
       let found = ref None and attempt = ref 0 in
       while !found = None && !attempt < 100 do

@@ -472,8 +472,8 @@ let test_same_app_full_swap () =
   Alcotest.(check string) "swap back" (scratch app_a) (image r3)
 
 let test_warm_state_unit () =
-  (* Outliner-level contract: one warm interner and arena pool shared by
-     builds of different programs stays byte-identical to the from-scratch
+  (* Outliner-level contract: one warm arena pool shared by builds of
+     different programs stays byte-identical to the from-scratch
      reference *)
   let p1 = Fuzz.Machgen.generate (Random.State.make [| 5; 11 |]) ~fuel:8 in
   let p2 = Fuzz.Machgen.generate (Random.State.make [| 6; 11 |]) ~fuel:8 in
@@ -627,7 +627,7 @@ let () =
             test_cross_app_isolation;
           Alcotest.test_case "same-app full swap" `Quick
             test_same_app_full_swap;
-          Alcotest.test_case "warm interner and pool across builds" `Quick
+          Alcotest.test_case "warm pool across builds" `Quick
             test_warm_state_unit;
           Alcotest.test_case "failed request leaves no state" `Quick
             test_failed_request_leaves_no_state;
