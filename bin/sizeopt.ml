@@ -154,9 +154,14 @@ let run_cmd =
     | Ok r ->
       List.iter (fun v -> Printf.printf "%d\n" v) r.output;
       Printf.eprintf
-        "exit=%d steps=%d cycles=%d icache-misses=%d itlb-misses=%d branches=%d calls=%d\n"
+        "exit=%d steps=%d cycles=%d icache-misses=%d itlb-misses=%d branches=%d \
+         calls=%d outlined-steps=%d icache-accesses=%d dtlb-misses=%d \
+         data-pages=%d data-fault-cycles=%d cold-start-pages=%d \
+         cold-start-cost=%d\n"
         r.exit_value r.steps r.cycles r.icache_misses r.itlb_misses r.branches
-        r.calls;
+        r.calls r.outlined_steps r.icache_accesses r.dtlb_misses
+        r.data_pages_touched r.data_fault_cycles r.cold_start_pages
+        r.cold_start_cost;
       exit (r.exit_value land 0xff)
   in
   Cmd.v

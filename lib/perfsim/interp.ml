@@ -154,114 +154,80 @@ type failure = {
 
 exception Exec_error of error
 
-(* Resolved control transfer targets. *)
-type target =
-  | T_slot of int
-  | T_extern of string
+(* --- Decoded slots ----------------------------------------------------------
 
-type slot =
-  | S_insn of Insn.t
-  | S_ret
-  | S_b of int
-  | S_bcond of Cond.t * int * int
-  | S_cbz of Reg.t * int * int
-  | S_cbnz of Reg.t * int * int
-  | S_tail of target
-  | S_bl of target * Insn.t   (* keep the original insn for cost/trace *)
-  | S_blr of Reg.t
+   A run decodes every slot once, when it links the program, so the step
+   loop dispatches on ints and never calls into [Machine].  Register
+   operands are indices into the register file: a read is [Reg.index] (xzr
+   reads index 32, which nothing writes) and a write to xzr goes to the
+   extra [sink] index. *)
 
-let exit_address = 0xE000
-let heap_base = 0x2000_0000
-let stack_top = 0x6000_0000
+let sink = Reg.count
+let xzr = Reg.index Reg.XZR
+let nzcv = Reg.index Reg.NZCV
+let lr = Reg.index Reg.lr
+let write_index r = match r with Reg.XZR -> sink | _ -> Reg.index r
 
-type state = {
-  cfg : config;
-  slots : slot array;
-  addr_of_slot : int array;
-  slot_of_addr : (int, int) Hashtbl.t;
-  extern_of_addr : (int, string) Hashtbl.t;
-  layout : Linker.layout;
-  regs : int array;
-  mem : (int, int) Hashtbl.t;   (* word-indexed: address / 8 *)
-  mutable heap_ptr : int;
-  mutable output_rev : int list;
-  mutable steps : int;
-  mutable cycles : int;
-  mutable branches : int;
-  mutable calls : int;
-  icache : Icache.t;
-  itlb : Tlb.t;
-  dtlb : Tlb.t;
-  data_pages : (int, unit) Hashtbl.t;
-  mutable data_fault_cycles : int;
-  mutable shadow_stack : string list;  (* callee names, innermost first *)
-  mutable outlined_steps : int;
-  (* Cold-start page-in trace: distinct 16 KiB text pages fetched before
-     the entry frame's first completed call returns (the "first frame
-     drawn" marker).  [cold_depth] counts live frames starting at the
-     entry frame; the marker fires when control returns into the entry
-     frame after at least one intra-image call, and a run that never
-     calls is cold throughout. *)
-  cold_pages : (int, unit) Hashtbl.t;
-  mutable cold_depth : int;
-  mutable cold_called : bool;
-  mutable cold_done : bool;
-  mutable cold_last_page : int;
-}
+(* The built-in runtime, resolved from an extern's name once. *)
+type extern =
+  | Retain
+  | Release
+  | Alloc_object
+  | Alloc_array
+  | Access_marker
+  | Print
+  | Bounds_fail
+  | Memcpy8
+  | Unknown of string  (* left to [unknown_extern] when called *)
 
-let scale st c = int_of_float (float_of_int c *. st.cfg.os.Device.penalty_scale)
+let extern_of_name = function
+  | "swift_retain" | "objc_retain" -> Retain
+  | "swift_release" | "objc_release" -> Release
+  | "swift_allocObject" -> Alloc_object
+  | "swift_allocArray" -> Alloc_array
+  | "swift_beginAccess" | "swift_endAccess" -> Access_marker
+  | "print_i64" -> Print
+  | "swift_bounds_fail" -> Bounds_fail
+  | "memcpy8" -> Memcpy8
+  | name -> Unknown name
 
-let get_reg st r =
-  match r with
-  | Reg.XZR -> 0
-  | _ -> st.regs.(Reg.index r)
+(* Branch and call targets are slot indices; [_i] variants carry an
+   immediate where the instruction has one. *)
+type op =
+  | Nop
+  | Mov_r of int * int                         (* dst, src *)
+  | Mov_i of int * int
+  | Binop_r of Insn.binop * int * int * int    (* op, dst, a, b *)
+  | Binop_i of Insn.binop * int * int * int
+  | Cmp_r of int * int
+  | Cmp_i of int * int
+  | Cset of int * Cond.t
+  | Csel of int * int * int * Cond.t           (* dst, a, b, cond *)
+  | Ldr of int * int * int * Insn.amode        (* dst, base, off, mode *)
+  | Str of int * int * int * Insn.amode        (* src, base, off, mode *)
+  | Ldp of int * int * int * int * Insn.amode
+  | Stp of int * int * int * int * Insn.amode
+  | Adr of int * int                           (* dst, address *)
+  | Adr_unknown of string                      (* raised when executed *)
+  | Bl of int
+  | Bl_extern of extern
+  | Blr of int
+  | Ret
+  | B of int
+  | Bcond of Cond.t * int * int
+  | Cbz of int * int * int
+  | Cbnz of int * int * int
+  | Tail of int
+  | Tail_extern of extern
 
-let set_reg st r v =
-  match r with
-  | Reg.XZR -> ()
-  | _ -> st.regs.(Reg.index r) <- v
-
-let operand st = function
-  | Insn.Rop r -> get_reg st r
-  | Insn.Imm n -> n
-
-let data_touch st addr =
-  if st.cfg.model_perf then begin
-    if not (Tlb.access st.dtlb addr) then
-      st.cycles <- st.cycles + scale st st.cfg.device.Device.dtlb_miss_penalty;
-    let page = addr / st.cfg.os.Device.page_bytes in
-    if not (Hashtbl.mem st.data_pages page) then begin
-      Hashtbl.replace st.data_pages page ();
-      let pen = scale st st.cfg.device.Device.data_fault_penalty in
-      st.cycles <- st.cycles + pen;
-      st.data_fault_cycles <- st.data_fault_cycles + pen
-    end
-  end
-
-let load st addr =
-  if addr = 0 then raise (Exec_error Null_access);
-  if addr land 7 <> 0 then raise (Exec_error (Unaligned_access addr));
-  data_touch st addr;
-  Option.value ~default:0 (Hashtbl.find_opt st.mem (addr asr 3))
-
-let store st addr v =
-  if addr = 0 then raise (Exec_error Null_access);
-  if addr land 7 <> 0 then raise (Exec_error (Unaligned_access addr));
-  data_touch st addr;
-  Hashtbl.replace st.mem (addr asr 3) v
-
-let addr_mode st (a : Insn.addr) =
-  (* Returns the effective access address; applies write-back. *)
-  let base = get_reg st a.base in
-  match a.mode with
-  | Insn.Offset -> base + a.off
-  | Insn.Pre ->
-    let ea = base + a.off in
-    set_reg st a.base ea;
-    ea
-  | Insn.Post ->
-    set_reg st a.base (base + a.off);
-    base
+let holds (c : Cond.t) flags =
+  match c with
+  | Cond.Eq -> flags = 0
+  | Cond.Ne -> flags <> 0
+  | Cond.Lt -> flags < 0
+  | Cond.Le -> flags <= 0
+  | Cond.Gt -> flags > 0
+  | Cond.Ge -> flags >= 0
 
 let binop_eval op a b =
   match (op : Insn.binop) with
@@ -276,54 +242,147 @@ let binop_eval op a b =
   | Insn.Lsr -> a lsr (b land 63)
   | Insn.Asr -> a asr (b land 63)
 
+let exit_address = 0xE000
+let heap_base = 0x2000_0000
+let stack_top = 0x6000_0000
+
+(* The linked program: decoded slots and the per-slot tables the step
+   loop reads. *)
+type code = {
+  ops : op array;
+  insns : Insn.t array;
+      (* body slots' instructions, for the trace-ring dump; empty unless
+         the ring is on *)
+  cost : int array;      (* cycles a slot costs under the perf model *)
+  addr_of_slot : int array;
+  slot_of_addr : int Int_tbl.t;
+  extern_of_addr : extern Int_tbl.t;
+  func_names : string array;
+  slot_outlined : bool array;
+  slot_func : int array;
+  slot_blocks : int array array;
+}
+
+type state = {
+  cfg : config;
+  code : code;
+  layout : Linker.layout;
+  regs : int array;
+  mem : int Int_tbl.t;   (* word-indexed: address / 8 *)
+  mutable heap_ptr : int;
+  mutable output_rev : int list;
+  mutable cycles : int;
+  mutable calls : int;
+  icache : Icache.t;
+  itlb : Tlb.t;
+  dtlb : Tlb.t;
+  (* OS-scaled penalties *)
+  icache_penalty : int;
+  itlb_penalty : int;
+  dtlb_penalty : int;
+  fault_penalty : int;
+  data_pages : unit Int_tbl.t;
+  mutable data_fault_cycles : int;
+  mutable shadow_stack : string list;  (* callee names, innermost first *)
+  (* Cold-start page-in trace: distinct 16 KiB text pages fetched before
+     the entry frame's first completed call returns (the "first frame
+     drawn" marker).  [cold_depth] counts live frames starting at the
+     entry frame; the marker fires when control returns into the entry
+     frame after at least one intra-image call, and a run that never
+     calls is cold throughout. *)
+  cold_pages : unit Int_tbl.t;
+  mutable cold_depth : int;
+  mutable cold_called : bool;
+  mutable cold_done : bool;
+  mutable cold_last_page : int;
+}
+
+let scale (cfg : config) c =
+  int_of_float (float_of_int c *. cfg.os.Device.penalty_scale)
+
+let data_touch st addr =
+  if st.cfg.model_perf then begin
+    if not (Tlb.access st.dtlb addr) then
+      st.cycles <- st.cycles + st.dtlb_penalty;
+    let page = addr / st.cfg.os.Device.page_bytes in
+    if not (Int_tbl.mem st.data_pages page) then begin
+      Int_tbl.replace st.data_pages page ();
+      st.cycles <- st.cycles + st.fault_penalty;
+      st.data_fault_cycles <- st.data_fault_cycles + st.fault_penalty
+    end
+  end
+
+let load st addr =
+  if addr = 0 then raise (Exec_error Null_access);
+  if addr land 7 <> 0 then raise (Exec_error (Unaligned_access addr));
+  data_touch st addr;
+  match Int_tbl.find st.mem (addr asr 3) with
+  | v -> v
+  | exception Not_found -> 0
+
+let store st addr v =
+  if addr = 0 then raise (Exec_error Null_access);
+  if addr land 7 <> 0 then raise (Exec_error (Unaligned_access addr));
+  data_touch st addr;
+  Int_tbl.replace st.mem (addr asr 3) v
+
+(* The effective address of a load or store; applies write-back (never
+   to xzr). *)
+let address regs base off (mode : Insn.amode) =
+  let b = regs.(base) in
+  match mode with
+  | Insn.Offset -> b + off
+  | Insn.Pre ->
+    if base <> xzr then regs.(base) <- b + off;
+    b + off
+  | Insn.Post ->
+    if base <> xzr then regs.(base) <- b + off;
+    b
+
 let alloc st bytes =
   let size = (max bytes 8 + 7) / 8 * 8 in
   let p = st.heap_ptr in
   st.heap_ptr <- st.heap_ptr + size + 16;
   p
 
-(* Built-in runtime. Returns [true] if the symbol was handled. *)
-let runtime_call st name =
-  let x n = st.regs.(Reg.index (Reg.x n)) in
-  match name with
-  | "swift_retain" | "objc_retain" ->
-    let p = x 0 in
-    if p <> 0 then store st p (load st p + 1);
-    true
-  | "swift_release" | "objc_release" ->
-    let p = x 0 in
-    if p <> 0 then store st p (load st p - 1);
-    true
-  | "swift_allocObject" ->
+let call_extern st e =
+  st.calls <- st.calls + 1;
+  let x = st.regs in
+  match e with
+  | Retain ->
+    let p = x.(0) in
+    if p <> 0 then store st p (load st p + 1)
+  | Release ->
+    let p = x.(0) in
+    if p <> 0 then store st p (load st p - 1)
+  | Alloc_object ->
     (* x0 = metadata, x1 = size in bytes. *)
-    let metadata = x 0 and size = x 1 in
+    let metadata = x.(0) and size = x.(1) in
     let p = alloc st (max size 16) in
     store st p 1;
     store st (p + 8) metadata;
-    set_reg st (Reg.x 0) p;
-    true
-  | "swift_allocArray" ->
+    x.(0) <- p
+  | Alloc_array ->
     (* x0 = element count; header [refcount; len]; payload at +16. *)
-    let len = x 0 in
+    let len = x.(0) in
     if len < 0 then raise (Exec_error (Trap "negative array length"));
     let p = alloc st ((len * 8) + 16) in
     store st p 1;
     store st (p + 8) len;
-    set_reg st (Reg.x 0) p;
-    true
-  | "swift_beginAccess" | "swift_endAccess" -> true
-  | "print_i64" ->
-    st.output_rev <- x 0 :: st.output_rev;
-    true
-  | "swift_bounds_fail" -> raise (Exec_error (Trap "array index out of bounds"))
-  | "memcpy8" ->
+    x.(0) <- p
+  | Access_marker -> ()
+  | Print -> st.output_rev <- x.(0) :: st.output_rev
+  | Bounds_fail -> raise (Exec_error (Trap "array index out of bounds"))
+  | Memcpy8 ->
     (* x0 = dst, x1 = src, x2 = word count. *)
-    let dst = x 0 and src = x 1 and words = x 2 in
+    let dst = x.(0) and src = x.(1) and words = x.(2) in
     for i = 0 to words - 1 do
       store st (dst + (8 * i)) (load st (src + (8 * i)))
-    done;
-    true
-  | _ -> false
+    done
+  | Unknown name -> (
+    match st.cfg.unknown_extern with
+    | `Error -> raise (Exec_error (Unknown_symbol name))
+    | `Noop -> x.(0) <- 0)
 
 (* The interpreter's code image is a flat slot array.  A split function
    contributes two chains — hot blocks at the function's own symbol, cold
@@ -335,11 +394,21 @@ let runtime_call st name =
 let term_slots (b : Block.t) =
   match b.Block.term with Block.Fallthrough _ -> 0 | _ -> 1
 
-(* With [counts], also intern every chain's function and every block:
-   [slot_func] maps each slot to its function's id, and [slot_blocks] to
-   the ids of the blocks that start there, in execution order (several
-   when empty blocks share a start).  Both are empty without [counts]. *)
-let build_slots ?counts (p : Program.t) layout =
+let insn_cost (d : Device.t) (i : Insn.t) =
+  match i with
+  | Insn.Ldr _ | Insn.Ldp _ -> d.Device.load_cost
+  | Insn.Str _ | Insn.Stp _ -> d.Device.store_cost
+  | Insn.Binop (Insn.Mul, _, _, _) -> d.Device.mul_cost
+  | Insn.Binop (Insn.Sdiv, _, _, _) -> d.Device.div_cost
+  | Insn.Bl _ | Insn.Blr _ -> d.Device.call_cost
+  | _ -> d.Device.issue_cost
+
+(* Decode every slot of the linked program.  With [counts], also intern
+   every chain's function and every block: [slot_func] maps each slot to
+   its function's id, and [slot_blocks] to the ids of the blocks that
+   start there, in execution order (several when empty blocks share a
+   start).  Both are empty without [counts]. *)
+let build_slots (cfg : config) ?counts (p : Program.t) layout =
   let chains =
     List.concat_map
       (fun (f : Mfunc.t) ->
@@ -353,9 +422,6 @@ let build_slots ?counts (p : Program.t) layout =
       p.funcs
     |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
   in
-  let slots = ref [] and n = ref 0 in
-  let addr_acc = ref [] in
-  let slot_of_addr = Hashtbl.create 4096 in
   (* First pass: assign slot indices to every (func, block) start.  An
      empty block whose branch was elided shares its start slot with the
      next block in the chain. *)
@@ -376,15 +442,12 @@ let build_slots ?counts (p : Program.t) layout =
           counter := !counter + Array.length b.Block.body + term_slots b)
         blocks)
     chains;
-  (* A start at [!counter] belongs to trailing empty blocks no slot
-     reaches. *)
-  let slot_blocks =
-    Array.make (if Option.is_none counts then 0 else !counter) [||]
-  in
+  let n = !counter in
+  (* A start at [n] belongs to trailing empty blocks no slot reaches. *)
+  let slot_blocks = Array.make (if Option.is_none counts then 0 else n) [||] in
   List.iter
     (fun (s, id) ->
-      if s < !counter then
-        slot_blocks.(s) <- Array.append slot_blocks.(s) [| id |])
+      if s < n then slot_blocks.(s) <- Array.append slot_blocks.(s) [| id |])
     (List.rev !starts_rev);
   List.iter
     (fun (f : Mfunc.t) ->
@@ -394,92 +457,110 @@ let build_slots ?counts (p : Program.t) layout =
         Hashtbl.replace func_slot f.name
           (Hashtbl.find block_slot (f.name, b.Block.label)))
     p.funcs;
-  let extern_of_addr = Hashtbl.create 64 in
+  let extern_of_addr = Int_tbl.create 64 in
   List.iter
     (fun e ->
       match Hashtbl.find_opt layout.Linker.addresses e with
       | Some a when Hashtbl.find_opt layout.Linker.kinds e = Some Linker.Extern ->
-        Hashtbl.replace extern_of_addr a e
+        Int_tbl.replace extern_of_addr a (extern_of_name e)
       | Some _ | None -> ())
     p.externs;
-  let target_of sym =
-    match Hashtbl.find_opt func_slot sym with
-    | Some idx -> T_slot idx
-    | None -> T_extern sym
+  let d = cfg.device in
+  let decode (i : Insn.t) =
+    match i with
+    | Insn.Nop -> Nop
+    | Insn.Mov (r, Insn.Rop s) -> Mov_r (write_index r, Reg.index s)
+    | Insn.Mov (r, Insn.Imm n) -> Mov_i (write_index r, n)
+    | Insn.Binop (op, r, a, Insn.Rop b) ->
+      Binop_r (op, write_index r, Reg.index a, Reg.index b)
+    | Insn.Binop (op, r, a, Insn.Imm n) ->
+      Binop_i (op, write_index r, Reg.index a, n)
+    | Insn.Cmp (a, Insn.Rop b) -> Cmp_r (Reg.index a, Reg.index b)
+    | Insn.Cmp (a, Insn.Imm n) -> Cmp_i (Reg.index a, n)
+    | Insn.Cset (r, c) -> Cset (write_index r, c)
+    | Insn.Csel (r, a, b, c) ->
+      Csel (write_index r, Reg.index a, Reg.index b, c)
+    | Insn.Ldr (r, a) -> Ldr (write_index r, Reg.index a.base, a.off, a.mode)
+    | Insn.Str (r, a) -> Str (Reg.index r, Reg.index a.base, a.off, a.mode)
+    | Insn.Ldp (r1, r2, a) ->
+      Ldp (write_index r1, write_index r2, Reg.index a.base, a.off, a.mode)
+    | Insn.Stp (r1, r2, a) ->
+      Stp (Reg.index r1, Reg.index r2, Reg.index a.base, a.off, a.mode)
+    | Insn.Adr (r, sym) -> (
+      match Hashtbl.find_opt layout.Linker.addresses sym with
+      | Some a -> Adr (write_index r, a)
+      | None -> Adr_unknown sym)
+    | Insn.Bl sym -> (
+      match Hashtbl.find_opt func_slot sym with
+      | Some s -> Bl s
+      | None -> Bl_extern (extern_of_name sym))
+    | Insn.Blr r -> Blr (Reg.index r)
   in
+  let ops = Array.make n Nop in
+  let insns = Array.make (if cfg.trace_ring > 0 then n else 0) Insn.Nop in
+  let cost = Array.make n d.Device.branch_cost in
+  let addr_of_slot = Array.make n 0 in
+  let slot_of_addr = Int_tbl.create n in
+  let func_names = Array.make n "" in
+  let slot_outlined = Array.make n false in
+  let slot_func = Array.make (if Option.is_none counts then 0 else n) 0 in
+  let s = ref 0 in
   List.iter
     (fun (base, (f : Mfunc.t), blocks) ->
+      let first = !s in
       let block_idx l =
         match Hashtbl.find_opt block_slot (f.name, l) with
         | Some i -> i
         | None -> invalid_arg ("Interp: unknown label " ^ l ^ " in " ^ f.name)
       in
-      let off = ref 0 in
+      let emit op =
+        let a = base + (4 * (!s - first)) in
+        ops.(!s) <- op;
+        addr_of_slot.(!s) <- a;
+        Int_tbl.replace slot_of_addr a !s;
+        incr s
+      in
       List.iter
         (fun (b : Block.t) ->
           Array.iter
             (fun i ->
-              let s =
-                match i with
-                | Insn.Bl sym -> S_bl (target_of sym, i)
-                | Insn.Blr r -> S_blr r
-                | _ -> S_insn i
-              in
-              slots := s :: !slots;
-              addr_acc := (base + !off) :: !addr_acc;
-              Hashtbl.replace slot_of_addr (base + !off) !n;
-              incr n;
-              off := !off + 4)
+              if cfg.trace_ring > 0 then insns.(!s) <- i;
+              cost.(!s) <- insn_cost d i;
+              emit (decode i))
             b.Block.body;
-          let t =
-            match b.Block.term with
-            | Block.Ret -> Some S_ret
-            | Block.B l -> Some (S_b (block_idx l))
-            | Block.Bcond (c, a, b') ->
-              Some (S_bcond (c, block_idx a, block_idx b'))
-            | Block.Cbz (r, a, b') -> Some (S_cbz (r, block_idx a, block_idx b'))
-            | Block.Cbnz (r, a, b') ->
-              Some (S_cbnz (r, block_idx a, block_idx b'))
-            | Block.Tail_call sym -> Some (S_tail (target_of sym))
-            | Block.Fallthrough _ -> None
-          in
-          match t with
-          | None -> ()
-          | Some t ->
-            slots := t :: !slots;
-            addr_acc := (base + !off) :: !addr_acc;
-            Hashtbl.replace slot_of_addr (base + !off) !n;
-            incr n;
-            off := !off + 4)
-        blocks)
-    chains;
-  let func_names = Array.make !n "" in
-  let slot_func = Array.make (if Option.is_none counts then 0 else !n) 0 in
-  let slot_outlined = Array.make !n false in
-  let fidx = ref 0 in
-  List.iter
-    (fun (_, (f : Mfunc.t), blocks) ->
-      let count =
-        List.fold_left
-          (fun acc (b : Block.t) ->
-            acc + Array.length b.Block.body + term_slots b)
-          0 blocks
-      in
-      Array.fill func_names !fidx count f.name;
+          match b.Block.term with
+          | Block.Ret -> emit Ret
+          | Block.B l -> emit (B (block_idx l))
+          | Block.Bcond (c, a, b') -> emit (Bcond (c, block_idx a, block_idx b'))
+          | Block.Cbz (r, a, b') ->
+            emit (Cbz (Reg.index r, block_idx a, block_idx b'))
+          | Block.Cbnz (r, a, b') ->
+            emit (Cbnz (Reg.index r, block_idx a, block_idx b'))
+          | Block.Tail_call sym -> (
+            match Hashtbl.find_opt func_slot sym with
+            | Some t -> emit (Tail t)
+            | None -> emit (Tail_extern (extern_of_name sym)))
+          | Block.Fallthrough _ -> ())
+        blocks;
+      let count = !s - first in
+      Array.fill func_names first count f.name;
       Option.iter
-        (fun c -> Array.fill slot_func !fidx count (intern c.funcs f.name))
+        (fun c -> Array.fill slot_func first count (intern c.funcs f.name))
         counts;
-      if f.is_outlined then Array.fill slot_outlined !fidx count true;
-      fidx := !fidx + count)
+      if f.is_outlined then Array.fill slot_outlined first count true)
     chains;
-  ( Array.of_list (List.rev !slots),
-    Array.of_list (List.rev !addr_acc),
-    slot_of_addr,
-    extern_of_addr,
-    func_names,
-    slot_outlined,
-    slot_func,
-    slot_blocks )
+  {
+    ops;
+    insns;
+    cost;
+    addr_of_slot;
+    slot_of_addr;
+    extern_of_addr;
+    func_names;
+    slot_outlined;
+    slot_func;
+    slot_blocks;
+  }
 
 let init_memory (p : Program.t) layout mem =
   List.iter
@@ -495,33 +576,21 @@ let init_memory (p : Program.t) layout mem =
               | Some a -> a
               | None -> raise (Exec_error (Unknown_symbol s)))
           in
-          Hashtbl.replace mem ((base + (8 * i)) asr 3) v)
+          Int_tbl.replace mem ((base + (8 * i)) asr 3) v)
         d.words)
     p.data
 
-let insn_cost st (i : Insn.t) =
-  let d = st.cfg.device in
-  match i with
-  | Insn.Ldr _ | Insn.Ldp _ -> d.Device.load_cost
-  | Insn.Str _ | Insn.Stp _ -> d.Device.store_cost
-  | Insn.Binop (Insn.Mul, _, _, _) -> d.Device.mul_cost
-  | Insn.Binop (Insn.Sdiv, _, _, _) -> d.Device.div_cost
-  | Insn.Bl _ | Insn.Blr _ -> d.Device.call_cost
-  | _ -> d.Device.issue_cost
-
 let fetch_costs st addr =
-  if st.cfg.model_perf then begin
-    if not (Icache.access st.icache addr) then
-      st.cycles <- st.cycles + scale st st.cfg.device.Device.icache_miss_penalty;
-    if not (Tlb.access st.itlb addr) then
-      st.cycles <- st.cycles + scale st st.cfg.device.Device.itlb_miss_penalty;
-    if not st.cold_done then begin
-      let page = addr / st.cfg.os.Device.page_bytes in
-      if page <> st.cold_last_page then begin
-        st.cold_last_page <- page;
-        if not (Hashtbl.mem st.cold_pages page) then
-          Hashtbl.replace st.cold_pages page ()
-      end
+  if not (Icache.access st.icache addr) then
+    st.cycles <- st.cycles + st.icache_penalty;
+  if not (Tlb.access st.itlb addr) then
+    st.cycles <- st.cycles + st.itlb_penalty;
+  if not st.cold_done then begin
+    let page = addr / st.cfg.os.Device.page_bytes in
+    if page <> st.cold_last_page then begin
+      st.cold_last_page <- page;
+      if not (Int_tbl.mem st.cold_pages page) then
+        Int_tbl.replace st.cold_pages page ()
     end
   end
 
@@ -540,38 +609,50 @@ let cold_pop st =
     if st.cold_called && st.cold_depth <= 1 then st.cold_done <- true
   end
 
-let exec_insn st (i : Insn.t) =
-  match i with
-  | Insn.Mov (d, op) -> set_reg st d (operand st op)
-  | Insn.Binop (op, d, a, b) ->
-    set_reg st d (binop_eval op (get_reg st a) (operand st b))
-  | Insn.Cmp (a, b) ->
-    set_reg st Reg.NZCV (compare (get_reg st a) (operand st b))
-  | Insn.Cset (d, c) ->
-    set_reg st d (if Cond.holds c (get_reg st Reg.NZCV) then 1 else 0)
-  | Insn.Csel (d, a, b, c) ->
-    set_reg st d
-      (if Cond.holds c (get_reg st Reg.NZCV) then get_reg st a else get_reg st b)
-  | Insn.Ldr (d, a) ->
-    let ea = addr_mode st a in
-    set_reg st d (load st ea)
-  | Insn.Str (s, a) ->
-    let ea = addr_mode st a in
-    store st ea (get_reg st s)
-  | Insn.Ldp (d1, d2, a) ->
-    let ea = addr_mode st a in
-    set_reg st d1 (load st ea);
-    set_reg st d2 (load st (ea + 8))
-  | Insn.Stp (s1, s2, a) ->
-    let ea = addr_mode st a in
-    store st ea (get_reg st s1);
-    store st (ea + 8) (get_reg st s2)
-  | Insn.Adr (d, sym) -> (
-    match Hashtbl.find_opt st.layout.Linker.addresses sym with
-    | Some a -> set_reg st d a
-    | None -> raise (Exec_error (Unknown_symbol sym)))
-  | Insn.Bl _ | Insn.Blr _ -> assert false (* handled by the driver *)
-  | Insn.Nop -> ()
+(* The slot after a return to [a]; [halt] past the run's last return. *)
+let halt = -1
+
+let jump_to_address st a =
+  if a = exit_address then halt
+  else
+    match Int_tbl.find st.code.slot_of_addr a with
+    | s -> s
+    | exception Not_found -> raise (Exec_error (Bad_jump a))
+
+(* The trace-ring dump: each recorded slot symbolized through the linker
+   layout (the nearest Text symbol at or below the slot's address). *)
+let dump_ring st ring pos =
+  let n = Array.length ring in
+  let lines = ref [] in
+  for i = max 0 (pos - n) to pos - 1 do
+    let s = ring.(i mod n) in
+    let addr =
+      if s >= 0 && s < Array.length st.code.addr_of_slot then
+        st.code.addr_of_slot.(s)
+      else -1
+    in
+    let sym =
+      match Linker.symbolize st.layout addr with
+      | Some name -> name
+      | None -> "?"
+    in
+    let d =
+      match st.code.ops.(s) with
+      | Ret -> "ret"
+      | B _ -> "b <label>"
+      | Bcond _ -> "b.cond"
+      | Cbz _ -> "cbz"
+      | Cbnz _ -> "cbnz"
+      | Tail _ | Tail_extern _ -> "b <tail>"
+      | _ -> Insn.to_string st.code.insns.(s)
+    in
+    lines := Printf.sprintf "0x%06x  %-28s %s" addr sym d :: !lines
+  done;
+  let lines = List.rev !lines in
+  Printf.eprintf "--- trace ring (oldest first) ---\n";
+  List.iter (fun l -> Printf.eprintf "%s\n" l) lines;
+  Printf.eprintf "---------------------------------\n%!";
+  lines
 
 (* One run; a failure carries that run's own shadow stack and trace-ring
    dump, so concurrent runs never see each other's diagnostics. *)
@@ -581,32 +662,18 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
   | None -> Error { error = No_entry entry; backtrace = []; trace = [] }
   | Some _ -> (
     let layout = Linker.link ?order p in
-    let ( slots,
-          addr_of_slot,
-          slot_of_addr,
-          extern_of_addr,
-          func_names,
-          slot_outlined,
-          slot_func,
-          slot_blocks ) =
-      build_slots ?counts p layout
-    in
+    let code = build_slots config ?counts p layout in
     let d = config.device in
     let st =
       {
         cfg = config;
-        slots;
-        addr_of_slot;
-        slot_of_addr;
-        extern_of_addr;
+        code;
         layout;
-        regs = Array.make Reg.count 0;
-        mem = Hashtbl.create 65536;
+        regs = Array.make (sink + 1) 0;
+        mem = Int_tbl.create 65536;
         heap_ptr = heap_base;
         output_rev = [];
-        steps = 0;
         cycles = 0;
-        branches = 0;
         calls = 0;
         icache =
           Icache.create ~size_bytes:d.Device.icache_bytes
@@ -617,11 +684,14 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
         dtlb =
           Tlb.create ~entries:d.Device.dtlb_entries
             ~page_bytes:config.os.Device.page_bytes;
-        data_pages = Hashtbl.create 256;
+        icache_penalty = scale config d.Device.icache_miss_penalty;
+        itlb_penalty = scale config d.Device.itlb_miss_penalty;
+        dtlb_penalty = scale config d.Device.dtlb_miss_penalty;
+        fault_penalty = scale config d.Device.data_fault_penalty;
+        data_pages = Int_tbl.create 256;
         data_fault_cycles = 0;
         shadow_stack = [ entry ];
-        outlined_steps = 0;
-        cold_pages = Hashtbl.create 64;
+        cold_pages = Int_tbl.create 64;
         cold_depth = 1;
         cold_called = false;
         (* Tracking costs a page computation per fetch, so it is wired to
@@ -630,207 +700,190 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
         cold_last_page = -1;
       }
     in
+    let regs = st.regs in
     let dump_hook = ref (fun () -> []) in
     try
       init_memory p layout st.mem;
-      List.iteri (fun i v -> if i < Reg.max_args then set_reg st (Reg.arg i) v) args;
-      set_reg st Reg.SP stack_top;
-      set_reg st Reg.lr exit_address;
+      List.iteri (fun i v -> if i < Reg.max_args then regs.(i) <- v) args;
+      regs.(Reg.index Reg.SP) <- stack_top;
+      regs.(lr) <- exit_address;
       let entry_slot =
-        match Hashtbl.find_opt slot_of_addr (Linker.address_of layout entry) with
+        let a = Linker.address_of layout entry in
+        match Int_tbl.find_opt code.slot_of_addr a with
         | Some i -> i
         | None -> raise (Exec_error (No_entry entry))
       in
-      let pc = ref entry_slot in
-      let running = ref true in
-      let ring =
-        if config.trace_ring > 0 then Some (Array.make config.trace_ring (-1)) else None
-      in
-      let ring_pos = ref 0 in
-      let dump_ring () =
-        match ring with
-        | None -> []
-        | Some r ->
-          let n = Array.length r in
-          (* Symbolize each ring slot through the linker layout: the
-             nearest Text symbol at or below the slot's address. *)
-          let lines = ref [] in
-          for i = max 0 (!ring_pos - n) to !ring_pos - 1 do
-            let s = r.(i mod n) in
-            let addr =
-              if s >= 0 && s < Array.length st.addr_of_slot then
-                st.addr_of_slot.(s)
-              else -1
-            in
-            let sym =
-              match Linker.symbolize st.layout addr with
-              | Some name -> name
-              | None -> "?"
-            in
-            let d =
-              match st.slots.(s) with
-              | S_insn ins -> Insn.to_string ins
-              | S_ret -> "ret"
-              | S_b _ -> "b <label>"
-              | S_bcond _ -> "b.cond"
-              | S_cbz _ -> "cbz"
-              | S_cbnz _ -> "cbnz"
-              | S_tail _ -> "b <tail>"
-              | S_bl (_, ins) -> Insn.to_string ins
-              | S_blr r' -> "blr " ^ Reg.to_string r'
-            in
-            lines := Printf.sprintf "0x%06x  %-28s %s" addr sym d :: !lines
-          done;
-          let lines = List.rev !lines in
-          Printf.eprintf "--- trace ring (oldest first) ---\n";
-          List.iter (fun l -> Printf.eprintf "%s\n" l) lines;
-          Printf.eprintf "---------------------------------\n%!";
-          lines
-      in
-      dump_hook := dump_ring;
+      (* What a step records is decided here, once per run. *)
+      let ops = code.ops and n = Array.length code.ops in
+      let max_steps = config.max_steps and model_perf = config.model_perf in
+      let ring = Array.make (max 0 config.trace_ring) (-1) in
+      let ring_on = config.trace_ring > 0 and ring_pos = ref 0 in
+      if ring_on then dump_hook := (fun () -> dump_ring st ring !ring_pos);
       (* Profile counts: the entry, each intra-image call or tail
          transfer, and each block entry. *)
       Option.iter (fun c -> count_entry c (intern c.funcs entry)) counts;
-      let count_transfer idx s =
-        match counts with
-        | Some c -> count_call c slot_func.(idx) slot_func.(s)
-        | None -> ()
+      let block_entries =
+        match counts with Some c -> c.blocks.entries | None -> [||]
       in
-      let jump_to_address a =
-        if a = exit_address then running := false
-        else
-          match Hashtbl.find_opt st.slot_of_addr a with
-          | Some idx -> pc := idx
-          | None -> raise (Exec_error (Bad_jump a))
+      let counting = Option.is_some counts in
+      let enter idx s =
+        (match counts with
+        | Some c -> count_call c code.slot_func.(idx) code.slot_func.(s)
+        | None -> ());
+        s
       in
-      let call_extern name =
-        st.calls <- st.calls + 1;
-        if not (runtime_call st name) then
-          match config.unknown_extern with
-          | `Error -> raise (Exec_error (Unknown_symbol name))
-          | `Noop -> set_reg st (Reg.x 0) 0
-      in
-      let call_slot idx s =
+      let call idx s =
         st.calls <- st.calls + 1;
         cold_push st;
-        count_transfer idx s;
-        st.shadow_stack <- func_names.(s) :: st.shadow_stack;
-        pc := s
+        st.shadow_stack <- code.func_names.(s) :: st.shadow_stack;
+        enter idx s
       in
-      let charge_branch () =
-        if config.model_perf then
-          st.cycles <- st.cycles + config.device.Device.branch_cost;
-        st.branches <- st.branches + 1
-      in
-      while !running do
-        if st.steps >= config.max_steps then raise (Exec_error Step_limit_exceeded);
+      let pc = ref entry_slot in
+      let steps = ref 0 and outlined_steps = ref 0 and branches = ref 0 in
+      while !pc <> halt do
+        if !steps >= max_steps then raise (Exec_error Step_limit_exceeded);
         let idx = !pc in
-        if idx < 0 || idx >= Array.length st.slots then
-          raise (Exec_error (Bad_jump idx));
-        let addr = st.addr_of_slot.(idx) in
-        (match ring with
-        | Some r ->
-          r.(!ring_pos mod Array.length r) <- idx;
+        if idx < 0 || idx >= n then raise (Exec_error (Bad_jump idx));
+        if ring_on then begin
+          ring.(!ring_pos mod config.trace_ring) <- idx;
           incr ring_pos
-        | None -> ());
-        fetch_costs st addr;
-        (match counts with
-        | Some c ->
-          let bs = slot_blocks.(idx) in
-          let e = c.blocks.entries in
+        end;
+        if model_perf then begin
+          fetch_costs st code.addr_of_slot.(idx);
+          st.cycles <- st.cycles + code.cost.(idx)
+        end;
+        if counting then begin
+          let bs = code.slot_blocks.(idx) in
           for i = 0 to Array.length bs - 1 do
-            e.(bs.(i)) <- e.(bs.(i)) + 1
+            block_entries.(bs.(i)) <- block_entries.(bs.(i)) + 1
           done
-        | None -> ());
-        st.steps <- st.steps + 1;
-        if slot_outlined.(idx) then st.outlined_steps <- st.outlined_steps + 1;
-        (match st.slots.(idx) with
-        | S_insn i ->
-          if config.model_perf then st.cycles <- st.cycles + insn_cost st i;
-          exec_insn st i;
-          pc := idx + 1
-        | S_bl (target, i) -> (
-          if config.model_perf then st.cycles <- st.cycles + insn_cost st i;
-          set_reg st Reg.lr (st.addr_of_slot.(idx) + 4);
-          match target with
-          | T_slot s -> call_slot idx s
-          | T_extern name ->
-            call_extern name;
-            pc := idx + 1)
-        | S_blr r -> (
-          if config.model_perf then
-            st.cycles <- st.cycles + insn_cost st (Insn.Blr r);
-          let dest = get_reg st r in
-          set_reg st Reg.lr (st.addr_of_slot.(idx) + 4);
-          match Hashtbl.find_opt st.slot_of_addr dest with
-          | Some s -> call_slot idx s
-          | None -> (
-            match Hashtbl.find_opt st.extern_of_addr dest with
-            | Some name ->
-              call_extern name;
-              pc := idx + 1
-            | None -> raise (Exec_error (Bad_jump dest))))
-        | S_ret ->
-          charge_branch ();
-          cold_pop st;
-          (match st.shadow_stack with _ :: rest -> st.shadow_stack <- rest | [] -> ());
-          jump_to_address (get_reg st Reg.lr)
-        | S_b t ->
-          charge_branch ();
-          pc := t
-        | S_bcond (c, a, b) ->
-          charge_branch ();
-          pc := if Cond.holds c (get_reg st Reg.NZCV) then a else b
-        | S_cbz (r, a, b) ->
-          charge_branch ();
-          pc := if get_reg st r = 0 then a else b
-        | S_cbnz (r, a, b) ->
-          charge_branch ();
-          pc := if get_reg st r <> 0 then a else b
-        | S_tail t -> (
-          charge_branch ();
-          match t with
-          | T_slot s ->
-            count_transfer idx s;
-            (match st.shadow_stack with
-            | _ :: rest -> st.shadow_stack <- func_names.(s) :: rest
-            | [] -> st.shadow_stack <- [ func_names.(s) ]);
-            pc := s
-          | T_extern name ->
-            (* A tail call to an extern returns to the current LR. *)
-            let ret = get_reg st Reg.lr in
+        end;
+        incr steps;
+        if code.slot_outlined.(idx) then incr outlined_steps;
+        pc :=
+          match ops.(idx) with
+          | Mov_r (r, s) ->
+            regs.(r) <- regs.(s);
+            idx + 1
+          | Mov_i (r, v) ->
+            regs.(r) <- v;
+            idx + 1
+          | Binop_r (op, r, a, b) ->
+            regs.(r) <- binop_eval op regs.(a) regs.(b);
+            idx + 1
+          | Binop_i (op, r, a, v) ->
+            regs.(r) <- binop_eval op regs.(a) v;
+            idx + 1
+          | Cmp_r (a, b) ->
+            regs.(nzcv) <- compare (regs.(a) : int) regs.(b);
+            idx + 1
+          | Cmp_i (a, v) ->
+            regs.(nzcv) <- compare (regs.(a) : int) v;
+            idx + 1
+          | Cset (r, c) ->
+            regs.(r) <- (if holds c regs.(nzcv) then 1 else 0);
+            idx + 1
+          | Csel (r, a, b, c) ->
+            regs.(r) <- (if holds c regs.(nzcv) then regs.(a) else regs.(b));
+            idx + 1
+          | Ldr (r, base, off, mode) ->
+            let ea = address regs base off mode in
+            regs.(r) <- load st ea;
+            idx + 1
+          | Str (r, base, off, mode) ->
+            let ea = address regs base off mode in
+            store st ea regs.(r);
+            idx + 1
+          | Ldp (r1, r2, base, off, mode) ->
+            let ea = address regs base off mode in
+            regs.(r1) <- load st ea;
+            regs.(r2) <- load st (ea + 8);
+            idx + 1
+          | Stp (r1, r2, base, off, mode) ->
+            let ea = address regs base off mode in
+            store st ea regs.(r1);
+            store st (ea + 8) regs.(r2);
+            idx + 1
+          | Adr (r, a) ->
+            regs.(r) <- a;
+            idx + 1
+          | Adr_unknown sym -> raise (Exec_error (Unknown_symbol sym))
+          | Nop -> idx + 1
+          | Bl s ->
+            regs.(lr) <- code.addr_of_slot.(idx) + 4;
+            call idx s
+          | Bl_extern e ->
+            regs.(lr) <- code.addr_of_slot.(idx) + 4;
+            call_extern st e;
+            idx + 1
+          | Blr r -> (
+            let dest = regs.(r) in
+            regs.(lr) <- code.addr_of_slot.(idx) + 4;
+            match Int_tbl.find code.slot_of_addr dest with
+            | s -> call idx s
+            | exception Not_found -> (
+              match Int_tbl.find code.extern_of_addr dest with
+              | e ->
+                call_extern st e;
+                idx + 1
+              | exception Not_found -> raise (Exec_error (Bad_jump dest))))
+          | Ret ->
+            incr branches;
             cold_pop st;
-            call_extern name;
-            jump_to_address ret))
+            (match st.shadow_stack with
+            | _ :: rest -> st.shadow_stack <- rest
+            | [] -> ());
+            jump_to_address st regs.(lr)
+          | B t ->
+            incr branches;
+            t
+          | Bcond (c, a, b) ->
+            incr branches;
+            if holds c regs.(nzcv) then a else b
+          | Cbz (r, a, b) ->
+            incr branches;
+            if regs.(r) = 0 then a else b
+          | Cbnz (r, a, b) ->
+            incr branches;
+            if regs.(r) <> 0 then a else b
+          | Tail s ->
+            incr branches;
+            (match st.shadow_stack with
+            | _ :: rest -> st.shadow_stack <- code.func_names.(s) :: rest
+            | [] -> st.shadow_stack <- [ code.func_names.(s) ]);
+            enter idx s
+          | Tail_extern e ->
+            incr branches;
+            (* A tail call to an extern returns to the current LR. *)
+            let ret = regs.(lr) in
+            cold_pop st;
+            call_extern st e;
+            jump_to_address st ret
       done;
       Ok
         {
-          exit_value = get_reg st (Reg.x 0);
+          exit_value = regs.(0);
           output = List.rev st.output_rev;
-          steps = st.steps;
-          outlined_steps = st.outlined_steps;
+          steps = !steps;
+          outlined_steps = !outlined_steps;
           cycles = st.cycles;
           icache_misses = Icache.misses st.icache;
           icache_accesses = Icache.hits st.icache + Icache.misses st.icache;
           itlb_misses = Tlb.misses st.itlb;
           dtlb_misses = Tlb.misses st.dtlb;
-          data_pages_touched = Hashtbl.length st.data_pages;
+          data_pages_touched = Int_tbl.length st.data_pages;
           data_fault_cycles = st.data_fault_cycles;
-          cold_start_pages = Hashtbl.length st.cold_pages;
+          cold_start_pages = Int_tbl.length st.cold_pages;
           (* Reported beside [cycles], not folded into it: the fault cost
              is paid once per install-then-launch, not per steady-state
              run, and keeping it separate keeps [cycles] comparable with
              pre-cold-start baselines. *)
-          cold_start_cost =
-            Hashtbl.length st.cold_pages
-            * scale st st.cfg.device.Device.data_fault_penalty;
-          branches = st.branches;
+          cold_start_cost = Int_tbl.length st.cold_pages * st.fault_penalty;
+          branches = !branches;
           calls = st.calls;
         }
     with Exec_error e ->
-      let trace =
-        if config.trace_ring > 0 then (try !dump_hook () with _ -> []) else []
-      in
+      let trace = try !dump_hook () with _ -> [] in
       Error { error = e; backtrace = st.shadow_stack; trace })
 
 let run ?config ?args ?order ?counts ~entry p =

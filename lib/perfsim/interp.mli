@@ -110,9 +110,21 @@ val run :
     touching a single code byte — the lever the profile-guided layout
     experiments pull.  [?counts] accumulates this run's profile counts
     on top of what earlier runs left there, also when the run fails; it
-    does not perturb the cost model.  Setup maps every slot to its
-    function's id and to the ids of the blocks starting there, so a step
-    costs one array read and a call one int-keyed table bump. *)
+    does not perturb the cost model.
+
+    Setup decodes every slot once, when the run links the program:
+    register operands become indices into the register file, conditions
+    and binops stay in the slot, call and branch targets become slot
+    indices, externs resolve to their built-in routine (or to
+    [unknown_extern], applied when called), and [adr] carries its address
+    (an unknown symbol still fails only when the slot executes).  Each
+    slot's cycle cost and the OS-scaled penalties are computed then too,
+    and whether to model performance, keep the trace ring or count is
+    decided once per run.  With [?counts], setup also maps every slot to
+    its function's id and to the ids of the blocks starting there.  A
+    step then dispatches on ints without calling into {!Machine} or
+    allocating: counting a block entry is one array read, a call one
+    int-keyed table bump. *)
 
 type failure = {
   error : error;

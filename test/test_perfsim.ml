@@ -192,7 +192,68 @@ entry:
 |}
   in
   let r = run_exn p ~entry:"main" in
-  Alcotest.(check int) "csel/cset/sdiv" 2 r.exit_value
+  Alcotest.(check int) "csel/cset/sdiv" 2 r.exit_value;
+  (* Every condition after a less, equal and greater [cmp], read three
+     ways: [cset], [csel] and [b.cond].  Each program prints one bit per
+     (condition, comparison). *)
+  let conds = [ ("eq", ( = )); ("ne", ( <> )); ("lt", ( < )); ("le", ( <= ));
+                ("gt", ( > )); ("ge", ( >= )) ] in
+  let lhs = [ 1; 2; 3 ] in
+  let expected =
+    List.concat_map
+      (fun (_, f) -> List.map (fun a -> Bool.to_int (f a 2)) lhs)
+      conds
+  in
+  let program read =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      "extern print_i64\nfunc main:\nentry:\n  stp fp, lr, [sp, #-16]!\n  mov x9, #0\n  mov x10, #1\n";
+    let k = ref 0 in
+    List.iter
+      (fun (c, _) ->
+        List.iter
+          (fun a ->
+            incr k;
+            Printf.bprintf b "  mov x1, #%d\n  cmp x1, #2\n" a;
+            (match read with
+            | `Cset -> Printf.bprintf b "  cset x0, %s\n" c
+            | `Csel -> Printf.bprintf b "  csel x0, x10, x9, %s\n" c
+            | `Bcond ->
+              Printf.bprintf b
+                "  b.%s t%d, f%d\nt%d:\n  mov x0, #1\n  b j%d\nf%d:\n  mov x0, #0\n  b j%d\nj%d:\n"
+                c !k !k !k !k !k !k !k);
+            Buffer.add_string b "  bl print_i64\n")
+          lhs)
+      conds;
+    Buffer.add_string b "  ldp fp, lr, [sp], #16\n  mov x0, #0\n  ret\n";
+    parse (Buffer.contents b)
+  in
+  List.iter
+    (fun (name, read) ->
+      let r = run_exn (program read) ~entry:"main" in
+      Alcotest.(check (list int)) (name ^ ": six conditions") expected r.output)
+    [ ("cset", `Cset); ("csel", `Csel); ("b.cond", `Bcond) ];
+  (* [cmp] orders its operands; it does not subtract them, so the most
+     negative value stays below 1. *)
+  let p =
+    parse
+      {|
+func main:
+entry:
+  mov x1, #1
+  lsl x1, x1, #62     ; min_int
+  cmp x1, #1
+  b.lt less, more
+less:
+  mov x0, #1
+  ret
+more:
+  mov x0, #2
+  ret
+|}
+  in
+  Alcotest.(check int) "cmp does not overflow" 1
+    (run_exn p ~entry:"main").exit_value
 
 let test_runtime_alloc_refcount () =
   let p =
@@ -271,9 +332,296 @@ let test_null_and_unknown () =
   | Error (Perfsim.Interp.Unknown_symbol "mystery") -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected unknown symbol");
   let config = { Perfsim.Interp.default_config with unknown_extern = `Noop } in
-  match Perfsim.Interp.run ~config ~entry:"main" p2 with
+  (match Perfsim.Interp.run ~config ~entry:"main" p2 with
   | Ok r -> Alcotest.(check int) "noop extern returns 0" 0 r.exit_value
-  | Error e -> Alcotest.fail (Perfsim.Interp.error_to_string e)
+  | Error e -> Alcotest.fail (Perfsim.Interp.error_to_string e));
+  (* Each failure happens on a pinned step: with one step less the run
+     stops at the budget instead. *)
+  let fails_at name ~steps error p =
+    let run max_steps =
+      Perfsim.Interp.run
+        ~config:{ Perfsim.Interp.default_config with max_steps }
+        ~entry:"main" p
+    in
+    let show = function
+      | Ok _ -> "ok"
+      | Error e -> Perfsim.Interp.error_to_string e
+    in
+    Alcotest.(check string) (name ^ ": error")
+      (Perfsim.Interp.error_to_string error) (show (run steps));
+    Alcotest.(check string) (name ^ ": not before step " ^ string_of_int steps)
+      "step limit exceeded" (show (run (steps - 1)))
+  in
+  fails_at "null load" ~steps:2 Perfsim.Interp.Null_access p;
+  fails_at "unknown extern" ~steps:2 (Perfsim.Interp.Unknown_symbol "mystery") p2;
+  fails_at "adr of an unknown symbol" ~steps:3
+    (Perfsim.Interp.Unknown_symbol "nowhere")
+    (parse "func main:\nentry:\n  mov x1, #1\n  nop\n  adr x0, nowhere\n  ret\n");
+  fails_at "blr to an unknown extern" ~steps:3
+    (Perfsim.Interp.Unknown_symbol "mystery")
+    (parse
+       "extern mystery\nfunc main:\nentry:\n  stp fp, lr, [sp, #-16]!\n  adr x1, mystery\n  blr x1\n  ldp fp, lr, [sp], #16\n  ret\n");
+  fails_at "tail call to an unknown extern" ~steps:2
+    (Perfsim.Interp.Unknown_symbol "mystery")
+    (parse "extern mystery\nfunc main:\nentry:\n  mov x0, #3\n  b mystery\n");
+  fails_at "blr to a non-address" ~steps:3 (Perfsim.Interp.Bad_jump 12345)
+    (parse
+       "func main:\nentry:\n  stp fp, lr, [sp, #-16]!\n  mov x1, #12345\n  blr x1\n  ldp fp, lr, [sp], #16\n  ret\n");
+  fails_at "ret to a non-address" ~steps:2 (Perfsim.Interp.Bad_jump 8)
+    (parse "func main:\nentry:\n  mov lr, #8\n  ret\n");
+  fails_at "unaligned store" ~steps:3 (Perfsim.Interp.Unaligned_access 0x20004)
+    (parse
+       "func main:\nentry:\n  mov x1, #1\n  lsl x1, x1, #17\n  str x1, [x1, #4]!\n  ret\n");
+  fails_at "bounds trap" ~steps:3
+    (Perfsim.Interp.Trap "array index out of bounds")
+    (parse
+       "extern swift_bounds_fail\nfunc main:\nentry:\n  stp fp, lr, [sp, #-16]!\n  mov x0, #1\n  bl swift_bounds_fail\n  ret\n")
+
+(* xzr reads as zero whatever was written to it, and write-back to a base
+   register comes before the loaded value lands in it. *)
+let test_edge_semantics () =
+  let p =
+    parse
+      {|
+extern print_i64
+data tbl: 10 20 30 40
+data buf: 0 0 0 0
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  mov x1, #5
+  mov xzr, #7
+  mov x0, xzr           ; 0
+  bl print_i64
+  add xzr, x1, #1
+  add x0, xzr, #9       ; 9
+  bl print_i64
+  add x0, x1, xzr       ; 5
+  bl print_i64
+  cmp x1, #5
+  csel xzr, x1, x1, eq
+  csel x0, xzr, x1, eq  ; 0
+  bl print_i64
+  adr x6, tbl
+  ldr xzr, [x6]
+  mov x0, xzr           ; 0
+  bl print_i64
+  ldr x1, [x6, #8]!     ; x6 = tbl+8, then x1 = 20
+  ldr x0, [x6]          ; 20
+  bl print_i64
+  adr x1, tbl
+  ldr x1, [x1, #8]!     ; loaded 20 wins over the write-back
+  mov x0, x1
+  bl print_i64
+  adr x2, tbl
+  ldr x2, [x2], #8      ; 10
+  mov x0, x2
+  bl print_i64
+  adr x3, tbl
+  ldp x3, x4, [x3, #16]!  ; 30, 40
+  add x0, x3, x4        ; 70
+  bl print_i64
+  adr x5, tbl
+  ldp x6, x5, [x5], #16   ; 10, then 20 over the write-back
+  mov x0, x6
+  bl print_i64
+  mov x0, x5
+  bl print_i64
+  adr x7, buf
+  str x7, [x7, #8]!     ; stores the written-back address
+  ldr x8, [x7]
+  sub x0, x8, x7        ; 0
+  bl print_i64
+  adr x9, buf
+  add x9, x9, #32
+  stp x9, x9, [x9, #-16]!
+  ldp x10, x11, [x9]
+  sub x0, x10, x9       ; 0
+  sub x0, x0, x11
+  add x0, x0, x9        ; 0
+  bl print_i64
+  adr x12, buf
+  ldr x0, [x12], #0     ; post-index by zero: buf[0], still 0
+  bl print_i64
+  mov x1, #3
+  lsl x0, x1, #65       ; shift amounts wrap at 64: 6
+  bl print_i64
+  mov x2, #64
+  lsl x0, x1, x2        ; 3
+  bl print_i64
+  mov x2, #-7
+  mov x3, #2
+  sdiv x0, x2, x3       ; rounds toward zero: -3
+  bl print_i64
+  asr x0, x2, #1        ; -4
+  bl print_i64
+  ldp fp, lr, [sp], #16
+  mov x0, #0
+  ret
+|}
+  in
+  let r = run_exn p ~entry:"main" in
+  Alcotest.(check (list int)) "outputs"
+    [ 0; 9; 5; 0; 0; 20; 20; 10; 70; 10; 20; 0; 0; 0; 6; 3; -3; -4 ]
+    r.output
+
+(* --- Pinned runs ------------------------------------------------------------ *)
+
+(* One line per run: every result field (the output list by length and
+   digest), or the error. *)
+let show_run = function
+  | Error e -> "error: " ^ Perfsim.Interp.error_to_string e
+  | Ok (r : Perfsim.Interp.result) ->
+    let out = String.concat " " (List.map string_of_int r.output) in
+    Printf.sprintf
+      "exit %d output %d/%s steps %d outlined %d cycles %d icache %d/%d itlb \
+       %d dtlb %d data-pages %d data-fault %d cold %d/%d branches %d calls %d"
+      r.exit_value (List.length r.output)
+      (Digest.to_hex (Digest.string out))
+      r.steps r.outlined_steps r.cycles r.icache_misses r.icache_accesses
+      r.itlb_misses r.dtlb_misses r.data_pages_touched r.data_fault_cycles
+      r.cold_start_pages r.cold_start_cost r.branches r.calls
+
+(* The count lists by length and the digest of their canonical text:
+   first touches in order, the other three sorted. *)
+let show_counts c =
+  let l = Perfsim.Interp.count_lists c in
+  let pair (a, b) = a ^ "/" ^ b in
+  let lines =
+    List.map (fun s -> "touch " ^ s) l.first_touch
+    @ List.sort compare
+        (List.map (fun (f, n) -> Printf.sprintf "entry %s %d" f n) l.entry_counts)
+    @ List.sort compare
+        (List.map
+           (fun (e, n) -> Printf.sprintf "edge %s %d" (pair e) n)
+           l.edge_counts)
+    @ List.sort compare
+        (List.map
+           (fun (b, n) -> Printf.sprintf "block %s %d" (pair b) n)
+           l.block_counts)
+  in
+  Printf.sprintf "%d/%d/%d/%d %s" (List.length l.first_touch)
+    (List.length l.entry_counts) (List.length l.edge_counts)
+    (List.length l.block_counts)
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
+let build_app ~config profile =
+  match
+    Pipeline.build_sources ~config (Workload.Appgen.generate_sources profile)
+  with
+  | Ok r -> (r.Pipeline.program, r.Pipeline.function_order)
+  | Error e -> Alcotest.fail e
+
+let pinned_apps =
+  [
+    ( "uber_rider",
+      lazy
+        (build_app ~config:Pipeline.default_config Workload.Appgen.uber_rider)
+    );
+    ( "SmallApp_x3 pm stitch",
+      lazy
+        (let config =
+           match
+             Pipeline.config_of_passes ~base:Pipeline.default_ios_config
+               "dce,merge-functions,fmsa,global-merge,outline(rounds=5),stitch"
+           with
+           | Ok c -> c
+           | Error e -> Alcotest.fail e
+         in
+         build_app ~config
+           (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small)) );
+  ]
+
+(* (app, configuration, result line, count lists), recorded from an
+   interpreter that executed each slot's [Insn.t] directly; decoding the
+   slots at link time must reproduce them exactly. *)
+let pinned_runs =
+  [
+    ("uber_rider", "measure",
+     "exit 408863 output 0/d41d8cd98f00b204e9800998ecf8427e steps 19832755 \
+      outlined 2758824 cycles 116734314 icache 36858/19832755 itlb 225 dtlb \
+      58 data-pages 58 data-fault 5800000 cold 15/1500000 branches 3224051 \
+      calls 630108",
+     "2112/2112/11002/5687 49a172446197a810336ca22517238861");
+    ("uber_rider", "profile",
+     "exit 408863 output 0/d41d8cd98f00b204e9800998ecf8427e steps 19832755 \
+      outlined 2758824 cycles 0 icache 0/0 itlb 0 dtlb 0 data-pages 0 \
+      data-fault 0 cold 0/0 branches 3224051 calls 630108",
+     "2112/2112/11002/5687 49a172446197a810336ca22517238861");
+    ("SmallApp_x3 pm stitch", "measure",
+     "exit 828677 output 0/d41d8cd98f00b204e9800998ecf8427e steps 9650086 \
+      outlined 184058 cycles 53906746 icache 919/9650086 itlb 4 dtlb 22 \
+      data-pages 22 data-fault 2200000 cold 4/400000 branches 1110434 calls \
+      59272",
+     "561/561/1103/1681 97118cf4f088bd5cb4d85248cc818a48");
+    ("SmallApp_x3 pm stitch", "profile",
+     "exit 828677 output 0/d41d8cd98f00b204e9800998ecf8427e steps 9650086 \
+      outlined 184058 cycles 0 icache 0/0 itlb 0 dtlb 0 data-pages 0 \
+      data-fault 0 cold 0/0 branches 1110434 calls 59272",
+     "561/561/1103/1681 97118cf4f088bd5cb4d85248cc818a48");
+  ]
+
+let test_pinned_runs () =
+  List.iter
+    (fun (app, cfg, want_run, want_counts) ->
+      let program, order = Lazy.force (List.assoc app pinned_apps) in
+      let config =
+        if cfg = "measure" then Perfsim.Interp.default_config
+        else Pgo.Collect.default_config
+      in
+      let counts = Perfsim.Interp.create_counts () in
+      let r = Perfsim.Interp.run ~config ?order ~counts ~entry:"main" program in
+      let name = app ^ " " ^ cfg in
+      Alcotest.(check string) (name ^ ": result") want_run (show_run r);
+      Alcotest.(check string) (name ^ ": counts") want_counts (show_counts counts))
+    pinned_runs
+
+(* A failing run's backtrace and trace-ring lines, through a call, a
+   conditional branch and a tail call, with the ring keeping only the
+   last six slots. *)
+let test_pinned_failure () =
+  let p =
+    parse
+      {|
+func leaf:
+entry:
+  mov x1, #0
+  ldr x2, [x1]
+  ret
+func mid:
+entry:
+  cmp x0, #3
+  b.ge tail, out
+out:
+  ret
+tail:
+  b leaf
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  mov x0, #4
+  bl mid
+  ldp fp, lr, [sp], #16
+  ret
+|}
+  in
+  let config = { Perfsim.Interp.default_config with trace_ring = 6 } in
+  match Perfsim.Interp.run_with_backtrace ~config ~entry:"main" p with
+  | Ok _ -> Alcotest.fail "expected a null access"
+  | Error f ->
+    Alcotest.(check string) "error" "null access"
+      (Perfsim.Interp.error_to_string f.error);
+    Alcotest.(check (list string)) "backtrace" [ "leaf"; "main" ] f.backtrace;
+    Alcotest.(check (list string)) "trace"
+      [
+        "0x010024  main+0x8                     bl mid";
+        "0x01000c  mid+0x0                      cmp x0, #3";
+        "0x010010  mid+0x4                      b.cond";
+        "0x010018  mid+0xc                      b <tail>";
+        "0x010000  leaf+0x0                     mov x1, #0";
+        "0x010004  leaf+0x4                     ldr x2, [x1]";
+      ]
+      f.trace
 
 let test_perf_counters () =
   let r = run_exn fib_prog ~entry:"fib" ~args:[ 15 ] in
@@ -668,6 +1016,10 @@ let () =
           Alcotest.test_case "step limit" `Quick test_step_limit;
           Alcotest.test_case "null and unknown extern" `Quick
             test_null_and_unknown;
+          Alcotest.test_case "edge semantics" `Quick test_edge_semantics;
+          Alcotest.test_case "decoded runs are pinned" `Slow test_pinned_runs;
+          Alcotest.test_case "failure diagnostics are pinned" `Quick
+            test_pinned_failure;
           Alcotest.test_case "perf counters" `Quick test_perf_counters;
           Alcotest.test_case "cold-start page-in trace" `Quick
             test_cold_start_pages;
