@@ -9,12 +9,13 @@
 
 open Cmdliner
 
+(* A file's contents, or why they cannot be read. *)
 let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  if Sys.file_exists path && Sys.is_directory path then
+    Error (path ^ ": is a directory, not a file")
+  else
+    try Ok (In_channel.with_open_bin path In_channel.input_all)
+    with Sys_error e -> Error e
 
 let write_out path contents =
   match path with
@@ -28,15 +29,15 @@ let write_out path contents =
    an undefined branch target or a duplicate function is an error here, not
    a crash (or a silently wrong answer) later. *)
 let load_program path =
-  let text = read_file path in
-  let prog =
-    if Filename.check_suffix path ".swl" then
-      Result.map Codegen.compile_modul
-        (Swiftlet.Compile.compile_module ~name:"cli" text)
-    else Machine.Asm_parser.parse_program text
-  in
-  Result.bind prog (fun p ->
-      Result.map (fun () -> p) (Machine.Program.validate p))
+  Result.bind (read_file path) (fun text ->
+      let prog =
+        if Filename.check_suffix path ".swl" then
+          Result.map Codegen.compile_modul
+            (Swiftlet.Compile.compile_module ~name:"cli" text)
+        else Machine.Asm_parser.parse_program text
+      in
+      Result.bind prog (fun p ->
+          Result.map (fun () -> p) (Machine.Program.validate p)))
 
 let or_die = function
   | Ok x -> x
@@ -224,7 +225,8 @@ let sources_term ~app_doc =
         |> List.filter (fun f -> Filename.check_suffix f ".swl")
         |> List.sort String.compare
         |> List.map (fun f ->
-               (Filename.chop_suffix f ".swl", read_file (Filename.concat d f)))
+               ( Filename.chop_suffix f ".swl",
+                 or_die (read_file (Filename.concat d f)) ))
       )
     | None, None ->
       prerr_endline "error: pass a DIR of .swl modules or --app PROFILE";

@@ -56,6 +56,20 @@ type t = {
           treat cross-shard calls to it correctly *)
 }
 
+type shape = int
+(** A pattern's strategy, LR-frame bit and SP bit in one int, the only
+    encoding of the outlining rule's verdict: bits 0-1 the strategy (1
+    ret-ending, 2 thunk, 3 plain call), bit 2 [needs_lr_frame], bit 3
+    [touches_sp].  The window scanner computes it, thin-WPO's scan entries
+    and summaries carry it unchanged, and a candidate's fields are decoded
+    from it. *)
+
+val shape : strategy -> needs_lr_frame:bool -> touches_sp:bool -> shape
+val shape_of : t -> shape
+val shape_strategy : shape -> strategy
+val shape_needs_lr_frame : shape -> bool
+val shape_touches_sp : shape -> bool
+
 val site_cost_bytes : site_call -> int
 val pattern_bytes : t -> int
 (** Bytes of one inline occurrence (4 per symbol). *)

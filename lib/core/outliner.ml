@@ -68,15 +68,35 @@ let seq_metas (p : Program.t) =
 
 (* --- The per-build memo -------------------------------------------------- *)
 
-(* What one scan of a program carries to the next: per block a row derived
-   from its body and ret slot alone, per function its liveness.  A row is
-   reused only while the block's body is physically the same array and its
-   ret slot the same, liveness only while the function is physically the
-   same [Mfunc.t] — what the rewrite keeps for everything it does not
-   touch — so nothing is ever invalidated. *)
+let prefix_sum weight body =
+  let a = Array.make (Array.length body + 1) 0 in
+  Array.iteri (fun i insn -> a.(i + 1) <- a.(i) + weight insn) body;
+  a
+
+(* A block's legality row, the part of its row both outliners read: over
+   body [0, i), the count of call instructions in the low 32 bits and of
+   illegal instructions above them, so one subtraction counts both over
+   any range. *)
+let legal_row =
+  prefix_sum (fun i ->
+      (if Legality.classify i = Legality.Illegal then 1 lsl 32 else 0)
+      + Bool.to_int (Insn.is_call i))
+
+let illegal_in lg lo hi = (lg.(hi) - lg.(lo)) lsr 32
+let calls_in lg lo hi = (lg.(hi) - lg.(lo)) land 0xffff_ffff
+
+(* What one scan of a program carries to the next: per block its legality
+   row (built when the rule first asks for it: the serial outliner asks
+   only about blocks that hold a repeat's first occurrence) and a ['row]
+   derived from its body and ret slot alone, per function its liveness.
+   Rows are reused only while the block's body is physically the same
+   array and its ret slot the same, liveness only while the function is
+   physically the same [Mfunc.t] — what the rewrite keeps for everything
+   it does not touch — so nothing is ever invalidated. *)
 type 'row cached = {
   c_body : Insn.t array;
   c_has_ret : bool;
+  c_legal : int array Lazy.t;
   c_row : 'row;
 }
 
@@ -94,9 +114,10 @@ let create_memo ?(match_by_name = false) () =
     mm_by_name = match_by_name;
   }
 
-(* Every block's row in [metas] order, built by [make] unless [memo] still
-   holds it, and how many were reused.  A function's blocks are adjacent
-   in [metas], so its table is found once. *)
+(* Every block's legality row and ['row] in [metas] order, built (the
+   latter by [make]) unless [memo] still holds them, and how many blocks
+   were reused.  A function's blocks are adjacent in [metas], so its table
+   is found once. *)
 let memo_rows memo (metas : seq_meta array) make =
   let reused = ref 0 in
   let func = ref None and tbl = ref (Hashtbl.create 0) in
@@ -119,15 +140,23 @@ let memo_rows memo (metas : seq_meta array) make =
       when memo.mm_by_name || (c.c_body == body && c.c_has_ret = m.sm_has_ret)
       ->
       incr reused;
-      c.c_row
+      c
     | _ ->
-      let r = make m in
-      Hashtbl.replace !tbl m.sm_block.Block.label
-        { c_body = body; c_has_ret = m.sm_has_ret; c_row = r };
-      r
+      let c =
+        {
+          c_body = body;
+          c_has_ret = m.sm_has_ret;
+          c_legal = lazy (legal_row body);
+          c_row = make m;
+        }
+      in
+      Hashtbl.replace !tbl m.sm_block.Block.label c;
+      c
   in
-  let rows = Array.map row metas in
-  (rows, !reused)
+  let cached = Array.map row metas in
+  ( Array.map (fun c -> c.c_legal) cached,
+    Array.map (fun c -> c.c_row) cached,
+    !reused )
 
 let memo_liveness memo (f : Mfunc.t) =
   match Hashtbl.find_opt memo.mm_live f.name with
@@ -137,15 +166,15 @@ let memo_liveness memo (f : Mfunc.t) =
     Hashtbl.replace memo.mm_live f.name (f, lv);
     lv
 
-(* The suffix tree's input: every block's interned symbols, in [seq_metas]
-   order. *)
+(* The suffix tree's input, every block's interned symbols in [seq_metas]
+   order, with the blocks and their legality rows. *)
 let build_sequences memo imap (p : Program.t) =
   let metas = seq_metas p in
-  let seqs, _ =
+  let legal, seqs, _ =
     memo_rows memo metas (fun m ->
         Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret m.sm_block.Block.body)
   in
-  (Array.to_list seqs, metas)
+  (Array.to_list seqs, metas, legal)
 
 (* Walk the occurrences that survive self-overlap pruning: an occurrence
    is dropped when it overlaps an earlier-kept occurrence of the same
@@ -168,7 +197,8 @@ let fold_pruned occs len f acc =
    call to one is *not* SP-neutral, unlike a call to any ABI-conforming
    function.  Strategies that spill LR around such a call would reload from
    the wrong slot.  Compute, transitively, which outlined functions a call
-   must be treated as SP-modifying. *)
+   must be treated as SP-modifying, seeded with the [extern] facts for
+   callees not defined in [p]. *)
 let sp_unsafe_callees ?(extern = fun _ -> false) (p : Program.t) =
   let unsafe : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   let outlined =
@@ -230,145 +260,184 @@ let lr_live_memo metas liveness_of =
     in
     Regset.mem Reg.lr arr.(pos)
 
-(* [lax] is thin-WPO's discovery mode: keep singleton occurrence lists and
-   skip the local site-count and profitability bars.  A pattern seen once
-   (or unprofitably often) in this shard may be seen in ten others — the
+(* --- The outlining rule -------------------------------------------------- *)
+
+(* The one legality and strategy rule, for the serial outliner's repeats
+   and thin-WPO's windows alike: any window's verdict in O(1), by
+   subtracting prefix counts.  Per block it reads the memo's legality row,
+   SP-relevant counts (direct SP uses, plus calls to outlined frame
+   fragments) built on first use — they depend on the round's outlined
+   callees, so no memo keeps them — and per-point LR liveness. *)
+type rule = {
+  ru_options : options;
+  ru_metas : seq_meta array;
+  ru_legal : int array Lazy.t array;
+  ru_sp : int array array;  (** per block, [[||]] until first asked *)
+  ru_sp_relevant : Insn.t -> bool;
+  ru_lr_live : int -> int -> bool;
+}
+
+let make_rule ?extern_sp_unsafe options ~liveness_of p metas legal =
+  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
+  {
+    ru_options = options;
+    ru_metas = metas;
+    ru_legal = legal;
+    ru_sp = Array.make (Array.length metas) [||];
+    ru_sp_relevant =
+      (fun i ->
+        Insn.touches_sp i
+        || match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false);
+    ru_lr_live = lr_live_memo metas liveness_of;
+  }
+
+let sp_counts r s =
+  if Array.length r.ru_sp.(s) = 0 then
+    r.ru_sp.(s) <-
+      prefix_sum
+        (fun i -> Bool.to_int (r.ru_sp_relevant i))
+        r.ru_metas.(s).sm_block.Block.body;
+  r.ru_sp.(s)
+
+(* The body instructions a window of [len] symbols at [pos] of block [s]
+   covers: one fewer when it ends in the block's virtual ret slot. *)
+let body_len r s pos len =
+  let m = r.ru_metas.(s) in
+  if m.sm_has_ret && pos + len = Array.length m.sm_block.Block.body + 1 then
+    len - 1
+  else len
+
+(* A window's {!Candidate.shape}, or [-1] when no site of it may be
+   outlined: it holds an illegal instruction (the ret slot is always
+   legal), no instruction at all, or a ret [options] forbids.  A call
+   before the end of the body clobbers LR inside the outlined function, so
+   it needs its own LR frame — impossible if the body is SP-relevant.  The
+   final call of a thunk becomes a tail branch, so it is exempt from both
+   the call and the SP check. *)
+let window_shape r s pos len =
+  let ilen = body_len r s pos len in
+  let lg = Lazy.force r.ru_legal.(s) in
+  if ilen = 0 || illegal_in lg pos (pos + ilen) <> 0 then -1
+  else if ilen < len && not r.ru_options.allow_ret then -1
+  else
+    let strategy : Candidate.strategy =
+      if ilen < len then Ends_with_ret
+      else
+        match r.ru_metas.(s).sm_block.Block.body.(pos + ilen - 1) with
+        | Insn.Bl _ when r.ru_options.allow_thunk -> Thunk
+        | _ -> Plain_call
+    in
+    let hi = match strategy with Thunk -> pos + ilen - 1 | _ -> pos + ilen in
+    let sp = sp_counts r s in
+    let needs_lr_frame = calls_in lg pos hi > 0 in
+    let touches_sp = sp.(hi) - sp.(pos) > 0 in
+    if needs_lr_frame && touches_sp then -1
+    else Candidate.shape strategy ~needs_lr_frame ~touches_sp
+
+(* A plain-call site spills LR around its call when LR is live there; an
+   SP-relevant body cannot, so the site is dropped. *)
+let window_call r s pos shape =
+  if
+    Candidate.shape_strategy shape <> Plain_call || not (r.ru_lr_live s pos)
+  then Some Candidate.Call_free
+  else if r.ru_options.allow_save_lr && not (Candidate.shape_touches_sp shape)
+  then Some Candidate.Call_save_lr
+  else None
+
+let site_at r s pos len call =
+  let m = r.ru_metas.(s) in
+  let ilen = body_len r s pos len in
+  {
+    Candidate.func = m.sm_func.Mfunc.name;
+    block = m.sm_block.Block.label;
+    block_id = s;
+    start = pos;
+    len = ilen;
+    with_ret = ilen < len;
+    call;
+  }
+
+let candidate_at r s pos len shape sites =
+  let body = r.ru_metas.(s).sm_block.Block.body in
+  {
+    Candidate.insns = Array.to_list (Array.sub body pos (body_len r s pos len));
+    length = len;
+    strategy = Candidate.shape_strategy shape;
+    sites;
+    needs_lr_frame = Candidate.shape_needs_lr_frame shape;
+    touches_sp = Candidate.shape_touches_sp shape;
+  }
+
+(* A repeat's candidate: the rule's shape at its first occurrence, a call
+   kind per pruned occurrence.  Every occurrence has the first's shape:
+   the ret symbol ends its sequence and illegal instructions get unique
+   symbols, so neither ever repeats elsewhere.  [lax] is thin-WPO's
+   discovery mode: keep singleton occurrence lists and skip the local
+   site-count and profitability bars.  A pattern seen once (or
+   unprofitably often) in this shard may be seen in ten others — the
    global decision round applies the same two filters to the {e summed}
    counts instead. *)
-let candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live
-    (r : Sufftree.Suffix_tree.repeat) : Candidate.t option =
-  match r.occs with
+let candidate_of_repeat ~lax r (rep : Sufftree.Suffix_tree.repeat) =
+  match rep.occs with
   | [] -> None
   | [ _ ] when not lax -> None
   (* Pruning always keeps the first occurrence, so [first] is the head of
      the pruned walk too. *)
   | first :: _ ->
-    let meta = metas.(first.seq) in
-    let body = meta.sm_block.Block.body in
-    let with_ret =
-      meta.sm_has_ret && first.pos + r.length = Array.length body + 1
-    in
-    let insn_len = if with_ret then r.length - 1 else r.length in
-    if insn_len = 0 then None
+    let len = rep.length in
+    let shape = window_shape r first.seq first.pos len in
+    if shape < 0 then None
     else begin
-      let strategy =
-        if with_ret then
-          if options.allow_ret then Some Candidate.Ends_with_ret else None
-        else
-          match body.(first.pos + insn_len - 1) with
-          | Insn.Bl _ when options.allow_thunk -> Some Candidate.Thunk
-          | _ -> Some Candidate.Plain_call
-      in
-      match strategy with
-      | None -> None
-      | Some strategy ->
-        (* SP-relevant instructions: direct SP uses, plus calls to outlined
-           frame fragments, which are not SP-neutral callees. *)
-        let insn_touches_sp i =
-          Insn.touches_sp i
-          || (match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false)
+      (* Count site kinds before allocating anything: most repeats fall to
+         the profitability bar, and rejecting them from two integers is far
+         cheaper than building their site records first. *)
+      let n_free = ref 0 and n_save = ref 0 in
+      fold_pruned rep.occs len
+        (fun () (o : Sufftree.Suffix_tree.occurrence) ->
+          match window_call r o.seq o.pos shape with
+          | Some Candidate.Call_free -> incr n_free
+          | Some Candidate.Call_save_lr -> incr n_save
+          | None -> ())
+        ();
+      let n = !n_free + !n_save in
+      if
+        n = 0
+        || (not lax)
+           && (n < 2
+              || Cost_model.benefit_of_counts
+                   (Candidate.shape_strategy shape)
+                   ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
+                   ~pattern_len:len ~n_free:!n_free ~n_save:!n_save
+                 < 1)
+      then None
+      else
+        let rev_sites =
+          fold_pruned rep.occs len
+            (fun acc (o : Sufftree.Suffix_tree.occurrence) ->
+              match window_call r o.seq o.pos shape with
+              | None -> acc
+              | Some call -> site_at r o.seq o.pos len call :: acc)
+            []
         in
-        (* The final call of a thunk becomes a tail branch, so it is exempt
-           from both the interior-call and the SP checks.  Scan the body
-           array in place — building the instruction list for every repeat
-           would dominate this phase (most repeats are rejected). *)
-        let checked_hi =
-          match strategy with
-          | Candidate.Thunk -> first.pos + insn_len - 1
-          | Candidate.Ends_with_ret | Candidate.Plain_call ->
-            first.pos + insn_len
-        in
-        let exists_in_range pred =
-          let rec go i = i < checked_hi && (pred body.(i) || go (i + 1)) in
-          go first.pos
-        in
-        let touches_sp = exists_in_range insn_touches_sp in
-        (* Calls before the end of the body clobber LR inside the outlined
-           function, so it needs its own LR spill — impossible if the body
-           is SP-relevant. *)
-        let needs_lr_frame = exists_in_range Insn.is_call in
-        if needs_lr_frame && touches_sp then None
-        else
-        let call_of (o : Sufftree.Suffix_tree.occurrence) =
-          match strategy with
-          | Candidate.Ends_with_ret | Candidate.Thunk -> Some Candidate.Call_free
-          | Candidate.Plain_call ->
-            if lr_live o.seq o.pos then
-              if options.allow_save_lr && not touches_sp then
-                Some Candidate.Call_save_lr
-              else None
-            else Some Candidate.Call_free
-        in
-        (* Count site kinds before allocating anything: most repeats fall to
-           the profitability bar, and rejecting them from two integers is far
-           cheaper than building their site records first. *)
-        let n_free = ref 0 and n_save = ref 0 in
-        fold_pruned r.occs r.length
-          (fun () o ->
-            match call_of o with
-            | Some Candidate.Call_free -> incr n_free
-            | Some Candidate.Call_save_lr -> incr n_save
-            | None -> ())
-          ();
-        if !n_free + !n_save = 0 then None
-        else if
-          (not lax)
-          && (!n_free + !n_save < 2
-             || Cost_model.benefit_of_counts strategy ~needs_lr_frame
-                  ~pattern_len:r.length ~n_free:!n_free ~n_save:!n_save
-                < 1)
-        then None
-        else
-          let rev_sites =
-            fold_pruned r.occs r.length
-              (fun acc (o : Sufftree.Suffix_tree.occurrence) ->
-                match call_of o with
-                | None -> acc
-                | Some call ->
-                  let m = metas.(o.seq) in
-                  {
-                    Candidate.func = m.sm_func.Mfunc.name;
-                    block = m.sm_block.Block.label;
-                    block_id = o.seq;
-                    start = o.pos;
-                    len = insn_len;
-                    with_ret;
-                    call;
-                  }
-                  :: acc)
-              []
-          in
-          let sites = List.rev rev_sites in
-          let insns = Array.to_list (Array.sub body first.pos insn_len) in
-          Some
-            {
-              Candidate.insns;
-              length = r.length;
-              strategy;
-              sites;
-              needs_lr_frame;
-              touches_sp;
-            }
+        Some (candidate_at r first.seq first.pos len shape (List.rev rev_sites))
     end
 
 (* The one discovery step: every repeat goes through
    [candidate_of_repeat]; the survivors come back in input order. *)
-let discover ~lax ?extern_sp_unsafe options ~liveness_of metas p repeats =
-  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-  let lr_live = lr_live_memo metas liveness_of in
-  List.filter_map
-    (candidate_of_repeat ~lax options ~callee_sp_unsafe metas lr_live)
-    repeats
+let discover ~lax ?extern_sp_unsafe options ~liveness_of p (metas, legal)
+    repeats =
+  let r = make_rule ?extern_sp_unsafe options ~liveness_of p metas legal in
+  List.filter_map (candidate_of_repeat ~lax r) repeats
 
 let enumerate ?min_length ?(options = default_options) ?(all = false)
     ?extern_sp_unsafe ?pool (p : Program.t) =
   let min_length = Option.value min_length ~default:options.min_length in
   let memo = create_memo () in
-  let seqs, metas = build_sequences memo (Instr_map.create ()) p in
+  let seqs, metas, legal = build_sequences memo (Instr_map.create ()) p in
   if seqs = [] then []
   else
     discover ~lax:all ?extern_sp_unsafe options
-      ~liveness_of:(memo_liveness memo) metas p
+      ~liveness_of:(memo_liveness memo) p (metas, legal)
       (match pool with
       | None ->
         Sufftree.Suffix_tree.repeats ~min_length
@@ -381,22 +450,19 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
 
 (* Thin-WPO keys every legal window of every block in O(1), with no
    allocation, and materializes a candidate only for the few windows whose
-   key the global decision ranks.  Per block the scanner keeps a rolling
-   polynomial hash (mod 2^63) over per-instruction content hashes — hashes
-   of the printed instruction, so every shard computes the same key for the
-   same content whatever its interner numbering — and prefix counts of
-   illegal, call and SP-relevant instructions, which answer
-   [candidate_of_repeat]'s range checks for any window by subtraction. *)
+   key the global decision ranks.  On top of the rule, per block the
+   scanner keeps a rolling polynomial hash (mod 2^63) over per-instruction
+   content hashes — hashes of the printed instruction, so every shard
+   computes the same key for the same content whatever its interner
+   numbering. *)
 
-(* One block's scanner row: everything the scanner derives from the
-   block's body and ret slot alone, so a row stays valid for as long as
-   both do. *)
+(* One block's scanner row on top of its legality row: everything else the
+   scanner derives from the block's body and ret slot alone, so a row
+   stays valid for as long as both do. *)
 type scan_row = {
   rw_text : string array;      (** printed instructions *)
   rw_prefix : int array;
       (** rolling hash of symbols [0, i), the ret slot included *)
-  rw_illegal : int array;      (** counts over body [0, i) *)
-  rw_calls : int array;
 }
 
 (* Instruction -> printed form and content hash. *)
@@ -405,13 +471,9 @@ type printer = (Insn.t, string * int) Hashtbl.t
 let create_printer () : printer = Hashtbl.create 512
 
 type windows = {
-  wn_options : options;
-  wn_metas : seq_meta array;
+  wn_rule : rule;
   wn_rows : scan_row array;
-  wn_sp : int array array;  (** per block: SP-relevant counts over body [0, i) *)
   wn_pow : int array;       (** [key_base] to the power [i] *)
-  wn_callee_sp_unsafe : string -> bool;
-  wn_lr_live : int -> int -> bool;
   wn_reused : int;          (** rows taken from the memo *)
 }
 
@@ -433,11 +495,6 @@ let content_hash s =
    as "ret" (it is a terminator). *)
 let ret_content = content_hash "ret"
 
-let prefix_count pred body =
-  let a = Array.make (Array.length body + 1) 0 in
-  Array.iteri (fun i insn -> a.(i + 1) <- a.(i) + Bool.to_int (pred insn)) body;
-  a
-
 let scan_row (printer : printer) (m : seq_meta) =
   let print i =
     match Hashtbl.find_opt printer i with
@@ -456,24 +513,13 @@ let scan_row (printer : printer) (m : seq_meta) =
     h.(i + 1) <-
       (h.(i) * key_base) + if i = n then ret_content else snd (print b.(i))
   done;
-  {
-    rw_text = Array.map (fun i -> fst (print i)) b;
-    rw_prefix = h;
-    rw_illegal =
-      prefix_count (fun i -> Legality.classify i = Legality.Illegal) b;
-    rw_calls = prefix_count Insn.is_call b;
-  }
+  { rw_text = Array.map (fun i -> fst (print i)) b; rw_prefix = h }
 
 let windows ?(options = default_options) ?extern_sp_unsafe
     ?(memo = create_memo ()) ?(printer = create_printer ())
     (p : Program.t) =
   let metas = seq_metas p in
-  let callee_sp_unsafe = sp_unsafe_callees ?extern:extern_sp_unsafe p in
-  let rows, reused = memo_rows memo metas (scan_row printer) in
-  let sp_relevant i =
-    Insn.touches_sp i
-    || match i with Insn.Bl t -> callee_sp_unsafe t | _ -> false
-  in
+  let legal, rows, reused = memo_rows memo metas (scan_row printer) in
   let longest =
     Array.fold_left (fun acc r -> max acc (Array.length r.rw_prefix)) 0 rows
   in
@@ -482,75 +528,31 @@ let windows ?(options = default_options) ?extern_sp_unsafe
     pow.(i) <- pow.(i - 1) * key_base
   done;
   {
-    wn_options = options;
-    wn_metas = metas;
+    wn_rule =
+      make_rule ?extern_sp_unsafe options ~liveness_of:(memo_liveness memo) p
+        metas legal;
     wn_rows = rows;
-    wn_sp =
-      Array.map (fun m -> prefix_count sp_relevant m.sm_block.Block.body) metas;
     wn_pow = pow;
-    wn_callee_sp_unsafe = callee_sp_unsafe;
-    wn_lr_live = lr_live_memo metas (memo_liveness memo);
     wn_reused = reused;
   }
 
-let reuse w = (w.wn_reused, Array.length w.wn_metas)
+let reuse w = (w.wn_reused, Array.length w.wn_rule.ru_metas)
 
-(* A window's shape packed in one int, or [-1] when [candidate_of_repeat]
-   would reject it for any site: bits 0-1 the strategy tag (1 ret-ending,
-   2 thunk, 3 plain call), bit 2 the LR-frame bit, bit 3 SP relevance.
-   The checks are [candidate_of_repeat]'s, answered from prefix counts. *)
-let window_shape w s pos len =
-  let m = w.wn_metas.(s) in
-  let body = m.sm_block.Block.body in
-  let n = Array.length body in
-  let bad = w.wn_rows.(s).rw_illegal in
-  (* The virtual ret slot at [n] is always legal. *)
-  if bad.(min (pos + len) n) - bad.(pos) <> 0 then -1
-  else
-    let with_ret = m.sm_has_ret && pos + len = n + 1 in
-    let insn_len = if with_ret then len - 1 else len in
-    let tag =
-      if insn_len = 0 then 0
-      else if with_ret then if w.wn_options.allow_ret then 1 else 0
-      else
-        match body.(pos + insn_len - 1) with
-        | Insn.Bl _ when w.wn_options.allow_thunk -> 2
-        | _ -> 3
-    in
-    if tag = 0 then -1
-    else
-      (* A thunk's final call becomes the tail branch: exempt from both
-         range checks. *)
-      let hi = if tag = 2 then pos + insn_len - 1 else pos + insn_len in
-      let calls = w.wn_rows.(s).rw_calls in
-      let lr = calls.(hi) - calls.(pos) > 0 in
-      let sp = w.wn_sp.(s).(hi) - w.wn_sp.(s).(pos) > 0 in
-      if lr && sp then -1
-      else tag lor (if lr then 4 else 0) lor if sp then 8 else 0
-
-(* Content, then length, then strategy and LR-frame bit, as further
-   polynomial terms. *)
+(* Content, then length, then the shape's strategy and LR-frame bits, as
+   further polynomial terms. *)
 let key_of_shape w s pos len shape =
   let h = w.wn_rows.(s).rw_prefix in
   let content = h.(pos + len) - (h.(pos) * w.wn_pow.(len)) in
   (((content * key_base) + len) * key_base) + (shape land 7)
 
 let window_key w ~block ~pos ~len =
-  key_of_shape w block pos len (window_shape w block pos len)
-
-(* A plain-call window spills LR around its call when LR is live there;
-   an SP-relevant body cannot, so the site is dropped. *)
-let window_call w s pos shape =
-  if shape land 3 <> 3 || not (w.wn_lr_live s pos) then
-    Some Candidate.Call_free
-  else if w.wn_options.allow_save_lr && shape land 8 = 0 then
-    Some Candidate.Call_save_lr
-  else None
+  key_of_shape w block pos len (window_shape w.wn_rule block pos len)
 
 let iter_windows w ~lengths f =
   let lengths =
     List.sort_uniq Int.compare (List.filter (fun l -> l >= 2) lengths)
   in
+  let r = w.wn_rule in
   Array.iteri
     (fun s (m : seq_meta) ->
       let seq_len =
@@ -559,24 +561,16 @@ let iter_windows w ~lengths f =
       List.iter
         (fun len ->
           for pos = 0 to seq_len - len do
-            let shape = window_shape w s pos len in
-            if shape >= 0 then begin
-              let strategy =
-                match shape land 3 with
-                | 1 -> Candidate.Ends_with_ret
-                | 2 -> Candidate.Thunk
-                | _ -> Candidate.Plain_call
-              in
-              match window_call w s pos shape with
+            let shape = window_shape r s pos len in
+            if shape >= 0 then
+              match window_call r s pos shape with
               | None -> ()
               | Some call ->
-                f ~block:s ~pos ~len ~key:(key_of_shape w s pos len shape) ~call
-                  ~strategy ~needs_lr_frame:(shape land 4 <> 0)
-                  ~touches_sp:(shape land 8 <> 0)
-            end
+                f ~block:s ~pos ~len ~key:(key_of_shape w s pos len shape)
+                  ~call ~shape
           done)
         lengths)
-    w.wn_metas
+    r.ru_metas
 
 let window_bound w ~lengths =
   Array.fold_left
@@ -585,36 +579,22 @@ let window_bound w ~lengths =
       List.fold_left
         (fun acc len -> if len >= 2 && len <= n then acc + n - len + 1 else acc)
         acc lengths)
-    0 w.wn_metas
+    0 w.wn_rule.ru_metas
 
 let window_text w ~block ~pos ~len =
   let text = w.wn_rows.(block).rw_text in
   List.init (min len (Array.length text - pos)) (fun i -> text.(pos + i))
 
 let window_candidate w ~block ~pos ~len =
-  if window_shape w block pos len < 0 then None
+  let r = w.wn_rule in
+  let shape = window_shape r block pos len in
+  if shape < 0 then None
   else
-    candidate_of_repeat ~lax:true w.wn_options
-      ~callee_sp_unsafe:w.wn_callee_sp_unsafe w.wn_metas w.wn_lr_live
-      {
-        Sufftree.Suffix_tree.length = len;
-        occs = [ { Sufftree.Suffix_tree.seq = block; pos } ];
-      }
+    Option.map
+      (fun call -> candidate_at r block pos len shape [ site_at r block pos len call ])
+      (window_call r block pos shape)
 
-(* The site record [candidate_of_repeat] builds for one occurrence. *)
-let window_site w ~block ~pos ~len call =
-  let m = w.wn_metas.(block) in
-  let body = m.sm_block.Block.body in
-  let with_ret = m.sm_has_ret && pos + len = Array.length body + 1 in
-  {
-    Candidate.func = m.sm_func.Mfunc.name;
-    block = m.sm_block.Block.label;
-    block_id = block;
-    start = pos;
-    len = (if with_ret then len - 1 else len);
-    with_ret;
-    call;
-  }
+let window_site w ~block ~pos ~len call = site_at w.wn_rule block pos len call
 
 (* --- Greedy selection order ------------------------------------------- *)
 
@@ -924,13 +904,15 @@ let set_rewrite rp d = rp.Profile.rp_rewrite <- rp.Profile.rp_rewrite +. d
    engine's suffix tree (repeats of at least [options.min_length]),
    [liveness_of] its liveness memo.  Returns the rewritten program and the
    stats. *)
-let outline_round rp options p (seqs, metas) ~liveness_of build_tree repeats =
+let outline_round rp options p (seqs, metas, legal) ~liveness_of build_tree
+    repeats =
   if seqs = [] then (p, no_stats)
   else begin
     let tree = timed rp set_tree (fun () -> build_tree seqs) in
     let cands =
       timed rp set_enum (fun () ->
-          discover ~lax:false options ~liveness_of metas p (repeats tree))
+          discover ~lax:false options ~liveness_of p (metas, legal)
+            (repeats tree))
     in
     let sorted = timed rp set_score (fun () -> score_candidates cands) in
     timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)

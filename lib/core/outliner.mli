@@ -15,12 +15,25 @@
 
     Everything else exists once and is shared by both engines, by
     {!enumerate} and by thin-WPO:
-    - block reuse: one {!memo}, identity-checked, holding the serial
-      engine's symbol arrays and thin-WPO's scanner rows alike (a fresh
-      one for {!enumerate} and {!run_round});
-    - discovery: one private function turns repeats into candidates (the
-      SP-unsafe-callee analysis, the per-point LR-liveness memo and the
-      legality/strategy checks);
+    - block reuse: one {!memo}, identity-checked, holding every block's
+      legality row (prefix counts of illegal and call instructions) plus
+      the serial engine's symbol arrays or thin-WPO's scanner rows (a
+      fresh one for {!enumerate} and {!run_round});
+    - the outlining rule: one private function decides, for any window
+      of any block in O(1), from prefix counts of illegal, call and
+      SP-relevant instructions, whether it may be outlined and with which
+      {!Candidate.shape} — strategy (ret-ending, thunk or plain call),
+      LR-frame bit and SP bit — and one decides each site's call kind
+      from LR liveness.  An illegal instruction (one that reads or writes
+      LR other than as a call) rejects the window.  A call before the
+      body's end needs an LR frame in the outlined function, which an
+      SP-relevant body (a direct SP use, or a call to an outlined frame
+      fragment, transitively) cannot have; a thunk's final call becomes
+      its tail branch and is exempt from both checks.  A plain-call site
+      where LR is live must spill it, which an SP-relevant body forbids.
+      The suffix tree's repeats (the serial outliner, {!enumerate}) are
+      judged at their first occurrence, thin-WPO's keyed windows one by
+      one;
     - site occupancy: one greedy slot-array rule over per-block slot
       arrays ({!make_occupancy});
     - the rewrite tail: one rewrite of a [block_id]-indexed plan table,
@@ -80,8 +93,9 @@ type windows
 
 type 'row memo
 (** What one scan of a program may carry to the next scan of it or of its
-    rewrite: per block a ['row] derived from its body and ret slot alone,
-    per function its liveness.  A row is reused only while the block's
+    rewrite: per block its legality row (built on the rule's first
+    question about the block) and a ['row] derived from its body and ret
+    slot alone, per function its liveness.  A row is reused only while the block's
     body is physically the same array and its ret slot the same, liveness
     only while the function is physically the same [Mfunc.t] — what the
     rewrite ({!run_round_incremental}, {!apply_assignments}) keeps for
@@ -95,8 +109,8 @@ val create_memo : ?match_by_name:bool -> unit -> 'row memo
     (function, label) matches, skipping the identity check. *)
 
 type scan_row
-(** {!windows}' row: printed instructions, prefix rolling hash, prefix
-    counts of illegal and call instructions. *)
+(** {!windows}' row on top of the legality row: printed instructions and
+    the prefix rolling hash. *)
 
 type printer
 (** Printed forms and content hashes by instruction: content-addressed,
@@ -112,9 +126,9 @@ val windows :
   Machine.Program.t ->
   windows
 (** Precompute, per block of [p], per-instruction content hashes, prefix
-    rolling hashes, prefix counts of illegal, call and SP-relevant
-    instructions ([extern_sp_unsafe] as in {!enumerate}), and a lazy
-    LR-liveness memo.  Block indices are the site [block_id]s {!enumerate}
+    rolling hashes and the outlining rule's prefix counts of illegal, call
+    and SP-relevant instructions ([extern_sp_unsafe] as in {!enumerate}),
+    and a lazy LR-liveness memo.  Block indices are the site [block_id]s {!enumerate}
     reports for the same program.  Rows and liveness still valid in
     [memo] are reused and new ones added to it; SP relevance depends on
     [extern_sp_unsafe] and is always recomputed.  The result is the same
@@ -131,14 +145,13 @@ val iter_windows :
   len:int ->
   key:int ->
   call:Candidate.site_call ->
-  strategy:Candidate.strategy ->
-  needs_lr_frame:bool ->
-  touches_sp:bool ->
+  shape:Candidate.shape ->
   unit) ->
   unit
 (** Visit every window of the given lengths (those [>= 2]) that
     {!window_candidate} would turn into a candidate, block by block, then
-    by ascending length, then by position, without allocating.  [key] is a
+    by ascending length, then by position, without allocating, with its
+    call kind and the rule's shape.  [key] is a
     63-bit hash of the window's printed content, strategy, LR-frame bit
     and length: two windows share it exactly when their candidates have
     equal content, strategy, LR-frame bit and length (up to hash
@@ -160,8 +173,9 @@ val window_text : windows -> block:int -> pos:int -> len:int -> string list
 
 val window_candidate :
   windows -> block:int -> pos:int -> len:int -> Candidate.t option
-(** The single-site candidate for one window, exactly as discovery builds
-    it for that occurrence; [None] when the window is no candidate. *)
+(** The single-site candidate for one window, built straight from the
+    rule, exactly as discovery builds it for that occurrence; [None] when
+    the window is no candidate. *)
 
 val window_site :
   windows ->
@@ -172,13 +186,6 @@ val window_site :
   Candidate.site
 (** The site of a window {!iter_windows} reported with this call kind:
     the one site of its {!window_candidate}, built in O(1). *)
-
-val sp_unsafe_callees :
-  ?extern:(string -> bool) -> Machine.Program.t -> string -> bool
-(** Which function symbols a call must treat as SP-modifying: outlined
-    frame fragments (bodies with unbalanced SP effects), transitively
-    through calls, seeded with the [extern] facts for callees not defined
-    in [p]. *)
 
 val make_occupancy :
   Machine.Program.t ->

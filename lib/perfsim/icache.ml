@@ -10,6 +10,8 @@ type t = {
 }
 
 let create ~size_bytes ~line_bytes ~assoc =
+  if line_bytes <= 0 || assoc <= 0 || size_bytes <= 0 then
+    invalid_arg "Icache.create: size, line and ways must be positive";
   if size_bytes mod (line_bytes * assoc) <> 0 then
     invalid_arg "Icache.create: size not divisible by line * assoc";
   let sets = size_bytes / (line_bytes * assoc) in
@@ -26,28 +28,23 @@ let create ~size_bytes ~line_bytes ~assoc =
 
 let access t addr =
   let line = addr / t.line_bytes in
-  let set = line mod t.sets in
-  let base = set * t.assoc in
+  let base = line mod t.sets * t.assoc in
+  let stop = base + t.assoc in
   t.clock <- t.clock + 1;
-  let hit = ref false in
-  (try
-     for w = base to base + t.assoc - 1 do
-       if t.tags.(w) = line then begin
-         t.ages.(w) <- t.clock;
-         hit := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if !hit then begin
+  let w = ref base in
+  while !w < stop && t.tags.(!w) <> line do
+    incr w
+  done;
+  if !w < stop then begin
+    t.ages.(!w) <- t.clock;
     t.hits <- t.hits + 1;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    (* Evict the LRU way. *)
+    (* Evict the LRU way: the first with the oldest stamp. *)
     let victim = ref base in
-    for w = base + 1 to base + t.assoc - 1 do
+    for w = base + 1 to stop - 1 do
       if t.ages.(w) < t.ages.(!victim) then victim := w
     done;
     t.tags.(!victim) <- line;

@@ -274,8 +274,8 @@ type state = {
   mutable cycles : int;
   mutable calls : int;
   icache : Icache.t;
-  itlb : Tlb.t;
-  dtlb : Tlb.t;
+  itlb : Icache.t;  (* TLBs: one set of page-sized lines *)
+  dtlb : Icache.t;
   (* OS-scaled penalties *)
   icache_penalty : int;
   itlb_penalty : int;
@@ -302,7 +302,7 @@ let scale (cfg : config) c =
 
 let data_touch st addr =
   if st.cfg.model_perf then begin
-    if not (Tlb.access st.dtlb addr) then
+    if not (Icache.access st.dtlb addr) then
       st.cycles <- st.cycles + st.dtlb_penalty;
     let page = addr / st.cfg.os.Device.page_bytes in
     if not (Int_tbl.mem st.data_pages page) then begin
@@ -583,7 +583,7 @@ let init_memory (p : Program.t) layout mem =
 let fetch_costs st addr =
   if not (Icache.access st.icache addr) then
     st.cycles <- st.cycles + st.icache_penalty;
-  if not (Tlb.access st.itlb addr) then
+  if not (Icache.access st.itlb addr) then
     st.cycles <- st.cycles + st.itlb_penalty;
   if not st.cold_done then begin
     let page = addr / st.cfg.os.Device.page_bytes in
@@ -664,6 +664,10 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
     let layout = Linker.link ?order p in
     let code = build_slots config ?counts p layout in
     let d = config.device in
+    let tlb entries =
+      let page = config.os.Device.page_bytes in
+      Icache.create ~size_bytes:(entries * page) ~line_bytes:page ~assoc:entries
+    in
     let st =
       {
         cfg = config;
@@ -678,12 +682,8 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
         icache =
           Icache.create ~size_bytes:d.Device.icache_bytes
             ~line_bytes:d.Device.icache_line ~assoc:d.Device.icache_assoc;
-        itlb =
-          Tlb.create ~entries:d.Device.itlb_entries
-            ~page_bytes:config.os.Device.page_bytes;
-        dtlb =
-          Tlb.create ~entries:d.Device.dtlb_entries
-            ~page_bytes:config.os.Device.page_bytes;
+        itlb = tlb d.Device.itlb_entries;
+        dtlb = tlb d.Device.dtlb_entries;
         icache_penalty = scale config d.Device.icache_miss_penalty;
         itlb_penalty = scale config d.Device.itlb_miss_penalty;
         dtlb_penalty = scale config d.Device.dtlb_miss_penalty;
@@ -869,8 +869,8 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
           cycles = st.cycles;
           icache_misses = Icache.misses st.icache;
           icache_accesses = Icache.hits st.icache + Icache.misses st.icache;
-          itlb_misses = Tlb.misses st.itlb;
-          dtlb_misses = Tlb.misses st.dtlb;
+          itlb_misses = Icache.misses st.itlb;
+          dtlb_misses = Icache.misses st.dtlb;
           data_pages_touched = Int_tbl.length st.data_pages;
           data_fault_cycles = st.data_fault_cycles;
           cold_start_pages = Int_tbl.length st.cold_pages;

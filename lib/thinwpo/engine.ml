@@ -56,7 +56,7 @@ let window_scan_max = 32
    stable counting sort, and numbers the patterns bucket by bucket in
    first-sight order: each bucket's table stays in cache, and the columns
    come out in the summary's order.  Per pattern [d]: [keys], [meta]
-   (length, strategy, LR-frame and SP bits), [rep] (its first entry),
+   (length and the scanner's shape), [rep] (its first entry),
    site counts, and [head], its newest window, linked by [next] to the
    previous one ([-1] ends).  Flat int arrays: a shard holds hundreds of
    thousands of patterns, most seen once, and per-pattern records would
@@ -119,10 +119,9 @@ let shard_state state modul =
     ss
 
 (* An entry: a long-site flag (bit 61), block (21 bits), pos (20), len
-   (15), then the pattern's strategy, LR-frame and SP bits (4) and the
-   site's call kind (1) — bits 1-19 are the pattern's [meta].  A long
-   candidate's site carries the candidate's first site as its block and
-   pos. *)
+   (15), then the pattern's {!Candidate.shape} (4 bits) and the site's call
+   kind (1) — bits 1-19 are the pattern's [meta].  A long candidate's site
+   carries the candidate's first site as its block and pos. *)
 let pack ?(long = false) ~block ~pos ~len ~shape (call : Candidate.site_call)
     =
   assert (block < 0x200000 && pos < 0x100000 && len < 0x8000);
@@ -135,15 +134,6 @@ let unpack e =
     (e lsr 20) land 0xfffff,
     (e lsr 5) land 0x7fff,
     if e land 1 = 0 then Candidate.Call_free else Candidate.Call_save_lr )
-
-let strategies =
-  [| Candidate.Ends_with_ret; Candidate.Thunk; Candidate.Plain_call |]
-
-let shape_bits (strategy : Candidate.strategy) ~needs_lr_frame ~touches_sp =
-  let tag =
-    match strategy with Ends_with_ret -> 0 | Thunk -> 1 | Plain_call -> 2
-  in
-  (tag lsl 2) lor (Bool.to_int needs_lr_frame lsl 1) lor Bool.to_int touches_sp
 
 (* Phase 1 for one shard: key every window up to [window_scan_max], then
    add the suffix tree's longer repeats, each site counted under the key
@@ -203,11 +193,8 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
     count.(b) <- count.(b) + 1
   in
   Outliner.iter_windows w ~lengths
-    (fun ~block ~pos ~len ~key ~call ~strategy ~needs_lr_frame ~touches_sp ->
-      push (Summary.join_key key)
-        (pack ~block ~pos ~len
-           ~shape:(shape_bits strategy ~needs_lr_frame ~touches_sp)
-           call));
+    (fun ~block ~pos ~len ~key ~call ~shape ->
+      push (Summary.join_key key) (pack ~block ~pos ~len ~shape call));
   List.iter
     (fun (c : Candidate.t) ->
       let s = List.hd c.sites in
@@ -215,10 +202,7 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
         Summary.join_key
           (Outliner.window_key w ~block:s.block_id ~pos:s.start ~len:c.length)
       in
-      let shape =
-        shape_bits c.strategy ~needs_lr_frame:c.needs_lr_frame
-          ~touches_sp:c.touches_sp
-      in
+      let shape = Candidate.shape_of c in
       List.iter
         (fun (site : Candidate.site) ->
           push key
@@ -280,19 +264,19 @@ let summary ~modul sc =
   let row d =
     let meta = sc.sc_meta.(d) in
     let block, pos, _, _ = unpack sc.sc_rep.(d) in
-    let length = meta lsr 4 and strategy = strategies.((meta lsr 2) land 3) in
-    let needs_lr_frame = meta land 2 <> 0 in
+    let length = meta lsr 4 and shape = meta land 15 in
     {
       Summary.ps_key = sc.sc_keys.(d);
       ps_hash =
         lazy
-          (Summary.hash_rendered strategy ~needs_lr_frame ~length
+          (Summary.hash_rendered
+             (Candidate.shape_strategy shape)
+             ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
+             ~length
              (Outliner.window_text sc.sc_windows ~block ~pos ~len:length));
       ps_rep = (block, pos);
       ps_length = length;
-      ps_strategy = strategy;
-      ps_needs_lr_frame = needs_lr_frame;
-      ps_touches_sp = meta land 1 <> 0;
+      ps_shape = shape;
       ps_n_free = sc.sc_free.(d);
       ps_n_save = sc.sc_save.(d);
     }
@@ -337,12 +321,11 @@ let refine ?(per_window = false)
   let probed = Hashtbl.create 16 in
   if missing_lengths <> [] then
     Outliner.iter_windows w ~lengths:missing_lengths
-      (fun ~block ~pos ~len ~key ~call ~strategy:_ ~needs_lr_frame:_
-           ~touches_sp:_ ->
+      (fun ~block ~pos ~len ~key ~call ~shape ->
         let key = Summary.join_key key in
         if ranked key >= 0 && not (local key) then
           Hashtbl.replace probed key
-            (pack ~block ~pos ~len ~shape:0 call
+            (pack ~block ~pos ~len ~shape call
             :: Option.value ~default:[] (Hashtbl.find_opt probed key)));
   (* (rank, key, packed windows oldest first) *)
   let entries =

@@ -5,9 +5,7 @@ type pattern = {
   ps_hash : int64 Lazy.t;
   ps_rep : int * int;
   ps_length : int;
-  ps_strategy : Candidate.strategy;
-  ps_needs_lr_frame : bool;
-  ps_touches_sp : bool;
+  ps_shape : Candidate.shape;
   ps_n_free : int;
   ps_n_save : int;
 }
@@ -145,9 +143,7 @@ let of_candidates ~modul triples =
              | s :: _ -> (s.block_id, s.start)
              | [] -> (0, 0));
            ps_length = c.length;
-           ps_strategy = c.strategy;
-           ps_needs_lr_frame = c.needs_lr_frame;
-           ps_touches_sp = c.touches_sp;
+           ps_shape = Candidate.shape_of c;
            ps_n_free = count Candidate.Call_free;
            ps_n_save = count Candidate.Call_save_lr;
          })
@@ -223,8 +219,10 @@ let join summaries =
       if free + save >= 2 then begin
         let p = sums.(first d).sm_pattern (row d) in
         let benefit =
-          Cost_model.benefit_of_counts p.ps_strategy
-            ~needs_lr_frame:p.ps_needs_lr_frame ~pattern_len:p.ps_length
+          Cost_model.benefit_of_counts
+            (Candidate.shape_strategy p.ps_shape)
+            ~needs_lr_frame:(Candidate.shape_needs_lr_frame p.ps_shape)
+            ~pattern_len:p.ps_length
             ~n_free:free ~n_save:save
         in
         if benefit >= 1 then
@@ -267,6 +265,8 @@ let decide ~round summaries =
            dc_host = sv.sv_host;
            dc_benefit = sv.sv_benefit;
            dc_rank = rank;
-           dc_sp_unsafe = p.ps_touches_sp || p.ps_needs_lr_frame;
+           dc_sp_unsafe =
+             Candidate.shape_touches_sp p.ps_shape
+             || Candidate.shape_needs_lr_frame p.ps_shape;
          })
        (order (join summaries)))

@@ -1,9 +1,9 @@
 (** Module summaries and the serial global decision round of thin-WPO.
 
     Phase 1 workers compress each shard into a summary: one entry per
-    pattern, carrying the pattern's window key, its length, strategy and
-    legality bits, one representative window, and the shard's pruned
-    occurrence counts by call kind.  {e No instruction bodies cross the
+    pattern, carrying the pattern's window key, its length, its
+    {!Outcore.Candidate.shape}, one representative window, and the
+    shard's pruned occurrence counts by call kind.  {e No instruction bodies cross the
     summary boundary} — the decision round joins entries by key and runs
     the cost model on summed counts alone; the bodies stay in the worker
     that discovered them until phase 3 rewrites its own shard.
@@ -26,12 +26,11 @@ type pattern = {
   ps_rep : int * int;
       (** (block index, position) of one local window of the pattern *)
   ps_length : int;                      (** symbols, including any ret *)
-  ps_strategy : Outcore.Candidate.strategy;
-  ps_needs_lr_frame : bool;
-  ps_touches_sp : bool;
-      (** legality bit: the outlined body would not be an SP-neutral
-          callee; selected patterns with it set enter the global
-          sp-unsafe facts table for later rounds *)
+  ps_shape : Outcore.Candidate.shape;
+      (** the scanner's verdict, as discovered: strategy, LR-frame bit and
+          SP bit; selected patterns with either bit set are not SP-neutral
+          callees and enter the global sp-unsafe facts table for later
+          rounds *)
   ps_n_free : int;                      (** pruned [Call_free] sites here *)
   ps_n_save : int;                      (** pruned [Call_save_lr] sites *)
 }

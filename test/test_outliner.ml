@@ -622,8 +622,8 @@ let test_discovery_paths_agree () =
     let scanned = Hashtbl.create 256 in
     Outcore.Outliner.iter_windows (Outcore.Outliner.windows p)
       ~lengths:(List.init 31 (fun i -> i + 2))
-      (fun ~block ~pos ~len ~key ~call ~strategy:_ ~needs_lr_frame:_
-           ~touches_sp:_ -> Hashtbl.replace scanned (block, pos, len) (key, call));
+      (fun ~block ~pos ~len ~key ~call ~shape:_ ->
+        Hashtbl.replace scanned (block, pos, len) (key, call));
     List.iter
       (fun (c : Outcore.Candidate.t) ->
         if c.length <= 32 then begin
@@ -645,6 +645,270 @@ let test_discovery_paths_agree () =
   Alcotest.(check bool) "the programs have sites to scan" true (!sites > 0);
   Alcotest.(check int) "scanning covers every enumerated site" !sites !covered;
   Alcotest.(check int) "one key per candidate" 0 !split
+
+(* The outlining rule against an independent oracle: strategy, LR-frame
+   bit, SP bit and call kind re-derived here by naive scans of each
+   window's instructions, with SP-unsafe callees recomputed by a naive
+   fixed point and LR liveness asked of {!Liveness} point by point.
+   Checked on every window of lengths 2-32 through [window_candidate] and
+   [iter_windows], and on every site of every [enumerate ~all:true]
+   candidate, under the default options and with every optional strategy
+   switched off. *)
+module Rule_oracle = struct
+  open Outcore
+
+  (* Outlined functions that touch SP, closed under "calls or tail-calls
+     one of them". *)
+  let sp_unsafe (p : Program.t) =
+    let outlined = List.filter (fun (f : Mfunc.t) -> f.is_outlined) p.funcs in
+    let callees (f : Mfunc.t) =
+      List.concat_map
+        (fun (b : Block.t) ->
+          (match b.term with Block.Tail_call t -> [ t ] | _ -> [])
+          @ List.filter_map
+              (function Insn.Bl t -> Some t | _ -> None)
+              (Array.to_list b.body))
+        f.blocks
+    in
+    let rec fix unsafe =
+      let unsafe' =
+        List.filter_map
+          (fun (f : Mfunc.t) ->
+            if
+              List.mem f.name unsafe
+              || List.exists
+                   (fun (b : Block.t) -> Array.exists Insn.touches_sp b.body)
+                   f.blocks
+              || List.exists (fun t -> List.mem t unsafe) (callees f)
+            then Some f.name
+            else None)
+          outlined
+      in
+      if List.length unsafe' = List.length unsafe then unsafe else fix unsafe'
+    in
+    let unsafe = fix [] in
+    fun name -> List.mem name unsafe
+
+  (* The blocks discovery numbers, in its order. *)
+  let blocks (p : Program.t) =
+    Array.of_list
+      (List.concat_map
+         (fun (f : Mfunc.t) ->
+           if f.no_outline then []
+           else
+             List.filter_map
+               (fun (b : Block.t) ->
+                 let has_ret = b.term = Block.Ret in
+                 if Array.length b.body = 0 && not has_ret then None
+                 else Some (f, b, has_ret))
+               f.blocks)
+         p.funcs)
+
+  (* The verdict for [len] symbols at [pos]: [None], or the strategy,
+     LR-frame bit, SP bit and the site's call kind ([None] when the site
+     is dropped).  [note] hears which rule decided. *)
+  let verdict (o : Outliner.options) ~sp_unsafe ~lr_live ~note
+      ((_, (b : Block.t), has_ret) : Mfunc.t * Block.t * bool) pos len =
+    let n = Array.length b.body in
+    let with_ret = has_ret && pos + len = n + 1 in
+    let body =
+      Array.to_list (Array.sub b.body pos (if with_ret then len - 1 else len))
+    in
+    if body = [] then None
+    else if List.exists (fun i -> Legality.classify i = Legality.Illegal) body
+    then (note "illegal"; None)
+    else if with_ret && not o.allow_ret then None
+    else
+      let strategy =
+        if with_ret then Candidate.Ends_with_ret
+        else
+          match List.nth body (List.length body - 1) with
+          | Insn.Bl _ when o.allow_thunk -> Candidate.Thunk
+          | _ -> Candidate.Plain_call
+      in
+      let checked =
+        if strategy = Candidate.Thunk then
+          List.filteri (fun i _ -> i < List.length body - 1) body
+        else body
+      in
+      let lr = List.exists Insn.is_call checked in
+      let direct = List.exists Insn.touches_sp checked in
+      let sp =
+        direct
+        || List.exists
+             (function Insn.Bl t -> sp_unsafe t | _ -> false)
+             checked
+      in
+      if lr && sp then begin
+        note (if direct then "LR frame with SP" else "SP-unsafe callee");
+        None
+      end
+      else
+        let call =
+          if strategy <> Candidate.Plain_call || not (lr_live pos) then
+            Some Candidate.Call_free
+          else if o.allow_save_lr && not sp then Some Candidate.Call_save_lr
+          else None
+        in
+        List.iter
+          (fun (tag, on) -> if on then note tag)
+          [
+            ("ret-ending", strategy = Candidate.Ends_with_ret);
+            ("thunk", strategy = Candidate.Thunk);
+            ("plain call", strategy = Candidate.Plain_call);
+            ("LR frame", lr);
+            ("SP-relevant", sp);
+            ("save-LR site", call = Some Candidate.Call_save_lr);
+            ("dropped site", call = None);
+          ];
+        Some (strategy, lr, sp, call)
+
+  (* Mismatches and windows judged on [p] under [o]; [seen] collects which
+     rules decided. *)
+  let check seen (o : Outliner.options) p =
+    let sp_unsafe = sp_unsafe p and blocks = blocks p in
+    let lv = Hashtbl.create 16 in
+    let lr_live s pos =
+      let f, (b : Block.t), _ = blocks.(s) in
+      let l =
+        match Hashtbl.find_opt lv f.Mfunc.name with
+        | Some l -> l
+        | None ->
+          let l = Liveness.compute f in
+          Hashtbl.replace lv f.name l;
+          l
+      in
+      Liveness.lr_live_before l ~label:b.label pos
+    in
+    let verdict s pos len =
+      verdict o ~sp_unsafe ~lr_live:(lr_live s)
+        ~note:(fun tag -> Hashtbl.replace seen tag ())
+        blocks.(s) pos len
+    in
+    let bad = ref 0 and judged = ref 0 in
+    let expect ok = if not ok then incr bad in
+    let w = Outliner.windows ~options:o p in
+    let lengths = List.init 31 (fun i -> i + 2) in
+    let scanned = Hashtbl.create 1024 in
+    Outliner.iter_windows w ~lengths (fun ~block ~pos ~len ~key:_ ~call ~shape ->
+        Hashtbl.replace scanned (block, pos, len) (shape, call));
+    Array.iteri
+      (fun s ((f : Mfunc.t), (b : Block.t), has_ret) ->
+        let seq_len = Array.length b.body + Bool.to_int has_ret in
+        List.iter
+          (fun len ->
+            for pos = 0 to seq_len - len do
+              incr judged;
+              let v = verdict s pos len in
+              (match (v, Outliner.window_candidate w ~block:s ~pos ~len) with
+              | (None | Some (_, _, _, None)), None -> ()
+              | Some (strategy, lr, sp, Some call), Some c ->
+                let ilen = List.length c.insns in
+                expect
+                  (c.strategy = strategy && c.needs_lr_frame = lr
+                  && c.touches_sp = sp && c.length = len
+                  && c.insns = Array.to_list (Array.sub b.body pos ilen)
+                  && c.sites
+                     = [
+                         {
+                           Candidate.func = f.name;
+                           block = b.label;
+                           block_id = s;
+                           start = pos;
+                           len = ilen;
+                           with_ret = ilen < len;
+                           call;
+                         };
+                       ])
+              | _ -> incr bad);
+              expect
+                (Hashtbl.find_opt scanned (s, pos, len)
+                = match v with
+                  | Some (strategy, lr, sp, Some call) ->
+                    Some
+                      ( Candidate.shape strategy ~needs_lr_frame:lr
+                          ~touches_sp:sp,
+                        call )
+                  | _ -> None)
+            done)
+          lengths)
+      blocks;
+    List.iter
+      (fun (c : Candidate.t) ->
+        List.iter
+          (fun (site : Candidate.site) ->
+            incr judged;
+            expect
+              (verdict site.block_id site.start c.length
+              = Some (c.strategy, c.needs_lr_frame, c.touches_sp, Some site.call)))
+          c.sites)
+      (Outliner.enumerate ~options:o ~all:true p);
+    (!bad, !judged)
+end
+
+let test_rule_oracle () =
+  let small rounds =
+    (match
+       Pipeline.build_sources
+         ~config:{ Pipeline.default_config with outline_rounds = rounds }
+         (Workload.Appgen.generate_sources Workload.Appgen.small)
+     with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e)
+      .Pipeline.program
+  in
+  let linked = small 0 in
+  let shards =
+    List.sort_uniq compare
+      (List.map (fun (f : Mfunc.t) -> f.from_module) linked.Program.funcs)
+    |> List.map (fun m ->
+           ( m,
+             Program.replace_funcs linked
+               (List.filter
+                  (fun (f : Mfunc.t) -> f.from_module = m)
+                  linked.Program.funcs) ))
+  in
+  (* Each generated program also after one round, and the small app after
+     two: calls to outlined frame fragments are SP-relevant. *)
+  let programs =
+    List.concat_map
+      (fun seed ->
+        let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
+        [
+          (Printf.sprintf "seed %d" seed, p);
+          ( Printf.sprintf "seed %d, outlined" seed,
+            fst (Outcore.Outliner.run_round Outcore.Outliner.default_options p) );
+        ])
+      (List.init 40 (fun i -> i + 1))
+    @ shards
+    @ [ ("small app, outlined twice", small 2) ]
+  in
+  let strict =
+    {
+      Outcore.Outliner.default_options with
+      allow_ret = false;
+      allow_thunk = false;
+      allow_save_lr = false;
+    }
+  in
+  let judged = ref 0 and seen = Hashtbl.create 8 in
+  List.iter
+    (fun (label, p) ->
+      List.iter
+        (fun (name, o) ->
+          let bad, n = Rule_oracle.check seen o p in
+          judged := !judged + n;
+          Alcotest.(check int) (Printf.sprintf "%s, %s options" label name) 0 bad)
+        [ ("default", Outcore.Outliner.default_options); ("strict", strict) ])
+    programs;
+  Alcotest.(check bool) "windows were judged" true (!judged > 0);
+  List.iter
+    (fun tag -> Alcotest.(check bool) (tag ^ " verdicts occur") true (Hashtbl.mem seen tag))
+    [
+      "illegal"; "LR frame with SP"; "SP-unsafe callee"; "ret-ending";
+      "thunk"; "plain call"; "LR frame"; "SP-relevant"; "save-LR site";
+      "dropped site";
+    ]
 
 let test_analysis_report () =
   let p = fig11_prog () in
@@ -849,6 +1113,8 @@ let () =
         [
           Alcotest.test_case "arena, suffix tree and probing agree" `Quick
             test_discovery_paths_agree;
+          Alcotest.test_case "the rule agrees with a naive oracle" `Quick
+            test_rule_oracle;
         ] );
       ( "interner",
         [

@@ -86,13 +86,14 @@ let test_icache () =
   Alcotest.(check bool) "lru evicted" false (Perfsim.Icache.access c 0);
   Alcotest.(check bool) "counted" true (Perfsim.Icache.misses c >= 4)
 
+(* A TLB is a one-set cache: 2 entries of 4 KiB pages. *)
 let test_tlb () =
-  let t = Perfsim.Tlb.create ~entries:2 ~page_bytes:4096 in
-  Alcotest.(check bool) "cold" false (Perfsim.Tlb.access t 100);
-  Alcotest.(check bool) "same page" true (Perfsim.Tlb.access t 4000);
-  Alcotest.(check bool) "second page" false (Perfsim.Tlb.access t 5000);
-  Alcotest.(check bool) "third page evicts first" false (Perfsim.Tlb.access t 9000);
-  Alcotest.(check bool) "first page gone" false (Perfsim.Tlb.access t 100)
+  let t = Perfsim.Icache.create ~size_bytes:8192 ~line_bytes:4096 ~assoc:2 in
+  Alcotest.(check bool) "cold" false (Perfsim.Icache.access t 100);
+  Alcotest.(check bool) "same page" true (Perfsim.Icache.access t 4000);
+  Alcotest.(check bool) "second page" false (Perfsim.Icache.access t 5000);
+  Alcotest.(check bool) "third page evicts first" false (Perfsim.Icache.access t 9000);
+  Alcotest.(check bool) "first page gone" false (Perfsim.Icache.access t 100)
 
 (* --- Interpreter --------------------------------------------------------- *)
 

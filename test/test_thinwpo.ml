@@ -79,8 +79,7 @@ let check_window_keys label p =
     | None -> Hashtbl.replace tbl k v
   in
   Outcore.Outliner.iter_windows w ~lengths:(List.init 31 (fun i -> i + 2))
-    (fun ~block ~pos ~len ~key ~call:_ ~strategy:_ ~needs_lr_frame:_
-         ~touches_sp:_ ->
+    (fun ~block ~pos ~len ~key ~call:_ ~shape:_ ->
       match Outcore.Outliner.window_candidate w ~block ~pos ~len with
       | None -> incr bad
       | Some c ->
@@ -213,9 +212,8 @@ let mk_pattern ?(strategy = Outcore.Candidate.Ends_with_ret) ?(lr = false)
     ps_hash = Lazy.from_val hash;
     ps_rep = (0, 0);
     ps_length = len;
-    ps_strategy = strategy;
-    ps_needs_lr_frame = lr;
-    ps_touches_sp = sp;
+    ps_shape =
+      Outcore.Candidate.shape strategy ~needs_lr_frame:lr ~touches_sp:sp;
     ps_n_free = free;
     ps_n_save = save;
   }
