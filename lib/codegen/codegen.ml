@@ -28,10 +28,17 @@ let scratch_b = Reg.x 17
 (* --- Register allocation ------------------------------------------------ *)
 
 type alloc = {
-  locs : (Ir.value, loc) Hashtbl.t;
+  locs : loc array;  (* by value id; [dead] for a value without an interval *)
   spill_slots : int;
   used_callee_saved : Reg.t list;  (* ascending *)
 }
+
+(* A value with no interval is dead: writes to it go to a scratch. *)
+let dead = In_reg scratch_a
+
+(* One shared [In_reg r] per register, so assigning a register allocates
+   nothing. *)
+let in_reg = Array.init Reg.count (fun i -> In_reg (Reg.of_index i))
 
 let shuffle seed pool =
   let arr = Array.of_list pool in
@@ -44,6 +51,21 @@ let shuffle seed pool =
   done;
   Array.to_list arr
 
+(* A free list as a stack: [regs.(0 .. top - 1)], the next register taken
+   at [top - 1]. *)
+type pool = {
+  regs : Reg.t array;
+  mutable top : int;
+}
+
+let pool_of_list l =
+  let regs = Array.of_list (List.rev l) in
+  { regs; top = Array.length regs }
+
+let push p r =
+  p.regs.(p.top) <- r;
+  p.top <- p.top + 1
+
 let allocate ?regalloc_seed (f : Ir.func) =
   let caller_pool, callee_pool =
     match regalloc_seed with
@@ -53,50 +75,59 @@ let allocate ?regalloc_seed (f : Ir.func) =
       (shuffle (seed lxor h) caller_pool, shuffle (seed + h) callee_pool)
   in
   let ivs = Intervals.compute f in
-  let locs = Hashtbl.create 64 in
-  let free_caller = ref caller_pool and free_callee = ref callee_pool in
-  let active : (int * Reg.t * bool) list ref = ref [] in
-  (* (last, reg, is_callee) sorted by last *)
+  let nv = List.fold_left (fun n (iv : Intervals.t) -> max n (iv.v + 1)) 0 ivs in
+  let locs = Array.make nv dead in
+  let free_caller = pool_of_list caller_pool in
+  let free_callee = pool_of_list callee_pool in
+  (* The registers in use, oldest first: [act_reg.(i)] holds a value live
+     until [act_last.(i)]. *)
+  let size = Array.length free_caller.regs + Array.length free_callee.regs in
+  let act_last = Array.make size 0 and act_reg = Array.make size Reg.SP in
+  let nact = ref 0 in
   let next_slot = ref 0 in
-  let used_callee = Hashtbl.create 8 in
+  let used_callee = Array.make Reg.count false in
+  (* Free every register whose value ended before [now].  Expired registers
+     go back newest first, so the oldest one is on top and taken next. *)
   let expire now =
-    let expired, live = List.partition (fun (last, _, _) -> last < now) !active in
-    active := live;
-    List.iter
-      (fun (_, r, is_callee) ->
-        if is_callee then free_callee := r :: !free_callee
-        else free_caller := r :: !free_caller)
-      expired
-  in
-  let take pool =
-    match !pool with
-    | [] -> None
-    | r :: rest ->
-      pool := rest;
-      Some r
+    for i = !nact - 1 downto 0 do
+      if act_last.(i) < now then begin
+        let r = act_reg.(i) in
+        push (if Reg.is_callee_saved r then free_callee else free_caller) r
+      end
+    done;
+    let live = ref 0 in
+    for i = 0 to !nact - 1 do
+      if act_last.(i) >= now then begin
+        act_last.(!live) <- act_last.(i);
+        act_reg.(!live) <- act_reg.(i);
+        incr live
+      end
+    done;
+    nact := !live
   in
   List.iter
     (fun (iv : Intervals.t) ->
       expire iv.first;
-      let choice =
-        if iv.crosses_call then take free_callee
-        else
-          match take free_caller with
-          | Some r -> Some r
-          | None -> take free_callee
+      let pool =
+        if iv.crosses_call || free_caller.top = 0 then free_callee
+        else free_caller
       in
-      match choice with
-      | Some r ->
-        if Reg.is_callee_saved r then Hashtbl.replace used_callee r ();
-        active := (iv.last, r, Reg.is_callee_saved r) :: !active;
-        Hashtbl.replace locs iv.v (In_reg r)
-      | None ->
-        let slot = !next_slot in
-        incr next_slot;
-        Hashtbl.replace locs iv.v (Spilled slot))
+      if pool.top > 0 then begin
+        pool.top <- pool.top - 1;
+        let r = pool.regs.(pool.top) in
+        if Reg.is_callee_saved r then used_callee.(Reg.index r) <- true;
+        act_last.(!nact) <- iv.last;
+        act_reg.(!nact) <- r;
+        incr nact;
+        locs.(iv.v) <- in_reg.(Reg.index r)
+      end
+      else begin
+        locs.(iv.v) <- Spilled !next_slot;
+        incr next_slot
+      end)
     ivs;
   let used_callee_saved =
-    Hashtbl.fold (fun r () acc -> r :: acc) used_callee []
+    List.filter (fun r -> used_callee.(Reg.index r)) callee_pool
     |> List.sort Reg.compare
   in
   { locs; spill_slots = !next_slot; used_callee_saved }
@@ -115,9 +146,8 @@ let spill_addr e slot =
   { Insn.base = Reg.SP; off = e.spill_base + (8 * slot); mode = Insn.Offset }
 
 let loc_of e v =
-  match Hashtbl.find_opt e.alloc.locs v with
-  | Some l -> l
-  | None -> In_reg scratch_a (* dead value: writes go to a scratch *)
+  let locs = e.alloc.locs in
+  if v >= 0 && v < Array.length locs then locs.(v) else dead
 
 (* Bring an operand into a register, using [scratch] when materialization or
    a reload is needed. *)

@@ -22,7 +22,18 @@ val compile_func : ?regalloc_seed:int -> Ir.func -> Machine.Mfunc.t
     an ablation knob for the paper's future-work item (2), the interaction
     between register assignment and outlining: randomized assignment
     destroys the cross-function repetition that deterministic allocation
-    produces for free. *)
+    produces for free.
+
+    Register allocation is a linear scan over {!Intervals.compute}'s
+    intervals in [first] order.  Values crossing a call take a callee-saved
+    register ([x19..x26]), others a caller-saved one ([x9..x15]) before a
+    callee-saved one; with both pools empty a value spills to the next
+    slot.  Each free pool is a stack, and register choice rests on its
+    order: before an interval is placed, the registers whose intervals end
+    before it are pushed back newest-allocated first, so the oldest of them
+    is on top and taken next.  The scan keeps its active set and pools in
+    fixed arrays and its locations in an array by value id, so an interval
+    that is placed in a register allocates nothing. *)
 
 val compile_modul : ?regalloc_seed:int -> Ir.modul -> Machine.Program.t
 (** Compiles every function, converts globals, and records externs (module

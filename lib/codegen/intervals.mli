@@ -20,4 +20,15 @@ val is_call_position : Ir.instr -> bool
 
 val compute : Ir.func -> t list
 (** Sorted by [first] (ties by value id).  Parameters start at position 0;
-    the first instruction of the entry block is position 1. *)
+    the first instruction of the entry block is position 1.
+
+    Cost: value ids are dense (out-of-SSA allocates them from
+    [next_value]), so the kernel works on flat arrays indexed by value id,
+    block index and position.  Block liveness is the reverse-order fixpoint
+    over per-block bitsets of 63-bit words, O(passes × blocks × values / 63)
+    word operations; [crosses_call] is a binary search over the ascending
+    call positions; the result comes out of a bucketing on [first], with no
+    sort.  Apart from the result list it allocates O(blocks × values / 63
+    + values + positions) words of scratch, none of it shared, so it may run
+    on several domains at once.  Raises [Invalid_argument] on a negative
+    value id. *)

@@ -134,6 +134,7 @@ type error =
   | Unaligned_access of int
   | Bad_jump of int
   | Step_limit_exceeded
+  | Stack_overflow
   | Trap of string
   | No_entry of string
 
@@ -143,6 +144,7 @@ let error_to_string = function
   | Unaligned_access a -> Printf.sprintf "unaligned access at 0x%x" a
   | Bad_jump a -> Printf.sprintf "jump to unmapped address 0x%x" a
   | Step_limit_exceeded -> "step limit exceeded"
+  | Stack_overflow -> "stack overflow"
   | Trap s -> "trap: " ^ s
   | No_entry s -> "entry function not found: " ^ s
 
@@ -246,6 +248,15 @@ let exit_address = 0xE000
 let heap_base = 0x2000_0000
 let stack_top = 0x6000_0000
 
+(* The stack region is the 1 MiB below [stack_top] (an iOS main thread's
+   stack).  The deepest clean run we know of, across uber_rider, SmallApp_x3,
+   the 26 Swiftlet benchmarks and the fuzz lattice, reaches 4,224 bytes
+   below the top; runaway recursion in miscompiled code reaches the limit
+   within tens of thousands of calls instead of filling memory up to the
+   step budget. *)
+let stack_limit = stack_top - 0x10_0000
+let sp = Reg.index Reg.SP
+
 (* The linked program: decoded slots and the per-slot tables the step
    loop reads. *)
 type code = {
@@ -255,7 +266,8 @@ type code = {
          the ring is on *)
   cost : int array;      (* cycles a slot costs under the perf model *)
   addr_of_slot : int array;
-  slot_of_addr : int Int_tbl.t;
+  chain_base : int array;  (* ascending base addresses of non-empty chains *)
+  chain_slot : int array;  (* each such chain's first slot *)
   extern_of_addr : extern Int_tbl.t;
   func_names : string array;
   slot_outlined : bool array;
@@ -327,17 +339,22 @@ let store st addr v =
   Int_tbl.replace st.mem (addr asr 3) v
 
 (* The effective address of a load or store; applies write-back (never
-   to xzr). *)
+   to xzr).  An access through SP once SP has left the stack region
+   below is a stack overflow, as a guard page would make it. *)
 let address regs base off (mode : Insn.amode) =
   let b = regs.(base) in
-  match mode with
-  | Insn.Offset -> b + off
-  | Insn.Pre ->
-    if base <> xzr then regs.(base) <- b + off;
-    b + off
-  | Insn.Post ->
-    if base <> xzr then regs.(base) <- b + off;
-    b
+  let ea =
+    match mode with
+    | Insn.Offset -> b + off
+    | Insn.Pre ->
+      if base <> xzr then regs.(base) <- b + off;
+      b + off
+    | Insn.Post ->
+      if base <> xzr then regs.(base) <- b + off;
+      b
+  in
+  if base = sp && regs.(sp) < stack_limit then raise (Exec_error Stack_overflow);
+  ea
 
 let alloc st bytes =
   let size = (max bytes 8 + 7) / 8 * 8 in
@@ -409,54 +426,75 @@ let insn_cost (d : Device.t) (i : Insn.t) =
    start there, in execution order (several when empty blocks share a
    start).  Both are empty without [counts]. *)
 let build_slots (cfg : config) ?counts (p : Program.t) layout =
+  let funcs = Array.of_list p.funcs in
+  (* Chains in address order, each with its function's index. *)
   let chains =
-    List.concat_map
-      (fun (f : Mfunc.t) ->
-        match Mfunc.partition f with
-        | blocks, [] -> [ (Linker.address_of layout f.name, f, blocks) ]
-        | hot, cold ->
-          [
-            (Linker.address_of layout f.name, f, hot);
-            (Linker.address_of layout (Linker.cold_symbol f.name), f, cold);
-          ])
-      p.funcs
-    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+    List.concat
+      (List.mapi
+         (fun fi (f : Mfunc.t) ->
+           match Mfunc.partition f with
+           | blocks, [] -> [ (Linker.address_of layout f.name, fi, blocks) ]
+           | hot, cold ->
+             [
+               (Linker.address_of layout f.name, fi, hot);
+               (Linker.address_of layout (Linker.cold_symbol f.name), fi, cold);
+             ])
+         p.funcs)
+    |> Array.of_list
   in
-  (* First pass: assign slot indices to every (func, block) start.  An
-     empty block whose branch was elided shares its start slot with the
-     next block in the chain. *)
-  let block_slot = Hashtbl.create 1024 in
-  let func_slot = Hashtbl.create 256 in
-  let starts_rev = ref [] in
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) chains;
+  let n =
+    Array.fold_left
+      (fun acc (_, _, blocks) ->
+        List.fold_left
+          (fun acc (b : Block.t) -> acc + Array.length b.Block.body + term_slots b)
+          acc blocks)
+      0 chains
+  in
+  (* First pass: every block's start slot, in its function's label table,
+     and every non-empty chain's base address and first slot.  An empty
+     block whose branch was elided shares its start slot with the next
+     block in the chain; a start at [n] belongs to trailing empty blocks
+     no slot reaches. *)
+  let labels =
+    Array.map (fun (f : Mfunc.t) -> Hashtbl.create (List.length f.blocks)) funcs
+  in
+  let slot_blocks = Array.make (if Option.is_none counts then 0 else n) [||] in
+  let bases = ref [] and firsts = ref [] in
   let counter = ref 0 in
-  List.iter
-    (fun (_, (f : Mfunc.t), blocks) ->
+  Array.iter
+    (fun (base, fi, blocks) ->
+      let name = funcs.(fi).Mfunc.name in
+      let first = !counter in
       List.iter
         (fun (b : Block.t) ->
-          Hashtbl.replace block_slot (f.name, b.Block.label) !counter;
-          Option.iter
-            (fun c ->
-              let id = intern c.blocks (f.name, b.Block.label) in
-              starts_rev := (!counter, id) :: !starts_rev)
-            counts;
-          counter := !counter + Array.length b.Block.body + term_slots b)
-        blocks)
+          let s = !counter in
+          Hashtbl.replace labels.(fi) b.Block.label s;
+          (match counts with
+          | Some counts ->
+            let id = intern counts.blocks (name, b.Block.label) in
+            if s < n then
+              slot_blocks.(s) <-
+                (if Array.length slot_blocks.(s) = 0 then [| id |]
+                 else Array.append slot_blocks.(s) [| id |])
+          | None -> ());
+          counter := s + Array.length b.Block.body + term_slots b)
+        blocks;
+      if !counter > first then begin
+        bases := base :: !bases;
+        firsts := first :: !firsts
+      end)
     chains;
-  let n = !counter in
-  (* A start at [n] belongs to trailing empty blocks no slot reaches. *)
-  let slot_blocks = Array.make (if Option.is_none counts then 0 else n) [||] in
-  List.iter
-    (fun (s, id) ->
-      if s < n then slot_blocks.(s) <- Array.append slot_blocks.(s) [| id |])
-    (List.rev !starts_rev);
-  List.iter
-    (fun (f : Mfunc.t) ->
+  let chain_base = Array.of_list (List.rev !bases) in
+  let chain_slot = Array.of_list (List.rev !firsts) in
+  let func_slot = Hashtbl.create (Array.length funcs) in
+  Array.iteri
+    (fun fi (f : Mfunc.t) ->
       match f.blocks with
       | [] -> ()
       | b :: _ ->
-        Hashtbl.replace func_slot f.name
-          (Hashtbl.find block_slot (f.name, b.Block.label)))
-    p.funcs;
+        Hashtbl.replace func_slot f.name (Hashtbl.find labels.(fi) b.Block.label))
+    funcs;
   let extern_of_addr = Int_tbl.create 64 in
   List.iter
     (fun e ->
@@ -466,6 +504,10 @@ let build_slots (cfg : config) ?counts (p : Program.t) layout =
       | Some _ | None -> ())
     p.externs;
   let d = cfg.device in
+  (* A call or tail-call target's entry slot, or -1 for an extern. *)
+  let func_at sym =
+    match Hashtbl.find func_slot sym with s -> s | exception Not_found -> -1
+  in
   let decode (i : Insn.t) =
     match i with
     | Insn.Nop -> Nop
@@ -487,37 +529,35 @@ let build_slots (cfg : config) ?counts (p : Program.t) layout =
     | Insn.Stp (r1, r2, a) ->
       Stp (Reg.index r1, Reg.index r2, Reg.index a.base, a.off, a.mode)
     | Insn.Adr (r, sym) -> (
-      match Hashtbl.find_opt layout.Linker.addresses sym with
-      | Some a -> Adr (write_index r, a)
-      | None -> Adr_unknown sym)
-    | Insn.Bl sym -> (
-      match Hashtbl.find_opt func_slot sym with
-      | Some s -> Bl s
-      | None -> Bl_extern (extern_of_name sym))
+      match Hashtbl.find layout.Linker.addresses sym with
+      | a -> Adr (write_index r, a)
+      | exception Not_found -> Adr_unknown sym)
+    | Insn.Bl sym ->
+      let t = func_at sym in
+      if t >= 0 then Bl t else Bl_extern (extern_of_name sym)
     | Insn.Blr r -> Blr (Reg.index r)
   in
   let ops = Array.make n Nop in
   let insns = Array.make (if cfg.trace_ring > 0 then n else 0) Insn.Nop in
   let cost = Array.make n d.Device.branch_cost in
   let addr_of_slot = Array.make n 0 in
-  let slot_of_addr = Int_tbl.create n in
   let func_names = Array.make n "" in
   let slot_outlined = Array.make n false in
   let slot_func = Array.make (if Option.is_none counts then 0 else n) 0 in
   let s = ref 0 in
-  List.iter
-    (fun (base, (f : Mfunc.t), blocks) ->
+  Array.iter
+    (fun (base, fi, blocks) ->
+      let f = funcs.(fi) in
       let first = !s in
       let block_idx l =
-        match Hashtbl.find_opt block_slot (f.name, l) with
-        | Some i -> i
-        | None -> invalid_arg ("Interp: unknown label " ^ l ^ " in " ^ f.name)
+        match Hashtbl.find labels.(fi) l with
+        | i -> i
+        | exception Not_found ->
+          invalid_arg ("Interp: unknown label " ^ l ^ " in " ^ f.name)
       in
       let emit op =
-        let a = base + (4 * (!s - first)) in
         ops.(!s) <- op;
-        addr_of_slot.(!s) <- a;
-        Int_tbl.replace slot_of_addr a !s;
+        addr_of_slot.(!s) <- base + (4 * (!s - first));
         incr s
       in
       List.iter
@@ -536,10 +576,9 @@ let build_slots (cfg : config) ?counts (p : Program.t) layout =
             emit (Cbz (Reg.index r, block_idx a, block_idx b'))
           | Block.Cbnz (r, a, b') ->
             emit (Cbnz (Reg.index r, block_idx a, block_idx b'))
-          | Block.Tail_call sym -> (
-            match Hashtbl.find_opt func_slot sym with
-            | Some t -> emit (Tail t)
-            | None -> emit (Tail_extern (extern_of_name sym)))
+          | Block.Tail_call sym ->
+            let t = func_at sym in
+            emit (if t >= 0 then Tail t else Tail_extern (extern_of_name sym))
           | Block.Fallthrough _ -> ())
         blocks;
       let count = !s - first in
@@ -554,13 +593,32 @@ let build_slots (cfg : config) ?counts (p : Program.t) layout =
     insns;
     cost;
     addr_of_slot;
-    slot_of_addr;
+    chain_base;
+    chain_slot;
     extern_of_addr;
     func_names;
     slot_outlined;
     slot_func;
     slot_blocks;
   }
+
+(* The slot at address [a], or -1: the last chain based at or below [a],
+   if [a] falls on one of its slots. *)
+let slot_at code a =
+  let bases = code.chain_base in
+  let nc = Array.length bases in
+  let lo = ref 0 and hi = ref nc in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if bases.(mid) <= a then lo := mid + 1 else hi := mid
+  done;
+  let c = !lo - 1 in
+  if c < 0 then -1
+  else
+    let off = a - bases.(c) in
+    let stop = if c + 1 < nc then code.chain_slot.(c + 1) else Array.length code.ops in
+    let s = code.chain_slot.(c) + (off asr 2) in
+    if off land 3 = 0 && s < stop then s else -1
 
 let init_memory (p : Program.t) layout mem =
   List.iter
@@ -615,9 +673,8 @@ let halt = -1
 let jump_to_address st a =
   if a = exit_address then halt
   else
-    match Int_tbl.find st.code.slot_of_addr a with
-    | s -> s
-    | exception Not_found -> raise (Exec_error (Bad_jump a))
+    let s = slot_at st.code a in
+    if s < 0 then raise (Exec_error (Bad_jump a)) else s
 
 (* The trace-ring dump: each recorded slot symbolized through the linker
    layout (the nearest Text symbol at or below the slot's address). *)
@@ -705,13 +762,12 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
     try
       init_memory p layout st.mem;
       List.iteri (fun i v -> if i < Reg.max_args then regs.(i) <- v) args;
-      regs.(Reg.index Reg.SP) <- stack_top;
+      regs.(sp) <- stack_top;
       regs.(lr) <- exit_address;
       let entry_slot =
         let a = Linker.address_of layout entry in
-        match Int_tbl.find_opt code.slot_of_addr a with
-        | Some i -> i
-        | None -> raise (Exec_error (No_entry entry))
+        let s = slot_at code a in
+        if s < 0 then raise (Exec_error (No_entry entry)) else s
       in
       (* What a step records is decided here, once per run. *)
       let ops = code.ops and n = Array.length code.ops in
@@ -819,14 +875,14 @@ let exec ?(config = default_config) ?(args = []) ?order ?counts ~entry
           | Blr r -> (
             let dest = regs.(r) in
             regs.(lr) <- code.addr_of_slot.(idx) + 4;
-            match Int_tbl.find code.slot_of_addr dest with
-            | s -> call idx s
-            | exception Not_found -> (
+            let s = slot_at code dest in
+            if s >= 0 then call idx s
+            else
               match Int_tbl.find code.extern_of_addr dest with
               | e ->
                 call_extern st e;
                 idx + 1
-              | exception Not_found -> raise (Exec_error (Bad_jump dest))))
+              | exception Not_found -> raise (Exec_error (Bad_jump dest)))
           | Ret ->
             incr branches;
             cold_pop st;

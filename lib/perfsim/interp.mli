@@ -91,6 +91,9 @@ type error =
   | Unaligned_access of int
   | Bad_jump of int
   | Step_limit_exceeded
+  | Stack_overflow
+      (** an access through SP after SP left the 1 MiB stack region below
+          the initial SP; clean runs stay within a few KiB of the top *)
   | Trap of string           (** e.g. array bounds failure *)
   | No_entry of string
 

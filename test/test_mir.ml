@@ -387,6 +387,172 @@ let test_intervals_loop_extension () =
   Alcotest.(check bool) "n lives into the loop region" true
     (n_iv.Intervals.last > max_last / 2)
 
+(* The naive interval oracle: Set-based block liveness, a table cell per
+   value, a linear scan of the calls and a final sort.  [Intervals.compute]
+   must return exactly what this does. *)
+let naive_intervals (f : Ir.func) =
+  let block_start = Hashtbl.create 16 in
+  let block_end = Hashtbl.create 16 in
+  let pos = ref 1 in
+  List.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.replace block_start b.label !pos;
+      pos := !pos + List.length b.instrs;
+      Hashtbl.replace block_end b.label !pos;
+      incr pos)
+    f.blocks;
+  let values_of_operand = function
+    | Ir.V v -> [ v ]
+    | Ir.Imm _ | Ir.Global _ | Ir.Fn _ -> []
+  in
+  let term_values = function
+    | Ir.Ret o | Ir.Cond_br (o, _, _) -> values_of_operand o
+    | Ir.Br _ | Ir.Unreachable -> []
+  in
+  let module S = Set.Make (Int) in
+  let use_set = Hashtbl.create 16 and def_set = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.block) ->
+      let uses = ref S.empty and defs = ref S.empty in
+      let use v = if not (S.mem v !defs) then uses := S.add v !uses in
+      List.iter
+        (fun i ->
+          List.iter
+            (fun o -> List.iter use (values_of_operand o))
+            (Ir.operands_of_instr i);
+          match Ir.def_of_instr i with
+          | Some d -> defs := S.add d !defs
+          | None -> ())
+        b.instrs;
+      List.iter use (term_values b.term);
+      Hashtbl.replace use_set b.label !uses;
+      Hashtbl.replace def_set b.label !defs)
+    f.blocks;
+  let live_in = Hashtbl.create 16 and live_out = Hashtbl.create 16 in
+  List.iter
+    (fun (b : Ir.block) ->
+      Hashtbl.replace live_in b.label S.empty;
+      Hashtbl.replace live_out b.label S.empty)
+    f.blocks;
+  let changed = ref true in
+  let rev_blocks = List.rev f.blocks in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (b : Ir.block) ->
+        let out =
+          List.fold_left
+            (fun acc l -> S.union acc (Hashtbl.find live_in l))
+            S.empty (Ir.successors b.term)
+        in
+        let inn =
+          S.union (Hashtbl.find use_set b.label)
+            (S.diff out (Hashtbl.find def_set b.label))
+        in
+        if not (S.equal inn (Hashtbl.find live_in b.label)) then begin
+          Hashtbl.replace live_in b.label inn;
+          changed := true
+        end;
+        Hashtbl.replace live_out b.label out)
+      rev_blocks
+  done;
+  let first = Hashtbl.create 64 and last = Hashtbl.create 64 in
+  let touch v p =
+    (match Hashtbl.find_opt first v with
+    | Some q when q <= p -> ()
+    | Some _ | None -> Hashtbl.replace first v p);
+    match Hashtbl.find_opt last v with
+    | Some q when q >= p -> ()
+    | Some _ | None -> Hashtbl.replace last v p
+  in
+  List.iter (fun p -> touch p 0) f.params;
+  let call_positions = ref [] in
+  List.iter
+    (fun (b : Ir.block) ->
+      let bstart = Hashtbl.find block_start b.label in
+      let bend = Hashtbl.find block_end b.label in
+      S.iter (fun v -> touch v bstart) (Hashtbl.find live_in b.label);
+      S.iter (fun v -> touch v bend) (Hashtbl.find live_out b.label);
+      List.iteri
+        (fun i instr ->
+          let p = bstart + i in
+          if Intervals.is_call_position instr then
+            call_positions := p :: !call_positions;
+          List.iter
+            (fun o -> List.iter (fun v -> touch v p) (values_of_operand o))
+            (Ir.operands_of_instr instr);
+          match Ir.def_of_instr instr with
+          | Some d -> touch d p
+          | None -> ())
+        b.instrs;
+      List.iter (fun v -> touch v bend) (term_values b.term))
+    f.blocks;
+  let calls = List.sort Int.compare !call_positions in
+  let crosses a b = List.exists (fun p -> p > a && p < b) calls in
+  let out = ref [] in
+  Hashtbl.iter
+    (fun v p1 ->
+      let p2 = Hashtbl.find last v in
+      out :=
+        { Intervals.v; first = p1; last = p2; crosses_call = crosses p1 p2 }
+        :: !out)
+    first;
+  List.sort
+    (fun (a : Intervals.t) (b : Intervals.t) ->
+      match Int.compare a.first b.first with 0 -> Int.compare a.v b.v | c -> c)
+    !out
+
+let modules_exn = function Ok ms -> ms | Error e -> Alcotest.fail e
+
+let rider_modules () =
+  modules_exn (Workload.Appgen.generate_modules Workload.Appgen.uber_rider)
+
+(* uber_rider, SmallApp_x3 and the 26 Swiftlet benchmarks. *)
+let corpus_modules () =
+  rider_modules ()
+  @ modules_exn
+      (Workload.Appgen.generate_modules
+         (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small))
+  @ List.map
+      (fun (b : Workload.Benchmarks.t) ->
+        match Swiftlet.Compile.compile_module ~name:b.bench_name b.source with
+        | Ok m -> m
+        | Error e -> Alcotest.fail (b.bench_name ^ ": " ^ e))
+      Workload.Benchmarks.all
+
+let test_intervals_match_oracle () =
+  let n = ref 0 in
+  List.iter
+    (fun (m : Ir.modul) ->
+      List.iter
+        (fun f ->
+          let f = Out_of_ssa.run_func f in
+          incr n;
+          if Intervals.compute f <> naive_intervals f then
+            Alcotest.failf "intervals of %s in %s differ from the oracle"
+              f.Ir.name m.Ir.m_name)
+        m.Ir.funcs)
+    (corpus_modules ());
+  (* uber_rider alone has 1,732 functions. *)
+  Alcotest.(check bool) "functions compared" true (!n > 1732)
+
+(* uber_rider's compiled modules, printed, are pinned with the default
+   register pools and with shuffled ones. *)
+let test_codegen_pinned () =
+  let ms = rider_modules () in
+  let md5 ?regalloc_seed () =
+    List.map
+      (fun m ->
+        Machine.Asm_printer.to_source (Codegen.compile_modul ?regalloc_seed m))
+      ms
+    |> String.concat "" |> Digest.string |> Digest.to_hex
+  in
+  Alcotest.(check string) "default pools" "e800879d00c59ff26801511a5bd99a60"
+    (md5 ());
+  Alcotest.(check string) "regalloc_seed 1234"
+    "d6c9e252273cc95fd560a1848f1be700"
+    (md5 ~regalloc_seed:1234 ())
+
 (* Codegen differential ----------------------------------------------------- *)
 
 let machine_result m ~entry ~args =
@@ -668,6 +834,10 @@ let () =
           Alcotest.test_case "intervals" `Quick test_intervals;
           Alcotest.test_case "intervals loop extension" `Quick
             test_intervals_loop_extension;
+          Alcotest.test_case "intervals match the oracle" `Quick
+            test_intervals_match_oracle;
+          Alcotest.test_case "compiled uber_rider is pinned" `Quick
+            test_codegen_pinned;
           Alcotest.test_case "sum loop" `Quick test_codegen_sum;
           Alcotest.test_case "objects" `Quick test_codegen_objects;
           Alcotest.test_case "spills" `Quick test_codegen_spills;

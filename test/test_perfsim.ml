@@ -323,6 +323,61 @@ let test_step_limit () =
   | Ok _ -> Alcotest.fail "expected step limit"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Perfsim.Interp.error_to_string e)
 
+(* Unbounded recursion pushes 16 bytes a frame; the run stops with a stack
+   overflow on the push that takes SP below the 1 MiB stack region, long
+   before the step budget, while a 10,000-deep recursion that unwinds
+   still runs to completion. *)
+let test_stack_overflow () =
+  let recursion ~depth =
+    parse
+      (Printf.sprintf
+         {|
+func down:
+entry:
+  cbz x0, base, more
+more:
+  stp fp, lr, [sp, #-16]!
+  sub x0, x0, #1
+  bl down
+  add x0, x0, #1
+  ldp fp, lr, [sp], #16
+  ret
+base:
+  ret
+func main:
+entry:
+  stp fp, lr, [sp, #-16]!
+  mov x0, #%d
+  bl down
+  ldp fp, lr, [sp], #16
+  ret
+|}
+         depth)
+  in
+  let run ?(max_steps = 10_000_000) p =
+    Perfsim.Interp.run
+      ~config:{ Perfsim.Interp.default_config with max_steps }
+      ~entry:"main" p
+  in
+  (match run (recursion ~depth:10_000) with
+  | Ok r -> Alcotest.(check int) "deep recursion returns" 10_000 r.exit_value
+  | Error e -> Alcotest.fail (Perfsim.Interp.error_to_string e));
+  let show = function
+    | Ok _ -> "ok"
+    | Error e -> Perfsim.Interp.error_to_string e
+  in
+  (* main pushes one frame in 3 steps; each level of [down] runs 4 steps
+     and pushes 16 bytes on its second, so level 65,536 pushes past the
+     region on step 3 + 4 * 65,535 + 2. *)
+  let unbounded = recursion ~depth:max_int in
+  let at = 3 + (4 * 65_535) + 2 in
+  Alcotest.(check string) "overflow" "stack overflow"
+    (show (run ~max_steps:at unbounded));
+  Alcotest.(check string) "not before its step" "step limit exceeded"
+    (show (run ~max_steps:(at - 1) unbounded));
+  Alcotest.(check string) "within the default budget" "stack overflow"
+    (show (run unbounded))
+
 let test_null_and_unknown () =
   let p = parse "func main:\nentry:\n  mov x1, #0\n  ldr x0, [x1]\n  ret\n" in
   (match Perfsim.Interp.run ~entry:"main" p with
@@ -1015,6 +1070,7 @@ let () =
             test_runtime_alloc_refcount;
           Alcotest.test_case "tail call" `Quick test_tail_call_semantics;
           Alcotest.test_case "step limit" `Quick test_step_limit;
+          Alcotest.test_case "stack overflow" `Quick test_stack_overflow;
           Alcotest.test_case "null and unknown extern" `Quick
             test_null_and_unknown;
           Alcotest.test_case "edge semantics" `Quick test_edge_semantics;
