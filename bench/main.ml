@@ -677,7 +677,7 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
       (fun w ->
         let wall, r =
           timed_build
-            { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers = w } }
+            (Pipeline.config_of_flags (Pipeline.Thin_wpo { workers = w }))
         in
         (w, wall, r))
       workers_list
@@ -758,7 +758,7 @@ let thinwpo_impl ~profile ~mult ~workers_list ~min_speedup () =
       \  \"thin_rounds_profile\": %s\n\
        }\n"
       prof.Workload.Appgen.app_name prof.Workload.Appgen.n_modules
-      Pipeline.default_config.outline_rounds
+      (Pipeline.rounds_of_specs Pipeline.default_config.passes)
       (Domain.recommended_domain_count ())
       full_wall full.Pipeline.binary_size
       (String.concat ",\n"
@@ -1385,9 +1385,11 @@ let datalayout () =
   let variants =
     [
       ("no outlining, module-preserving",
-       { Pipeline.default_config with outline_rounds = 0 });
+       Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program);
       ("no outlining, interleaved",
-       { Pipeline.default_config with outline_rounds = 0; data_order = Link.Interleaved });
+       Pipeline.config_of_flags ~rounds:0
+         ~base:{ Pipeline.default_config with data_order = Link.Interleaved }
+         Pipeline.Whole_program);
       ("5 rounds, module-preserving", Pipeline.default_config);
       ("5 rounds, interleaved",
        { Pipeline.default_config with data_order = Link.Interleaved });
@@ -1482,7 +1484,7 @@ let ablate () =
     List.map
       (fun (name, layout) ->
         let r =
-          build ~config:{ Pipeline.default_config with outlined_layout = layout }
+          build ~config:(Pipeline.config_of_flags ~layout Pipeline.Whole_program)
             (Lazy.force rider_modules)
         in
         let cfg = Perfsim.Interp.default_config in

@@ -281,7 +281,8 @@ let build_cmd =
                    blocks split into a __text_cold region after hot text \
                    and hot chains stitched along the hottest \
                    interprocedural call edges (static never-executed \
-                   heuristic when the profile has no block counts).")
+                   heuristic when the profile has no block counts).  \
+                   Lowers to the spec's layout marker pass.")
   in
   let profile_in =
     Arg.(value & opt (some file) None
@@ -293,8 +294,9 @@ let build_cmd =
     Arg.(value & opt (some string) None
          & info [ "passes" ] ~docv:"SPEC"
              ~doc:"Explicit pass pipeline, e.g. \
-                   'dce,merge-functions,outline(rounds=5)'.  Overrides the \
-                   individual pass flags; passes run in the given order.")
+                   'dce,merge-functions,outline(rounds=5)', run in order.  \
+                   Replaces the spec --rounds and --layout lower to, but \
+                   keeps --layout's marker when it has none.")
   in
   let verify_each =
     Arg.(value & flag
@@ -329,7 +331,7 @@ let build_cmd =
         prerr_endline ("unknown engine " ^ other ^ " (want incremental or scratch)");
         exit 1
     in
-    let outlined_layout = or_die (Pipeline.layout_strategy_of_string layout) in
+    let layout = or_die (Pipeline.layout_strategy_of_string layout) in
     let layout_profile =
       match profile_in with
       | None -> None
@@ -340,11 +342,11 @@ let build_cmd =
       else if print_after = [] then `Never
       else `Passes print_after
     in
-    let config =
+    let base =
       { Pipeline.default_config with
-        mode; outline_rounds = rounds; outline_engine; outlined_layout;
-        layout_profile; verify_each; print_after; bisect_limit }
+        outline_engine; layout_profile; verify_each; print_after; bisect_limit }
     in
+    let config = Pipeline.config_of_flags ~base ~rounds ~layout mode in
     let config =
       match passes with
       | None -> config
@@ -362,7 +364,8 @@ let build_cmd =
     (match res.Pipeline.function_order with
     | Some order ->
       Printf.printf "layout: %s placed %d functions%s\n"
-        (Pipeline.layout_strategy_name config.Pipeline.outlined_layout)
+        (Pipeline.layout_strategy_name
+           (or_die (Pipeline.layout_of_specs config.Pipeline.passes)))
         (List.length order)
         (match profile_in with
         | Some p -> " (profile: " ^ p ^ ")"
@@ -443,7 +446,7 @@ let profile_cmd =
       if entries <> [] then entries
       else "main" :: Workload.Appgen.span_entries
     in
-    let config = { Pipeline.default_config with mode; outline_rounds = rounds } in
+    let config = Pipeline.config_of_flags ~rounds mode in
     let res = or_die (Pipeline.build_sources ~config sources) in
     let profile =
       Pgo.Collect.collect

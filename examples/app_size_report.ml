@@ -25,7 +25,7 @@ let () =
     | Error e -> failwith e
   in
   Printf.printf "\n";
-  let _none = build "whole-program, no outlining" { Pipeline.default_config with outline_rounds = 0 } in
+  let _none = build "whole-program, no outlining" (Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program) in
   let base = build "default iOS (per-module, 5 rounds)" per_module_cfg in
   let wpo = build "whole-program, 5 rounds" Pipeline.default_config in
   Printf.printf "\nwhole-program outlining saves %.1f%% of code over the default pipeline\n"

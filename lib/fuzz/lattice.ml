@@ -11,8 +11,8 @@ type verdict =
 (* --- lattice points -------------------------------------------------------- *)
 
 (* Each optional-pass combination is an edit of the point's lowered spec
-   ([dce], then the outliner and layout marker when outlining is on): the
-   MIR passes go after [dce], [canonicalize] right before the outliner. *)
+   ([dce], the outliner when outlining is on, the layout marker): the MIR
+   passes go after [dce], [canonicalize] right before the outliner. *)
 let pass_combos =
   let sp name params = { Passman.sp_name = name; sp_params = params } in
   let sil = sp "sil-outline" [ ("min", "8") ]
@@ -39,17 +39,16 @@ let pass_combos =
   ]
 
 let with_passes f (c : Pipeline.config) =
-  { c with Pipeline.passes = Some (f (Pipeline.spec_of_config c)) }
+  { c with Pipeline.passes = f c.Pipeline.passes }
 
 (* The lattice's normalized base: attribute flag semantics, module-order
-   data, outlined functions appended, no recorded profile.  The reference
-   oracle links under the same semantics. *)
+   data, no recorded profile (each point lowers its own spec and layout).
+   The reference oracle links under the same semantics. *)
 let normalized (c : Pipeline.config) =
   {
     c with
     Pipeline.flag_semantics = Link.Attributes;
     data_order = Link.Module_preserving;
-    outlined_layout = `Append;
     layout_profile = None;
   }
 
@@ -65,13 +64,16 @@ let points base =
             List.map
               (fun (pname, f) ->
                 ( Printf.sprintf "%s/r%d/%s" mname r pname,
-                  with_passes f { base with Pipeline.mode; outline_rounds = r }
+                  with_passes f (Pipeline.config_of_flags ~base ~rounds:r mode)
                 ))
               pass_combos)
           rounds)
       modes
   in
-  let wp3 = { base with Pipeline.mode = Whole_program; outline_rounds = 3 } in
+  let wp3 = Pipeline.config_of_flags ~base ~rounds:3 Whole_program in
+  let laid layout =
+    Pipeline.config_of_flags ~base ~rounds:3 ~layout Whole_program
+  in
   let thin_axes =
     (* Thin-WPO config points: the sharded summary-exchange engine must
        agree with the reference oracle at every worker count.  The
@@ -80,8 +82,7 @@ let points base =
     List.map
       (fun w ->
         ( Printf.sprintf "thin/r3/w%d" w,
-          { base with Pipeline.mode = Thin_wpo { workers = w }; outline_rounds = 3 }
-        ))
+          Pipeline.config_of_flags ~base ~rounds:3 (Thin_wpo { workers = w }) ))
       [ 1; 2; 4 ]
   in
   let link_axes =
@@ -95,22 +96,18 @@ let points base =
           Pipeline.flag_semantics = Link.Legacy;
           data_order = Link.Interleaved;
         } );
-      ( "wp/r3/caller-affinity",
-        { wp3 with Pipeline.outlined_layout = `Caller_affinity } );
+      ("wp/r3/caller-affinity", laid `Caller_affinity);
       (* Profile-guided layouts self-profile (no recorded profile in the
          lattice): the pipeline traces a [main] run and lays functions out
          from it.  Semantics must survive every placement. *)
-      ( "wp/r3/layout-order-file",
-        { wp3 with Pipeline.outlined_layout = `Order_file } );
-      ("wp/r3/layout-c3", { wp3 with Pipeline.outlined_layout = `C3 });
-      ( "wp/r3/layout-balanced",
-        { wp3 with Pipeline.outlined_layout = `Balanced } );
-      ( "wp/r3/layout-bp-compress",
-        { wp3 with Pipeline.outlined_layout = `Bp_compress 0.5 } );
+      ("wp/r3/layout-order-file", laid `Order_file);
+      ("wp/r3/layout-c3", laid `C3);
+      ("wp/r3/layout-balanced", laid `Balanced);
+      ("wp/r3/layout-bp-compress", laid (`Bp_compress 0.5));
       (* Block-granularity placement also rewrites the program (hot/cold
          split, branch elision/materialization); the oracle run below
          executes the split program under the stitched order. *)
-      ("wp/r3/layout-stitch", { wp3 with Pipeline.outlined_layout = `Stitch });
+      ("wp/r3/layout-stitch", laid `Stitch);
       ( "wp/r3/scratch-engine",
         { wp3 with Pipeline.outline_engine = `Scratch } );
     ]
@@ -174,7 +171,7 @@ let contains_substring hay needle =
    back to itself, so each point is reproducible as [sizeopt build
    --passes]. *)
 let spec_round_trip (label, cfg) =
-  let specs = Pipeline.spec_of_config cfg in
+  let specs = cfg.Pipeline.passes in
   let fail reason = Error { point = label ^ "/spec"; reason } in
   if specs = [] then Ok ()
   else
@@ -250,24 +247,23 @@ let run_point ?(interp = interp_config) modules (label, cfg) ~style ~ref_exit
 
 (* Strip the round count out of a label so results can be grouped into
    monotonicity chains: same mode, same passes, same link axes. *)
-let chain_key label cfg =
-  match String.index_opt label '/' with
-  | Some _ ->
-    let parts = String.split_on_char '/' label in
-    let parts = List.filter (fun p -> String.length p < 2 || String.sub p 0 1 <> "r"
-                                       || not (String.for_all (fun c -> c >= '0' && c <= '9')
-                                                 (String.sub p 1 (String.length p - 1)))) parts in
-    String.concat "/" parts
-  | None -> ignore cfg; label
+let chain_key label =
+  let is_rounds p =
+    String.length p >= 2
+    && p.[0] = 'r'
+    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub p 1 (String.length p - 1))
+  in
+  String.concat "/"
+    (List.filter (fun p -> not (is_rounds p)) (String.split_on_char '/' label))
 
 let check_monotone results =
   (* [results]: (label, rounds, binary_size) list in lattice order. *)
   let tbl = Hashtbl.create 16 in
   List.iter
-    (fun (label, cfg, rounds, size) ->
-      let key = chain_key label cfg in
+    (fun ((label, _, _) as result) ->
+      let key = chain_key label in
       let prev = try Hashtbl.find tbl key with Not_found -> [] in
-      Hashtbl.replace tbl key ((label, rounds, size) :: prev))
+      Hashtbl.replace tbl key (result :: prev))
     results;
   Hashtbl.fold
     (fun _key chain acc ->
@@ -683,7 +679,7 @@ let check ?(verify_each = false) (p : Swiftgen.program) =
             | Ok None -> ()
             | Ok (Some res) ->
               sizes :=
-                (label, cfg, cfg.Pipeline.outline_rounds, res.binary_size)
+                (label, Pipeline.rounds_of_specs cfg.Pipeline.passes, res.binary_size)
                 :: !sizes;
               if label = "wp/r3/plain" then begin
                 full_wpo := Some res.binary_size;
@@ -777,11 +773,9 @@ let check_thin (p : Swiftgen.program) =
         match
           Pipeline.build
             ~config:
-              {
-                (normalized Pipeline.default_config) with
-                Pipeline.mode = Whole_program;
-                outline_rounds = 3;
-              }
+              (Pipeline.config_of_flags
+                 ~base:(normalized Pipeline.default_config)
+                 ~rounds:3 Whole_program)
             modules
         with
         | Ok res -> Some res.Pipeline.binary_size
@@ -815,10 +809,9 @@ let check_gmerge (p : Swiftgen.program) =
       let base =
         with_passes
           (List.assoc "gmerge" pass_combos)
-          {
-            (normalized Pipeline.default_config) with
-            Pipeline.outline_rounds = 0;
-          }
+          (Pipeline.config_of_flags
+             ~base:(normalized Pipeline.default_config)
+             ~rounds:0 Whole_program)
       in
       let pts =
         [

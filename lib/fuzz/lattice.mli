@@ -25,7 +25,7 @@
     Two pass-manager checks ride on every checked program:
     - each point's pipeline spec (its optional passes are edits of the
       lowered spec) must print and parse back to itself
-      ([Pipeline.spec_of_config] → [Passman.print] → [Passman.parse]);
+      ([config.passes] → [Passman.print] → [Passman.parse]);
     - the default configs (both modes) are built through the pass manager
       {e and} the preserved pre-refactor sequencing
       ([Pipeline.build_reference]) and must agree byte-for-byte.

@@ -122,8 +122,8 @@ type layout = {
   compressed : Compress.estimate Lazy.t;
 }
 
-let text_base_default = 0x1_0000
-let image_overhead_default = 16_384 (* headers + load commands stand-in *)
+let text_base = 0x1_0000
+let image_overhead = 16_384 (* headers + load commands stand-in *)
 
 (* A split function's cold chain is placed under its own Text symbol in
    the __text_cold region, so symbolize/backtraces read "f.cold+0x...". *)
@@ -157,8 +157,7 @@ let ordered_funcs order (p : Program.t) =
     in
     first @ rest
 
-let link ?(text_base = text_base_default)
-    ?(image_overhead = image_overhead_default) ?order (p : Program.t) =
+let link ?order (p : Program.t) =
   let addresses = Hashtbl.create 1024 in
   let kinds = Hashtbl.create 1024 in
   let cursor = ref text_base in

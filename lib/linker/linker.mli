@@ -35,30 +35,26 @@ end
 type layout = {
   addresses : (string, int) Hashtbl.t;   (** symbol -> virtual address *)
   kinds : (string, symbol_kind) Hashtbl.t;
-  text_base : int;
+  text_base : int;   (** always [0x1_0000] *)
   text_size : int;
   hot_text_size : int;
       (** bytes of hot chains only; equals [text_size] when nothing is
           split, otherwise the __text_cold region accounts for the rest *)
   data_base : int;
   data_size : int;
-  image_overhead : int;   (** headers, load commands, linkedit stand-in *)
+  image_overhead : int;
+      (** headers, load commands, linkedit stand-in: always 16,384 B *)
   compressed : Compress.estimate Lazy.t;
       (** the download-size estimate for this placement; lazy because the
           interpreter links on every run and never reads it *)
 }
-
-val text_base_default : int
-val image_overhead_default : int
 
 val cold_symbol : string -> string
 (** The Text symbol a split function's cold chain is placed under
     (["f.cold"] for function [f]), so {!symbolize} and backtraces
     attribute cold-region addresses to their source function. *)
 
-val link :
-  ?text_base:int -> ?image_overhead:int -> ?order:string list ->
-  Machine.Program.t -> layout
+val link : ?order:string list -> Machine.Program.t -> layout
 (** Functions are placed consecutively in program order, 4-byte aligned
     (they already are); data objects consecutively after text, 8-byte
     aligned.  Extern symbols receive distinct high addresses so indirect

@@ -28,8 +28,9 @@ let split_critical_edges (f : func) =
   let pred_count = predecessor_counts f.blocks in
   let counter = ref 0 in
   let new_blocks = ref [] in
-  (* (succ label, old pred label, new pred label) for phi fix-up. *)
-  let renames = ref [] in
+  (* (succ label, old pred label) -> new pred label, for phi fix-up; a
+     repeated edge keeps its newest split. *)
+  let renamed = Hashtbl.create 16 in
   let blocks =
     List.map
       (fun b ->
@@ -45,7 +46,7 @@ let split_critical_edges (f : func) =
                 let label = Printf.sprintf "split_%s_%d" b.label !counter in
                 new_blocks :=
                   { label; phis = []; instrs = []; term = Br s } :: !new_blocks;
-                renames := (s, b.label, label) :: !renames;
+                Hashtbl.replace renamed (s, b.label) label;
                 term := retarget_one !term ~from:s ~into:label
               end)
             succs;
@@ -53,11 +54,10 @@ let split_critical_edges (f : func) =
         end)
       f.blocks
   in
-  let renames = !renames in
   let blocks =
     List.map
       (fun b ->
-        if b.phis = [] then b
+        if b.phis = [] || Hashtbl.length renamed = 0 then b
         else
           let phis =
             List.map
@@ -65,12 +65,8 @@ let split_critical_edges (f : func) =
                 let incoming =
                   List.map
                     (fun (l, o) ->
-                      match
-                        List.find_opt
-                          (fun (s, old, _) -> s = b.label && old = l)
-                          renames
-                      with
-                      | Some (_, _, nl) -> (nl, o)
+                      match Hashtbl.find_opt renamed (b.label, l) with
+                      | Some nl -> (nl, o)
                       | None -> (l, o))
                     p.incoming
                 in
@@ -86,7 +82,7 @@ let run_func (f : func) =
   if List.for_all (fun b -> b.phis = []) f.blocks then f
   else begin
     let f = split_critical_edges f in
-    let pending : (string, instr list) Hashtbl.t = Hashtbl.create 16 in
+    let pending : (string, instr list list) Hashtbl.t = Hashtbl.create 16 in
     let next = ref f.next_value in
     let fresh () =
       let v = !next in
@@ -127,8 +123,9 @@ let run_func (f : func) =
                   List.map (fun (t, src, _) -> Assign (t, src)) temps
                   @ List.map (fun (t, _, dst) -> Assign (dst, V t)) temps
                 in
+                (* one chunk per phi block, newest first; joined below *)
                 let prev = Option.value ~default:[] (Hashtbl.find_opt pending pred) in
-                Hashtbl.replace pending pred (prev @ copies))
+                Hashtbl.replace pending pred (copies :: prev))
               preds;
             { b with phis = [] }
           end)
@@ -138,23 +135,13 @@ let run_func (f : func) =
       List.map
         (fun b ->
           match Hashtbl.find_opt pending b.label with
-          | None -> b
-          | Some copies -> { b with instrs = b.instrs @ copies })
+          | None | Some [] -> b
+          | Some (last :: earlier) ->
+            let copies = List.fold_left (fun acc c -> c @ acc) last earlier in
+            { b with instrs = b.instrs @ copies })
         blocks_nophi
     in
     { f with blocks; next_value = !next }
   end
 
 let run (m : modul) = { m with funcs = List.map run_func m.funcs }
-
-let copies_inserted (f : func) =
-  List.fold_left
-    (fun acc b ->
-      let nphis = List.length b.phis in
-      let npreds =
-        List.length
-          (List.sort_uniq String.compare
-             (List.concat_map (fun p -> List.map fst p.incoming) b.phis))
-      in
-      acc + (2 * nphis * npreds))
-    0 f.blocks

@@ -11,7 +11,3 @@ val run_func : Ir.func -> Ir.func
 (** The result contains no phis. *)
 
 val run : Ir.modul -> Ir.modul
-
-val copies_inserted : Ir.func -> int
-(** How many copies lowering this function's phis would insert (for the
-    statistics in the paper's analysis). *)

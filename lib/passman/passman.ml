@@ -670,8 +670,8 @@ let machine_passes env =
        final linked program, so the pass bodies are the identity.
        Registering them makes the strategy — order-file, c3, balanced,
        bp-compress(w), stitch — a validated, parameterized member of the
-       pipeline spec that the pipeline raises back onto
-       [config.outlined_layout]. *)
+       pipeline spec, which the pipeline's layout phase reads
+       ([Pipeline.layout_of_specs]). *)
     simple_pass ~linked:true "pgo-layout" [ "strategy"; "w" ] (fun _ _ p -> p);
     simple_pass ~linked:true "stitch" [] (fun _ _ p -> p);
   ]

@@ -13,56 +13,143 @@ type layout_strategy =
   [ `Append | `Caller_affinity | `Order_file | `C3 | `Balanced
   | `Bp_compress of float | `Stitch ]
 
-let layout_strategy_name = function
-  | `Append -> "append"
-  | `Caller_affinity -> "caller-affinity"
-  | `Order_file -> "order-file"
-  | `C3 -> "c3"
-  | `Balanced -> "balanced"
-  | `Bp_compress w -> Printf.sprintf "bp-compress(w=%g)" w
-  | `Stitch -> "stitch"
+let spec name params = { Passman.sp_name = name; sp_params = params }
 
-(* The one place the valid-strategy list is written down: the CLI and the
-   spec parser both route their errors through here. *)
+(* The one strategy table: each strategy's [--layout] name and the marker
+   pass that names it in a spec.  A [pgo-layout] marker carries the name
+   as [strategy=]; bp-compress's weight rides along as [w=]. *)
+let layout_table : (string * layout_strategy * string option) list =
+  [
+    ("append", `Append, None);
+    ("caller-affinity", `Caller_affinity, Some "caller-affinity-layout");
+    ("order-file", `Order_file, Some "pgo-layout");
+    ("c3", `C3, Some "pgo-layout");
+    ("balanced", `Balanced, Some "pgo-layout");
+    ("bp-compress", `Bp_compress Pgo.Order.default_w, Some "pgo-layout");
+    ("stitch", `Stitch, Some "stitch");
+  ]
+
+let table_entry (l : layout_strategy) =
+  List.find
+    (fun (_, l', _) ->
+      match (l, l') with `Bp_compress _, `Bp_compress _ -> true | _ -> l = l')
+    layout_table
+
+let marker_pass l =
+  let _, _, pass = table_entry l in
+  pass
+
+let is_marker name = List.exists (fun (_, _, m) -> m = Some name) layout_table
+
+let layout_strategy_name l =
+  let name, _, _ = table_entry l in
+  match l with
+  | `Bp_compress w -> Printf.sprintf "%s(w=%g)" name w
+  | _ -> name
+
 let layout_strategy_list =
-  "append, caller-affinity, order-file, c3, balanced, bp-compress[(w=0..1)] \
-   or stitch"
+  match
+    List.rev_map
+      (fun (n, _, _) -> if n = "bp-compress" then n ^ "[(w=0..1)]" else n)
+      layout_table
+  with
+  | last :: rest -> String.concat ", " (List.rev rest) ^ " or " ^ last
+  | [] -> ""
+
+(* The one [w ∈ 0..1] check, for [--layout bp-compress(w)] and
+   [pgo-layout(w=…)] alike. *)
+let weight_of_string v =
+  match float_of_string_opt (String.trim v) with
+  | Some w when w >= 0.0 && w <= 1.0 -> Some w
+  | Some _ | None -> None
+
+(* [%g] unless it would round the weight: the marker must name the exact
+   weight the flag gave. *)
+let weight_to_string w =
+  let s = Printf.sprintf "%g" w in
+  if float_of_string s = w then s else Printf.sprintf "%.17g" w
 
 let layout_strategy_of_string s =
   let s = String.lowercase_ascii (String.trim s) in
   let err () =
     Error (Printf.sprintf "unknown layout %S (want %s)" s layout_strategy_list)
   in
-  match s with
-  | "append" -> Ok `Append
-  | "caller-affinity" -> Ok `Caller_affinity
-  | "order-file" -> Ok `Order_file
-  | "c3" -> Ok `C3
-  | "balanced" -> Ok `Balanced
-  | "bp-compress" -> Ok (`Bp_compress Pgo.Order.default_w)
-  | "stitch" -> Ok `Stitch
-  | _ ->
+  match List.find_opt (fun (name, _, _) -> name = s) layout_table with
+  | Some (_, l, _) -> Ok l
+  | None ->
     (* bp-compress(w=0.3) — also accepts the bare bp-compress(0.3). *)
-    let prefix = "bp-compress(" in
-    let np = String.length prefix and n = String.length s in
-    if n > np + 1 && String.sub s 0 np = prefix && s.[n - 1] = ')' then begin
-      let inner = String.sub s np (n - np - 1) in
-      let num =
-        match String.index_opt inner '=' with
-        | Some i when String.trim (String.sub inner 0 i) = "w" ->
-          Some (String.sub inner (i + 1) (String.length inner - i - 1))
-        | Some _ -> None
-        | None -> Some inner
-      in
-      match Option.bind num (fun v -> float_of_string_opt (String.trim v)) with
-      | Some w when w >= 0.0 && w <= 1.0 -> Ok (`Bp_compress w)
-      | Some _ | None -> err ()
-    end
-    else err ()
+    let w =
+      match
+        Scanf.sscanf_opt s "bp-compress(%[^)])%!" (String.split_on_char '=')
+      with
+      | Some [ k; v ] when String.trim k = "w" -> weight_of_string v
+      | Some [ v ] -> weight_of_string v
+      | Some _ | None -> None
+    in
+    match w with Some w -> Ok (`Bp_compress w) | None -> err ()
+
+(* The marker pass naming [l] in a spec; [`Append], the linker's default
+   order, has none. *)
+let layout_marker l =
+  match table_entry l with
+  | _, _, None -> None
+  | name, _, Some ("pgo-layout" as pass) ->
+    let w =
+      match l with `Bp_compress w -> [ ("w", weight_to_string w) ] | _ -> []
+    in
+    Some (spec pass (("strategy", name) :: w))
+  | _, _, Some pass -> Some (spec pass [])
+
+let layout_of_specs specs =
+  (* [Passman.validate_specs] admits at most one marker. *)
+  match List.find_opt (fun sp -> is_marker sp.Passman.sp_name) specs with
+  | None -> Ok `Append
+  | Some { Passman.sp_name = "pgo-layout"; sp_params } -> (
+    let param k = List.assoc_opt k sp_params in
+    let fail fmt = Printf.ksprintf (fun e -> Error ("pgo-layout: " ^ e)) fmt in
+    match (param "w", Option.bind (param "w") weight_of_string) with
+    | Some v, None -> fail "w=%s is not in 0..1" v
+    | _, w -> (
+      match
+        layout_strategy_of_string
+          (Option.value ~default:"bp-compress" (param "strategy"))
+      with
+      | Error e -> fail "%s" e
+      | Ok l when marker_pass l <> Some "pgo-layout" ->
+        fail "%s is not a profile-guided strategy" (layout_strategy_name l)
+      | Ok (`Bp_compress d) -> Ok (`Bp_compress (Option.value ~default:d w))
+      | Ok l -> Ok l))
+  | Some { Passman.sp_name; _ } ->
+    let _, l, _ = List.find (fun (_, _, m) -> m = Some sp_name) layout_table in
+    Ok l
+
+let rounds_of_specs specs =
+  match
+    List.find_opt
+      (fun sp -> List.mem sp.Passman.sp_name [ "outline"; "thin-outline" ])
+      specs
+  with
+  | Some sp -> Passman.int_param sp "rounds" ~default:5
+  | None -> 0
+
+let default_rounds = 5
+
+(* What [sizeopt build] expresses without --passes: dce, then — with
+   outlining on — the mode's outliner, then the layout strategy's marker
+   pass. *)
+let lowered_spec ~mode ~rounds layout =
+  let r = ("rounds", string_of_int rounds) in
+  let outliner =
+    match mode with
+    | _ when rounds <= 0 -> []
+    | Thin_wpo { workers } ->
+      [ spec "thin-outline" [ ("workers", string_of_int workers); r ] ]
+    | Per_module | Whole_program -> [ spec "outline" [ r ] ]
+  in
+  (spec "dce" [] :: outliner) @ Option.to_list (layout_marker layout)
 
 type config = {
   mode : mode;
-  outline_rounds : int;
   flag_semantics : Link.flag_semantics;
   data_order : Link.data_order;
   entry_points : string list;
@@ -70,7 +157,7 @@ type config = {
   outlined_layout : layout_strategy;
   layout_profile : Pgo.Profile.t option;
   outline_engine : [ `Incremental | `Scratch ];
-  passes : Passman.spec list option;
+  passes : Passman.spec list;
   verify_each : bool;
   print_after : Passman.print_after;
   bisect_limit : int option;
@@ -80,7 +167,6 @@ type config = {
 let default_config =
   {
     mode = Whole_program;
-    outline_rounds = 5;
     flag_semantics = Link.Attributes;
     data_order = Link.Module_preserving;
     entry_points = [ "main" ];
@@ -88,7 +174,7 @@ let default_config =
     outlined_layout = `Append;
     layout_profile = None;
     outline_engine = `Incremental;
-    passes = None;
+    passes = lowered_spec ~mode:Whole_program ~rounds:default_rounds `Append;
     verify_each = false;
     print_after = `Never;
     bisect_limit = None;
@@ -96,6 +182,17 @@ let default_config =
   }
 
 let default_ios_config = { default_config with mode = Per_module }
+
+let spec_of_config c = c.passes
+
+let config_of_flags ?(base = default_config) ?(rounds = default_rounds)
+    ?(layout = `Append) mode =
+  {
+    base with
+    mode;
+    passes = lowered_spec ~mode ~rounds layout;
+    outlined_layout = layout;
+  }
 
 type result = {
   program : Machine.Program.t;
@@ -107,44 +204,6 @@ type result = {
   pass_steps : Passman.step list;
   outline_stats : Outcore.Outliner.round_stats list;
 }
-
-(* --- pipeline specs -------------------------------------------------------- *)
-
-let spec name params = { Passman.sp_name = name; sp_params = params }
-
-(* The marker pass that names a layout strategy in a spec; [`Append] is
-   the linker's default order and has none. *)
-let layout_marker = function
-  | `Append -> None
-  | `Caller_affinity -> Some (spec "caller-affinity-layout" [])
-  | `Stitch -> Some (spec "stitch" [])
-  | `Bp_compress w ->
-    Some
-      (spec "pgo-layout"
-         [ ("strategy", "bp-compress"); ("w", Printf.sprintf "%g" w) ])
-  | `Order_file -> Some (spec "pgo-layout" [ ("strategy", "order-file") ])
-  | `C3 -> Some (spec "pgo-layout" [ ("strategy", "c3") ])
-  | `Balanced -> Some (spec "pgo-layout" [ ("strategy", "balanced") ])
-
-(* What [sizeopt build] expresses without --passes: dce, then — with
-   outlining on — the mode's outliner and the layout strategy's marker
-   pass (layout only ever ran together with outlining). *)
-let lowered_spec (c : config) =
-  let rounds = ("rounds", string_of_int c.outline_rounds) in
-  spec "dce" []
-  ::
-  (if c.outline_rounds <= 0 then []
-   else
-     (match c.mode with
-     | Thin_wpo { workers } ->
-       spec "thin-outline" [ ("workers", string_of_int workers); rounds ]
-     | Per_module | Whole_program -> spec "outline" [ rounds ])
-     :: Option.to_list (layout_marker c.outlined_layout))
-
-let spec_of_config c =
-  match c.passes with
-  | Some specs -> specs
-  | None -> lowered_spec c
 
 (* Registries instantiated with inert environments, used only to resolve
    names, parameter lists and stage membership. *)
@@ -171,65 +230,23 @@ let known_pass name =
     | None -> None)
 
 let config_of_passes ?(base = default_config) s =
-  match Passman.parse s with
-  | Error e -> Error ("bad pass pipeline: " ^ e)
-  | Ok specs -> (
-    match Passman.validate_specs ~known:known_pass specs with
-    | Error e -> Error ("bad pass pipeline: " ^ e)
-    | Ok () -> (
-      try
-        let find n =
-          List.find_opt (fun sp -> sp.Passman.sp_name = n) specs
-        in
-        let outline_rounds =
-          match (find "outline", find "thin-outline") with
-          | Some sp, _ | None, Some sp -> Passman.int_param sp "rounds" ~default:5
-          | None, None -> 0
-        in
-        let pgo_layout sp : layout_strategy =
-          let param k = List.assoc_opt k sp.Passman.sp_params in
-          let w =
-            match param "w" with
-            | None -> Pgo.Order.default_w
-            | Some v -> (
-              match float_of_string_opt v with
-              | Some w when w >= 0.0 && w <= 1.0 -> w
-              | Some _ | None ->
-                failwith (Printf.sprintf "pgo-layout: w=%s is not in 0..1" v))
-          in
-          match
-            layout_strategy_of_string
-              (Option.value ~default:"bp-compress" (param "strategy"))
-          with
-          | Ok ((`Order_file | `C3 | `Balanced) as l) -> l
-          | Ok (`Bp_compress _) -> `Bp_compress w
-          | Ok ((`Append | `Caller_affinity | `Stitch) as l) ->
-            failwith
-              (Printf.sprintf "pgo-layout: %s is not a profile-guided strategy"
-                 (layout_strategy_name l))
-          | Error e -> failwith ("pgo-layout: " ^ e)
-        in
-        (* [validate_specs] admits at most one layout marker. *)
-        let marker =
-          List.find_map
-            (fun sp ->
-              match sp.Passman.sp_name with
-              | "caller-affinity-layout" -> Some `Caller_affinity
-              | "stitch" -> Some `Stitch
-              | "pgo-layout" -> Some (pgo_layout sp)
-              | _ -> None)
-            specs
-        in
-        (* A spec without a marker keeps the base layout and names it. *)
-        let outlined_layout, specs =
-          match marker with
-          | Some l -> (l, specs)
-          | None ->
-            ( base.outlined_layout,
-              specs @ Option.to_list (layout_marker base.outlined_layout) )
-        in
-        Ok { base with outline_rounds; outlined_layout; passes = Some specs }
-      with Failure e -> Error ("bad pass pipeline: " ^ e)))
+  let ( let* ) = Result.bind in
+  let markers specs =
+    List.filter (fun sp -> is_marker sp.Passman.sp_name) specs
+  in
+  Result.map_error
+    (fun e -> "bad pass pipeline: " ^ e)
+    (let* specs = Passman.parse s in
+     let* () = Passman.validate_specs ~known:known_pass specs in
+     (* A spec without a layout marker keeps the base's, so the spec names
+        the layout that runs. *)
+     let specs =
+       if markers specs = [] then specs @ markers base.passes else specs
+     in
+     (* The outliner's rounds must be an integer. *)
+     let* _ = try Ok (rounds_of_specs specs) with Failure e -> Error e in
+     let* outlined_layout = layout_of_specs specs in
+     Ok { base with passes = specs; outlined_layout })
 
 (* --- shared helpers -------------------------------------------------------- *)
 
@@ -288,10 +305,13 @@ let run_build ?dump ~config front_end =
   in
   try
     let modules = front_end ctx in
-    let specs = spec_of_config config in
+    let specs = config.passes in
     (match Passman.validate_specs ~known:known_pass specs with
     | Ok () -> ()
     | Error e -> failwith e);
+    let layout =
+      match layout_of_specs specs with Ok l -> l | Error e -> failwith e
+    in
     let keep (f : Ir.func) = List.mem f.Ir.name config.entry_points in
     let mir_registry = Passman.mir_passes ~keep in
     let thin_workers =
@@ -467,7 +487,7 @@ let run_build ?dump ~config front_end =
         Passman.span ctx "pgo-collect" (fun () -> self_profile program)
     in
     let program, function_order =
-      match config.outlined_layout with
+      match layout with
       | `Append | `Caller_affinity -> (program, None)
       | (`Order_file | `C3 | `Balanced | `Bp_compress _) as strategy ->
         let profile = layout_profile () in
@@ -530,7 +550,7 @@ let build_sources ?dump ?(config = default_config) sources =
 
 (* The pass facts the reference sequencing obeys, read off the spec. *)
 let reference_find config name =
-  List.find_opt (fun sp -> sp.Passman.sp_name = name) (spec_of_config config)
+  List.find_opt (fun sp -> sp.Passman.sp_name = name) config.passes
 
 let reference_opt_module config (m : Ir.modul) =
   let has name = reference_find config name <> None in
@@ -555,6 +575,10 @@ let reference_outline_options ~scope =
 let build_reference ?(config = default_config) modules =
   let outline_stats = ref [] in
   try
+    let rounds = rounds_of_specs config.passes in
+    let layout =
+      match layout_of_specs config.passes with Ok l -> l | Error e -> failwith e
+    in
     let program =
       match config.mode with
       | Thin_wpo _ ->
@@ -570,7 +594,7 @@ let build_reference ?(config = default_config) modules =
         in
         let optimized = reference_opt_module config merged in
         let machine = mark_no_outline config (Codegen.compile_modul optimized) in
-        if config.outline_rounds > 0 then begin
+        if rounds > 0 then begin
           let machine =
             if reference_find config "canonicalize" <> None then
               fst (Outcore.Canonicalize.run machine)
@@ -579,15 +603,10 @@ let build_reference ?(config = default_config) modules =
           let p, stats =
             Outcore.Repeat.run
               ~options:(reference_outline_options ~scope:"")
-              ~engine:config.outline_engine ~rounds:config.outline_rounds
-              machine
+              ~engine:config.outline_engine ~rounds machine
           in
           outline_stats := stats;
-          match config.outlined_layout with
-          | `Caller_affinity -> Outcore.Layout.optimize p
-          | `Append | `Order_file | `C3 | `Balanced | `Bp_compress _ | `Stitch
-            ->
-            p
+          if layout = `Caller_affinity then Outcore.Layout.optimize p else p
         end
         else machine
       | Per_module -> (
@@ -598,12 +617,11 @@ let build_reference ?(config = default_config) modules =
               let machine =
                 mark_no_outline config (Codegen.compile_modul optimized)
               in
-              if config.outline_rounds > 0 then begin
+              if rounds > 0 then begin
                 let p, stats =
                   Outcore.Repeat.run
                     ~options:(reference_outline_options ~scope:m.Ir.m_name)
-                    ~engine:config.outline_engine
-                    ~rounds:config.outline_rounds machine
+                    ~engine:config.outline_engine ~rounds machine
                 in
                 outline_stats := !outline_stats @ stats;
                 p
@@ -612,18 +630,15 @@ let build_reference ?(config = default_config) modules =
             modules
         in
         let merged = Machine.Program.concat units in
-        match config.outlined_layout with
-        | `Caller_affinity when config.outline_rounds > 0 ->
+        if layout = `Caller_affinity && rounds > 0 then
           Outcore.Layout.optimize merged
-        | `Caller_affinity | `Append | `Order_file | `C3 | `Balanced
-        | `Bp_compress _ | `Stitch ->
-          merged)
+        else merged)
     in
     (match Machine.Program.validate program with
     | Ok () -> ()
     | Error e -> failwith ("pipeline produced invalid program: " ^ e));
     let function_order =
-      match config.outlined_layout with
+      match layout with
       | `Append | `Caller_affinity -> None
       | `Stitch ->
         failwith "build_reference: stitch postdates the pass-manager refactor"

@@ -14,13 +14,15 @@
 
     Both modes — and thin-WPO, the per-module shape on a domain pool — run
     the {e same} registered passes from one textual pipeline spec
-    ({!spec_of_config}, grammar in {!Passman}).  The spec is the only
-    description of which passes run; the config holds the inputs that are
-    not passes (mode, link semantics, entry points, layout, diagnostics).
-    One shared pass context owns per-pass timings, size deltas,
-    [--verify-each], [--print-after] and [--opt-bisect-limit] across the
-    MIR and machine stages.  The per-module and thin modes share one
-    per-unit build path: per-module is that path at one worker. *)
+    ([config.passes], grammar in {!Passman}).  A build is its spec: the
+    passes, the outliner's rounds and the layout (its marker pass) are
+    read off it; flags lower to one in {!config_of_flags}.  The config
+    holds the inputs that are not passes (mode, link semantics, entry
+    points, layout profile, diagnostics).  One shared pass context owns
+    per-pass timings, size deltas, [--verify-each], [--print-after] and
+    [--opt-bisect-limit] across the MIR and machine stages.  The
+    per-module and thin modes share one per-unit build path: per-module is
+    that path at one worker. *)
 
 type mode =
   | Per_module
@@ -46,7 +48,10 @@ type layout_strategy =
     - [`Append]: program order, outlined functions appended at the end in
       one dense region (LLVM's behaviour, the default);
     - [`Caller_affinity]: next to their dominant {e static} caller — the
-      measured negative result (see {!config.outlined_layout});
+      measured negative result: outlined helpers are shared, so placing
+      each next to one static caller scatters them and inflates iTLB
+      misses, while the appended region stays a small hot page set
+      ({!Outcore.Layout});
     - [`Order_file] / [`C3] / [`Balanced]: profile-guided placement from
       a {!Pgo.Profile.t} — startup first-touch order, C³-style call-chain
       clustering, and recursive-bisection balanced partitioning;
@@ -71,9 +76,6 @@ val layout_strategy_of_string :
 
 type config = {
   mode : mode;
-  outline_rounds : int;
-      (** the rounds of the mode's outliner in the lowered spec (0 disables
-          machine outlining); derived from the spec by {!config_of_passes} *)
   flag_semantics : Link.flag_semantics;
   data_order : Link.data_order;
   entry_points : string list;
@@ -83,18 +85,13 @@ type config = {
       (** modules standing in for system frameworks: their machine code is
           never harvested or rewritten (default [["system"]]) *)
   outlined_layout : layout_strategy;
-      (** where outlined functions live.  Caller-affinity — the paper's
-          future-work item (3) done statically — produced a negative result
-          worth keeping: outlined helpers are *shared*, so placement next to
-          one static caller scatters them across the image and inflates iTLB
-          misses by orders of magnitude, while the dense appended region
-          acts as a small hot page set.  The profile-guided strategies are
-          the related-work fix (Hoag et al., Lavaee et al.): dynamic traces
-          from {!Perfsim} decide placement.  See the [ablate] and
-          [layout_bench] benches.  {!config_of_passes} derives it from the
-          spec's layout marker pass. *)
+      (** a mirror of the spec's layout marker, kept (with [mode] and
+          [outline_engine]) because [perfbench/chain.ml] reads it; no code
+          in [lib/] or [bin/] does.  Only {!config_of_passes},
+          {!config_of_flags} and the defaults write it; the build reads
+          {!layout_of_specs} of [passes]. *)
   layout_profile : Pgo.Profile.t option;
-      (** the recorded profile driving a profile-guided [outlined_layout]
+      (** the recorded profile driving a profile-guided layout marker
           ([sizeopt build --profile-in]).  [None] with a profile-guided
           strategy self-profiles: the pipeline traces a [main] run of the
           built program and feeds that profile straight back into layout. *)
@@ -104,11 +101,9 @@ type config = {
           a block is physically unchanged) or the
           from-scratch reference.  Both produce byte-identical programs —
           the fuzz lattice checks exactly that. *)
-  passes : Passman.spec list option;
-      (** the pass pipeline ([sizeopt build --passes]); [None] runs the
-          lowered default ({!spec_of_config}).  Use {!config_of_passes} to
-          parse a spec string and keep [outline_rounds] and
-          [outlined_layout] consistent with it. *)
+  passes : Passman.spec list;
+      (** the pass pipeline, the only description of what the build runs:
+          from {!config_of_flags} or {!config_of_passes} *)
   verify_each : bool;
       (** run the stage invariants ({!Ir.validate} /
           [Machine.Program.validate]) after every pass application — and
@@ -118,7 +113,8 @@ type config = {
   bisect_limit : int option;
       (** LLVM-style opt-bisect: stop applying passes — and individual
           outline rounds — after this many steps; see {!result.pass_steps}
-          and {!Passman.bisect} *)
+          and {!Passman.bisect}.  The layout a marker names is applied
+          whatever the limit, like the link itself. *)
   warm_outline : Outcore.Outliner.warm option;
       (** outliner state that holds nothing of any program (the suffix-tree
           arena pool) surviving across builds (the serve daemon).  Only consulted by
@@ -129,32 +125,42 @@ type config = {
 }
 
 val default_config : config
-(** Whole-program, 5 rounds, attribute flag semantics, module-preserving
-    data order, appended layout; runs [dce,outline(rounds=5)]. *)
+(** Whole-program, attribute flag semantics, module-preserving data
+    order; runs [dce,outline(rounds=5)]. *)
 
 val default_ios_config : config
 (** Per-module with per-module outlining (Swift 5.2's [-Osize] behaviour,
-    §VII-A's baseline). *)
+    §VII-A's baseline): the same spec as {!default_config}. *)
+
+val config_of_flags :
+  ?base:config -> ?rounds:int -> ?layout:layout_strategy -> mode -> config
+(** [base] (default {!default_config}) in [mode], with the spec the flags
+    lower to: [dce], then, when [rounds > 0] (default 5), the mode's
+    outliner ([outline(rounds=N)], or [thin-outline(workers=W,rounds=N)]
+    in thin mode), then [layout]'s marker pass ([`Append], the default,
+    has none), even at zero rounds.  Every caller without a spec goes
+    through here, so thin mode gets [thin-outline]. *)
 
 val spec_of_config : config -> Passman.spec list
-(** The pipeline spec the manager will run: [config.passes] when set,
-    otherwise what [sizeopt build] expresses without [--passes]: [dce],
-    then — when [outline_rounds > 0] — the mode's outliner
-    ([outline(rounds=N)], or [thin-outline(workers=W,rounds=N)] in thin
-    mode) and the marker pass of [outlined_layout]
-    ([caller-affinity-layout], [pgo-layout(...)] or [stitch]). *)
+(** [config.passes], for [perfbench/chain.ml]. *)
+
+val layout_of_specs : Passman.spec list -> (layout_strategy, string) Stdlib.result
+(** The layout a spec's marker pass names ([`Append] without one).  Errors
+    on a [pgo-layout] whose strategy is unknown or not profile-guided, or
+    whose [w] is not in [0..1]. *)
+
+val rounds_of_specs : Passman.spec list -> int
+(** The spec's outliner's [rounds] (default 5); 0 without an outliner.
+    Raises [Failure] when it is not an integer. *)
 
 val config_of_passes : ?base:config -> string -> (config, string) result
 (** Parse and validate a pipeline string ([--passes "dce,outline(rounds=5)"])
-    and pin it in [passes]; [outline_rounds] (a missing outliner means 0)
-    and [outlined_layout] are derived from it, every other axis keeps
-    [base]'s value.  A spec without a layout marker keeps [base]'s layout
-    and gets its marker appended, so {!spec_of_config} names the layout
-    that runs.  Errors on unknown pass names, unknown parameters,
-    malformed syntax, the pipelines {!Passman.validate_specs} refuses (an
-    outliner twice, more than one layout marker), and a [pgo-layout]
-    strategy that {!layout_strategy_of_string} rejects or that is not
-    profile-guided. *)
+    and make it [base]'s spec, with [base]'s layout marker appended when it
+    has none.  Errors, prefixed [bad pass pipeline:], on unknown pass names
+    or parameters, malformed syntax, the pipelines
+    {!Passman.validate_specs} refuses (an outliner twice, more than one
+    layout marker), an outliner [rounds] that is not an integer, and the
+    markers {!layout_of_specs} refuses. *)
 
 type result = {
   program : Machine.Program.t;
@@ -208,6 +214,7 @@ val build_reference :
 (** The pre-refactor hardcoded sequencing, kept so the fuzz lattice can
     assert the pass manager is observationally exact (default-config
     builds must be byte-identical through both paths).  Which of [dce],
-    [sil-outline], [merge-functions], [fmsa] and [canonicalize] run is
-    read off {!spec_of_config}; ignores [verify_each], [print_after] and
-    [bisect_limit]; returns empty [timing_tree]/[pass_steps]. *)
+    [sil-outline], [merge-functions], [fmsa] and [canonicalize] run, the
+    outliner's rounds and the layout are read off [config.passes]; ignores
+    [verify_each], [print_after] and [bisect_limit]; returns empty
+    [timing_tree]/[pass_steps]. *)

@@ -147,7 +147,7 @@ let spec_fp b =
 let config_of b =
   Result.bind (Pipeline.mode_of_string ~workers:b.br_workers b.br_mode)
     (fun mode ->
-      let base = { Pipeline.default_config with mode } in
+      let base = Pipeline.config_of_flags mode in
       match b.br_passes with
       | None -> Ok base
       | Some spec -> Pipeline.config_of_passes ~base spec)

@@ -206,11 +206,8 @@ let test_worker_determinism () =
     ok_exn
       (Pipeline.build_sources
          ~config:
-           {
-             Pipeline.default_config with
-             mode = Pipeline.Thin_wpo { workers };
-             outlined_layout = `Stitch;
-           }
+           (Pipeline.config_of_flags ~layout:`Stitch
+              (Pipeline.Thin_wpo { workers }))
          srcs)
   in
   let r1 = build 1 in

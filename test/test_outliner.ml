@@ -850,7 +850,7 @@ let test_rule_oracle () =
   let small rounds =
     (match
        Pipeline.build_sources
-         ~config:{ Pipeline.default_config with outline_rounds = rounds }
+         ~config:(Pipeline.config_of_flags ~rounds Pipeline.Whole_program)
          (Workload.Appgen.generate_sources Workload.Appgen.small)
      with
     | Ok r -> r

@@ -48,25 +48,29 @@ let test_registry () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "pass %s not reachable from a spec: %s" name e)
     Passman.registered_names;
-  (* The lowered default spec raises back onto the same config facts. *)
+  (* The spec the flags lower to raises back onto the same config facts. *)
   let check_roundtrip c =
     let s = Passman.print (Pipeline.spec_of_config c) in
     let c' = ok_exn (Pipeline.config_of_passes ~base:c s) in
     Alcotest.(check bool)
       ("config recovered through " ^ s)
       true
-      (c'.Pipeline.outline_rounds = c.Pipeline.outline_rounds
+      (Pipeline.rounds_of_specs c'.Pipeline.passes
+       = Pipeline.rounds_of_specs c.Pipeline.passes
       && c'.Pipeline.outlined_layout = c.Pipeline.outlined_layout
       && Pipeline.spec_of_config c' = Pipeline.spec_of_config c)
   in
+  let wp = Pipeline.Whole_program in
   List.iter check_roundtrip
     [
       Pipeline.default_config;
-      { Pipeline.default_config with outline_rounds = 0 };
-      { Pipeline.default_config with outlined_layout = `Caller_affinity };
-      { Pipeline.default_config with outlined_layout = `Bp_compress 0.25 };
-      { Pipeline.default_config with outlined_layout = `Stitch };
-      { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers = 2 } };
+      Pipeline.config_of_flags ~rounds:0 wp;
+      Pipeline.config_of_flags ~layout:`Caller_affinity wp;
+      Pipeline.config_of_flags ~layout:(`Bp_compress 0.25) wp;
+      (* a weight [%g] would round still names itself exactly *)
+      Pipeline.config_of_flags ~layout:(`Bp_compress 0.123456789) wp;
+      Pipeline.config_of_flags ~layout:`Stitch wp;
+      Pipeline.config_of_flags (Pipeline.Thin_wpo { workers = 2 });
     ];
   (* Explicit specs: pinned verbatim, outline rounds and layout derived.
      The three layout markers are alternatives (a spec may hold at most
@@ -92,7 +96,8 @@ let test_registry () =
         let specs = ok_exn (Passman.parse s) in
         Alcotest.(check bool) ("spec pinned: " ^ s) true
           (Pipeline.spec_of_config c = specs);
-        Alcotest.(check int) ("rounds of " ^ s) rounds c.Pipeline.outline_rounds;
+        Alcotest.(check int) ("rounds of " ^ s) rounds
+          (Pipeline.rounds_of_specs c.Pipeline.passes);
         Alcotest.(check bool) ("layout of " ^ s) true
           (c.Pipeline.outlined_layout = layout);
         List.map (fun sp -> sp.Passman.sp_name) specs)
@@ -118,7 +123,7 @@ let test_base_layout_kept () =
   in
   List.iter
     (fun (layout, marker) ->
-      let base = { Pipeline.default_config with outlined_layout = layout } in
+      let base = Pipeline.config_of_flags ~layout Pipeline.Whole_program in
       let c = ok_exn (Pipeline.config_of_passes ~base "dce,outline(rounds=2)") in
       let name = Pipeline.layout_strategy_name layout in
       Alcotest.(check bool) (name ^ " kept") true
@@ -133,6 +138,49 @@ let test_base_layout_kept () =
       Alcotest.(check bool) (name ^ " builds what its marker builds") true
         (image c = image explicit))
     [ (`Stitch, "stitch"); (`Caller_affinity, "caller-affinity-layout") ]
+
+(* The build reads its layout off the spec alone.  The mirror field
+   changes nothing, and [--rounds 0 --layout stitch] is the spec
+   [dce,stitch], step for step. *)
+let test_spec_decides_layout () =
+  let sources =
+    Workload.Appgen.generate_sources
+      (Workload.Appgen.at_week Workload.Appgen.small 0)
+  in
+  let c = ok_exn (Pipeline.config_of_passes "dce,outline(rounds=1),stitch") in
+  let res =
+    ok_exn
+      (Pipeline.build_sources
+         ~config:{ c with Pipeline.outlined_layout = `Append }
+         sources)
+  in
+  let roots =
+    List.map (fun (t : Passman.timing) -> t.Passman.t_name) res.Pipeline.timing_tree
+  in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " ran despite the mirror") true
+        (List.mem phase roots))
+    [ "stitch-split"; "stitch-order" ];
+  Alcotest.(check bool) "cold blocks split off" true
+    (res.Pipeline.layout.Linker.hot_text_size < res.Pipeline.layout.Linker.text_size);
+  let base = { Pipeline.default_config with bisect_limit = Some 100 } in
+  let steps config =
+    List.map
+      (fun (st : Passman.step) -> { st with Passman.st_seconds = 0.0 })
+      (ok_exn (Pipeline.build_sources ~config sources)).Pipeline.pass_steps
+  in
+  let flags =
+    Pipeline.config_of_flags ~base ~rounds:0 ~layout:`Stitch
+      Pipeline.Whole_program
+  in
+  let spec = ok_exn (Pipeline.config_of_passes ~base "dce,stitch") in
+  let flag_steps = steps flags in
+  Alcotest.(check (list string)) "flags list the marker step"
+    [ "dce"; "stitch" ]
+    (List.map (fun (st : Passman.step) -> st.Passman.st_pass) flag_steps);
+  Alcotest.(check bool) "flags and spec give equal pass_steps" true
+    (flag_steps = steps spec)
 
 (* A negative round count runs no rounds and reserves no bisect steps:
    otherwise consecutive units get overlapping step numbers and a sharded
@@ -187,7 +235,7 @@ let test_rejected_pipelines () =
   let config =
     {
       Pipeline.default_config with
-      passes = Some (ok_exn (Passman.parse "dce,stitch,caller-affinity-layout"));
+      passes = ok_exn (Passman.parse "dce,stitch,caller-affinity-layout");
     }
   in
   match Pipeline.build ~config [] with
@@ -506,6 +554,8 @@ let () =
           Alcotest.test_case "completeness" `Quick test_registry;
           Alcotest.test_case "a marker-free spec keeps the base layout" `Quick
             test_base_layout_kept;
+          Alcotest.test_case "the spec decides the layout" `Quick
+            test_spec_decides_layout;
           Alcotest.test_case "negative rounds reserve no steps" `Quick
             test_negative_rounds_reservation;
           Alcotest.test_case "impossible pipelines rejected" `Quick

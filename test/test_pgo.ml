@@ -226,7 +226,9 @@ let test_collect_reports_step_cap () =
    first program's followed by the second's new ones. *)
 let test_counts_accumulate_across_programs () =
   let plain =
-    build_small ~config:{ Pipeline.default_config with outline_rounds = 0 } ()
+    build_small
+      ~config:(Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program)
+      ()
   in
   let outlined = Lazy.force small_app in
   Alcotest.(check bool) "the builds differ" false

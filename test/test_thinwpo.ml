@@ -10,8 +10,8 @@ let ok_exn = function Ok x -> x | Error e -> Alcotest.fail e
 
 let source p = Asm_printer.to_source p
 
-let thin_config workers =
-  { Pipeline.default_config with mode = Pipeline.Thin_wpo { workers } }
+let thin_config ?rounds workers =
+  Pipeline.config_of_flags ?rounds (Pipeline.Thin_wpo { workers })
 
 let build_thin ~workers srcs =
   ok_exn (Pipeline.build_sources ~config:(thin_config workers) srcs)
@@ -23,7 +23,7 @@ let small_srcs =
 let linked_small () =
   (ok_exn
      (Pipeline.build_sources
-        ~config:{ (thin_config 1) with outline_rounds = 0 }
+        ~config:(thin_config ~rounds:0 1)
         (Lazy.force small_srcs)))
     .Pipeline.program
 

@@ -53,10 +53,12 @@ let test_app_pipelines_agree () =
   let mods = Lazy.force small_modules in
   let configs =
     [
-      ("per-module 0r", { Pipeline.default_ios_config with outline_rounds = 0;
-                          flag_semantics = Link.Attributes });
+      ("per-module 0r",
+       Pipeline.config_of_flags ~rounds:0
+         ~base:{ Pipeline.default_config with flag_semantics = Link.Attributes }
+         Pipeline.Per_module);
       ("per-module 5r", { Pipeline.default_ios_config with flag_semantics = Link.Attributes });
-      ("wpo 0r", { Pipeline.default_config with outline_rounds = 0 });
+      ("wpo 0r", Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program);
       ("wpo 5r", Pipeline.default_config);
       ("wpo 5r interleaved", { Pipeline.default_config with data_order = Link.Interleaved });
     ]
@@ -99,7 +101,8 @@ let test_growth_monotone () =
   let size_at w =
     let profile = Workload.Appgen.at_week Workload.Appgen.small w in
     let mods = ok_exn (Workload.Appgen.generate_modules profile) in
-    let r = ok_exn (Pipeline.build ~config:{ Pipeline.default_config with outline_rounds = 0 } mods) in
+    let config = Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program in
+    let r = ok_exn (Pipeline.build ~config mods) in
     r.Pipeline.code_size
   in
   let s0 = size_at 0 and s8 = size_at 8 in
