@@ -9,11 +9,9 @@
 
 val fnv_offset : int64
 val fnv_prime : int64
-val fnv_byte : int64 -> int -> int64
-val fnv_string : int64 -> string -> int64
 
 val hash_string : string -> int64
-(** [fnv_string fnv_offset s] — the full FNV-1a hash of one string. *)
+(** The full FNV-1a hash of one string. *)
 
 val add_blocks : Buffer.t -> Machine.Block.t list -> unit
 (** Append the blocks' rendered content stream (label, printed

@@ -18,7 +18,9 @@ type report = {
 }
 
 let analyze p =
-  let cands = Outliner.enumerate p in
+  (* In structural order first, so that the stable ranking below breaks
+     ties by content, not by the enumeration's interner-dependent order. *)
+  let cands = List.sort compare (Outliner.enumerate p) in
   let profitable =
     List.filter_map
       (fun c ->
@@ -46,7 +48,7 @@ let analyze p =
       cands
   in
   let sorted =
-    List.sort
+    List.stable_sort
       (fun a b ->
         match Int.compare b.frequency a.frequency with
         | 0 -> Int.compare b.length a.length

@@ -14,7 +14,8 @@ type pattern_stat = {
 
 type report = {
   patterns : pattern_stat array;
-      (** profitable patterns, sorted by frequency (descending), ranked *)
+      (** profitable patterns, sorted by frequency (descending), then
+          length (descending), then content, ranked *)
   total_insns : int;
   total_code_bytes : int;
   candidates_total : int;   (** sum of frequencies *)

@@ -167,12 +167,15 @@ let memo_liveness memo (f : Mfunc.t) =
     lv
 
 (* The suffix tree's input, every block's interned symbols in [seq_metas]
-   order, with the blocks and their legality rows. *)
-let build_sequences memo imap (p : Program.t) =
+   order, with the blocks and their legality rows; a block shorter than
+   [min_length] gets an empty one, interning nothing. *)
+let build_sequences ?(min_length = 0) memo imap (p : Program.t) =
   let metas = seq_metas p in
   let legal, seqs, _ =
     memo_rows memo metas (fun m ->
-        Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret m.sm_block.Block.body)
+        let body = m.sm_block.Block.body in
+        if Array.length body + Bool.to_int m.sm_has_ret < min_length then [||]
+        else Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret body)
   in
   (Array.to_list seqs, metas, legal)
 
@@ -433,7 +436,9 @@ let enumerate ?min_length ?(options = default_options) ?(all = false)
     ?extern_sp_unsafe ?pool (p : Program.t) =
   let min_length = Option.value min_length ~default:options.min_length in
   let memo = create_memo () in
-  let seqs, metas, legal = build_sequences memo (Instr_map.create ()) p in
+  let seqs, metas, legal =
+    build_sequences ~min_length memo (Instr_map.create ()) p
+  in
   if seqs = [] then []
   else
     discover ~lax:all ?extern_sp_unsafe options
@@ -581,9 +586,7 @@ let window_bound w ~lengths =
         acc lengths)
     0 w.wn_rule.ru_metas
 
-let window_text w ~block ~pos ~len =
-  let text = w.wn_rows.(block).rw_text in
-  List.init (min len (Array.length text - pos)) (fun i -> text.(pos + i))
+let block_text w ~block = w.wn_rows.(block).rw_text
 
 let window_candidate w ~block ~pos ~len =
   let r = w.wn_rule in
@@ -713,36 +716,40 @@ let make_outlined_function ~name ~from_module (c : Candidate.t) =
 
 (* --- Site occupancy and the rewrite tail ------------------------------- *)
 
-(* Greedy overlap resolution: a site is free when none of its slots was
-   taken by a higher-priority site.  One lazily allocated slot array per
-   sequence-table block, found by the site's [block_id]: one slot per
-   instruction plus slot [n] (one past the body) for the terminator, which
-   ret-ending patterns occupy. *)
-let occupancy (metas : seq_meta array) =
+(* Greedy overlap resolution: a window is free when none of its slots was
+   taken by a higher-priority one.  One lazily allocated slot array per
+   sequence-table block: one slot per symbol, slot [n] (one past the body)
+   being the terminator, which ret-ending patterns occupy, so a window of
+   [len] symbols at [pos] holds slots [pos] to [pos + len - 1]. *)
+let window_occupancy (metas : seq_meta array) =
   let consumed = Array.make (Array.length metas) [||] in
-  let slots (s : Candidate.site) =
-    let id = s.block_id in
+  let slots id =
     if Array.length consumed.(id) = 0 then
       consumed.(id) <-
         Array.make (Array.length metas.(id).sm_block.Block.body + 1) false;
     consumed.(id)
   in
-  let hi (s : Candidate.site) =
-    if s.with_ret then s.start + s.len else s.start + s.len - 1
-  in
-  let free s =
-    let a = slots s and free = ref true in
-    for i = s.Candidate.start to hi s do
+  let free ~block ~pos ~len =
+    let a = slots block and free = ref true in
+    for i = pos to pos + len - 1 do
       if a.(i) then free := false
     done;
     !free
   in
-  let take s =
-    Array.fill (slots s) s.Candidate.start (hi s - s.start + 1) true
-  in
+  let take ~block ~pos ~len = Array.fill (slots block) pos len true in
   (free, take)
 
-let make_occupancy p = occupancy (seq_metas p)
+let make_occupancy p =
+  let free, take = window_occupancy (seq_metas p) in
+  fun ~block ~pos ~len -> free ~block ~pos ~len && (take ~block ~pos ~len; true)
+
+(* The same rule over sites: a site's window is its body and ret slot. *)
+let occupancy metas =
+  let free, take = window_occupancy metas in
+  let span f (s : Candidate.site) =
+    f ~block:s.block_id ~pos:s.start ~len:(s.len + Bool.to_int s.with_ret)
+  in
+  (span free, span take)
 
 (* Rewrite every block with entries in [plans] (indexed like [metas]) and
    append [new_funcs]; functions and blocks without plans are returned

@@ -84,7 +84,10 @@ val enumerate :
     symbols defined outside [p] (outlined frame fragments hosted in other
     shards), and [pool] switches the suffix tree to the arena
     implementation so a worker can recycle its backing store across the
-    shards it processes. *)
+    shards it processes.  A block shorter than [min_length] (default
+    [options.min_length]) is never interned: the tree sees an empty
+    sequence for it, so [block_id]s stay {!windows}' block indices.  The
+    list's order follows interner numbering; sort for a stable one. *)
 
 type windows
 (** A keyed window scanner over one program (thin-WPO's per-shard
@@ -167,9 +170,9 @@ val window_key : windows -> block:int -> pos:int -> len:int -> int
     [ret].  Meaningful for legal candidate windows, such as the sites of
     candidates {!enumerate} finds in the same program. *)
 
-val window_text : windows -> block:int -> pos:int -> len:int -> string list
-(** The printed instructions of the window's body (any trailing [ret]
-    excluded), from the scanner's rendering cache. *)
+val block_text : windows -> block:int -> string array
+(** The block's printed body instructions (no ret), the scanner's own
+    array: read a window's text as a slice of it, in place. *)
 
 val window_candidate :
   windows -> block:int -> pos:int -> len:int -> Candidate.t option
@@ -188,13 +191,14 @@ val window_site :
     the one site of its {!window_candidate}, built in O(1). *)
 
 val make_occupancy :
-  Machine.Program.t ->
-  (Candidate.site -> bool) * (Candidate.site -> unit)
-(** [(site_free, site_take)]: the serial selector's greedy occupancy rule
-    over lazily allocated per-block slot arrays, found by the site's
-    [block_id] (the block index {!enumerate} and {!windows} use for the
-    same program).  For thin-WPO's ranked local site assignment (phase 2's
-    parallel step) and {!apply_assignments}. *)
+  Machine.Program.t -> block:int -> pos:int -> len:int -> bool
+(** The serial selector's greedy occupancy rule over lazily allocated
+    per-block slot arrays, for windows as {!iter_windows} reports them
+    ([len] counts a trailing [ret]; [block] is the index {!enumerate} and
+    {!windows} use for the same program): a window is claimed, and [true],
+    when none of its slots is taken yet.  For thin-WPO's ranked local site
+    assignment (phase 2's parallel step), which claims a window before it
+    builds its site. *)
 
 type assignment = {
   asg_cand : Candidate.t;

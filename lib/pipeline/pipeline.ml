@@ -477,6 +477,13 @@ let run_build ?dump ~config front_end =
     (match Machine.Program.validate program with
     | Ok () -> ()
     | Error e -> failwith ("pipeline produced invalid program: " ^ e));
+    (* A layout marker the bisect limit skipped places nothing. *)
+    let skipped (st : Passman.step) =
+      is_marker st.st_pass && not st.st_applied
+    in
+    let layout =
+      if List.exists skipped (Passman.steps ctx) then `Append else layout
+    in
     (* Profile-guided strategies close the loop here: use the recorded
        profile (--profile-in), or self-profile by tracing a [main] run of
        the just-built program. *)

@@ -52,13 +52,13 @@ let window_scan_max = 32
 
 (* One shard's keyed windows, grouped by pattern, kept for the refine
    pass.  Phase 1 appends every entry — a keyed window, or one site of a
-   long candidate — in scan order, moves them into key buckets with a
-   stable counting sort, and numbers the patterns bucket by bucket in
-   first-sight order: each bucket's table stays in cache, and the columns
-   come out in the summary's order.  Per pattern [d]: [keys], [meta]
-   (length and the scanner's shape), [rep] (its first entry),
-   site counts, and [head], its newest window, linked by [next] to the
-   previous one ([-1] ends).  Flat int arrays: a shard holds hundreds of
+   long candidate, after all windows — in scan order, orders them by key
+   bucket with a stable counting sort ([order]), and numbers the patterns
+   bucket by bucket in first-sight order: each bucket's table stays in
+   cache, and the columns come out in the summary's order.  Per pattern
+   [d]: [keys], site counts, and [head], its first entry (the
+   representative), linked by [next] to the following one ([-1] ends)
+   up to [tail], its last.  Flat int arrays: a shard holds hundreds of
    thousands of patterns, most seen once, and per-pattern records would
    dominate the build in GC work.  A slot is written before it is read,
    so the next round's scan of the same module reuses the arrays. *)
@@ -66,17 +66,14 @@ type scan = {
   sc_windows : Outliner.windows;
   sc_buckets : int array;  (** pattern bucket starts, as [Summary.t]'s *)
   sc_keys : int array;
-  sc_meta : int array;
-  sc_rep : int array;
+  sc_tail : int array;
   sc_free : int array;
   sc_save : int array;
   sc_head : int array;
-  sc_key : int array;  (** entry keys and entries, in scan order ... *)
+  sc_key : int array;  (** entry keys and entries, in scan order *)
   sc_entry : int array;
-  sc_bkey : int array;  (** ... and in bucket order *)
-  sc_bentry : int array;
+  sc_order : int array;  (** entries in bucket order *)
   sc_next : int array;
-  sc_long : (int, Candidate.t list) Hashtbl.t;  (** newest first *)
 }
 
 type shard_state = {
@@ -118,26 +115,24 @@ let shard_state state modul =
     Hashtbl.replace state.shards modul ss;
     ss
 
-(* An entry: a long-site flag (bit 61), block (21 bits), pos (20), len
-   (15), then the pattern's {!Candidate.shape} (4 bits) and the site's call
-   kind (1) — bits 1-19 are the pattern's [meta].  A long candidate's site
-   carries the candidate's first site as its block and pos. *)
-let pack ?(long = false) ~block ~pos ~len ~shape (call : Candidate.site_call)
-    =
+(* An entry: block (21 bits), pos (20), len (15), then the pattern's
+   {!Candidate.shape} (4 bits) and the site's call kind (1). *)
+let pack ~block ~pos ~len ~shape (call : Candidate.site_call) =
   assert (block < 0x200000 && pos < 0x100000 && len < 0x8000);
-  (Bool.to_int long lsl 61) lor (block lsl 40) lor (pos lsl 20) lor (len lsl 5)
-  lor (shape lsl 1)
+  (block lsl 40) lor (pos lsl 20) lor (len lsl 5) lor (shape lsl 1)
   lor match call with Call_free -> 0 | Call_save_lr -> 1
 
-let unpack e =
-  ( (e lsr 40) land 0x1fffff,
-    (e lsr 20) land 0xfffff,
-    (e lsr 5) land 0x7fff,
-    if e land 1 = 0 then Candidate.Call_free else Candidate.Call_save_lr )
+let entry_block e = (e lsr 40) land 0x1fffff
+let entry_pos e = (e lsr 20) land 0xfffff
+let entry_len e = (e lsr 5) land 0x7fff
+let entry_shape e = (e lsr 1) land 15
+
+let entry_call e =
+  if e land 1 = 0 then Candidate.Call_free else Candidate.Call_save_lr
 
 (* Phase 1 for one shard: key every window up to [window_scan_max], then
-   add the suffix tree's longer repeats, each site counted under the key
-   of the candidate's first site.  Every window is keyed once, into the
+   add the suffix tree's longer repeats, each site an entry under its
+   window's key (the same for every site: they share content and shape).  Every window is keyed once, into the
    last round's arrays when they are large enough for the scanner's
    bound. *)
 let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
@@ -163,24 +158,21 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
   let sc =
     match reuse with
     | Some prev when Array.length prev.sc_key >= room ->
-      { prev with sc_windows = w; sc_long = Hashtbl.create 16 }
+      { prev with sc_windows = w }
     | _ ->
       let col () = Array.make room 0 in
       {
         sc_windows = w;
         sc_buckets = Array.make (Summary.buckets + 1) 0;
         sc_keys = col ();
-        sc_meta = col ();
-        sc_rep = col ();
+        sc_tail = col ();
         sc_free = col ();
         sc_save = col ();
         sc_head = col ();
         sc_key = col ();
         sc_entry = col ();
-        sc_bkey = col ();
-        sc_bentry = col ();
+        sc_order = col ();
         sc_next = col ();
-        sc_long = Hashtbl.create 16;
       }
   in
   (* Append the entries, counting them per bucket. *)
@@ -197,20 +189,14 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
       push (Summary.join_key key) (pack ~block ~pos ~len ~shape call));
   List.iter
     (fun (c : Candidate.t) ->
-      let s = List.hd c.sites in
-      let key =
-        Summary.join_key
-          (Outliner.window_key w ~block:s.block_id ~pos:s.start ~len:c.length)
-      in
-      let shape = Candidate.shape_of c in
+      let shape = Candidate.shape_of c and len = c.length in
       List.iter
-        (fun (site : Candidate.site) ->
-          push key
-            (pack ~long:true ~block:s.block_id ~pos:s.start ~len:c.length
-               ~shape site.call))
-        c.sites;
-      Hashtbl.replace sc.sc_long key
-        (c :: Option.value ~default:[] (Hashtbl.find_opt sc.sc_long key)))
+        (fun (s : Candidate.site) ->
+          let block = s.block_id and pos = s.start in
+          push
+            (Summary.join_key (Outliner.window_key w ~block ~pos ~len))
+            (pack ~block ~pos ~len ~shape s.call))
+        c.sites)
     long;
   (* The stable counting sort into buckets. *)
   let widest = ref 0 in
@@ -222,8 +208,7 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
   for j = 0 to !n - 1 do
     let b = Summary.bucket sc.sc_key.(j) in
     let i = count.(b) in
-    sc.sc_bkey.(i) <- sc.sc_key.(j);
-    sc.sc_bentry.(i) <- sc.sc_entry.(j);
+    sc.sc_order.(i) <- j;
     count.(b) <- i + 1
   done;
   (* Number the patterns bucket by bucket. *)
@@ -233,23 +218,21 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
     let base = !np in
     if start.(b + 1) > start.(b) then Summary.Index.clear index;
     for i = start.(b) to start.(b + 1) - 1 do
-      let e = sc.sc_bentry.(i) in
-      let d = base + Summary.Index.add index sc.sc_bkey.(i) in
+      let j = sc.sc_order.(i) in
+      let e = sc.sc_entry.(j) in
+      let d = base + Summary.Index.add index sc.sc_key.(j) in
       if d = !np then begin
         incr np;
-        sc.sc_keys.(d) <- sc.sc_bkey.(i);
-        sc.sc_meta.(d) <- (e lsr 1) land 0x7ffff;
-        sc.sc_rep.(d) <- e;
+        sc.sc_keys.(d) <- sc.sc_key.(j);
         sc.sc_free.(d) <- 0;
         sc.sc_save.(d) <- 0;
-        sc.sc_head.(d) <- -1
-      end;
-      if e land 1 = 1 then sc.sc_save.(d) <- sc.sc_save.(d) + 1
-      else sc.sc_free.(d) <- sc.sc_free.(d) + 1;
-      if e lsr 61 = 0 then begin
-        sc.sc_next.(i) <- sc.sc_head.(d);
-        sc.sc_head.(d) <- i
+        sc.sc_head.(d) <- j
       end
+      else sc.sc_next.(sc.sc_tail.(d)) <- j;
+      sc.sc_tail.(d) <- j;
+      sc.sc_next.(j) <- -1;
+      if e land 1 = 1 then sc.sc_save.(d) <- sc.sc_save.(d) + 1
+      else sc.sc_free.(d) <- sc.sc_free.(d) + 1
     done
   done;
   sc.sc_buckets.(Summary.buckets) <- !np;
@@ -257,23 +240,20 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
 
 let patterns sc = sc.sc_buckets.(Summary.buckets)
 
-(* The summary a scan sends: its key and count columns, and each row on
-   demand, with the ranking hash of the row's representative. *)
+(* The summary a scan sends: its key and count columns, shared, and each
+   row on demand, hashing the representative's printed text in place. *)
 let summary ~modul sc =
-  let n = patterns sc in
   let row d =
-    let meta = sc.sc_meta.(d) in
-    let block, pos, _, _ = unpack sc.sc_rep.(d) in
-    let length = meta lsr 4 and shape = meta land 15 in
+    let rep = sc.sc_entry.(sc.sc_head.(d)) in
+    let block = entry_block rep and pos = entry_pos rep in
+    let length = entry_len rep and shape = entry_shape rep in
     {
       Summary.ps_key = sc.sc_keys.(d);
       ps_hash =
         lazy
-          (Summary.hash_rendered
-             (Candidate.shape_strategy shape)
-             ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
-             ~length
-             (Outliner.window_text sc.sc_windows ~block ~pos ~len:length));
+          (let texts = Outliner.block_text sc.sc_windows ~block in
+           Summary.hash_rendered shape ~length texts ~pos
+             ~len:(min length (Array.length texts - pos)));
       ps_rep = (block, pos);
       ps_length = length;
       ps_shape = shape;
@@ -283,10 +263,10 @@ let summary ~modul sc =
   in
   {
     Summary.sm_module = modul;
-    sm_keys = Array.sub sc.sc_keys 0 n;
-    sm_free = Array.sub sc.sc_free 0 n;
-    sm_save = Array.sub sc.sc_save 0 n;
-    sm_buckets = Array.copy sc.sc_buckets;
+    sm_keys = sc.sc_keys;
+    sm_free = sc.sc_free;
+    sm_save = sc.sc_save;
+    sm_buckets = sc.sc_buckets;
     sm_pattern = row;
   }
 
@@ -296,13 +276,16 @@ let summarize ~state ~options ~modul p =
 
 (* Phase 2's parallel step for one shard: walk the local patterns the
    provisional decision ranked, plus windows of ranked long patterns this
-   shard holds only once, in global rank order, and claim sites greedily —
-   each window's site on its own, in block and position order, then each
-   long candidate's sites together.  A pattern keeps the candidate of its
-   first surviving window or long candidate, carrying every surviving
-   site; it is built only then.  [per_window] instead builds every
-   window's single-site candidate and claims its site, the reference the
-   packed claim must match. *)
+   shard holds only once, in global rank order, and claim sites greedily,
+   one entry at a time in scan order.  A pattern keeps the candidate of
+   its first claimed site, carrying every claimed site.
+
+   Only what is kept allocates per pattern: ranked patterns sort as ints
+   [rank lsl 31 lor d] ([d] past [patterns sc] is a probed window),
+   collected in [sc_key], which only discovery otherwise reads, and a
+   site becomes a record only once its packed entry is claimed.
+   [per_window] instead builds every entry's single-site candidate and
+   claims its site: the reference. *)
 let refine ?(per_window = false)
     ~prov:(ranks, (prov : (int64 * Summary.survivor) array), long) ~modul
     shard_p sc =
@@ -318,82 +301,97 @@ let refine ?(per_window = false)
       long
   in
   let ranked key = Summary.Index.find ranks key in
-  let probed = Hashtbl.create 16 in
+  let probed = ref [] in
   if missing_lengths <> [] then
     Outliner.iter_windows w ~lengths:missing_lengths
       (fun ~block ~pos ~len ~key ~call ~shape ->
         let key = Summary.join_key key in
         if ranked key >= 0 && not (local key) then
-          Hashtbl.replace probed key
-            (pack ~block ~pos ~len ~shape call
-            :: Option.value ~default:[] (Hashtbl.find_opt probed key)));
-  (* (rank, key, packed windows oldest first) *)
-  let entries =
-    ref
-      (Hashtbl.fold
-         (fun key wins acc -> (ranked key, key, List.rev wins) :: acc)
-         probed [])
+          probed := (key, pack ~block ~pos ~len ~shape call) :: !probed);
+  (* (key, packed window), in scan order *)
+  let probed = Array.of_list (List.rev !probed) in
+  let np = patterns sc and n = ref 0 in
+  let by_rank rank d =
+    assert (rank < 1 lsl 31 && d < 1 lsl 31);
+    (rank lsl 31) lor d
   in
-  for d = patterns sc - 1 downto 0 do
-    let key = sc.sc_keys.(d) in
-    if ranked key >= 0 then begin
-      let rec oldest_first i acc =
-        if i < 0 then acc
-        else oldest_first sc.sc_next.(i) (sc.sc_bentry.(i) :: acc)
-      in
-      entries := (ranked key, key, oldest_first sc.sc_head.(d) []) :: !entries
+  for d = 0 to np - 1 do
+    let rank = ranked sc.sc_keys.(d) in
+    if rank >= 0 then begin
+      sc.sc_key.(!n) <- by_rank rank d;
+      incr n
     end
   done;
-  let site_free, site_take = Outliner.make_occupancy shard_p in
-  let claim s = site_free s && (site_take s; true) in
-  let window_site packed =
-    let block, pos, len, call = unpack packed in
+  let order =
+    Array.init (!n + Array.length probed) (fun i ->
+        if i < !n then sc.sc_key.(i)
+        else by_rank (ranked (fst probed.(i - !n))) (np + i - !n))
+  in
+  Array.stable_sort Int.compare order;
+  let claim = Outliner.make_occupancy shard_p in
+  let sites = ref [] and n_free = ref 0 and n_save = ref 0 in
+  let keep (s : Candidate.site) =
+    sites := s :: !sites;
+    match s.call with Call_free -> incr n_free | Call_save_lr -> incr n_save
+  in
+  let claim_entry e =
+    let block = entry_block e and pos = entry_pos e and len = entry_len e in
     if per_window then
       match Outliner.window_candidate w ~block ~pos ~len with
-      | Some { sites = [ s ]; _ } -> s
+      | Some { sites = [ s ]; _ } ->
+        let len = s.len + Bool.to_int s.with_ret in
+        if claim ~block:s.block_id ~pos:s.start ~len then keep s
       | _ -> invalid_arg "Engine.refine: a keyed window is no candidate"
-    else Outliner.window_site w ~block ~pos ~len call
+    else if claim ~block ~pos ~len then
+      keep (Outliner.window_site w ~block ~pos ~len (entry_call e))
   in
-  let retained =
-    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !entries
-    |> List.filter_map (fun (rank, key, wins) ->
-           let sites =
-             List.filter_map
-               (fun packed ->
-                 let s = window_site packed in
-                 if claim s then Some s else None)
-               wins
-           in
-           let longs =
-             List.filter_map
-               (fun (c : Candidate.t) ->
-                 match List.filter site_free c.sites with
-                 | [] -> None
-                 | sites ->
-                   List.iter site_take sites;
-                   Some { c with sites })
-               (List.rev
-                  (Option.value ~default:[] (Hashtbl.find_opt sc.sc_long key)))
-           in
-           let first =
-             match (sites, longs) with
-             | (s : Candidate.site) :: _, _ ->
-               Outliner.window_candidate w ~block:s.block_id ~pos:s.start
-                 ~len:(s.len + Bool.to_int s.with_ret)
-             | [], c :: _ -> Some c
-             | [], [] -> None
-           in
-           Option.map
-             (fun (c : Candidate.t) ->
-               let sites =
-                 sites @ List.concat_map (fun (c : Candidate.t) -> c.sites) longs
-               in
-               (key, fst prov.(rank), { c with sites }))
-             first)
+  let table = Hashtbl.create 64 and kept = ref [] in
+  let settle rank key =
+    (match List.rev !sites with
+    | [] -> ()
+    | (s :: _) as sites ->
+      let c =
+        Option.get
+          (Outliner.window_candidate w ~block:s.block_id ~pos:s.start
+             ~len:(s.len + Bool.to_int s.with_ret))
+      in
+      Hashtbl.replace table key { c with sites };
+      kept :=
+        {
+          Summary.ps_key = key;
+          ps_hash = Lazy.from_val (fst prov.(rank));
+          ps_rep = (s.block_id, s.start);
+          ps_length = c.length;
+          ps_shape = Candidate.shape_of c;
+          ps_n_free = !n_free;
+          ps_n_save = !n_save;
+        }
+        :: !kept);
+    sites := [];
+    n_free := 0;
+    n_save := 0
   in
-  let table : (int, Candidate.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (key, _, c) -> Hashtbl.replace table key c) retained;
-  (Summary.of_candidates ~modul retained, table)
+  Array.iteri
+    (fun i e ->
+      let rank = e lsr 31 and d = e land 0x7fffffff in
+      let key =
+        if d >= np then begin
+          claim_entry (snd probed.(d - np));
+          fst probed.(d - np)
+        end
+        else begin
+          let j = ref sc.sc_head.(d) in
+          while !j >= 0 do
+            claim_entry sc.sc_entry.(!j);
+            j := sc.sc_next.(!j)
+          done;
+          sc.sc_keys.(d)
+        end
+      in
+      if i + 1 = Array.length order || order.(i + 1) lsr 31 <> rank then
+        settle rank key)
+    order;
+  (Summary.of_patterns ~modul (List.rev !kept), table)
 
 let timed f =
   let t0 = Unix.gettimeofday () in

@@ -5,8 +5,11 @@
     and the ranked site assignment (phase 2) — and rewrite every shard in
     parallel against the decision table (phase 3).  Every window is keyed
     once per round, and only blocks the previous round rewrote are
-    rescanned; one candidate is built per pattern a shard retains, after
-    its sites survive the ranked site assignment.
+    rescanned.  Past keying, the exchange allocates per pattern only for
+    what a shard keeps: summaries share the scan's columns, ranking hashes
+    read the printed text in place, and the ranked site assignment, at a
+    rank lookup per local pattern, a sort of the ranked ones and a slot
+    test per window of theirs, builds a site record only for a claim.
 
     Determinism contract: the output program is a function of the input
     program and the options alone — {e never} of [workers] or domain
@@ -81,8 +84,8 @@ val summarize :
   Summary.t
 (** Phase 1 for one shard program through [state]'s memo for [modul]: the
     summary it sends to the decision round ([ps_rep] indexes
-    {!Outcore.Outliner.windows} of the same program).  Exposed for
-    tests. *)
+    {!Outcore.Outliner.windows} of the same program), valid until the
+    module's next scan.  Exposed for tests. *)
 
 val retained :
   ?per_window:bool ->

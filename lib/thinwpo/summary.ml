@@ -67,87 +67,67 @@ end
    linker's compression model, the bp-compress layout objective and the
    merge layer hash the same way, so "same content" means the same thing
    everywhere. *)
-let fnv_byte = Content.fnv_byte
-
 let strategy_tag = function
   | Candidate.Ends_with_ret -> 1
   | Candidate.Thunk -> 2
   | Candidate.Plain_call -> 3
 
-let hash_rendered strategy ~needs_lr_frame ~length texts =
-  let h = Content.fnv_offset in
-  let h = fnv_byte h (strategy_tag strategy) in
-  let h = fnv_byte h (if needs_lr_frame then 1 else 0) in
-  let h = fnv_byte h length in
-  let h = fnv_byte h (length lsr 8) in
-  List.fold_left (fun h s -> fnv_byte (Content.fnv_string h s) 0) h texts
+(* FNV-1a over four header bytes, then each printed instruction and a 0
+   byte, with no call between bytes: the running hash stays unboxed. *)
+let hash_rendered shape ~length texts ~pos ~len =
+  let prime = Content.fnv_prime and h = ref Content.fnv_offset in
+  let header =
+    strategy_tag (Candidate.shape_strategy shape)
+    lor (Bool.to_int (Candidate.shape_needs_lr_frame shape) lsl 8)
+    lor ((length land 0xffff) lsl 16)
+  in
+  for k = 0 to 3 do
+    let b = (header lsr (8 * k)) land 0xff in
+    h := Int64.mul (Int64.logxor !h (Int64.of_int b)) prime
+  done;
+  for i = pos to pos + len - 1 do
+    let s = texts.(i) in
+    for j = 0 to String.length s - 1 do
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[j]))) prime
+    done;
+    h := Int64.mul !h prime
+  done;
+  !h
 
 let hash_candidate (c : Candidate.t) =
-  hash_rendered c.strategy ~needs_lr_frame:c.needs_lr_frame ~length:c.length
-    (List.map Machine.Insn.to_string c.insns)
+  let texts = Array.of_list (List.map Machine.Insn.to_string c.insns) in
+  hash_rendered (Candidate.shape_of c) ~length:c.length texts ~pos:0
+    ~len:(Array.length texts)
 
 (* --- building summaries -------------------------------------------------- *)
 
 let buckets = 256
 let bucket key = (key lsr 55) land (buckets - 1)
 
-(* A counting sort of the first [count] entries by bucket; [row] is
-   reached through the permutation. *)
-let of_columns ~modul ~count ~keys ~free ~save row =
+(* Rows in bucket order, stably; the columns read off them. *)
+let of_patterns ~modul patterns =
+  let rows = Array.of_list patterns in
+  Array.stable_sort
+    (fun p q -> Int.compare (bucket p.ps_key) (bucket q.ps_key))
+    rows;
   let start = Array.make (buckets + 1) 0 in
-  for i = 0 to count - 1 do
-    let b = bucket keys.(i) + 1 in
-    start.(b) <- start.(b) + 1
-  done;
+  Array.iter
+    (fun p ->
+      let b = bucket p.ps_key + 1 in
+      start.(b) <- start.(b) + 1)
+    rows;
   for b = 1 to buckets do
     start.(b) <- start.(b) + start.(b - 1)
   done;
-  let next = Array.sub start 0 buckets and order = Array.make count 0 in
-  for i = 0 to count - 1 do
-    let b = bucket keys.(i) in
-    order.(next.(b)) <- i;
-    next.(b) <- next.(b) + 1
-  done;
-  let column c = Array.map (fun i -> c.(i)) order in
+  let column f = Array.map f rows in
   {
     sm_module = modul;
-    sm_keys = column keys;
-    sm_free = column free;
-    sm_save = column save;
+    sm_keys = column (fun p -> p.ps_key);
+    sm_free = column (fun p -> p.ps_n_free);
+    sm_save = column (fun p -> p.ps_n_save);
     sm_buckets = start;
-    sm_pattern = (fun j -> row order.(j));
+    sm_pattern = Array.get rows;
   }
-
-let of_patterns ~modul patterns =
-  let rows = Array.of_list patterns in
-  let column f = Array.map f rows in
-  of_columns ~modul ~count:(Array.length rows)
-    ~keys:(column (fun p -> p.ps_key))
-    ~free:(column (fun p -> p.ps_n_free))
-    ~save:(column (fun p -> p.ps_n_save))
-    (Array.get rows)
-
-let of_candidates ~modul triples =
-  of_patterns ~modul
-    (List.map
-       (fun (key, hash, (c : Candidate.t)) ->
-         let count call =
-           List.length
-             (List.filter (fun (s : Candidate.site) -> s.call = call) c.sites)
-         in
-         {
-           ps_key = key;
-           ps_hash = Lazy.from_val hash;
-           ps_rep =
-             (match c.sites with
-             | s :: _ -> (s.block_id, s.start)
-             | [] -> (0, 0));
-           ps_length = c.length;
-           ps_shape = Candidate.shape_of c;
-           ps_n_free = count Candidate.Call_free;
-           ps_n_save = count Candidate.Call_save_lr;
-         })
-       triples)
 
 (* --- the global decision round ------------------------------------------ *)
 

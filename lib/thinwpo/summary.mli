@@ -43,14 +43,17 @@ type t = {
   sm_save : int array;   (** [ps_n_save] of each pattern *)
   sm_buckets : int array;
       (** patterns [sm_buckets.(b)] to [sm_buckets.(b + 1) - 1] are those
-          of bucket [b] *)
+          of bucket [b]; there are [sm_buckets.(buckets)] in all *)
   sm_pattern : int -> pattern;
       (** the whole entry of pattern [i]; the decision round asks only for
           patterns with at least two global sites *)
 }
 (** Columns, not records: the decision round joins every pattern of every
     shard, nearly all of them seen once, and does so one key bucket at a
-    time so that its tables stay in cache. *)
+    time so that its tables stay in cache.  A shard's summary shares its
+    scan's columns, uncopied: only the first [sm_buckets.(buckets)]
+    entries are live, and only until the shard's next discovery rewrites
+    them.  {!join} reads bucket ranges alone. *)
 
 val buckets : int
 val bucket : int -> int
@@ -83,23 +86,21 @@ val hash_candidate : Outcore.Candidate.t -> int64
     form). *)
 
 val hash_rendered :
-  Outcore.Candidate.strategy ->
-  needs_lr_frame:bool ->
+  Outcore.Candidate.shape ->
   length:int ->
-  string list ->
+  string array ->
+  pos:int ->
+  len:int ->
   int64
-(** {!hash_candidate} from the pattern's fields and its printed
-    instructions, for callers that already hold the printed forms. *)
+(** {!hash_candidate} from the pattern's shape (its strategy and LR-frame
+    bit), length and printed body instructions, the slice
+    [[pos, pos + len)] of an array such as {!Outcore.Outliner.block_text}:
+    read in place, in one loop that allocates nothing but its result. *)
 
 val join_key : int -> int
 (** The key patterns join on: the window key, or its low 6 bits under
     {!fault_truncate_hash}.  Every key the engine derives passes through
     here. *)
-
-val of_candidates :
-  modul:string -> (int * int64 * Outcore.Candidate.t) list -> t
-(** One entry per (key, ranking hash, candidate) triple, counting the
-    candidate's sites; the keys must be distinct. *)
 
 type decision = {
   dc_key : int;
@@ -132,13 +133,10 @@ val order : survivor list -> (int64 * survivor) array
     rank [r]. *)
 
 val decide : round:int -> t list -> decision list
-(** The serial global decision round: join summaries by key, sum the
-    occurrence counts, keep patterns with at least two global sites whose
-    {!Outcore.Cost_model.benefit_of_counts} is positive, force their
-    ranking hashes, and rank them by (benefit descending, unsigned hash
-    ascending) — a total order on honest inputs, so names and priorities
-    are byte-identical whatever the worker count or summary arrival order.
-    Metadata comes from the first contributor in summary order. *)
+(** The serial global decision round, {!join} then {!order}: a total
+    order on honest inputs, so names and priorities are byte-identical
+    whatever the worker count or summary arrival order.  Metadata comes
+    from the first contributor in summary order. *)
 
 val fault_truncate_hash : bool ref
 (** Fault injection for [sizeopt fuzz --self-test]: truncate every window

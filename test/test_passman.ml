@@ -182,6 +182,34 @@ let test_spec_decides_layout () =
   Alcotest.(check bool) "flags and spec give equal pass_steps" true
     (flag_steps = steps spec)
 
+(* A layout marker the bisect limit skips places nothing: the build
+   equals the markerless one. *)
+let test_skipped_marker_places_nothing () =
+  let sources =
+    Workload.Appgen.generate_sources
+      (Workload.Appgen.at_week Workload.Appgen.small 0)
+  in
+  let build ?bisect_limit layout =
+    let base = { Pipeline.default_config with bisect_limit } in
+    ok_exn
+      (Pipeline.build_sources
+         ~config:
+           (Pipeline.config_of_flags ~base ~rounds:0 ~layout
+              Pipeline.Per_module)
+         sources)
+  in
+  let marker (r : Pipeline.result) =
+    List.find (fun (st : Passman.step) -> st.st_pass = "stitch") r.pass_steps
+  in
+  let gate = (marker (build ~bisect_limit:1000 `Stitch)).st_gate in
+  let skipped = build ~bisect_limit:(gate - 1) `Stitch in
+  let plain = build `Append in
+  Alcotest.(check bool) "the marker step is skipped" false
+    (marker skipped).st_applied;
+  Alcotest.(check int) "binary size" plain.binary_size skipped.binary_size;
+  Alcotest.(check bool) "function order" true
+    (plain.function_order = skipped.function_order)
+
 (* A negative round count runs no rounds and reserves no bisect steps:
    otherwise consecutive units get overlapping step numbers and a sharded
    build runs steps its limit should have cut. *)
@@ -558,6 +586,8 @@ let () =
             test_spec_decides_layout;
           Alcotest.test_case "negative rounds reserve no steps" `Quick
             test_negative_rounds_reservation;
+          Alcotest.test_case "a skipped layout marker places nothing"
+            `Quick test_skipped_marker_places_nothing;
           Alcotest.test_case "impossible pipelines rejected" `Quick
             test_rejected_pipelines;
           Alcotest.test_case "duplicate symbols are a build error" `Quick

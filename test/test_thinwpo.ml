@@ -68,8 +68,9 @@ let check_window_keys label p =
       s
   in
   let hash_candidate (c : Outcore.Candidate.t) =
-    Thinwpo.Summary.hash_rendered c.strategy ~needs_lr_frame:c.needs_lr_frame
-      ~length:c.length (List.map print c.insns)
+    let texts = Array.of_list (List.map print c.insns) in
+    Thinwpo.Summary.hash_rendered (Outcore.Candidate.shape_of c)
+      ~length:c.length texts ~pos:0 ~len:(Array.length texts)
   in
   let by_key = Hashtbl.create 4096 and by_hash = Hashtbl.create 4096 in
   let windows = ref 0 and bad = ref 0 in
@@ -91,18 +92,17 @@ let check_window_keys label p =
     Thinwpo.Engine.summarize ~state:(Thinwpo.Engine.create_state ())
       ~options:Outcore.Outliner.default_options ~modul:label p
   in
-  Array.iteri
-    (fun i _ ->
-      let pt = s.Thinwpo.Summary.sm_pattern i in
-      let block, pos = pt.ps_rep in
-      match Outcore.Outliner.window_candidate w ~block ~pos ~len:pt.ps_length with
-      | Some c when hash_candidate c = Lazy.force pt.ps_hash ->
-        if i = 0 then
-          Alcotest.(check bool) (label ^ ": memoized printing hashes alike")
-            true
-            (hash_candidate c = Thinwpo.Summary.hash_candidate c)
-      | _ -> incr bad)
-    s.sm_keys;
+  for i = 0 to s.Thinwpo.Summary.sm_buckets.(Thinwpo.Summary.buckets) - 1 do
+    let pt = s.sm_pattern i in
+    let block, pos = pt.ps_rep in
+    match Outcore.Outliner.window_candidate w ~block ~pos ~len:pt.ps_length with
+    | Some c when hash_candidate c = Lazy.force pt.ps_hash ->
+      if i = 0 then
+        Alcotest.(check bool) (label ^ ": memoized printing hashes alike")
+          true
+          (hash_candidate c = Thinwpo.Summary.hash_candidate c)
+    | _ -> incr bad
+  done;
   Alcotest.(check int) (label ^ ": keys and hashes agree") 0 !bad;
   !windows
 
@@ -135,7 +135,10 @@ let check_carried_state label p =
         (fun (modul, shard) ->
           let columns state =
             let s = Thinwpo.Engine.summarize ~state ~options ~modul shard in
-            Thinwpo.Summary.(s.sm_keys, s.sm_free, s.sm_save)
+            (* Shared columns run past the live prefix. *)
+            let n = s.sm_buckets.(Thinwpo.Summary.buckets) in
+            let live c = Array.sub c 0 n in
+            Thinwpo.Summary.(live s.sm_keys, live s.sm_free, live s.sm_save)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s round %d %s: summary columns" label round
@@ -202,6 +205,37 @@ let test_packed_refine () =
       Alcotest.(check bool) "candidates were retained" true
         (Array.exists (fun t -> Hashtbl.length t > 0) packed))
     [ 1; 2 ]
+
+(* Discovery asks the suffix tree only for patterns longer than the window
+   scan, and [enumerate] then never interns a block too short to hold one.
+   The oracle skips no block: every repeat from length 1 up, cut to the
+   minimum.  Shorter minimums put many blocks right at the cut. *)
+let test_long_enumerate_skips_short_blocks () =
+  let found = ref 0 in
+  let check label p =
+    let sorted l = List.sort compare l in
+    let oracle = Outcore.Outliner.enumerate ~min_length:1 ~all:true p in
+    List.iter
+      (fun min_length ->
+        let skipping = Outcore.Outliner.enumerate ~min_length ~all:true p in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s, min_length %d: same candidates" label min_length)
+          true
+          (sorted skipping
+          = sorted
+              (List.filter
+                 (fun (c : Outcore.Candidate.t) -> c.length >= min_length)
+                 oracle));
+        if min_length = 33 then found := !found + List.length skipping)
+      [ 3; 5; 8; 33 ]
+  in
+  for seed = 1 to 40 do
+    check (Printf.sprintf "seed %d" seed)
+      (Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8)
+  done;
+  List.iter (fun (modul, shard) -> check modul shard)
+    (module_shards (linked_small ()));
+  Alcotest.(check bool) "long candidates were found" true (!found > 0)
 
 (* --- the global decision round ---------------------------------------------- *)
 
@@ -399,6 +433,8 @@ let () =
             test_carried_state;
           Alcotest.test_case "packed refine equals per-window candidates"
             `Quick test_packed_refine;
+          Alcotest.test_case "long-pattern enumerate skips short blocks"
+            `Quick test_long_enumerate_skips_short_blocks;
         ] );
       ( "decide",
         [
