@@ -166,34 +166,12 @@ let memo_liveness memo (f : Mfunc.t) =
     Hashtbl.replace memo.mm_live f.name (f, lv);
     lv
 
-(* The suffix tree's input, every block's interned symbols in [seq_metas]
-   order, with the blocks and their legality rows; a block shorter than
-   [min_length] gets an empty one, interning nothing. *)
-let build_sequences ?(min_length = 0) memo imap (p : Program.t) =
-  let metas = seq_metas p in
-  let legal, seqs, _ =
-    memo_rows memo metas (fun m ->
-        let body = m.sm_block.Block.body in
-        if Array.length body + Bool.to_int m.sm_has_ret < min_length then [||]
-        else Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret body)
-  in
-  (Array.to_list seqs, metas, legal)
-
-(* Walk the occurrences that survive self-overlap pruning: an occurrence
-   is dropped when it overlaps an earlier-kept occurrence of the same
-   pattern within the same sequence.  Occurrences arrive in increasing text
-   order (the suffix-tree contract), so one stateful pass suffices; the
-   fold shape lets callers count or build without materializing the pruned
-   list — most repeats are rejected, and allocating a pruned copy for each
-   of them dominated this phase. *)
-let fold_pruned occs len f acc =
-  let rec go last_seq last_end acc = function
-    | [] -> acc
-    | (o : Sufftree.Suffix_tree.occurrence) :: rest ->
-      if o.seq = last_seq && o.pos < last_end then go last_seq last_end acc rest
-      else go o.seq (o.pos + len) (f acc o) rest
-  in
-  go (-1) 0 acc occs
+(* A block's suffix-tree symbols; none when it is shorter than
+   [min_length] symbols, so it interns nothing. *)
+let block_symbols imap ~min_length (m : seq_meta) =
+  let body = m.sm_block.Block.body in
+  if Array.length body + Bool.to_int m.sm_has_ret < min_length then [||]
+  else Instr_map.seq_of_block imap ~has_ret:m.sm_has_ret body
 
 (* Outlined functions whose bodies are frame fragments (unbalanced SP
    changes, e.g. half a prologue) are legal and valuable to outline — but a
@@ -371,85 +349,84 @@ let candidate_at r s pos len shape sites =
     touches_sp = Candidate.shape_touches_sp shape;
   }
 
-(* A repeat's candidate: the rule's shape at its first occurrence, a call
-   kind per pruned occurrence.  Every occurrence has the first's shape:
-   the ret symbol ends its sequence and illegal instructions get unique
-   symbols, so neither ever repeats elsewhere.  [lax] is thin-WPO's
-   discovery mode: keep singleton occurrence lists and skip the local
-   site-count and profitability bars.  A pattern seen once (or
-   unprofitably often) in this shard may be seen in ten others — the
-   global decision round applies the same two filters to the {e summed}
-   counts instead. *)
-let candidate_of_repeat ~lax r (rep : Sufftree.Suffix_tree.repeat) =
+(* --- The repeat judge ---------------------------------------------------- *)
+
+(* The repeats of at least [min_length] symbols in [seqs], from the arena
+   tree over [pool] or from the list suffix tree: built now, listed when
+   the result is applied, so that a caller can time the two apart. *)
+let suffix_repeats ?pool ~min_length seqs =
+  match pool with
+  | None ->
+    let t = Sufftree.Suffix_tree.build seqs in
+    fun () -> Sufftree.Suffix_tree.repeats ~min_length t
+  | Some pool ->
+    let t = Sufftree.Arena_tree.build ~pool seqs in
+    fun () -> Sufftree.Arena_tree.repeats ~min_length t
+
+(* The one judge of a suffix-tree repeat, for the serial rounds and
+   thin-WPO's long patterns alike.  Its shape is the rule's at the first
+   occurrence ([-1]: no site may be outlined).  Every occurrence has that
+   shape: the ret symbol ends its sequence and illegal instructions get
+   unique symbols, so neither ever repeats elsewhere. *)
+let repeat_shape r (rep : Sufftree.Suffix_tree.repeat) =
   match rep.occs with
-  | [] -> None
-  | [ _ ] when not lax -> None
-  (* Pruning always keeps the first occurrence, so [first] is the head of
-     the pruned walk too. *)
-  | first :: _ ->
-    let len = rep.length in
-    let shape = window_shape r first.seq first.pos len in
-    if shape < 0 then None
-    else begin
-      (* Count site kinds before allocating anything: most repeats fall to
-         the profitability bar, and rejecting them from two integers is far
-         cheaper than building their site records first. *)
-      let n_free = ref 0 and n_save = ref 0 in
-      fold_pruned rep.occs len
-        (fun () (o : Sufftree.Suffix_tree.occurrence) ->
-          match window_call r o.seq o.pos shape with
-          | Some Candidate.Call_free -> incr n_free
-          | Some Candidate.Call_save_lr -> incr n_save
-          | None -> ())
-        ();
-      let n = !n_free + !n_save in
-      if
-        n = 0
-        || (not lax)
-           && (n < 2
-              || Cost_model.benefit_of_counts
-                   (Candidate.shape_strategy shape)
-                   ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
-                   ~pattern_len:len ~n_free:!n_free ~n_save:!n_save
-                 < 1)
-      then None
-      else
-        let rev_sites =
-          fold_pruned rep.occs len
-            (fun acc (o : Sufftree.Suffix_tree.occurrence) ->
-              match window_call r o.seq o.pos shape with
-              | None -> acc
-              | Some call -> site_at r o.seq o.pos len call :: acc)
-            []
-        in
-        Some (candidate_at r first.seq first.pos len shape (List.rev rev_sites))
-    end
+  | [] -> -1
+  | first :: _ -> window_shape r first.seq first.pos rep.length
 
-(* The one discovery step: every repeat goes through
-   [candidate_of_repeat]; the survivors come back in input order. *)
-let discover ~lax ?extern_sp_unsafe options ~liveness_of p (metas, legal)
-    repeats =
-  let r = make_rule ?extern_sp_unsafe options ~liveness_of p metas legal in
-  List.filter_map (candidate_of_repeat ~lax r) repeats
+(* Then [f acc o call] for each occurrence [o] that survives self-overlap
+   pruning, in text order, with its call kind; a site the rule drops is
+   skipped.  An occurrence is pruned when it overlaps an earlier kept one
+   in the same sequence: occurrences arrive in increasing text order (the
+   suffix-tree contract), so one pass suffices, and pruning always keeps
+   the first.  Top-level, so judging allocates nothing of its own: most
+   repeats are rejected on their counts alone. *)
+let rec fold_calls r shape len f acc last_seq last_end = function
+  | [] -> acc
+  | (o : Sufftree.Suffix_tree.occurrence) :: rest ->
+    if o.seq = last_seq && o.pos < last_end then
+      fold_calls r shape len f acc last_seq last_end rest
+    else
+      let acc =
+        match window_call r o.seq o.pos shape with
+        | None -> acc
+        | Some call -> f acc o call
+      in
+      fold_calls r shape len f acc o.seq (o.pos + len) rest
 
-let enumerate ?min_length ?(options = default_options) ?(all = false)
-    ?extern_sp_unsafe ?pool (p : Program.t) =
-  let min_length = Option.value min_length ~default:options.min_length in
-  let memo = create_memo () in
-  let seqs, metas, legal =
-    build_sequences ~min_length memo (Instr_map.create ()) p
-  in
-  if seqs = [] then []
+let repeat_calls r (rep : Sufftree.Suffix_tree.repeat) shape f acc =
+  fold_calls r shape rep.length f acc (-1) 0 rep.occs
+
+(* Free sites in the low 32 bits, save-LR sites above. *)
+let count_call n _ (call : Candidate.site_call) =
+  n + match call with Call_free -> 1 | Call_save_lr -> 1 lsl 32
+
+(* The serial outliner's candidate for a repeat: site kinds are counted
+   before anything is allocated, since rejecting a repeat that falls below
+   two sites or the profitability bar from two integers is far cheaper
+   than building its site records first. *)
+let candidate_of_repeat r (rep : Sufftree.Suffix_tree.repeat) =
+  let shape = repeat_shape r rep and len = rep.length in
+  if shape < 0 then None
   else
-    discover ~lax:all ?extern_sp_unsafe options
-      ~liveness_of:(memo_liveness memo) p (metas, legal)
-      (match pool with
-      | None ->
-        Sufftree.Suffix_tree.repeats ~min_length
-          (Sufftree.Suffix_tree.build seqs)
-      | Some pool ->
-        Sufftree.Arena_tree.repeats ~min_length
-          (Sufftree.Arena_tree.build ~pool seqs))
+    let counts = repeat_calls r rep shape count_call 0 in
+    let n_free = counts land 0xffff_ffff and n_save = counts lsr 32 in
+    if
+      n_free + n_save < 2
+      || Cost_model.benefit_of_counts
+           (Candidate.shape_strategy shape)
+           ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
+           ~pattern_len:len ~n_free ~n_save
+         < 1
+    then None
+    else
+      let rev_sites =
+        repeat_calls r rep shape
+          (fun acc (o : Sufftree.Suffix_tree.occurrence) call ->
+            site_at r o.seq o.pos len call :: acc)
+          []
+      in
+      let first = List.hd rep.occs in
+      Some (candidate_at r first.seq first.pos len shape (List.rev rev_sites))
 
 (* --- Keyed window scanning --------------------------------------------- *)
 
@@ -550,10 +527,11 @@ let key_of_shape w s pos len shape =
   let content = h.(pos + len) - (h.(pos) * w.wn_pow.(len)) in
   (((content * key_base) + len) * key_base) + (shape land 7)
 
-let window_key w ~block ~pos ~len =
-  key_of_shape w block pos len (window_shape w.wn_rule block pos len)
+type visit =
+  block:int -> pos:int -> len:int -> key:int -> call:Candidate.site_call ->
+  shape:Candidate.shape -> unit
 
-let iter_windows w ~lengths f =
+let iter_windows w ~lengths (f : visit) =
   let lengths =
     List.sort_uniq Int.compare (List.filter (fun l -> l >= 2) lengths)
   in
@@ -576,6 +554,24 @@ let iter_windows w ~lengths f =
           done)
         lengths)
     r.ru_metas
+
+let iter_repeats w ?pool ~min_length (f : visit) =
+  let r = w.wn_rule in
+  if Array.length r.ru_metas > 0 then
+    let imap = Instr_map.create () in
+    List.iter
+      (fun (rep : Sufftree.Suffix_tree.repeat) ->
+        let shape = repeat_shape r rep and len = rep.length in
+        if shape >= 0 then
+          repeat_calls r rep shape
+            (fun () (o : Sufftree.Suffix_tree.occurrence) call ->
+              f ~block:o.seq ~pos:o.pos ~len
+                ~key:(key_of_shape w o.seq o.pos len shape)
+                ~call ~shape)
+            ())
+      (suffix_repeats ?pool ~min_length
+         (Array.to_list (Array.map (block_symbols imap ~min_length) r.ru_metas))
+         ())
 
 let window_bound w ~lengths =
   Array.fold_left
@@ -905,39 +901,7 @@ let set_enum rp d = rp.Profile.rp_enumerate <- rp.Profile.rp_enumerate +. d
 let set_score rp d = rp.Profile.rp_score <- rp.Profile.rp_score +. d
 let set_rewrite rp d = rp.Profile.rp_rewrite <- rp.Profile.rp_rewrite +. d
 
-(* --- The round, shared by both engines --------------------------------- *)
-
-(* Everything after the sequence table: [build_tree] and [repeats] are the
-   engine's suffix tree (repeats of at least [options.min_length]),
-   [liveness_of] its liveness memo.  Returns the rewritten program and the
-   stats. *)
-let outline_round rp options p (seqs, metas, legal) ~liveness_of build_tree
-    repeats =
-  if seqs = [] then (p, no_stats)
-  else begin
-    let tree = timed rp set_tree (fun () -> build_tree seqs) in
-    let cands =
-      timed rp set_enum (fun () ->
-          discover ~lax:false options ~liveness_of p (metas, legal)
-            (repeats tree))
-    in
-    let sorted = timed rp set_score (fun () -> score_candidates cands) in
-    timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)
-  end
-
-(* --- From-scratch engine ----------------------------------------------- *)
-
-let run_round ?profile options (p : Program.t) =
-  let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
-  let memo = create_memo () in
-  let table =
-    timed rp set_seq (fun () -> build_sequences memo (Instr_map.create ()) p)
-  in
-  outline_round rp options p table ~liveness_of:(memo_liveness memo)
-    Sufftree.Suffix_tree.build
-    (Sufftree.Suffix_tree.repeats ~min_length:options.min_length)
-
-(* --- Incremental engine ------------------------------------------------ *)
+(* --- The engines ---------------------------------------------------------- *)
 
 (* The suffix-tree backing store, recycled across rounds and builds: each
    round's tree dies when the next round builds. *)
@@ -964,12 +928,47 @@ let create_engine ?(warm = create_warm ()) () =
     eng_memo = create_memo ~match_by_name:!fault_stale_engine_rows ();
   }
 
-let run_round_incremental ?profile engine options (p : Program.t) =
-  let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
-  let table =
-    timed rp set_seq (fun () ->
-        build_sequences engine.eng_memo engine.eng_imap p)
+(* --- The round ------------------------------------------------------------ *)
+
+(* The round's discovery step: the sequence table, the suffix tree and
+   every repeat's candidate, each phase timed into [rp].  Under [engine]
+   the symbols come from its memo and interner and the tree from its arena
+   pool; without one, from a fresh memo and interner and the list suffix
+   tree — the scratch reference.  Returns the table's blocks too. *)
+let discover rp ?engine options (p : Program.t) =
+  let memo, imap, pool =
+    match engine with
+    | Some e -> (e.eng_memo, e.eng_imap, Some e.eng_pool)
+    | None -> (create_memo (), Instr_map.create (), None)
   in
-  outline_round rp options p table ~liveness_of:(memo_liveness engine.eng_memo)
-    (Sufftree.Arena_tree.build ~pool:engine.eng_pool)
-    (Sufftree.Arena_tree.repeats ~min_length:options.min_length)
+  let metas, legal, seqs =
+    timed rp set_seq (fun () ->
+        let metas = seq_metas p in
+        let legal, seqs, _ =
+          memo_rows memo metas (block_symbols imap ~min_length:0)
+        in
+        (metas, legal, seqs))
+  in
+  if Array.length metas = 0 then (metas, [])
+  else
+    let repeats =
+      timed rp set_tree (fun () ->
+          suffix_repeats ?pool ~min_length:options.min_length
+            (Array.to_list seqs))
+    in
+    ( metas,
+      timed rp set_enum (fun () ->
+          let r =
+            make_rule options ~liveness_of:(memo_liveness memo) p metas legal
+          in
+          List.filter_map (candidate_of_repeat r) (repeats ())) )
+
+let enumerate ?(options = default_options) p = snd (discover None options p)
+
+let run_round ?profile ?engine options (p : Program.t) =
+  let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
+  match discover rp ?engine options p with
+  | [||], _ -> (p, no_stats)
+  | metas, cands ->
+    let sorted = timed rp set_score (fun () -> score_candidates cands) in
+    timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)

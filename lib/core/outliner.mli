@@ -2,23 +2,21 @@
     with a suffix tree, score them with the cost model, pick greedily by
     immediate benefit (LLVM's heuristic, §II-C), and rewrite.
 
-    Two engines produce byte-identical programs (enforced by the fuzz
-    lattice differential): {!run_round} rebuilds everything from scratch
-    every round — the readable reference — while {!run_round_incremental}
-    keeps an interner and a {!memo} of per-block symbol arrays and
-    per-function liveness alive across rounds, re-deriving only blocks and
-    functions that are no longer physically the ones it saw (the
-    build-time fix the paper's §VII calls for).  Only the suffix-tree pool
-    ({!warm}) can outlive a build.  Which engine runs, and how rounds are
-    numbered, is {!Repeat}'s choice: it is the only caller of the two round
-    functions.
+    One round, {!run_round}, serves two engines that produce
+    byte-identical programs (enforced by the fuzz lattice differential).
+    Without an {!engine} it rebuilds everything from scratch — the
+    readable reference; with one it keeps an interner and a {!memo} of
+    per-block symbols and per-function liveness across rounds, re-deriving
+    only blocks and functions that are no longer physically the ones it
+    saw (the build-time fix the paper's §VII calls for).  Only the
+    suffix-tree pool ({!warm}) can outlive a build.
 
     Everything else exists once and is shared by both engines, by
     {!enumerate} and by thin-WPO:
     - block reuse: one {!memo}, identity-checked, holding every block's
       legality row (prefix counts of illegal and call instructions) plus
       the serial engine's symbol arrays or thin-WPO's scanner rows (a
-      fresh one for {!enumerate} and {!run_round});
+      fresh one for {!enumerate} and the scratch round);
     - the outlining rule: one private function decides, for any window
       of any block in O(1), from prefix counts of illegal, call and
       SP-relevant instructions, whether it may be outlined and with which
@@ -30,10 +28,11 @@
       SP-relevant body (a direct SP use, or a call to an outlined frame
       fragment, transitively) cannot have; a thunk's final call becomes
       its tail branch and is exempt from both checks.  A plain-call site
-      where LR is live must spill it, which an SP-relevant body forbids.
-      The suffix tree's repeats (the serial outliner, {!enumerate}) are
-      judged at their first occurrence, thin-WPO's keyed windows one by
-      one;
+      where LR is live must spill it, which an SP-relevant body forbids;
+    - the repeat judge: a suffix-tree repeat takes the rule's shape at its
+      first occurrence and a call kind per occurrence left after
+      self-overlap pruning, for the rounds, {!enumerate} and thin-WPO's
+      long patterns ({!iter_repeats});
     - site occupancy: one greedy slot-array rule over per-block slot
       arrays ({!make_occupancy});
     - the rewrite tail: one rewrite of a [block_id]-indexed plan table,
@@ -67,28 +66,6 @@ val no_stats : round_stats
 val add_stats : round_stats -> round_stats -> round_stats
 (** Field-wise sum. *)
 
-val enumerate :
-  ?min_length:int ->
-  ?options:options ->
-  ?all:bool ->
-  ?extern_sp_unsafe:(string -> bool) ->
-  ?pool:Sufftree.Arena_tree.pool ->
-  Machine.Program.t ->
-  Candidate.t list
-(** All legal candidates with their sites and strategies, self-overlaps
-    pruned, unsorted, not yet filtered for profitability.  Shared with the
-    statistics pass of §IV and with thin-WPO's per-shard discovery:
-    [all] keeps candidates whose {e local} counts fall below the site or
-    profitability bars (thin-WPO filters on globally summed counts
-    instead), [extern_sp_unsafe] extends the SP-unsafe-callee analysis to
-    symbols defined outside [p] (outlined frame fragments hosted in other
-    shards), and [pool] switches the suffix tree to the arena
-    implementation so a worker can recycle its backing store across the
-    shards it processes.  A block shorter than [min_length] (default
-    [options.min_length]) is never interned: the tree sees an empty
-    sequence for it, so [block_id]s stay {!windows}' block indices.  The
-    list's order follows interner numbering; sort for a stable one. *)
-
 type windows
 (** A keyed window scanner over one program (thin-WPO's per-shard
     discovery).  Built in one pass over the blocks; every query after that
@@ -101,7 +78,7 @@ type 'row memo
     slot alone, per function its liveness.  A row is reused only while the block's
     body is physically the same array and its ret slot the same, liveness
     only while the function is physically the same [Mfunc.t] — what the
-    rewrite ({!run_round_incremental}, {!apply_assignments}) keeps for
+    rewrite ({!run_round}, {!apply_assignments}) keeps for
     everything it does not rewrite — so nothing is ever invalidated, and
     any program may be scanned next.  Rows are found by function, then
     label. *)
@@ -130,9 +107,11 @@ val windows :
   windows
 (** Precompute, per block of [p], per-instruction content hashes, prefix
     rolling hashes and the outlining rule's prefix counts of illegal, call
-    and SP-relevant instructions ([extern_sp_unsafe] as in {!enumerate}),
-    and a lazy LR-liveness memo.  Block indices are the site [block_id]s {!enumerate}
-    reports for the same program.  Rows and liveness still valid in
+    and SP-relevant instructions, and a lazy LR-liveness memo.
+    [extern_sp_unsafe] extends the SP-unsafe-callee analysis to symbols
+    defined outside [p] (outlined frame fragments hosted in other
+    shards).  Block indices are the site [block_id]s {!enumerate} and
+    {!run_round} use for the same program.  Rows and liveness still valid in
     [memo] are reused and new ones added to it; SP relevance depends on
     [extern_sp_unsafe] and is always recomputed.  The result is the same
     with any memo and printer (fresh ones by default). *)
@@ -140,17 +119,13 @@ val windows :
 val reuse : windows -> int * int
 (** (blocks whose row came from the memo, blocks scanned). *)
 
-val iter_windows :
-  windows ->
-  lengths:int list ->
-  (block:int ->
-  pos:int ->
-  len:int ->
-  key:int ->
-  call:Candidate.site_call ->
-  shape:Candidate.shape ->
-  unit) ->
-  unit
+type visit =
+  block:int -> pos:int -> len:int -> key:int -> call:Candidate.site_call ->
+  shape:Candidate.shape -> unit
+(** What a scan reports of a window: its place, key, call kind and
+    shape. *)
+
+val iter_windows : windows -> lengths:int list -> visit -> unit
 (** Visit every window of the given lengths (those [>= 2]) that
     {!window_candidate} would turn into a candidate, block by block, then
     by ascending length, then by position, without allocating, with its
@@ -160,15 +135,20 @@ val iter_windows :
     equal content, strategy, LR-frame bit and length (up to hash
     collisions), in any program. *)
 
+val iter_repeats :
+  windows -> ?pool:Sufftree.Arena_tree.pool -> min_length:int -> visit -> unit
+(** Visit, as {!iter_windows} reports windows, the sites of the repeats
+    of at least [min_length] symbols that a suffix tree over the windows'
+    blocks finds, judged on their rule: per repeat, in the tree's order,
+    each occurrence left after self-overlap pruning that the rule does not
+    drop, in text order; one left alone is still reported.  Blocks shorter
+    than [min_length] are never interned; [pool] selects the arena tree,
+    whose backing store a worker recycles across shards. *)
+
 val window_bound : windows -> lengths:int list -> int
 (** An upper bound on the windows {!iter_windows} visits for these
     (distinct) lengths, from the block lengths alone: O(blocks), with no
     window keyed. *)
-
-val window_key : windows -> block:int -> pos:int -> len:int -> int
-(** The key {!iter_windows} reports for a window; [len] counts a trailing
-    [ret].  Meaningful for legal candidate windows, such as the sites of
-    candidates {!enumerate} finds in the same program. *)
 
 val block_text : windows -> block:int -> string array
 (** The block's printed body instructions (no ret), the scanner's own
@@ -223,14 +203,6 @@ val apply_assignments :
     the shard's stats ([bytes_saved] nets each hosted body against the
     shard's own site gains, so summing across shards is exact). *)
 
-val run_round :
-  ?profile:Profile.t ->
-  options ->
-  Machine.Program.t ->
-  Machine.Program.t * round_stats
-(** From-scratch engine.  When [profile] is given, appends one
-    {!Profile.round_profile} with the phase split. *)
-
 type warm
 (** State that may outlive a build: the suffix-tree arena pool, scratch
     storage that holds nothing of any program, so it may be shared by any
@@ -247,16 +219,26 @@ val create_engine : ?warm:warm -> unit -> engine
 (** A fresh engine, with a fresh interner and memo, over [warm] or a new
     pool. *)
 
-val run_round_incremental :
+val run_round :
   ?profile:Profile.t ->
-  engine ->
+  ?engine:engine ->
   options ->
   Machine.Program.t ->
   Machine.Program.t * round_stats
-(** Like {!run_round} but reusing [engine]'s memo: blocks and functions
-    physically unchanged since an earlier round keep their symbols and
-    liveness.  Any program may be fed to any round; the result equals
-    {!run_round}'s on it. *)
+(** One round on [p].  Without [engine], from scratch: a fresh memo and
+    interner and the list suffix tree.  With one, reusing its memo and
+    pool: blocks and functions physically unchanged since an earlier round
+    keep their symbols and liveness.  Any program may be fed to any round;
+    the result is the same either way.  When [profile] is given, appends
+    one {!Profile.round_profile} with the phase split (sequence table,
+    tree build, enumeration, scoring, rewrite). *)
+
+val enumerate : ?options:options -> Machine.Program.t -> Candidate.t list
+(** The scratch round's discovery step on its own: every repeat that
+    passes the judge, with at least two sites and a positive benefit, its
+    sites self-overlap pruned, unsorted and not yet resolved against each
+    other.  The statistics pass of §IV reads it.  The list's order follows
+    interner numbering; sort for a stable one. *)
 
 val fault_stale_engine_rows : bool ref
 (** Fault injection for [sizeopt fuzz --self-test]: engines created while

@@ -1,6 +1,6 @@
 (** Structured build-time profile for the outliner (§VII build-time
     discussion): per-round wall time split into the five phases of a round.
-    Accumulated by {!Outliner.run_round} / the incremental engine when a
+    Accumulated by {!Outliner.run_round}, under either engine, when a
     profile is passed in, copied round by round into the build's timing
     tree by the pass manager's [outline] pass ([sizeopt build --profile]),
     and serialized into [BENCH_outline.json] by the bench harness. *)

@@ -1,15 +1,14 @@
 let round ?(options = Outliner.default_options) ?profile
     ?(engine = `Incremental) ?warm () =
-  let eng =
+  let engine =
     match engine with
     | `Incremental -> Some (Outliner.create_engine ?warm ())
     | `Scratch -> None
   in
   fun k p ->
-    let opts = { options with Outliner.round = options.Outliner.round + k - 1 } in
-    match eng with
-    | Some e -> Outliner.run_round_incremental ?profile e opts p
-    | None -> Outliner.run_round ?profile opts p
+    Outliner.run_round ?profile ?engine
+      { options with Outliner.round = options.Outliner.round + k - 1 }
+      p
 
 let run ?options ?profile ?engine ?warm ~rounds p =
   let round = round ?options ?profile ?engine ?warm () in

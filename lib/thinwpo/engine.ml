@@ -130,37 +130,54 @@ let entry_shape e = (e lsr 1) land 15
 let entry_call e =
   if e land 1 = 0 then Candidate.Call_free else Candidate.Call_save_lr
 
-(* Phase 1 for one shard: key every window up to [window_scan_max], then
-   add the suffix tree's longer repeats, each site an entry under its
-   window's key (the same for every site: they share content and shape).  Every window is keyed once, into the
-   last round's arrays when they are large enough for the scanner's
-   bound. *)
+(* Phase 1 for one shard: every window up to [window_scan_max], then
+   every site of the suffix tree's longer repeats, each an entry through
+   the one [entry] callback.  Every window is keyed once.  The entries go
+   into the last round's arrays when those hold the scanner's bound on
+   windows; the long repeats' sites, unknown until their tree is built,
+   grow the two entry columns when they do not fit after the windows. *)
 let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
     shard_p =
-  let extern_sp_unsafe = fact_sp_unsafe state in
-  let w = Outliner.windows ~options ~extern_sp_unsafe ~memo ?printer shard_p in
+  let w =
+    Outliner.windows ~options ~extern_sp_unsafe:(fact_sp_unsafe state) ~memo
+      ?printer shard_p
+  in
   let lengths =
     List.init
       (max 0 (window_scan_max - options.min_length + 1))
       (fun i -> options.min_length + i)
   in
-  let long =
-    Outliner.enumerate
-      ~min_length:(max options.min_length (window_scan_max + 1))
-      ~options ~all:true ~extern_sp_unsafe ?pool shard_p
-  in
-  let room =
-    List.fold_left
-      (fun n (c : Candidate.t) -> n + List.length c.sites)
-      (Outliner.window_bound w ~lengths)
-      long
-  in
-  let sc =
+  let room = Outliner.window_bound w ~lengths in
+  let keys, entries =
     match reuse with
     | Some prev when Array.length prev.sc_key >= room ->
-      { prev with sc_windows = w }
+      (ref prev.sc_key, ref prev.sc_entry)
+    | _ -> (ref (Array.make room 0), ref (Array.make room 0))
+  in
+  (* Append the entries, counting them per bucket. *)
+  let count = Array.make (Summary.buckets + 1) 0 and n = ref 0 in
+  let entry ~block ~pos ~len ~key ~call ~shape =
+    if !n = Array.length !keys then begin
+      let grow a = Array.append a (Array.make (!n + 16) 0) in
+      keys := grow !keys;
+      entries := grow !entries
+    end;
+    let key = Summary.join_key key in
+    !keys.(!n) <- key;
+    !entries.(!n) <- pack ~block ~pos ~len ~shape call;
+    incr n;
+    let b = Summary.bucket key + 1 in
+    count.(b) <- count.(b) + 1
+  in
+  Outliner.iter_windows w ~lengths entry;
+  Outliner.iter_repeats w ?pool
+    ~min_length:(max options.min_length (window_scan_max + 1))
+    entry;
+  let sc =
+    match reuse with
+    | Some prev when prev.sc_key == !keys -> { prev with sc_windows = w }
     | _ ->
-      let col () = Array.make room 0 in
+      let col () = Array.make (Array.length !keys) 0 in
       {
         sc_windows = w;
         sc_buckets = Array.make (Summary.buckets + 1) 0;
@@ -169,35 +186,12 @@ let discover ?pool ?printer ?reuse ~state ~memo ~(options : Outliner.options)
         sc_free = col ();
         sc_save = col ();
         sc_head = col ();
-        sc_key = col ();
-        sc_entry = col ();
+        sc_key = !keys;
+        sc_entry = !entries;
         sc_order = col ();
         sc_next = col ();
       }
   in
-  (* Append the entries, counting them per bucket. *)
-  let count = Array.make (Summary.buckets + 1) 0 and n = ref 0 in
-  let push key entry =
-    sc.sc_key.(!n) <- key;
-    sc.sc_entry.(!n) <- entry;
-    incr n;
-    let b = Summary.bucket key + 1 in
-    count.(b) <- count.(b) + 1
-  in
-  Outliner.iter_windows w ~lengths
-    (fun ~block ~pos ~len ~key ~call ~shape ->
-      push (Summary.join_key key) (pack ~block ~pos ~len ~shape call));
-  List.iter
-    (fun (c : Candidate.t) ->
-      let shape = Candidate.shape_of c and len = c.length in
-      List.iter
-        (fun (s : Candidate.site) ->
-          let block = s.block_id and pos = s.start in
-          push
-            (Summary.join_key (Outliner.window_key w ~block ~pos ~len))
-            (pack ~block ~pos ~len ~shape s.call))
-        c.sites)
-    long;
   (* The stable counting sort into buckets. *)
   let widest = ref 0 in
   for b = 1 to Summary.buckets do
@@ -413,7 +407,8 @@ let exchange ?per_window ~workers ~state ~(options : Outliner.options)
   let states = Array.map (fun (modul, _) -> shard_state state modul) shards in
   (* Phase 1: parallel discovery.  Each worker takes one arena pool and
      instruction printer from the state, reused across every shard it
-     claims in every round; the window lists and the scanner stay in the
+     claims in every round (no more workers run than there are shards,
+     so no more are made); the window lists and the scanner stay in the
      per-shard result slot and only the summary crosses into the decision
      round.
 
@@ -424,9 +419,10 @@ let exchange ?per_window ~workers ~state ~(options : Outliner.options)
      structurally blind to).  Beyond the cap the suffix tree takes over,
      so long patterns are still caught whenever they repeat within at
      least one shard — the one remaining optimistic loss. *)
-  if Array.length state.workers < max 1 workers then
+  let busy = max 1 (min workers (Array.length shards)) in
+  if Array.length state.workers < busy then
     state.workers <-
-      Array.init (max 1 workers) (fun _ ->
+      Array.init busy (fun _ ->
           (Sufftree.Arena_tree.create_pool (), Outliner.create_printer ()));
   let next_worker = Atomic.make 0 in
   let discovered =

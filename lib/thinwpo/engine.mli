@@ -26,7 +26,9 @@ type state
     callees, shared by every later round because a body may be hosted
     anywhere); per module an {!Outcore.Outliner.memo} of scanner rows and
     the last round's scan arrays, so a shard rescans only the blocks the
-    previous round rewrote; per worker an arena pool and an instruction printer.
+    previous round rewrote; per worker that runs an arena pool and an
+    instruction printer — no more than there are shards, whatever
+    [workers] asks for.
     None of it changes an output — a row is reused only for a physically
     unchanged block — so the determinism contract above holds unchanged,
     and a round gives the same summaries and program as from

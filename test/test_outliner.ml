@@ -601,46 +601,51 @@ let prop_canonicalize_preserves_semantics =
 
 (* Analysis / statistics pass ------------------------------------------- *)
 
-(* Discovery has three front doors over one candidate core: the classic
-   suffix tree (the serial selector, Analysis), the pooled arena tree
-   (thin-WPO's long patterns) and the keyed window scanner (thin-WPO's
-   windows up to length 32).  On generated programs the two trees must
-   yield the same candidates, and every site the tree reports at a scanned
-   length must be a scanned window, with the same call kind, and all of
-   one candidate's sites under one key. *)
+(* Discovery has three front doors over one repeat judge and one rule:
+   the classic suffix tree (the serial selector, Analysis), the pooled
+   arena tree (thin-WPO's long patterns) and the keyed window scanner
+   (thin-WPO's windows up to length 32).  On generated programs the two
+   trees must report the same judged repeat sites, and every site a tree
+   reports at a scanned length must be a scanned window, with the same
+   call kind, and all the sites reported under one key must scan to one
+   key. *)
 let test_discovery_paths_agree () =
   let pool = Sufftree.Arena_tree.create_pool () in
   let sites = ref 0 and covered = ref 0 and split = ref 0 in
   for seed = 1 to 40 do
     let p = Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8 in
-    let sorted l = List.sort compare l in
+    let w = Outcore.Outliner.windows p in
+    let reports ?pool () =
+      let acc = ref [] in
+      Outcore.Outliner.iter_repeats w ?pool ~min_length:2
+        (fun ~block ~pos ~len ~key ~call ~shape ->
+          acc := (block, pos, len, key, call, shape) :: !acc);
+      List.rev !acc
+    in
+    let listed = reports () in
     Alcotest.(check bool)
       (Printf.sprintf "seed %d: arena and suffix tree agree" seed)
       true
-      (sorted (Outcore.Outliner.enumerate p)
-      = sorted (Outcore.Outliner.enumerate ~pool p));
+      (List.sort compare listed = List.sort compare (reports ~pool ()));
     let scanned = Hashtbl.create 256 in
-    Outcore.Outliner.iter_windows (Outcore.Outliner.windows p)
+    Outcore.Outliner.iter_windows w
       ~lengths:(List.init 31 (fun i -> i + 2))
       (fun ~block ~pos ~len ~key ~call ~shape:_ ->
         Hashtbl.replace scanned (block, pos, len) (key, call));
+    let keys = Hashtbl.create 256 in
     List.iter
-      (fun (c : Outcore.Candidate.t) ->
-        if c.length <= 32 then begin
-          let keys =
-            List.filter_map
-              (fun (s : Outcore.Candidate.site) ->
-                incr sites;
-                match Hashtbl.find_opt scanned (s.block_id, s.start, c.length) with
-                | Some (key, call) when call = s.call ->
-                  incr covered;
-                  Some key
-                | _ -> None)
-              c.sites
-          in
-          if List.length (List.sort_uniq compare keys) > 1 then incr split
+      (fun (block, pos, len, key, call, _) ->
+        if len <= 32 then begin
+          incr sites;
+          match Hashtbl.find_opt scanned (block, pos, len) with
+          | Some (key', call') when call' = call ->
+            incr covered;
+            (match Hashtbl.find_opt keys key with
+            | Some k when k <> key' -> incr split
+            | _ -> Hashtbl.replace keys key key')
+          | _ -> ()
         end)
-      (Outcore.Outliner.enumerate ~all:true p)
+      listed
   done;
   Alcotest.(check bool) "the programs have sites to scan" true (!sites > 0);
   Alcotest.(check int) "scanning covers every enumerated site" !sites !covered;
@@ -651,8 +656,8 @@ let test_discovery_paths_agree () =
    window's instructions, with SP-unsafe callees recomputed by a naive
    fixed point and LR liveness asked of {!Liveness} point by point.
    Checked on every window of lengths 2-32 through [window_candidate] and
-   [iter_windows], and on every site of every [enumerate ~all:true]
-   candidate, under the default options and with every optional strategy
+   [iter_windows], and on every site [iter_repeats] reports, under the
+   default options and with every optional strategy
    switched off. *)
 module Rule_oracle = struct
   open Outcore
@@ -833,16 +838,16 @@ module Rule_oracle = struct
             done)
           lengths)
       blocks;
-    List.iter
-      (fun (c : Candidate.t) ->
-        List.iter
-          (fun (site : Candidate.site) ->
-            incr judged;
-            expect
-              (verdict site.block_id site.start c.length
-              = Some (c.strategy, c.needs_lr_frame, c.touches_sp, Some site.call)))
-          c.sites)
-      (Outliner.enumerate ~options:o ~all:true p);
+    Outliner.iter_repeats w ~min_length:2
+      (fun ~block ~pos ~len ~key:_ ~call ~shape ->
+        incr judged;
+        expect
+          (verdict block pos len
+          = Some
+              ( Candidate.shape_strategy shape,
+                Candidate.shape_needs_lr_frame shape,
+                Candidate.shape_touches_sp shape,
+                Some call )));
     (!bad, !judged)
 end
 

@@ -207,25 +207,32 @@ let test_packed_refine () =
     [ 1; 2 ]
 
 (* Discovery asks the suffix tree only for patterns longer than the window
-   scan, and [enumerate] then never interns a block too short to hold one.
-   The oracle skips no block: every repeat from length 1 up, cut to the
-   minimum.  Shorter minimums put many blocks right at the cut. *)
+   scan, and [iter_repeats] then never interns a block too short to hold
+   one.  The oracle skips no block: every repeat site from length 1 up,
+   cut to the minimum.  Shorter minimums put many blocks right at the
+   cut. *)
+let repeat_reports ?(min_length = 1) w =
+  let acc = ref [] in
+  Outcore.Outliner.iter_repeats w ~min_length
+    (fun ~block ~pos ~len ~key ~call ~shape ->
+      acc := (block, pos, len, key, call, shape) :: !acc);
+  List.rev !acc
+
 let test_long_enumerate_skips_short_blocks () =
   let found = ref 0 in
   let check label p =
+    let w = Outcore.Outliner.windows p in
     let sorted l = List.sort compare l in
-    let oracle = Outcore.Outliner.enumerate ~min_length:1 ~all:true p in
+    let oracle = repeat_reports w in
     List.iter
       (fun min_length ->
-        let skipping = Outcore.Outliner.enumerate ~min_length ~all:true p in
+        let skipping = repeat_reports ~min_length w in
         Alcotest.(check bool)
-          (Printf.sprintf "%s, min_length %d: same candidates" label min_length)
+          (Printf.sprintf "%s, min_length %d: same sites" label min_length)
           true
           (sorted skipping
           = sorted
-              (List.filter
-                 (fun (c : Outcore.Candidate.t) -> c.length >= min_length)
-                 oracle));
+              (List.filter (fun (_, _, len, _, _, _) -> len >= min_length) oracle));
         if min_length = 33 then found := !found + List.length skipping)
       [ 3; 5; 8; 33 ]
   in
@@ -235,7 +242,66 @@ let test_long_enumerate_skips_short_blocks () =
   done;
   List.iter (fun (modul, shard) -> check modul shard)
     (module_shards (linked_small ()));
-  Alcotest.(check bool) "long candidates were found" true (!found > 0)
+  Alcotest.(check bool) "long sites were found" true (!found > 0)
+
+(* Refine's long-length probe looks the keys [iter_windows] gives a ranked
+   length up against the keys discovery took from [iter_repeats], so the
+   two must agree: every long repeat site is the window of its length at
+   the same place, with the same key, call kind and shape. *)
+let test_long_repeats_are_windows () =
+  let long = ref 0 and bad = ref 0 in
+  let check p =
+    let w = Outcore.Outliner.windows p in
+    let reports = repeat_reports ~min_length:33 w in
+    let scanned = Hashtbl.create 64 in
+    Outcore.Outliner.iter_windows w
+      ~lengths:(List.map (fun (_, _, len, _, _, _) -> len) reports)
+      (fun ~block ~pos ~len ~key ~call ~shape ->
+        Hashtbl.replace scanned (block, pos, len) (key, call, shape));
+    List.iter
+      (fun (block, pos, len, key, call, shape) ->
+        incr long;
+        if Hashtbl.find_opt scanned (block, pos, len) <> Some (key, call, shape)
+        then incr bad)
+      reports
+  in
+  for seed = 1 to 40 do
+    check (Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8)
+  done;
+  List.iter (fun (_, shard) -> check shard) (module_shards (linked_small ()));
+  Alcotest.(check bool) "long repeat sites were reported" true (!long > 0);
+  Alcotest.(check int) "every long site is the same window" 0 !bad
+
+(* Thin keeps an arena pool and an instruction printer per worker that
+   runs, and never more workers run than there are shards: on a
+   one-module program a round at 20,000 workers runs inline, like one at
+   a single worker, and must neither change the program nor allocate
+   per requested worker. *)
+let test_workers_capped_by_shards () =
+  let _, shard = List.hd (module_shards (linked_small ())) in
+  (* This domain's words allocated so far: the minor count is exact, the
+     major and promoted counts come from the last collection. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let round workers =
+    let before = words () in
+    let p, _ =
+      Thinwpo.Engine.run_round ~workers ~state:(Thinwpo.Engine.create_state ())
+        ~options:Outcore.Outliner.default_options shard
+    in
+    (source p, words () -. before)
+  in
+  ignore (round 1);
+  let one, one_words = round 1 in
+  let many, many_words = round 20_000 in
+  Alcotest.(check string) "same program" one many;
+  Alcotest.(check bool)
+    (Printf.sprintf "allocation within 1%% (%.0f vs %.0f words)" many_words
+       one_words)
+    true
+    (Float.abs (many_words -. one_words) <= 0.01 *. one_words)
 
 (* --- the global decision round ---------------------------------------------- *)
 
@@ -435,6 +501,8 @@ let () =
             `Quick test_packed_refine;
           Alcotest.test_case "long-pattern enumerate skips short blocks"
             `Quick test_long_enumerate_skips_short_blocks;
+          Alcotest.test_case "long repeat sites are keyed windows" `Quick
+            test_long_repeats_are_windows;
         ] );
       ( "decide",
         [
@@ -449,5 +517,7 @@ let () =
             test_thin_tracks_full_wpo;
           Alcotest.test_case "degenerate shardings" `Quick
             test_degenerate_shardings;
+          Alcotest.test_case "workers capped by the shard count" `Quick
+            test_workers_capped_by_shards;
         ] );
     ]
