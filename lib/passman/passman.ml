@@ -108,16 +108,64 @@ let print_spec sp =
 
 let print specs = String.concat "," (List.map print_spec specs)
 
+let not_an_integer sp key v =
+  Printf.sprintf "pass %s: parameter %s=%s is not an integer" sp.sp_name key v
+
 let int_param sp key ~default =
   match List.assoc_opt key sp.sp_params with
   | None -> default
   | Some v -> (
     match int_of_string_opt v with
     | Some n -> n
-    | None ->
-      failwith
-        (Printf.sprintf "pass %s: parameter %s=%s is not an integer" sp.sp_name
-           key v))
+    | None -> failwith (not_an_integer sp key v))
+
+let rounds sp = int_param sp "rounds" ~default:5
+
+(* --- the pass table -------------------------------------------------------- *)
+
+type place = Mir | Across | Machine | Linked
+
+type info = {
+  pi_name : string;
+  pi_params : (string * [ `Int | `Text ]) list;
+  pi_place : place;
+  pi_rounds : bool;
+  pi_marker : bool;
+}
+
+(* Every pass, declared once.  The spec checks, the bisect reservation,
+   the registries' records and [Pipeline]'s spec split read these facts
+   here and nowhere else. *)
+let pass_table =
+  let pass ?(params = []) ?(rounds = false) ?(marker = false) place name =
+    {
+      pi_name = name;
+      pi_params = params;
+      pi_place = place;
+      pi_rounds = rounds;
+      pi_marker = marker;
+    }
+  in
+  [
+    pass Mir "dce";
+    pass Mir "sil-outline" ~params:[ ("min", `Int) ];
+    pass Mir "merge-functions";
+    pass Mir "fmsa";
+    pass Across "global-merge" ~params:[ ("min", `Int); ("max-holes", `Int) ];
+    pass Machine "canonicalize";
+    pass Machine "outline" ~params:[ ("rounds", `Int) ] ~rounds:true;
+    pass Linked "thin-outline"
+      ~params:[ ("workers", `Int); ("rounds", `Int) ]
+      ~rounds:true;
+    pass Linked "caller-affinity-layout" ~marker:true;
+    pass Linked "pgo-layout"
+      ~params:[ ("strategy", `Text); ("w", `Text) ]
+      ~marker:true;
+    pass Linked "stitch" ~marker:true;
+  ]
+
+let pass_info name = List.find_opt (fun i -> i.pi_name = name) pass_table
+let registered_names = List.map (fun i -> i.pi_name) pass_table
 
 (* --- timing tree ----------------------------------------------------------- *)
 
@@ -208,8 +256,8 @@ let reserved_steps specs =
     (fun acc sp ->
       acc
       +
-      match sp.sp_name with
-      | "outline" | "thin-outline" -> max 0 (int_param sp "rounds" ~default:5)
+      match pass_info sp.sp_name with
+      | Some { pi_rounds = true; _ } -> max 0 (rounds sp)
       | _ -> 1)
     0 specs
 
@@ -334,41 +382,65 @@ let find_pass passes name = List.find_opt (fun p -> p.p_name = name) passes
 
 (* Pipelines no build can honour: a repeated outliner names its functions
    by round alone, so running one twice defines every outlined symbol
-   twice; and the layout markers each pick the final image's placement, so
-   at most one of them can hold. *)
+   twice; the layout markers each pick the final image's placement, so at
+   most one of them can hold; and a build runs its MIR and cross-unit
+   passes, then its per-unit machine passes, then its linked passes, so a
+   spec listing them in another order cannot run as written. *)
 let check_pipeline specs =
-  let names = List.map (fun sp -> sp.sp_name) specs in
-  let count n = List.length (List.filter (String.equal n) names) in
-  match List.find_opt (fun n -> count n > 1) [ "outline"; "thin-outline" ] with
-  | Some n ->
+  let infos = List.filter_map (fun sp -> pass_info sp.sp_name) specs in
+  let count i =
+    List.length (List.filter (fun j -> j.pi_name = i.pi_name) infos)
+  in
+  let rank i =
+    match i.pi_place with Mir | Across -> 0 | Machine -> 1 | Linked -> 2
+  in
+  let rec in_order = function
+    | a :: (b :: _ as rest) ->
+      if rank b < rank a then
+        Error (Printf.sprintf "pass %s cannot run after %s" b.pi_name a.pi_name)
+      else in_order rest
+    | _ -> Ok ()
+  in
+  match List.find_opt (fun i -> i.pi_rounds && count i > 1) pass_table with
+  | Some i ->
     Error
       (Printf.sprintf "pass %s appears twice (its outlined symbols would clash)"
-         n)
+         i.pi_name)
   | None -> (
-    let markers = [ "caller-affinity-layout"; "pgo-layout"; "stitch" ] in
-    match List.filter (fun n -> List.mem n markers) names with
+    match List.filter (fun i -> i.pi_marker) infos with
     | _ :: _ :: _ as ms ->
       Error
         (Printf.sprintf "more than one layout marker (%s); keep one"
-           (String.concat ", " ms))
-    | _ -> Ok ())
+           (String.concat ", " (List.map (fun i -> i.pi_name) ms)))
+    | _ -> in_order infos)
 
-let validate_specs ~known specs =
+let validate_specs specs =
+  let check sp =
+    match pass_info sp.sp_name with
+    | None -> Error (Printf.sprintf "unknown pass %S" sp.sp_name)
+    | Some { pi_params; _ } -> (
+      let keys = List.map fst pi_params in
+      match
+        List.find_opt (fun (k, _) -> not (List.mem k keys)) sp.sp_params
+      with
+      | Some (k, _) ->
+        Error
+          (Printf.sprintf "pass %s: unknown parameter %S (accepts: %s)"
+             sp.sp_name k
+             (if keys = [] then "none" else String.concat ", " keys))
+      | None -> (
+        match
+          List.find_opt
+            (fun (k, v) ->
+              List.assoc k pi_params = `Int && int_of_string_opt v = None)
+            sp.sp_params
+        with
+        | Some (k, v) -> Error (not_an_integer sp k v)
+        | None -> Ok ()))
+  in
   let rec go = function
     | [] -> check_pipeline specs
-    | sp :: rest -> (
-      match known sp.sp_name with
-      | None -> Error (Printf.sprintf "unknown pass %S" sp.sp_name)
-      | Some keys -> (
-        match
-          List.find_opt (fun (k, _) -> not (List.mem k keys)) sp.sp_params
-        with
-        | Some (k, _) ->
-          Error
-            (Printf.sprintf "pass %s: unknown parameter %S (accepts: %s)"
-               sp.sp_name k
-               (if keys = [] then "none" else String.concat ", " keys))
-        | None -> go rest))
+    | sp :: rest -> Result.bind (check sp) (fun () -> go rest)
   in
   go specs
 
@@ -467,13 +539,15 @@ let machine_stage =
     stage_size = Machine.Program.code_size_bytes;
   }
 
-(* A pass the manager gates, times and checks as one step. *)
-let simple_pass ?(linked = false) ?across name params run =
+(* A registry pass: its parameters, linkedness and self-gating are its
+   table entry's. *)
+let registered ?across name run =
+  let info = List.find (fun i -> i.pi_name = name) pass_table in
   {
     p_name = name;
-    p_params = params;
-    p_self_gated = false;
-    p_linked = linked;
+    p_params = List.map fst info.pi_params;
+    p_self_gated = info.pi_rounds;
+    p_linked = info.pi_place = Linked;
     p_run = run;
     p_across = across;
   }
@@ -490,14 +564,14 @@ let mir_passes ~keep =
          ~keep ms)
   in
   [
-    simple_pass "dce" [] (fun _ _ m -> fst (Dce.run m));
-    simple_pass "sil-outline" [ "min" ] (fun _ sp m ->
+    registered "dce" (fun _ _ m -> fst (Dce.run m));
+    registered "sil-outline" (fun _ sp m ->
         let min_occurrences = int_param sp "min" ~default:8 in
         fst (Swiftlet.Sil_outline.run ~min_occurrences m));
-    simple_pass "merge-functions" [] (fun _ _ m ->
+    registered "merge-functions" (fun _ _ m ->
         fst (Merge_functions.run ~keep m));
-    simple_pass "fmsa" [] (fun _ _ m -> fst (Fmsa.run ~keep m));
-    simple_pass "global-merge" [ "min"; "max-holes" ] ~across:global_merge
+    registered "fmsa" (fun _ _ m -> fst (Fmsa.run ~keep m));
+    registered "global-merge" ~across:global_merge
       (fun _ sp m -> List.hd (global_merge ~workers:1 sp [ m ]));
   ]
 
@@ -564,39 +638,30 @@ let latest rounds = List.nth rounds (List.length rounds - 1)
    step, so --opt-bisect-limit can cut the repetition mid-way and
    localization lands on a single round. *)
 let outline_pass env unit_name =
-  {
-    p_name = "outline";
-    p_params = [ "rounds" ];
-    p_self_gated = true;
-    p_linked = false;
-    p_across = None;
-    p_run =
-      (fun ctx sp p ->
-        let round =
-          Outcore.Repeat.round
-            ~options:
-              { Outcore.Outliner.default_options with scope_name = env.me_scope }
-            ~profile:env.me_profile ~engine:env.me_engine ?warm:env.me_warm ()
-        in
-        run_rounds ctx ~pass:"outline" ~unit_name
-          ~rounds:(int_param sp "rounds" ~default:5)
-          ~on_stats:env.me_on_stats
-          (fun k p ->
-            let out = round k p in
-            let rp : Outcore.Profile.round_profile =
-              latest (Outcore.Profile.rounds env.me_profile)
-            in
-            List.iter (add_node ctx)
-              [
-                leaf "seq-build" rp.rp_seq_build;
-                leaf "tree-build" rp.rp_tree_build;
-                leaf "enumerate" rp.rp_enumerate;
-                leaf "score" rp.rp_score;
-                leaf "rewrite" rp.rp_rewrite;
-              ];
-            out)
-          p);
-  }
+  registered "outline" (fun ctx sp p ->
+      let round =
+        Outcore.Repeat.round
+          ~options:
+            { Outcore.Outliner.default_options with scope_name = env.me_scope }
+          ~profile:env.me_profile ~engine:env.me_engine ?warm:env.me_warm ()
+      in
+      run_rounds ctx ~pass:"outline" ~unit_name ~rounds:(rounds sp)
+        ~on_stats:env.me_on_stats
+        (fun k p ->
+          let out = round k p in
+          let rp : Outcore.Profile.round_profile =
+            latest (Outcore.Profile.rounds env.me_profile)
+          in
+          List.iter (add_node ctx)
+            [
+              leaf "seq-build" rp.rp_seq_build;
+              leaf "tree-build" rp.rp_tree_build;
+              leaf "enumerate" rp.rp_enumerate;
+              leaf "score" rp.rp_score;
+              leaf "rewrite" rp.rp_rewrite;
+            ];
+          out)
+        p)
 
 (* Thin-WPO as a self-gated linked pass: it wants the system-linker-merged
    program (it re-shards it by originating module itself), and every
@@ -604,65 +669,53 @@ let outline_pass env unit_name =
    natural gating unit, since cutting inside a round would leave shards
    rewritten against half a decision table. *)
 let thin_outline_pass env =
-  {
-    p_name = "thin-outline";
-    p_params = [ "workers"; "rounds"; "min" ];
-    p_self_gated = true;
-    p_linked = true;
-    p_across = None;
-    p_run =
-      (fun ctx sp p ->
-        let workers =
-          Thinwpo.Pool.resolve_workers
-            (int_param sp "workers" ~default:env.me_thin_workers)
-        in
-        let min_length = int_param sp "min" ~default:2 in
-        let state = Thinwpo.Engine.create_state () in
-        run_rounds ctx ~pass:"thin-outline" ~unit_name:""
-          ~rounds:(int_param sp "rounds" ~default:5)
-          ~on_stats:env.me_on_stats
-          (fun round p ->
-            let options =
-              { Outcore.Outliner.default_options with round; min_length }
-            in
-            let out =
-              Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers
-                ~state ~options p
-            in
-            let rr = latest (Thinwpo.Engine.Report.rounds env.me_thin_report) in
-            List.iter
-              (fun (sh : Thinwpo.Engine.Report.shard) ->
-                add_node ctx
-                  {
-                    (leaf
-                       ~note:
-                         (Printf.sprintf "%d funcs, %d/%d blocks reused"
-                            sh.rs_funcs sh.rs_reused sh.rs_blocks)
-                       ("shard " ^ sh.rs_module)
-                       (sh.rs_discover +. sh.rs_rewrite))
-                    with
-                    t_children =
-                      [
-                        leaf "discover" (sh.rs_discover -. sh.rs_refine);
-                        leaf "refine" sh.rs_refine;
-                        leaf "rewrite" sh.rs_rewrite;
-                      ];
-                  })
-              rr.rr_shards;
-            add_node ctx
-              (leaf
-                 ~note:(Printf.sprintf "%d selected" rr.rr_selected)
-                 "global-decision" rr.rr_decide);
-            out)
-          p);
-  }
+  registered "thin-outline" (fun ctx sp p ->
+      let workers =
+        Thinwpo.Pool.resolve_workers
+          (int_param sp "workers" ~default:env.me_thin_workers)
+      in
+      let state = Thinwpo.Engine.create_state () in
+      run_rounds ctx ~pass:"thin-outline" ~unit_name:"" ~rounds:(rounds sp)
+        ~on_stats:env.me_on_stats
+        (fun round p ->
+          let options = { Outcore.Outliner.default_options with round } in
+          let out =
+            Thinwpo.Engine.run_round ~report:env.me_thin_report ~workers
+              ~state ~options p
+          in
+          let rr = latest (Thinwpo.Engine.Report.rounds env.me_thin_report) in
+          List.iter
+            (fun (sh : Thinwpo.Engine.Report.shard) ->
+              add_node ctx
+                {
+                  (leaf
+                     ~note:
+                       (Printf.sprintf "%d funcs, %d/%d blocks reused"
+                          sh.rs_funcs sh.rs_reused sh.rs_blocks)
+                     ("shard " ^ sh.rs_module)
+                     (sh.rs_discover +. sh.rs_rewrite))
+                  with
+                  t_children =
+                    [
+                      leaf "discover" (sh.rs_discover -. sh.rs_refine);
+                      leaf "refine" sh.rs_refine;
+                      leaf "rewrite" sh.rs_rewrite;
+                    ];
+                })
+            rr.rr_shards;
+          add_node ctx
+            (leaf
+               ~note:(Printf.sprintf "%d selected" rr.rr_selected)
+               "global-decision" rr.rr_decide);
+          out)
+        p)
 
 let machine_passes env =
   [
-    simple_pass "canonicalize" [] (fun _ _ p -> fst (Outcore.Canonicalize.run p));
+    registered "canonicalize" (fun _ _ p -> fst (Outcore.Canonicalize.run p));
     outline_pass env env.me_scope;
     thin_outline_pass env;
-    simple_pass ~linked:true "caller-affinity-layout" [] (fun _ _ p ->
+    registered "caller-affinity-layout" (fun _ _ p ->
         Outcore.Layout.optimize p);
     (* Marker passes: profile-guided placement is pure reordering realized
        at link time ([Linker.link ~order]) and block-granularity placement
@@ -672,21 +725,6 @@ let machine_passes env =
        bp-compress(w), stitch — a validated, parameterized member of the
        pipeline spec, which the pipeline's layout phase reads
        ([Pipeline.layout_of_specs]). *)
-    simple_pass ~linked:true "pgo-layout" [ "strategy"; "w" ] (fun _ _ p -> p);
-    simple_pass ~linked:true "stitch" [] (fun _ _ p -> p);
-  ]
-
-let registered_names =
-  [
-    "dce";
-    "sil-outline";
-    "merge-functions";
-    "fmsa";
-    "global-merge";
-    "canonicalize";
-    "outline";
-    "thin-outline";
-    "caller-affinity-layout";
-    "pgo-layout";
-    "stitch";
+    registered "pgo-layout" (fun _ _ p -> p);
+    registered "stitch" (fun _ _ p -> p);
   ]

@@ -21,8 +21,9 @@
     phases of [Pipeline.build] run each unit in a forked context with a
     reserved block of step numbers ({!fork}, {!join}), so step numbering
     is a function of the pipeline and the module list alone.  The spec is
-    the only pipeline description; the concrete registries live at the
-    bottom of this module. *)
+    the only pipeline description.  What each pass accepts and where it
+    runs is declared once, in {!pass_table}; the concrete registries live
+    at the bottom of this module. *)
 
 (* --- pipeline specs -------------------------------------------------------- *)
 
@@ -40,8 +41,41 @@ val print : spec list -> string
 (** Canonical rendering; [parse (print s) = Ok s] for any well-formed [s]. *)
 
 val int_param : spec -> string -> default:int -> int
-(** Look up an integer parameter; raises [Failure] (caught by
-    [Pipeline.build]'s error wrapper) when the value is not an integer. *)
+(** Look up an integer parameter; raises [Failure] when the value is not an
+    integer, which {!validate_specs} refuses up front for every parameter
+    the table marks [`Int]. *)
+
+(* --- the pass table -------------------------------------------------------- *)
+
+type place =
+  | Mir      (** per MIR unit (whole program: the one linked module) *)
+  | Across   (** a MIR pass deciding across every unit at once *)
+  | Machine  (** per machine unit *)
+  | Linked   (** on the merged machine program *)
+
+type info = {
+  pi_name : string;
+  pi_params : (string * [ `Int | `Text ]) list;
+      (** accepted parameter keys; an [`Int] one must hold an integer *)
+  pi_place : place;
+  pi_rounds : bool;
+      (** repeats in rounds ([rounds=N], default 5): self-gated, one bisect
+          step per round *)
+  pi_marker : bool;
+      (** a layout marker: it names the final image's placement *)
+}
+
+val pass_table : info list
+(** Every registered pass, declared once: the one source of its
+    parameters, its place, its rounds and its marker role.  A spec runs
+    in the order it is written, so its passes must come in place order:
+    [Mir] and [Across] first, then [Machine], then [Linked]. *)
+
+val pass_info : string -> info option
+(** The table entry of a pass name. *)
+
+val registered_names : string list
+(** Every pass name in the table, in table order. *)
 
 (* --- the pass context ------------------------------------------------------ *)
 
@@ -110,10 +144,10 @@ val timing_tree : ctx -> timing list
 
 val reserved_steps : spec list -> int
 (** How many bisect steps one unit running [specs] may consume: 1 per pass,
-    except the self-gated outliners, which reserve their [rounds] (clamped
-    at 0, as the passes run no round for [rounds <= 0]; they may stop
-    early, leaving step numbers unused — harmless, and the price of a
-    numbering that is a function of the pipeline alone). *)
+    except the passes the table marks [pi_rounds], which reserve their
+    [rounds] (clamped at 0, as the passes run no round for [rounds <= 0];
+    they may stop early, leaving step numbers unused — harmless, and the
+    price of a numbering that is a function of the pipeline alone). *)
 
 val fork : ctx -> offset:int -> ctx
 (** A shard context for one unit of a parallel phase: same configuration,
@@ -139,6 +173,8 @@ type 'ir stage = {
   stage_size : 'ir -> int;
 }
 
+(** A runnable pass.  The registries below take [p_params], [p_self_gated]
+    and [p_linked] from the pass's {!pass_table} entry. *)
 type 'ir pass = {
   p_name : string;
   p_params : string list;  (** accepted parameter keys; others are errors *)
@@ -158,15 +194,15 @@ type 'ir pass = {
 
 val find_pass : 'ir pass list -> string -> 'ir pass option
 
-val validate_specs :
-  known:(string -> string list option) -> spec list -> (unit, string) result
-(** [known name] returns the accepted parameter keys of a registered pass,
-    or [None] for an unknown name.  Checks every spec's name and parameter
-    keys, then rejects the pipelines no build can honour: the same
+val validate_specs : spec list -> (unit, string) result
+(** Checks every spec against {!pass_table}: a known name, known
+    parameter keys, and an integer for every [`Int] parameter.  Then
+    rejects the pipelines no build can honour: the same repeating
     outliner ([outline] or [thin-outline]) twice — both runs would name
-    their functions from the same round numbers — and more than one
-    layout marker ([caller-affinity-layout], [pgo-layout], [stitch]),
-    which are alternatives for the final placement. *)
+    their functions from the same round numbers; more than one layout
+    marker ([caller-affinity-layout], [pgo-layout], [stitch]), which are
+    alternatives for the final placement; and, in that precedence, a pass
+    listed after one of a later place (["pass B cannot run after A"]). *)
 
 val run_passes :
   ctx -> 'ir stage -> 'ir pass list -> ?unit_name:string -> spec list -> 'ir -> 'ir
@@ -237,10 +273,7 @@ val machine_passes : machine_env -> Machine.Program.t pass list
     bisect step, recorded as ["round K"] details; the round itself, engine
     choice and round numbering included, is {!Outcore.Repeat.round}, the
     function [Outcore.Repeat.run] loops over), the linked self-gated
-    [thin-outline(workers=N,rounds=N,min=N)] (sharded parallel
+    [thin-outline(workers=N,rounds=N)] (sharded parallel
     whole-program outlining; each three-phase round is one bisect step),
     the linked [caller-affinity-layout], and the linked layout markers
     [pgo-layout(strategy=S,w=W)] and [stitch]. *)
-
-val registered_names : string list
-(** Every pass name in both registries, for completeness checks. *)

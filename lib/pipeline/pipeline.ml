@@ -39,7 +39,11 @@ let marker_pass l =
   let _, _, pass = table_entry l in
   pass
 
-let is_marker name = List.exists (fun (_, _, m) -> m = Some name) layout_table
+(* Whether the table says pass [name] has [fact]. *)
+let pass_has fact name =
+  match Passman.pass_info name with Some i -> fact i | None -> false
+
+let is_marker = pass_has (fun i -> i.Passman.pi_marker)
 
 let layout_strategy_name l =
   let name, _, _ = table_entry l in
@@ -124,11 +128,8 @@ let layout_of_specs specs =
     Ok l
 
 let rounds_of_specs specs =
-  match
-    List.find_opt
-      (fun sp -> List.mem sp.Passman.sp_name [ "outline"; "thin-outline" ])
-      specs
-  with
+  let repeats sp = pass_has (fun i -> i.Passman.pi_rounds) sp.Passman.sp_name in
+  match List.find_opt repeats specs with
   | Some sp -> Passman.int_param sp "rounds" ~default:5
   | None -> 0
 
@@ -205,30 +206,6 @@ type result = {
   outline_stats : Outcore.Outliner.round_stats list;
 }
 
-(* Registries instantiated with inert environments, used only to resolve
-   names, parameter lists and stage membership. *)
-let template_mir = Passman.mir_passes ~keep:(fun _ -> false)
-
-let template_machine =
-  Passman.machine_passes
-    {
-      Passman.me_engine = `Scratch;
-      me_scope = "";
-      me_profile = Outcore.Profile.create ();
-      me_on_stats = (fun _ -> ());
-      me_thin_workers = 1;
-      me_thin_report = Thinwpo.Engine.Report.create ();
-      me_warm = None;
-    }
-
-let known_pass name =
-  match Passman.find_pass template_mir name with
-  | Some p -> Some p.Passman.p_params
-  | None -> (
-    match Passman.find_pass template_machine name with
-    | Some p -> Some p.Passman.p_params
-    | None -> None)
-
 let config_of_passes ?(base = default_config) s =
   let ( let* ) = Result.bind in
   let markers specs =
@@ -237,14 +214,12 @@ let config_of_passes ?(base = default_config) s =
   Result.map_error
     (fun e -> "bad pass pipeline: " ^ e)
     (let* specs = Passman.parse s in
-     let* () = Passman.validate_specs ~known:known_pass specs in
+     let* () = Passman.validate_specs specs in
      (* A spec without a layout marker keeps the base's, so the spec names
         the layout that runs. *)
      let specs =
        if markers specs = [] then specs @ markers base.passes else specs
      in
-     (* The outliner's rounds must be an integer. *)
-     let* _ = try Ok (rounds_of_specs specs) with Failure e -> Error e in
      let* outlined_layout = layout_of_specs specs in
      Ok { base with passes = specs; outlined_layout })
 
@@ -306,7 +281,7 @@ let run_build ?dump ~config front_end =
   try
     let modules = front_end ctx in
     let specs = config.passes in
-    (match Passman.validate_specs ~known:known_pass specs with
+    (match Passman.validate_specs specs with
     | Ok () -> ()
     | Error e -> failwith e);
     let layout =
@@ -332,19 +307,15 @@ let run_build ?dump ~config front_end =
           me_warm = (if scope = "" then config.warm_outline else None);
         }
     in
-    let mir_specs, machine_specs =
-      List.partition
-        (fun sp -> Passman.find_pass template_mir sp.Passman.sp_name <> None)
-        specs
+    (* A validated spec lists its passes in place order: MIR and
+       cross-unit, then per-unit machine, then linked. *)
+    let place sp =
+      (Option.get (Passman.pass_info sp.Passman.sp_name)).Passman.pi_place
     in
-    let machine_unit_specs, machine_linked_specs =
-      List.partition
-        (fun sp ->
-          match Passman.find_pass template_machine sp.Passman.sp_name with
-          | Some p -> not p.Passman.p_linked
-          | None -> true)
-        machine_specs
-    in
+    let in_places ps = List.filter (fun sp -> List.mem (place sp) ps) specs in
+    let mir_specs = in_places [ Mir; Across ]
+    and machine_unit_specs = in_places [ Machine ]
+    and machine_linked_specs = in_places [ Linked ] in
     let program =
       match config.mode with
       | Whole_program ->
@@ -367,6 +338,7 @@ let run_build ?dump ~config front_end =
           Passman.span ctx "llc" (fun () ->
               mark_no_outline config (Codegen.compile_modul optimized))
         in
+        let machine_specs = machine_unit_specs @ machine_linked_specs in
         if machine_specs <> [] then
           Passman.span ctx "machine-outliner" (fun () ->
               Passman.run_passes ctx Passman.machine_stage
@@ -410,12 +382,10 @@ let run_build ?dump ~config front_end =
            and the rest continue per unit. *)
         let rec split_across local = function
           | [] -> ([], List.rev local)
-          | sp :: rest -> (
-            match Passman.find_pass template_mir sp.Passman.sp_name with
-            | Some { Passman.p_across = Some _; _ } ->
-              let phases, tail = split_across [] rest in
-              ((List.rev local, sp) :: phases, tail)
-            | _ -> split_across (sp :: local) rest)
+          | sp :: rest when place sp = Across ->
+            let phases, tail = split_across [] rest in
+            ((List.rev local, sp) :: phases, tail)
+          | sp :: rest -> split_across (sp :: local) rest
         in
         let across_phases, finish_specs = split_across [] mir_specs in
         let units =
@@ -550,121 +520,57 @@ let build_sources ?dump ?(config = default_config) sources =
 
 (* --- the pre-refactor sequencing (transitional reference) ------------------ *)
 
-(* The hardcoded pipeline exactly as it was before the pass-manager
-   refactor, kept so the fuzz lattice can assert the refactor is
-   observationally exact: the default config must produce byte-identical
-   programs through both paths.  Delete once the differential has soaked. *)
-
-(* The pass facts the reference sequencing obeys, read off the spec. *)
-let reference_find config name =
-  List.find_opt (fun sp -> sp.Passman.sp_name = name) config.passes
-
-let reference_opt_module config (m : Ir.modul) =
-  let has name = reference_find config name <> None in
-  let m = if has "dce" then fst (Dce.run m) else m in
-  let m =
-    match reference_find config "sil-outline" with
-    | Some sp ->
-      let min_occurrences = Passman.int_param sp "min" ~default:8 in
-      fst (Swiftlet.Sil_outline.run ~min_occurrences m)
-    | None -> m
-  in
-  let keep (f : Ir.func) = List.mem f.Ir.name config.entry_points in
-  let m =
-    if has "merge-functions" then fst (Merge_functions.run ~keep m) else m
-  in
-  let m = if has "fmsa" then fst (Fmsa.run ~keep m) else m in
-  m
-
-let reference_outline_options ~scope =
-  { Outcore.Outliner.default_options with scope_name = scope }
-
+(* The hardcoded default pipeline exactly as it was before the
+   pass-manager refactor, kept so the fuzz lattice can assert the refactor
+   is observationally exact: the default configs must produce
+   byte-identical programs through both paths.  Delete once the
+   differential has soaked. *)
 let build_reference ?(config = default_config) modules =
   let outline_stats = ref [] in
   try
-    let rounds = rounds_of_specs config.passes in
-    let layout =
-      match layout_of_specs config.passes with Ok l -> l | Error e -> failwith e
+    if config.passes <> default_config.passes then
+      failwith
+        ("build_reference: runs only "
+        ^ Passman.print default_config.passes
+        ^ ", not " ^ Passman.print config.passes);
+    let compile (m : Ir.modul) ~scope =
+      let machine =
+        mark_no_outline config (Codegen.compile_modul (fst (Dce.run m)))
+      in
+      let p, stats =
+        Outcore.Repeat.run
+          ~options:{ Outcore.Outliner.default_options with scope_name = scope }
+          ~engine:config.outline_engine ~rounds:default_rounds machine
+      in
+      outline_stats := !outline_stats @ stats;
+      p
     in
     let program =
       match config.mode with
       | Thin_wpo _ ->
         failwith "build_reference: thin-WPO postdates the pass-manager refactor"
-      | Whole_program ->
-        let merged =
-          match
-            Link.link ~flag_semantics:config.flag_semantics
-              ~data_order:config.data_order ~name:"whole" modules
-          with
-          | Ok m -> m
-          | Error e -> failwith (Link.error_to_string e)
-        in
-        let optimized = reference_opt_module config merged in
-        let machine = mark_no_outline config (Codegen.compile_modul optimized) in
-        if rounds > 0 then begin
-          let machine =
-            if reference_find config "canonicalize" <> None then
-              fst (Outcore.Canonicalize.run machine)
-            else machine
-          in
-          let p, stats =
-            Outcore.Repeat.run
-              ~options:(reference_outline_options ~scope:"")
-              ~engine:config.outline_engine ~rounds machine
-          in
-          outline_stats := stats;
-          if layout = `Caller_affinity then Outcore.Layout.optimize p else p
-        end
-        else machine
-      | Per_module -> (
-        let units =
-          List.map
-            (fun (m : Ir.modul) ->
-              let optimized = reference_opt_module config m in
-              let machine =
-                mark_no_outline config (Codegen.compile_modul optimized)
-              in
-              if rounds > 0 then begin
-                let p, stats =
-                  Outcore.Repeat.run
-                    ~options:(reference_outline_options ~scope:m.Ir.m_name)
-                    ~engine:config.outline_engine ~rounds machine
-                in
-                outline_stats := !outline_stats @ stats;
-                p
-              end
-              else machine)
-            modules
-        in
-        let merged = Machine.Program.concat units in
-        if layout = `Caller_affinity && rounds > 0 then
-          Outcore.Layout.optimize merged
-        else merged)
+      | Whole_program -> (
+        match
+          Link.link ~flag_semantics:config.flag_semantics
+            ~data_order:config.data_order ~name:"whole" modules
+        with
+        | Ok m -> compile m ~scope:""
+        | Error e -> failwith (Link.error_to_string e))
+      | Per_module ->
+        Machine.Program.concat
+          (List.map (fun (m : Ir.modul) -> compile m ~scope:m.Ir.m_name) modules)
     in
     (match Machine.Program.validate program with
     | Ok () -> ()
     | Error e -> failwith ("pipeline produced invalid program: " ^ e));
-    let function_order =
-      match layout with
-      | `Append | `Caller_affinity -> None
-      | `Stitch ->
-        failwith "build_reference: stitch postdates the pass-manager refactor"
-      | (`Order_file | `C3 | `Balanced | `Bp_compress _) as strategy ->
-        let profile =
-          match config.layout_profile with
-          | Some p -> p
-          | None -> self_profile program
-        in
-        Some (Pgo.Order.compute strategy profile program)
-    in
-    let layout = Linker.link ?order:function_order program in
+    let layout = Linker.link program in
     Ok
       {
         program;
         layout;
         binary_size = Linker.binary_size layout;
         code_size = layout.Linker.text_size;
-        function_order;
+        function_order = None;
         timing_tree = [];
         pass_steps = [];
         outline_stats = !outline_stats;

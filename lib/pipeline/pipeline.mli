@@ -113,8 +113,9 @@ type config = {
   bisect_limit : int option;
       (** LLVM-style opt-bisect: stop applying passes — and individual
           outline rounds — after this many steps; see {!result.pass_steps}
-          and {!Passman.bisect}.  The layout a marker names is applied
-          whatever the limit, like the link itself. *)
+          and {!Passman.bisect}.  A layout marker is a step like any
+          other: when the limit skips it, the build places nothing and
+          links in program order. *)
   warm_outline : Outcore.Outliner.warm option;
       (** outliner state that holds nothing of any program (the suffix-tree
           arena pool) surviving across builds (the serve daemon).  Only consulted by
@@ -150,17 +151,19 @@ val layout_of_specs : Passman.spec list -> (layout_strategy, string) Stdlib.resu
     whose [w] is not in [0..1]. *)
 
 val rounds_of_specs : Passman.spec list -> int
-(** The spec's outliner's [rounds] (default 5); 0 without an outliner.
-    Raises [Failure] when it is not an integer. *)
+(** The [rounds] of the spec's repeating pass (default 5); 0 without one.
+    Raises [Failure] when it is not an integer, which a spec that passed
+    {!Passman.validate_specs} never holds. *)
 
 val config_of_passes : ?base:config -> string -> (config, string) result
 (** Parse and validate a pipeline string ([--passes "dce,outline(rounds=5)"])
     and make it [base]'s spec, with [base]'s layout marker appended when it
-    has none.  Errors, prefixed [bad pass pipeline:], on unknown pass names
-    or parameters, malformed syntax, the pipelines
-    {!Passman.validate_specs} refuses (an outliner twice, more than one
-    layout marker), an outliner [rounds] that is not an integer, and the
-    markers {!layout_of_specs} refuses. *)
+    has none.  The build runs the passes in the order written.  Errors,
+    prefixed [bad pass pipeline:], on malformed syntax and on everything
+    {!Passman.validate_specs} refuses — unknown pass names or parameters,
+    a non-integer value for an integer parameter, an outliner twice, more
+    than one layout marker, a pass written after one of a later place —
+    and on the markers {!layout_of_specs} refuses. *)
 
 type result = {
   program : Machine.Program.t;
@@ -211,10 +214,10 @@ val build_sources :
 
 val build_reference :
   ?config:config -> Ir.modul list -> (result, string) Stdlib.result
-(** The pre-refactor hardcoded sequencing, kept so the fuzz lattice can
-    assert the pass manager is observationally exact (default-config
-    builds must be byte-identical through both paths).  Which of [dce],
-    [sil-outline], [merge-functions], [fmsa] and [canonicalize] run, the
-    outliner's rounds and the layout are read off [config.passes]; ignores
-    [verify_each], [print_after] and [bisect_limit]; returns empty
-    [timing_tree]/[pass_steps]. *)
+(** The pre-refactor hardcoded sequencing of the default spec, kept so the
+    fuzz lattice can assert the pass manager is observationally exact
+    ({!default_config} and {!default_ios_config} builds must be
+    byte-identical through both paths): [dce], then 5 outline rounds, then
+    the append layout, whole-program or per module.  Any other spec, or
+    thin mode, is an [Error].  Ignores [verify_each], [print_after] and
+    [bisect_limit]; returns empty [timing_tree]/[pass_steps]. *)

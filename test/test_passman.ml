@@ -107,6 +107,67 @@ let test_registry () =
     (List.sort compare Passman.registered_names)
     (List.sort_uniq compare covered)
 
+(* The pass table and the registries agree: every table entry is one
+   registry pass with the table's parameters, linkedness and self-gating,
+   cross-unit exactly when its place is [Across], and every registry pass
+   has a table entry. *)
+let test_table_matches_registries () =
+  let env =
+    {
+      Passman.me_engine = `Scratch;
+      me_scope = "";
+      me_profile = Outcore.Profile.create ();
+      me_on_stats = ignore;
+      me_thin_workers = 1;
+      me_thin_report = Thinwpo.Engine.Report.create ();
+      me_warm = None;
+    }
+  in
+  let facts (p : _ Passman.pass) =
+    (p.p_name, p.p_params, p.p_linked, p.p_self_gated, p.p_across <> None)
+  in
+  let registry =
+    List.map facts (Passman.mir_passes ~keep:(fun _ -> false))
+    @ List.map facts (Passman.machine_passes env)
+  in
+  let table =
+    List.map
+      (fun (i : Passman.info) ->
+        ( i.pi_name,
+          List.map fst i.pi_params,
+          i.pi_place = Passman.Linked,
+          i.pi_rounds,
+          i.pi_place = Passman.Across ))
+      Passman.pass_table
+  in
+  let show (name, params, linked, gated, across) =
+    Printf.sprintf "%s(%s) linked=%b self-gated=%b across=%b" name
+      (String.concat "," params) linked gated across
+  in
+  Alcotest.(check (list string)) "one registry pass per table entry"
+    (List.sort compare (List.map show table))
+    (List.sort compare (List.map show registry));
+  Alcotest.(check (list string)) "registered names are the table's"
+    (List.map (fun (i : Passman.info) -> i.pi_name) Passman.pass_table)
+    Passman.registered_names
+
+(* The reference runs the default spec only (the lattice's transition
+   differential checks that it matches the build); any other spec is an
+   error, not a build. *)
+let test_reference_default_only () =
+  let modules =
+    ok_exn
+      (Swiftlet.Compile.compile_program
+         (Workload.Appgen.generate_sources
+            (Workload.Appgen.at_week Workload.Appgen.small 0)))
+  in
+  let config = ok_exn (Pipeline.config_of_passes "dce,fmsa,outline(rounds=2)") in
+  match Pipeline.build_reference ~config modules with
+  | Ok _ -> Alcotest.fail "the reference built a non-default spec"
+  | Error e ->
+    Alcotest.(check bool) ("error names the spec: " ^ e) true
+      (contains e "dce,fmsa,outline(rounds=2)")
+
 (* --layout composes with --passes: a spec without a layout marker keeps
    the base strategy, names it, and builds what the explicit marker
    builds.  Stitch and caller-affinity bases used to build append. *)
@@ -258,6 +319,32 @@ let test_rejected_pipelines () =
       "dce,outline(rounds=3),stitch,stitch";
       "dce,outline(rounds=3),pgo-layout(strategy=stitch)";
       "dce,outline(rounds=3),pgo-layout(strategy=nope)";
+      (* A spec runs in the order written, so a pass listed after one of
+         a later place cannot run. *)
+      "outline(rounds=1),dce";
+      "dce,caller-affinity-layout,outline(rounds=2)";
+      (* Integer parameters are checked when the spec is parsed. *)
+      "dce,global-merge(min=abc)";
+      "dce,thin-outline(workers=two)";
+      "dce,thin-outline(min=2)";
+    ];
+  List.iter
+    (fun (s, want) ->
+      match Pipeline.config_of_passes s with
+      | Ok _ -> Alcotest.failf "expected %S to be rejected" s
+      | Error e -> Alcotest.(check string) s ("bad pass pipeline: " ^ want) e)
+    [
+      ("outline(rounds=1),dce", "pass dce cannot run after outline");
+      ( "dce,caller-affinity-layout,outline(rounds=2)",
+        "pass outline cannot run after caller-affinity-layout" );
+      ( "dce,global-merge(min=abc)",
+        "pass global-merge: parameter min=abc is not an integer" );
+      (* the duplicate-outliner and two-marker checks come first *)
+      ( "outline(rounds=1),dce,outline(rounds=1)",
+        "pass outline appears twice (its outlined symbols would clash)" );
+      ( "stitch,dce,caller-affinity-layout",
+        "more than one layout marker (stitch, caller-affinity-layout); keep \
+         one" );
     ];
   (* A config that carries such a spec directly fails the build instead. *)
   let config =
@@ -580,6 +667,10 @@ let () =
       ( "registry",
         [
           Alcotest.test_case "completeness" `Quick test_registry;
+          Alcotest.test_case "the table matches the registries" `Quick
+            test_table_matches_registries;
+          Alcotest.test_case "the reference runs the default spec only"
+            `Quick test_reference_default_only;
           Alcotest.test_case "a marker-free spec keeps the base layout" `Quick
             test_base_layout_kept;
           Alcotest.test_case "the spec decides the layout" `Quick
