@@ -53,18 +53,25 @@ type seq_meta = {
    outlinable function with at least one symbol.  Sequence ids, site
    [block_id]s and window-scanner block indices all index this array. *)
 let seq_metas (p : Program.t) =
-  List.concat_map
-    (fun (f : Mfunc.t) ->
-      if f.no_outline then []
-      else
-        List.filter_map
-          (fun (b : Block.t) ->
-            let has_ret = b.term = Block.Ret in
-            if Array.length b.body = 0 && not has_ret then None
-            else Some { sm_func = f; sm_block = b; sm_has_ret = has_ret })
-          f.blocks)
-    p.funcs
-  |> Array.of_list
+  let iter g =
+    List.iter
+      (fun (f : Mfunc.t) ->
+        if not f.no_outline then
+          List.iter
+            (fun (b : Block.t) ->
+              if Array.length b.body > 0 || b.term = Block.Ret then g f b)
+            f.blocks)
+      p.funcs
+  in
+  let count = ref 0 in
+  iter (fun _ _ -> incr count);
+  let metas = ref [||] and n = ref 0 in
+  iter (fun f b ->
+      let m = { sm_func = f; sm_block = b; sm_has_ret = b.term = Block.Ret } in
+      if !n = 0 then metas := Array.make !count m;
+      !metas.(!n) <- m;
+      incr n);
+  !metas
 
 (* --- The per-build memo -------------------------------------------------- *)
 
@@ -88,7 +95,7 @@ let calls_in lg lo hi = (lg.(hi) - lg.(lo)) land 0xffff_ffff
 (* What one scan of a program carries to the next: per block its legality
    row (built when the rule first asks for it: the serial outliner asks
    only about blocks that hold a repeat's first occurrence) and a ['row]
-   derived from its body and ret slot alone, per function its liveness.
+   derived from its body and ret slot alone, per function its LR liveness.
    Rows are reused only while the block's body is physically the same
    array and its ret slot the same, liveness only while the function is
    physically the same [Mfunc.t] — what the rewrite keeps for everything
@@ -103,7 +110,7 @@ type 'row cached = {
 type 'row memo = {
   mm_rows : (string, (string, 'row cached) Hashtbl.t) Hashtbl.t;
       (** function -> block label *)
-  mm_live : (string, Mfunc.t * Liveness.t) Hashtbl.t;
+  mm_live : (string, Mfunc.t * Liveness.lr) Hashtbl.t;
   mm_by_name : bool;
 }
 
@@ -153,16 +160,24 @@ let memo_rows memo (metas : seq_meta array) make =
       Hashtbl.replace !tbl m.sm_block.Block.label c;
       c
   in
-  let cached = Array.map row metas in
-  ( Array.map (fun c -> c.c_legal) cached,
-    Array.map (fun c -> c.c_row) cached,
-    !reused )
+  let n = Array.length metas in
+  if n = 0 then ([||], [||], 0)
+  else begin
+    let c = row metas.(0) in
+    let legal = Array.make n c.c_legal and rows = Array.make n c.c_row in
+    for i = 1 to n - 1 do
+      let c = row metas.(i) in
+      legal.(i) <- c.c_legal;
+      rows.(i) <- c.c_row
+    done;
+    (legal, rows, !reused)
+  end
 
 let memo_liveness memo (f : Mfunc.t) =
   match Hashtbl.find_opt memo.mm_live f.name with
   | Some (f', lv) when f' == f -> lv
   | _ ->
-    let lv = Liveness.compute f in
+    let lv = Liveness.lr_compute f in
     Hashtbl.replace memo.mm_live f.name (f, lv);
     lv
 
@@ -221,25 +236,24 @@ let sp_unsafe_callees ?(extern = fun _ -> false) (p : Program.t) =
   done;
   fun name -> Hashtbl.mem unsafe name || extern name
 
-(* Per-point LR liveness, memoized per sequence id.  All occurrences of a
-   sequence share one block, so the label-keyed table lookup inside
-   {!Liveness.live_before} would repeat the same string hash tens of
-   thousands of times per round; instead fetch each block's per-point array
-   once and answer further probes with two array reads. *)
+(* Per-point LR liveness, memoized per sequence id: a block's bits are
+   computed the first time the rule probes it, from its function's
+   one-bit-per-block fixpoint, and further probes are two reads. *)
 let lr_live_memo metas liveness_of =
-  let cache = Array.make (Array.length metas) [||] in
+  let cache = Array.make (Array.length metas) Bytes.empty in
   fun seq pos ->
-    let arr =
-      if cache.(seq) != [||] then cache.(seq)
+    let bits =
+      if Bytes.length cache.(seq) > 0 then cache.(seq)
       else begin
         let m = metas.(seq) in
-        let lv = liveness_of m.sm_func in
-        let arr = Liveness.points lv ~label:m.sm_block.Block.label in
-        cache.(seq) <- arr;
-        arr
+        let bits =
+          Liveness.lr_points (liveness_of m.sm_func) ~label:m.sm_block.Block.label
+        in
+        cache.(seq) <- bits;
+        bits
       end
     in
-    Regset.mem Reg.lr arr.(pos)
+    Bytes.get bits pos = '\001'
 
 (* --- The outlining rule -------------------------------------------------- *)
 
@@ -352,81 +366,207 @@ let candidate_at r s pos len shape sites =
 (* --- The repeat judge ---------------------------------------------------- *)
 
 (* The repeats of at least [min_length] symbols in [seqs], from the arena
-   tree over [pool] or from the list suffix tree: built now, listed when
-   the result is applied, so that a caller can time the two apart. *)
+   tree over [pool] or from the list suffix tree: built now, reported to a
+   {!Sufftree.Suffix_tree.visit} when the result is applied, so that a
+   caller can time the two apart. *)
 let suffix_repeats ?pool ~min_length seqs =
   match pool with
   | None ->
-    let t = Sufftree.Suffix_tree.build seqs in
-    fun () -> Sufftree.Suffix_tree.repeats ~min_length t
+    let t = Sufftree.Suffix_tree.build (Array.to_list seqs) in
+    fun f -> Sufftree.Suffix_tree.iter_repeats ~min_length t f
   | Some pool ->
     let t = Sufftree.Arena_tree.build ~pool seqs in
-    fun () -> Sufftree.Arena_tree.repeats ~min_length t
+    fun f -> Sufftree.Arena_tree.iter_repeats ~min_length t f
+
+let occ_seq = Sufftree.Suffix_tree.occ_seq
+let occ_pos = Sufftree.Suffix_tree.occ_pos
 
 (* The one judge of a suffix-tree repeat, for the serial rounds and
    thin-WPO's long patterns alike.  Its shape is the rule's at the first
    occurrence ([-1]: no site may be outlined).  Every occurrence has that
    shape: the ret symbol ends its sequence and illegal instructions get
    unique symbols, so neither ever repeats elsewhere. *)
-let repeat_shape r (rep : Sufftree.Suffix_tree.repeat) =
-  match rep.occs with
-  | [] -> -1
-  | first :: _ -> window_shape r first.seq first.pos rep.length
+let repeat_shape r len (occs : int array) =
+  window_shape r (occ_seq occs.(0)) (occ_pos occs.(0)) len
 
-(* Then [f acc o call] for each occurrence [o] that survives self-overlap
-   pruning, in text order, with its call kind; a site the rule drops is
-   skipped.  An occurrence is pruned when it overlaps an earlier kept one
-   in the same sequence: occurrences arrive in increasing text order (the
-   suffix-tree contract), so one pass suffices, and pruning always keeps
-   the first.  Top-level, so judging allocates nothing of its own: most
-   repeats are rejected on their counts alone. *)
-let rec fold_calls r shape len f acc last_seq last_end = function
-  | [] -> acc
-  | (o : Sufftree.Suffix_tree.occurrence) :: rest ->
-    if o.seq = last_seq && o.pos < last_end then
-      fold_calls r shape len f acc last_seq last_end rest
+(* Then [f acc block pos call] for each occurrence in [occs.(i ..
+   count - 1)] that survives self-overlap pruning, in text order, with its
+   call kind; a site the rule drops is skipped.  An occurrence is pruned
+   when it overlaps an earlier kept one in the same sequence: occurrences
+   arrive in increasing text order (the suffix-tree contract), so one pass
+   suffices, and pruning always keeps the first.  Top-level, so judging
+   allocates nothing of its own: most repeats are rejected on their counts
+   alone. *)
+let rec fold_calls r shape len occs count f acc last_seq last_end i =
+  if i = count then acc
+  else
+    let s = occ_seq occs.(i) and pos = occ_pos occs.(i) in
+    if s = last_seq && pos < last_end then
+      fold_calls r shape len occs count f acc last_seq last_end (i + 1)
     else
       let acc =
-        match window_call r o.seq o.pos shape with
+        match window_call r s pos shape with
         | None -> acc
-        | Some call -> f acc o call
+        | Some call -> f acc s pos call
       in
-      fold_calls r shape len f acc o.seq (o.pos + len) rest
+      fold_calls r shape len occs count f acc s (pos + len) (i + 1)
 
-let repeat_calls r (rep : Sufftree.Suffix_tree.repeat) shape f acc =
-  fold_calls r shape rep.length f acc (-1) 0 rep.occs
+let repeat_calls r shape ~length ~occs ~count f acc =
+  fold_calls r shape length occs count f acc (-1) 0 0
 
 (* Free sites in the low 32 bits, save-LR sites above. *)
-let count_call n _ (call : Candidate.site_call) =
+let count_call n _ _ (call : Candidate.site_call) =
   n + match call with Call_free -> 1 | Call_save_lr -> 1 lsl 32
 
-(* The serial outliner's candidate for a repeat: site kinds are counted
-   before anything is allocated, since rejecting a repeat that falls below
-   two sites or the profitability bar from two integers is far cheaper
-   than building its site records first. *)
-let candidate_of_repeat r (rep : Sufftree.Suffix_tree.repeat) =
-  let shape = repeat_shape r rep and len = rep.length in
-  if shape < 0 then None
-  else
-    let counts = repeat_calls r rep shape count_call 0 in
+(* --- The packed candidate store ----------------------------------------- *)
+
+(* What the serial judge accepts, as rows of flat int columns: a round
+   considers tens of thousands of repeats and outlines a few thousand, so
+   nothing of a candidate becomes a record until selection picks it.  A
+   row's sites are the slice [[site_lo, site_hi)] of [st_sites], each
+   packed as (block, position, call kind); [st_first] is the repeat's first
+   occurrence, packed as the tree reports it, whose instructions the
+   outlined body copies; [st_min_site] the row's smallest site in
+   (function name, block label, start) order, as [rank lsl 32 lor start]
+   over {!metas_ranks}. *)
+type store = {
+  mutable st_rows : int;
+  mutable st_length : int array;
+  mutable st_shape : int array;
+  mutable st_benefit : int array;
+  mutable st_first : int array;
+  mutable st_min_site : int array;
+  mutable st_site_lo : int array;
+  mutable st_site_hi : int array;
+  mutable st_n_sites : int;
+  mutable st_sites : int array;
+}
+
+let create_store () =
+  {
+    st_rows = 0;
+    st_length = [||];
+    st_shape = [||];
+    st_benefit = [||];
+    st_first = [||];
+    st_min_site = [||];
+    st_site_lo = [||];
+    st_site_hi = [||];
+    st_n_sites = 0;
+    st_sites = [||];
+  }
+
+let grow a need =
+  if need <= Array.length a then a
+  else begin
+    let b = Array.make (max need (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Room for one more row with [sites] sites. *)
+let reserve st sites =
+  let rows = st.st_rows + 1 in
+  if rows > Array.length st.st_length then begin
+    st.st_length <- grow st.st_length rows;
+    st.st_shape <- grow st.st_shape rows;
+    st.st_benefit <- grow st.st_benefit rows;
+    st.st_first <- grow st.st_first rows;
+    st.st_min_site <- grow st.st_min_site rows;
+    st.st_site_lo <- grow st.st_site_lo rows;
+    st.st_site_hi <- grow st.st_site_hi rows
+  end;
+  st.st_sites <- grow st.st_sites (st.st_n_sites + sites)
+
+let pack_site block pos (call : Candidate.site_call) =
+  (block lsl 32) lor (pos lsl 1) lor match call with Call_free -> 0 | Call_save_lr -> 1
+
+let site_block x = x lsr 32
+let site_pos x = (x land 0xffff_ffff) lsr 1
+
+let site_call x : Candidate.site_call =
+  if x land 1 = 0 then Call_free else Call_save_lr
+
+(* Each table block's rank in (function name, block label) string order,
+   equal names sharing a rank, so that comparing (rank, start) pairs
+   orders sites exactly as comparing (func, block, start) tuples does.  A
+   function's blocks are adjacent in the table, so most comparisons are of
+   labels within one function. *)
+let metas_ranks (metas : seq_meta array) =
+  let cmp i j =
+    let a = metas.(i) and b = metas.(j) in
+    match
+      if a.sm_func == b.sm_func then 0
+      else String.compare a.sm_func.Mfunc.name b.sm_func.Mfunc.name
+    with
+    | 0 -> String.compare a.sm_block.Block.label b.sm_block.Block.label
+    | c -> c
+  in
+  let order = Array.init (Array.length metas) Fun.id in
+  Array.stable_sort cmp order;
+  let rank = Array.make (Array.length metas) 0 in
+  Array.iteri
+    (fun k i ->
+      rank.(i) <-
+        (if k > 0 && cmp order.(k - 1) i = 0 then rank.(order.(k - 1)) else k))
+    order;
+  rank
+
+let site_ranks p = metas_ranks (seq_metas p)
+
+(* The serial judge: site kinds are counted before anything is stored,
+   since rejecting a repeat that falls below two sites or the
+   profitability bar from two integers is far cheaper than storing its
+   sites first; an accepted repeat becomes one row. *)
+let judge r ranks st ~length ~occs ~count =
+  let shape = repeat_shape r length occs in
+  if shape >= 0 then begin
+    let counts = repeat_calls r shape ~length ~occs ~count count_call 0 in
     let n_free = counts land 0xffff_ffff and n_save = counts lsr 32 in
-    if
-      n_free + n_save < 2
-      || Cost_model.benefit_of_counts
-           (Candidate.shape_strategy shape)
-           ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
-           ~pattern_len:len ~n_free ~n_save
-         < 1
-    then None
-    else
-      let rev_sites =
-        repeat_calls r rep shape
-          (fun acc (o : Sufftree.Suffix_tree.occurrence) call ->
-            site_at r o.seq o.pos len call :: acc)
-          []
-      in
-      let first = List.hd rep.occs in
-      Some (candidate_at r first.seq first.pos len shape (List.rev rev_sites))
+    let benefit =
+      if n_free + n_save < 2 then 0
+      else
+        Cost_model.benefit_of_counts
+          (Candidate.shape_strategy shape)
+          ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
+          ~pattern_len:length ~n_free ~n_save
+    in
+    if benefit >= 1 then begin
+      reserve st (n_free + n_save);
+      let row = st.st_rows in
+      st.st_length.(row) <- length;
+      st.st_shape.(row) <- shape;
+      st.st_benefit.(row) <- benefit;
+      st.st_first.(row) <- occs.(0);
+      st.st_site_lo.(row) <- st.st_n_sites;
+      st.st_min_site.(row) <-
+        repeat_calls r shape ~length ~occs ~count
+          (fun min_site block pos call ->
+            st.st_sites.(st.st_n_sites) <- pack_site block pos call;
+            st.st_n_sites <- st.st_n_sites + 1;
+            Int.min min_site ((ranks.(block) lsl 32) lor pos))
+          max_int;
+      st.st_site_hi.(row) <- st.st_n_sites;
+      st.st_rows <- row + 1
+    end
+  end
+
+let row_site r st row k =
+  let x = st.st_sites.(k) in
+  site_at r (site_block x) (site_pos x) st.st_length.(row) (site_call x)
+
+let row_candidate r st row sites =
+  let first = st.st_first.(row) in
+  candidate_at r (occ_seq first) (occ_pos first) st.st_length.(row)
+    st.st_shape.(row) sites
+
+(* A row as the candidate it stands for, with all its sites. *)
+let candidate_of_row r st row =
+  let rec sites k acc =
+    if k < st.st_site_lo.(row) then acc
+    else sites (k - 1) (row_site r st row k :: acc)
+  in
+  row_candidate r st row (sites (st.st_site_hi.(row) - 1) [])
 
 (* --- Keyed window scanning --------------------------------------------- *)
 
@@ -559,19 +699,16 @@ let iter_repeats w ?pool ~min_length (f : visit) =
   let r = w.wn_rule in
   if Array.length r.ru_metas > 0 then
     let imap = Instr_map.create () in
-    List.iter
-      (fun (rep : Sufftree.Suffix_tree.repeat) ->
-        let shape = repeat_shape r rep and len = rep.length in
+    suffix_repeats ?pool ~min_length
+      (Array.map (block_symbols imap ~min_length) r.ru_metas)
+      (fun ~length:len ~occs ~count ->
+        let shape = repeat_shape r len occs in
         if shape >= 0 then
-          repeat_calls r rep shape
-            (fun () (o : Sufftree.Suffix_tree.occurrence) call ->
-              f ~block:o.seq ~pos:o.pos ~len
-                ~key:(key_of_shape w o.seq o.pos len shape)
+          repeat_calls r shape ~length:len ~occs ~count
+            (fun () block pos call ->
+              f ~block ~pos ~len ~key:(key_of_shape w block pos len shape)
                 ~call ~shape)
             ())
-      (suffix_repeats ?pool ~min_length
-         (Array.to_list (Array.map (block_symbols imap ~min_length) r.ru_metas))
-         ())
 
 let window_bound w ~lengths =
   Array.fold_left
@@ -603,42 +740,20 @@ let window_site w ~block ~pos ~len call = site_at w.wn_rule block pos len call
    make identical greedy decisions.  Benefit descending, then the smallest
    site by (func, block, start), then pattern length.  A (site, length)
    pair pins down the pattern content, so two distinct candidates can
-   never tie. *)
-let min_site_key (c : Candidate.t) =
-  List.fold_left
-    (fun acc (s : Candidate.site) ->
-      let k = (s.func, s.block, s.start) in
-      match acc with Some k0 when k0 <= k -> acc | _ -> Some k)
-    None c.sites
-
-(* Sort keys are computed once per candidate (decorate/sort/undecorate):
-   recomputing [min_site_key] inside the comparator would fold over every
-   site list O(n log n) times. *)
-type scored = {
-  sc_benefit : int;
-  sc_min_site : (string * string * int) option;
-  sc_cand : Candidate.t;
-}
-
-let compare_scored s1 s2 =
-  match Int.compare s2.sc_benefit s1.sc_benefit with
-  | 0 -> (
-    match compare s1.sc_min_site s2.sc_min_site with
-    | 0 -> Int.compare s1.sc_cand.Candidate.length s2.sc_cand.Candidate.length
-    | c -> c)
-  | c -> c
-
-let score_candidates cands =
-  let scored =
-    List.filter_map
-      (fun c ->
-        let b = Cost_model.benefit c in
-        if b >= 1 then
-          Some { sc_benefit = b; sc_min_site = min_site_key c; sc_cand = c }
-        else None)
-      cands
-  in
-  List.sort compare_scored scored
+   never tie.  The store's rows, sorted by that order: every key is one of
+   the row's ints, so a comparison reads three columns. *)
+let score_rows st =
+  let order = Array.init st.st_rows Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Int.compare st.st_benefit.(j) st.st_benefit.(i) with
+      | 0 -> (
+        match Int.compare st.st_min_site.(i) st.st_min_site.(j) with
+        | 0 -> Int.compare st.st_length.(i) st.st_length.(j)
+        | c -> c)
+      | c -> c)
+    order;
+  order
 
 (* --- Rewriting --------------------------------------------------------- *)
 
@@ -650,40 +765,50 @@ type plan_entry = {
 let save_lr_pre = Insn.Str (Reg.lr, { Insn.base = Reg.SP; off = -16; mode = Insn.Pre })
 let restore_lr_post = Insn.Ldr (Reg.lr, { Insn.base = Reg.SP; off = 16; mode = Insn.Post })
 
+let call_insns : Candidate.site_call -> int = function
+  | Call_free -> 1
+  | Call_save_lr -> 3
+
 let rewrite_block entries (b : Block.t) =
-  (* entries: disjoint, any order. *)
+  (* entries: disjoint, any order.  Each keeps the body up to its start and
+     leaves its call sequence there; a ret-consuming one, the last, takes
+     the rest of the body and turns the terminator into a tail branch. *)
   let mine =
     List.sort
       (fun a b -> Int.compare a.pe_site.Candidate.start b.pe_site.Candidate.start)
       entries
   in
   let body = b.body in
-  let out = ref [] in
-  let term = ref b.term in
-  let pos = ref 0 in
-  List.iter
-    (fun e ->
+  let n = Array.length body in
+  let rec size pos = function
+    | [] -> n - pos
+    | e :: rest ->
       let s = e.pe_site in
-      for i = !pos to s.Candidate.start - 1 do
-        out := body.(i) :: !out
-      done;
-      if s.with_ret then begin
-        (* Consumes the ret terminator: branch to the outlined function. *)
-        term := Block.Tail_call e.pe_name;
-        pos := Array.length body
-      end
+      if s.Candidate.with_ret then s.start - pos
+      else s.start - pos + call_insns s.call + size (s.start + s.len) rest
+  in
+  let out = Array.make (size 0 mine) Insn.Nop in
+  let rec fill k pos = function
+    | [] ->
+      Array.blit body pos out k (n - pos);
+      b.term
+    | e :: rest ->
+      let s = e.pe_site in
+      Array.blit body pos out k (s.Candidate.start - pos);
+      let k = k + s.start - pos in
+      if s.with_ret then Block.Tail_call e.pe_name
       else begin
         (match s.call with
-        | Candidate.Call_free -> out := Insn.Bl e.pe_name :: !out
+        | Candidate.Call_free -> out.(k) <- Insn.Bl e.pe_name
         | Candidate.Call_save_lr ->
-          out := restore_lr_post :: Insn.Bl e.pe_name :: save_lr_pre :: !out);
-        pos := s.start + s.len
-      end)
-    mine;
-  for i = !pos to Array.length body - 1 do
-    out := body.(i) :: !out
-  done;
-  { b with body = Array.of_list (List.rev !out); term = !term }
+          out.(k) <- save_lr_pre;
+          out.(k + 1) <- Insn.Bl e.pe_name;
+          out.(k + 2) <- restore_lr_post);
+        fill (k + call_insns s.call) (s.start + s.len) rest
+      end
+  in
+  let term = fill 0 0 mine in
+  { b with body = out; term }
 
 let make_outlined_function ~name ~from_module (c : Candidate.t) =
   (* When the body performs interior calls, the outlined function must
@@ -713,26 +838,28 @@ let make_outlined_function ~name ~from_module (c : Candidate.t) =
 (* --- Site occupancy and the rewrite tail ------------------------------- *)
 
 (* Greedy overlap resolution: a window is free when none of its slots was
-   taken by a higher-priority one.  One lazily allocated slot array per
-   sequence-table block: one slot per symbol, slot [n] (one past the body)
-   being the terminator, which ret-ending patterns occupy, so a window of
-   [len] symbols at [pos] holds slots [pos] to [pos + len - 1]. *)
+   taken by a higher-priority one.  One slot per symbol of each
+   sequence-table block, slot [n] (one past the body) being the
+   terminator, which ret-ending patterns occupy, so a window of [len]
+   symbols at [pos] holds slots [pos] to [pos + len - 1].  A block's slots
+   are allocated when a window in it is first taken: until then every
+   window of it is free. *)
 let window_occupancy (metas : seq_meta array) =
-  let consumed = Array.make (Array.length metas) [||] in
-  let slots id =
-    if Array.length consumed.(id) = 0 then
-      consumed.(id) <-
-        Array.make (Array.length metas.(id).sm_block.Block.body + 1) false;
-    consumed.(id)
-  in
+  let taken = Array.make (Array.length metas) Bytes.empty in
   let free ~block ~pos ~len =
-    let a = slots block and free = ref true in
-    for i = pos to pos + len - 1 do
-      if a.(i) then free := false
-    done;
-    !free
+    let a = taken.(block) and i = ref pos in
+    if Bytes.length a > 0 then
+      while !i < pos + len && Bytes.get a !i = '\000' do
+        incr i
+      done;
+    Bytes.length a = 0 || !i = pos + len
   in
-  let take ~block ~pos ~len = Array.fill (slots block) pos len true in
+  let take ~block ~pos ~len =
+    if Bytes.length taken.(block) = 0 then
+      taken.(block) <-
+        Bytes.make (Array.length metas.(block).sm_block.Block.body + 1) '\000';
+    Bytes.fill taken.(block) pos len '\001'
+  in
   (free, take)
 
 let make_occupancy p =
@@ -782,44 +909,69 @@ let rewrite_program (p : Program.t) (metas : seq_meta array)
   in
   Program.replace_funcs p (List.map rewrite_func p.funcs @ new_funcs)
 
-(* Greedy site selection, then the program rewrite.  Shared by both
-   engines. *)
-let select_and_rewrite options (metas : seq_meta array) sorted (p : Program.t) =
-  let free, take = occupancy metas in
+(* Greedy site selection over the sorted rows, then the program rewrite.
+   A row's sites are claimed only when the ones still free keep it
+   profitable; only then does it become a {!Candidate.t} and a function.
+   Shared by both engines. *)
+let select_and_rewrite options r st order (p : Program.t) =
+  let metas = r.ru_metas in
+  let free, take = window_occupancy metas in
   let plans = Array.make (Array.length metas) [] in
   let new_funcs = ref [] in
   let idx = ref 0 in
   let stats = ref no_stats in
-  List.iter
-    (fun { sc_cand = c; _ } ->
-      let sites = List.filter free c.sites in
-      let c' = { c with sites } in
-      if Cost_model.profitable c' then begin
-        let name =
-          let scope = if options.scope_name = "" then "" else options.scope_name ^ "_" in
-          Printf.sprintf "OUTLINED_FUNCTION_%s%d_%d" scope options.round !idx
-        in
+  let scope = if options.scope_name = "" then "" else options.scope_name ^ "_" in
+  let from_module =
+    if options.scope_name = "" then "outlined" else options.scope_name
+  in
+  Array.iter
+    (fun row ->
+      let len = st.st_length.(row) and shape = st.st_shape.(row) in
+      let lo = st.st_site_lo.(row) and hi = st.st_site_hi.(row) in
+      let n_free = ref 0 and n_save = ref 0 in
+      for k = lo to hi - 1 do
+        let x = st.st_sites.(k) in
+        if free ~block:(site_block x) ~pos:(site_pos x) ~len then
+          match site_call x with
+          | Call_free -> incr n_free
+          | Call_save_lr -> incr n_save
+      done;
+      if
+        !n_free + !n_save >= 2
+        && Cost_model.benefit_of_counts
+             (Candidate.shape_strategy shape)
+             ~needs_lr_frame:(Candidate.shape_needs_lr_frame shape)
+             ~pattern_len:len ~n_free:!n_free ~n_save:!n_save
+           >= 1
+      then begin
+        let name = Printf.sprintf "OUTLINED_FUNCTION_%s%d_%d" scope options.round !idx in
         incr idx;
-        List.iter take sites;
-        List.iter
-          (fun (s : Candidate.site) ->
-            plans.(s.block_id) <- { pe_site = s; pe_name = name } :: plans.(s.block_id))
-          sites;
-        let from_module =
-          if options.scope_name = "" then "outlined" else options.scope_name
+        let rec claim k acc =
+          if k < lo then acc
+          else
+            let x = st.st_sites.(k) in
+            if free ~block:(site_block x) ~pos:(site_pos x) ~len then begin
+              let s = row_site r st row k in
+              take ~block:s.block_id ~pos:s.start ~len;
+              plans.(s.block_id) <-
+                { pe_site = s; pe_name = name } :: plans.(s.block_id);
+              claim (k - 1) (s :: acc)
+            end
+            else claim (k - 1) acc
         in
-        let f = make_outlined_function ~name ~from_module c' in
+        let c = row_candidate r st row (claim (hi - 1) []) in
+        let f = make_outlined_function ~name ~from_module c in
         new_funcs := f :: !new_funcs;
         stats :=
           add_stats !stats
             {
-              sequences_outlined = List.length sites;
+              sequences_outlined = List.length c.sites;
               functions_created = 1;
               outlined_bytes = Mfunc.size_bytes f;
-              bytes_saved = Cost_model.benefit c';
+              bytes_saved = Cost_model.benefit c;
             }
       end)
-    sorted;
+    order;
   (rewrite_program p metas plans (List.rev !new_funcs), !stats)
 
 (* --- Decision-table application (thin-WPO phase 3) ---------------------- *)
@@ -919,6 +1071,7 @@ type engine = {
   eng_pool : warm;
   eng_imap : Instr_map.t;
   eng_memo : int array memo;  (** interned symbols per block *)
+  eng_store : store;          (** each round's judged rows *)
 }
 
 let create_engine ?(warm = create_warm ()) () =
@@ -926,21 +1079,26 @@ let create_engine ?(warm = create_warm ()) () =
     eng_pool = warm;
     eng_imap = Instr_map.create ();
     eng_memo = create_memo ~match_by_name:!fault_stale_engine_rows ();
+    eng_store = create_store ();
   }
 
 (* --- The round ------------------------------------------------------------ *)
 
 (* The round's discovery step: the sequence table, the suffix tree and
-   every repeat's candidate, each phase timed into [rp].  Under [engine]
-   the symbols come from its memo and interner and the tree from its arena
-   pool; without one, from a fresh memo and interner and the list suffix
-   tree — the scratch reference.  Returns the table's blocks too. *)
+   every repeat's verdict, each phase timed into [rp].  Under [engine] the
+   symbols come from its memo and interner, the tree from its arena pool
+   and the rows go to its store; without one, from a fresh memo and
+   interner and the list suffix tree into a fresh store — the scratch
+   reference.  Returns the rule, [None] when the table is empty, and the
+   store. *)
 let discover rp ?engine options (p : Program.t) =
-  let memo, imap, pool =
+  let memo, imap, pool, st =
     match engine with
-    | Some e -> (e.eng_memo, e.eng_imap, Some e.eng_pool)
-    | None -> (create_memo (), Instr_map.create (), None)
+    | Some e -> (e.eng_memo, e.eng_imap, Some e.eng_pool, e.eng_store)
+    | None -> (create_memo (), Instr_map.create (), None, create_store ())
   in
+  st.st_rows <- 0;
+  st.st_n_sites <- 0;
   let metas, legal, seqs =
     timed rp set_seq (fun () ->
         let metas = seq_metas p in
@@ -949,26 +1107,31 @@ let discover rp ?engine options (p : Program.t) =
         in
         (metas, legal, seqs))
   in
-  if Array.length metas = 0 then (metas, [])
+  if Array.length metas = 0 then (None, st)
   else
     let repeats =
       timed rp set_tree (fun () ->
-          suffix_repeats ?pool ~min_length:options.min_length
-            (Array.to_list seqs))
+          suffix_repeats ?pool ~min_length:options.min_length seqs)
     in
-    ( metas,
+    let r =
       timed rp set_enum (fun () ->
           let r =
             make_rule options ~liveness_of:(memo_liveness memo) p metas legal
           in
-          List.filter_map (candidate_of_repeat r) (repeats ())) )
+          repeats (judge r (metas_ranks metas) st);
+          r)
+    in
+    (Some r, st)
 
-let enumerate ?(options = default_options) p = snd (discover None options p)
+let enumerate ?(options = default_options) p =
+  match discover None options p with
+  | None, _ -> []
+  | Some r, st -> List.init st.st_rows (candidate_of_row r st)
 
 let run_round ?profile ?engine options (p : Program.t) =
   let rp = Option.map (fun pr -> Profile.new_round pr options.round) profile in
   match discover rp ?engine options p with
-  | [||], _ -> (p, no_stats)
-  | metas, cands ->
-    let sorted = timed rp set_score (fun () -> score_candidates cands) in
-    timed rp set_rewrite (fun () -> select_and_rewrite options metas sorted p)
+  | None, _ -> (p, no_stats)
+  | Some r, st ->
+    let order = timed rp set_score (fun () -> score_rows st) in
+    timed rp set_rewrite (fun () -> select_and_rewrite options r st order p)

@@ -6,33 +6,47 @@
     byte-identical programs (enforced by the fuzz lattice differential).
     Without an {!engine} it rebuilds everything from scratch — the
     readable reference; with one it keeps an interner and a {!memo} of
-    per-block symbols and per-function liveness across rounds, re-deriving
-    only blocks and functions that are no longer physically the ones it
-    saw (the build-time fix the paper's §VII calls for).  Only the
-    suffix-tree pool ({!warm}) can outlive a build.
+    per-block symbols and per-function LR liveness across rounds,
+    re-deriving only blocks and functions that are no longer physically
+    the ones it saw (the build-time fix the paper's §VII calls for), and
+    recycles its candidate store.  Only the suffix-tree pool ({!warm}) can
+    outlive a build.
+
+    A round allocates for what it outlines, not for what it considers:
+    the suffix tree streams each repeat through one reused buffer
+    ({!Sufftree.Suffix_tree.visit}) and builds no repeat or occurrence
+    records; LR liveness is a one-bit-per-block dataflow
+    ({!Machine.Liveness.lr_compute}), with per-point bits only for the
+    blocks the rule probes; the judge writes each accepted repeat into
+    flat int columns (length, shape, benefit, a slice of packed sites and
+    a min-site key over {!site_ranks}); scoring sorts row indices; and
+    selection claims packed sites, so only the winners become
+    {!Candidate.t}s and functions.
 
     Everything else exists once and is shared by both engines, by
     {!enumerate} and by thin-WPO:
     - block reuse: one {!memo}, identity-checked, holding every block's
       legality row (prefix counts of illegal and call instructions) plus
-      the serial engine's symbol arrays or thin-WPO's scanner rows (a
-      fresh one for {!enumerate} and the scratch round);
+      the serial engine's symbol arrays or thin-WPO's scanner rows, and
+      every function's LR fixpoint (a fresh one for {!enumerate} and the
+      scratch round);
     - the outlining rule: one private function decides, for any window
       of any block in O(1), from prefix counts of illegal, call and
       SP-relevant instructions, whether it may be outlined and with which
       {!Candidate.shape} — strategy (ret-ending, thunk or plain call),
       LR-frame bit and SP bit — and one decides each site's call kind
-      from LR liveness.  An illegal instruction (one that reads or writes
+      from LR liveness (one bit per point, exact: gen/kill liveness is
+      separable per register).  An illegal instruction (one that reads or writes
       LR other than as a call) rejects the window.  A call before the
       body's end needs an LR frame in the outlined function, which an
       SP-relevant body (a direct SP use, or a call to an outlined frame
       fragment, transitively) cannot have; a thunk's final call becomes
       its tail branch and is exempt from both checks.  A plain-call site
       where LR is live must spill it, which an SP-relevant body forbids;
-    - the repeat judge: a suffix-tree repeat takes the rule's shape at its
-      first occurrence and a call kind per occurrence left after
-      self-overlap pruning, for the rounds, {!enumerate} and thin-WPO's
-      long patterns ({!iter_repeats});
+    - the repeat judge: a suffix-tree repeat, streamed by either tree,
+      takes the rule's shape at its first occurrence and a call kind per
+      occurrence left after self-overlap pruning, for the rounds,
+      {!enumerate} and thin-WPO's long patterns ({!iter_repeats});
     - site occupancy: one greedy slot-array rule over per-block slot
       arrays ({!make_occupancy});
     - the rewrite tail: one rewrite of a [block_id]-indexed plan table,
@@ -75,7 +89,7 @@ type 'row memo
 (** What one scan of a program may carry to the next scan of it or of its
     rewrite: per block its legality row (built on the rule's first
     question about the block) and a ['row] derived from its body and ret
-    slot alone, per function its liveness.  A row is reused only while the block's
+    slot alone, per function its LR liveness.  A row is reused only while the block's
     body is physically the same array and its ret slot the same, liveness
     only while the function is physically the same [Mfunc.t] — what the
     rewrite ({!run_round}, {!apply_assignments}) keeps for
@@ -212,8 +226,9 @@ type warm
 val create_warm : unit -> warm
 
 type engine
-(** One build's incremental engine: an instruction interner and a {!memo}
-    of interned symbol arrays and liveness, over a {!warm} pool. *)
+(** One build's incremental engine: an instruction interner, a {!memo}
+    of interned symbol arrays and LR liveness, and the judge's candidate
+    store, over a {!warm} pool. *)
 
 val create_engine : ?warm:warm -> unit -> engine
 (** A fresh engine, with a fresh interner and memo, over [warm] or a new
@@ -239,6 +254,12 @@ val enumerate : ?options:options -> Machine.Program.t -> Candidate.t list
     sites self-overlap pruned, unsorted and not yet resolved against each
     other.  The statistics pass of §IV reads it.  The list's order follows
     interner numbering; sort for a stable one. *)
+
+val site_ranks : Machine.Program.t -> int array
+(** Per block of [p]'s sequence table (indexed by site [block_id]), its
+    rank in (function name, block label) string order, equal names sharing
+    a rank: selection breaks benefit ties on the smallest site by (rank,
+    start), which orders sites exactly as (func, block, start) tuples. *)
 
 val fault_stale_engine_rows : bool ref
 (** Fault injection for [sizeopt fuzz --self-test]: engines created while

@@ -28,3 +28,18 @@ val points : t -> label:string -> Regset.t array
     Callers probing many points of the same block should fetch this once
     instead of paying the label lookup inside {!live_before} per probe.
     Raises [Not_found] for an unknown label. *)
+
+type lr
+(** LR liveness alone: one bit per block at the fixpoint.  Gen/kill
+    liveness is separable per register, so every bit it gives equals the
+    LR bit of {!compute}'s sets, at a fraction of the work: no register
+    set is built, and per-point bits only for the blocks asked about. *)
+
+val lr_compute : Mfunc.t -> lr
+
+val lr_points : lr -> label:string -> Bytes.t
+(** Block [label]'s per-point LR bits, computed on demand: byte [i] is
+    ['\001'] when LR is live before body instruction [i] and ['\000']
+    otherwise, byte [len] the point before the terminator — exactly
+    [Regset.mem Reg.lr] of {!points}.  Raises [Not_found] for an unknown
+    label. *)

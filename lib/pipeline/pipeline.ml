@@ -239,6 +239,18 @@ let mark_no_outline config (p : Machine.Program.t) =
            else f)
          p.Machine.Program.funcs)
 
+(* Per-unit builds run one outliner per unit, each its own round 1, 2, ...
+   Their report folds the units by round index: round K sums every unit's
+   round K, so it is as long as the longest unit's and every per-unit sum
+   is kept. *)
+let fold_unit_rounds units =
+  let rec add a b =
+    match (a, b) with
+    | x :: a, y :: b -> Outcore.Outliner.add_stats x y :: add a b
+    | rest, [] | [], rest -> rest
+  in
+  List.fold_left add [] units
+
 (* --- the pass-manager pipeline --------------------------------------------- *)
 
 (* The step budget of a build's self-profile of [main]. *)
@@ -424,10 +436,9 @@ let run_build ?dump ~config front_end =
                     (machine, !stats))
                   units
               in
-              (* Merge the per-unit stats in module order. *)
-              Array.iter
-                (fun (_, stats) -> outline_stats := !outline_stats @ stats)
-                compiled;
+              outline_stats :=
+                !outline_stats
+                @ fold_unit_rounds (Array.to_list (Array.map snd compiled));
               Array.to_list (Array.map fst compiled))
         in
         let merged =
@@ -537,13 +548,9 @@ let build_reference ?(config = default_config) modules =
       let machine =
         mark_no_outline config (Codegen.compile_modul (fst (Dce.run m)))
       in
-      let p, stats =
-        Outcore.Repeat.run
-          ~options:{ Outcore.Outliner.default_options with scope_name = scope }
-          ~engine:config.outline_engine ~rounds:default_rounds machine
-      in
-      outline_stats := !outline_stats @ stats;
-      p
+      Outcore.Repeat.run
+        ~options:{ Outcore.Outliner.default_options with scope_name = scope }
+        ~engine:config.outline_engine ~rounds:default_rounds machine
     in
     let program =
       match config.mode with
@@ -554,11 +561,17 @@ let build_reference ?(config = default_config) modules =
           Link.link ~flag_semantics:config.flag_semantics
             ~data_order:config.data_order ~name:"whole" modules
         with
-        | Ok m -> compile m ~scope:""
+        | Ok m ->
+          let p, stats = compile m ~scope:"" in
+          outline_stats := stats;
+          p
         | Error e -> failwith (Link.error_to_string e))
       | Per_module ->
-        Machine.Program.concat
-          (List.map (fun (m : Ir.modul) -> compile m ~scope:m.Ir.m_name) modules)
+        let units =
+          List.map (fun (m : Ir.modul) -> compile m ~scope:m.Ir.m_name) modules
+        in
+        outline_stats := fold_unit_rounds (List.map snd units);
+        Machine.Program.concat (List.map fst units)
     in
     (match Machine.Program.validate program with
     | Ok () -> ()

@@ -192,6 +192,11 @@ type result = {
           skips marked; a {!Passman.bisect} result names the step whose
           [st_gate] it is *)
   outline_stats : Outcore.Outliner.round_stats list;
+      (** one entry per round that outlined something, in pass order.  A
+          per-unit outline pass (per-module and thin builds) runs one
+          outliner per unit; its entries fold the units by round index,
+          entry K summing every unit's round K, so totals are the units'
+          totals *)
 }
 
 val build :

@@ -7,28 +7,27 @@
    - all children edges share one open-addressing table with packed int
      keys [node * span + (symbol + nseq)] — no tuple/box allocation per
      probe and no per-node table headers;
-   - repeats are extracted in a single Euler-tour DFS: leaves are collected
-     in visit order so every internal node's occurrence set is a contiguous
-     slice [lo, hi) of one shared array, instead of a per-node DFS.
+   - one Euler-tour DFS collects leaves in visit order, so every internal
+     node's occurrence set is a contiguous slice [lo, hi) of one shared
+     array, and {!iter_repeats} reports each node from a reused buffer:
+     no repeat or occurrence is ever a record;
+   - arrays dead after construction are recycled in place, so a pool
+     holds ten: the suffix links become the adjacency cursor, then the
+     tour's child cursor and each node's [hi]; edge starts and stops become
+     [lo] and string depths as the tour leaves each edge behind; the text
+     becomes [leaf_order]; the children table's keys the tour's path stack
+     and its values the report buffer.
 
    The construction allocates O(n) words total and nothing per probe, which
    is what cuts GC pressure on the uber_rider whole-program build. *)
 
 type t = {
-  n : int;                      (* concatenated text length *)
-  text : int array;
-  seq_of_pos : int array;
-  seq_start : int array;
   n_nodes : int;
-  starts : int array;           (* edge start into node *)
-  stops : int array;            (* exclusive end (leaves closed to [n]) *)
-  sfx : int array;              (* leaves: suffix start; -1 otherwise *)
-  child_off : int array;        (* node -> first child slot, length n_nodes+1 *)
-  child_nodes : int array;
   sd : int array;               (* string depth including the incoming edge *)
   lo : int array;               (* node's leaves = leaf_order.[lo, hi) *)
   hi : int array;
-  leaf_order : int array;       (* suffix starts in DFS visit order *)
+  leaf_order : int array;       (* packed occurrences in DFS visit order *)
+  buf : int array;              (* one node's occurrences, sorted *)
 }
 
 let next_pow2 x =
@@ -46,7 +45,7 @@ let next_pow2 x =
    used for another build. *)
 type pool = { mutable slots : int array array }
 
-let create_pool () = { slots = Array.make 32 [||] }
+let create_pool () = { slots = Array.make 10 [||] }
 
 (* A pooled array may be longer than requested; every consumer indexes
    through explicit bounds ([n], [cap], [n_nodes]) so the slack is inert.
@@ -68,21 +67,21 @@ let build ?pool seqs =
     | Some p -> pool_get p i size
     | None -> Array.make size 0
   in
-  List.iter
+  Array.iter
     (fun s ->
       Array.iter
         (fun x -> if x < 0 then invalid_arg "Arena_tree.build: negative symbol")
         s)
     seqs;
-  let total = List.fold_left (fun acc s -> acc + Array.length s + 1) 0 seqs in
+  let total = Array.fold_left (fun acc s -> acc + Array.length s + 1) 0 seqs in
   let n = total in
   let text = alloc 0 (max n 1) in
   let seq_of_pos = alloc 1 (max n 1) in
-  let nseq = List.length seqs in
+  let nseq = Array.length seqs in
   let seq_start = alloc 2 (max nseq 1) in
   let max_sym = ref 0 in
   let off = ref 0 in
-  List.iteri
+  Array.iteri
     (fun si s ->
       seq_start.(si) <- !off;
       Array.iteri
@@ -102,8 +101,6 @@ let build ?pool seqs =
   let stops = alloc 4 cap_nodes in
   let slink = alloc 5 cap_nodes in
   Array.fill slink 0 cap_nodes 0;
-  let sfx = alloc 6 cap_nodes in
-  Array.fill sfx 0 cap_nodes (-1);
   let n_nodes = ref 1 in
   starts.(0) <- -1;
   stops.(0) <- -1;
@@ -123,9 +120,9 @@ let build ?pool seqs =
   let span = !max_sym + nseq + 1 in
   let cap = next_pow2 ((5 * n / 2) + 16) in
   let mask = cap - 1 in
-  let keys = alloc 7 cap in
+  let keys = alloc 6 cap in
   Array.fill keys 0 cap (-1);
-  let vals = alloc 8 cap in
+  let vals = alloc 7 cap in
   let slot k =
     let h = k * 0x2545F4914F6CDD1D in
     let i = ref ((h lxor (h lsr 29)) land mask) in
@@ -209,8 +206,9 @@ let build ?pool seqs =
   done;
   let n_nodes = !n_nodes in
   (* Rebuild adjacency from the live table slots (overwritten slots always
-     hold the current edge target) with a counting sort on parent ids. *)
-  let child_off = alloc 9 (n_nodes + 1) in
+     hold the current edge target) with a counting sort on parent ids.  The
+     suffix links are dead now: they serve as the sort's cursor. *)
+  let child_off = alloc 8 (n_nodes + 1) in
   Array.fill child_off 0 (n_nodes + 1) 0;
   for i = 0 to cap - 1 do
     if keys.(i) >= 0 then begin
@@ -222,8 +220,8 @@ let build ?pool seqs =
     child_off.(v) <- child_off.(v) + child_off.(v - 1)
   done;
   let n_edges = child_off.(n_nodes) in
-  let child_nodes = alloc 10 (max n_edges 1) in
-  let cursor = alloc 11 (n_nodes + 1) in
+  let child_nodes = alloc 9 (max n_edges 1) in
+  let cursor = slink in
   Array.blit child_off 0 cursor 0 (n_nodes + 1);
   for i = 0 to cap - 1 do
     if keys.(i) >= 0 then begin
@@ -232,107 +230,113 @@ let build ?pool seqs =
       cursor.(parent) <- cursor.(parent) + 1
     end
   done;
-  (* One Euler-tour DFS closes leaves, assigns suffix indices, computes
-     string depths, and records every node's leaf set as a contiguous slice
-     of [leaf_order] — {!repeats} then only has to scan the node arrays.
-     Stack entries are [2*node] for enter and [2*node+1] for exit; [dstack]
-     carries the string depth above each entered node's incoming edge. *)
-  let sd = alloc 12 n_nodes in
-  let lo = alloc 13 n_nodes in
-  let hi = alloc 14 n_nodes in
-  let leaf_order = alloc 15 (max n 1) in
+  (* One Euler-tour DFS computes string depths, and records every node's
+     leaf set as a contiguous slice of [leaf_order] — {!iter_repeats} then
+     only has to scan the node arrays.  A leaf's edge is still open, so its
+     suffix starts its string depth above its edge start; each leaf is
+     recorded as its packed occurrence.  A node's edge is read once, when
+     the tour enters it, so its [starts] slot then takes its [lo] and its
+     [stops] slot its string depth; its [next] child cursor (the suffix
+     links again) is dead once the tour leaves it, and takes its [hi].  The
+     path from the root lives on [stack] (the table's dead keys: a path
+     holds at most [n_nodes] nodes). *)
+  let sd = stops and lo = starts and next = slink and hi = slink in
+  let leaf_order = text and stack = keys in
   let cursor = ref 0 in
-  let stack = alloc 16 (2 * (n_nodes + 1)) in
-  let dstack = alloc 17 (2 * (n_nodes + 1)) in
-  let sp = ref 0 in
+  let enter nd depth =
+    sd.(nd) <- depth;
+    lo.(nd) <- !cursor;
+    next.(nd) <- child_off.(nd)
+  in
+  enter 0 0;
   stack.(0) <- 0;
-  dstack.(0) <- 0;
-  incr sp;
+  let sp = ref 1 in
   while !sp > 0 do
-    decr sp;
-    let x = stack.(!sp) in
-    let nd = x lsr 1 in
-    if x land 1 = 1 then hi.(nd) <- !cursor
+    let nd = stack.(!sp - 1) in
+    if next.(nd) = child_off.(nd + 1) then begin
+      hi.(nd) <- !cursor;
+      decr sp
+    end
     else begin
-      let depth = dstack.(!sp) in
-      lo.(nd) <- !cursor;
-      if nd <> 0 && child_off.(nd + 1) = child_off.(nd) then begin
-        (* Leaf: close the open edge and record its suffix start. *)
-        if stops.(nd) = max_int then begin
-          stops.(nd) <- n;
-          sfx.(nd) <- n - (depth + (n - starts.(nd)))
-        end;
-        sd.(nd) <- depth + (stops.(nd) - starts.(nd));
-        leaf_order.(!cursor) <- sfx.(nd);
+      let c = child_nodes.(next.(nd)) in
+      next.(nd) <- next.(nd) + 1;
+      if child_off.(c + 1) = child_off.(c) then begin
+        let gpos = starts.(c) - sd.(nd) in
+        let seq = seq_of_pos.(gpos) in
+        sd.(c) <- sd.(nd) + (n - starts.(c));
+        lo.(c) <- !cursor;
+        leaf_order.(!cursor) <-
+          Suffix_tree.occ ~seq ~pos:(gpos - seq_start.(seq));
         incr cursor;
-        hi.(nd) <- !cursor
+        hi.(c) <- !cursor
       end
       else begin
-        let d = if nd = 0 then 0 else depth + (stops.(nd) - starts.(nd)) in
-        sd.(nd) <- d;
-        stack.(!sp) <- (2 * nd) + 1;
-        incr sp;
-        for c = child_off.(nd) to child_off.(nd + 1) - 1 do
-          stack.(!sp) <- 2 * child_nodes.(c);
-          dstack.(!sp) <- d;
-          incr sp
-        done
+        enter c (sd.(nd) + (stops.(c) - starts.(c)));
+        stack.(!sp) <- c;
+        incr sp
       end
     end
   done;
-  {
-    n;
-    text;
-    seq_of_pos;
-    seq_start;
-    n_nodes;
-    starts;
-    stops;
-    sfx;
-    child_off;
-    child_nodes;
-    sd;
-    lo;
-    hi;
-    leaf_order;
-  }
+  { n_nodes; sd; lo; hi; leaf_order; buf = vals }
 
-let is_leaf t nd = t.child_off.(nd + 1) = t.child_off.(nd)
-
+(* Every node but the root is a leaf or has at least two children, and
+   the tour gave each leaf a slice of one. *)
 let count_leaves t =
   let c = ref 0 in
   for nd = 1 to t.n_nodes - 1 do
-    if is_leaf t nd then incr c
+    if t.hi.(nd) - t.lo.(nd) = 1 then incr c
   done;
   !c
 
-let repeats ?(min_length = 2) t =
-  if t.n = 0 then []
+(* Sort [a.(0 .. k-1)] in place: insertion sort for short runs, heapsort
+   above, so no slice costs more than O(k log k) or allocates. *)
+let sort_prefix a k =
+  if k <= 16 then
+    for i = 1 to k - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
   else begin
-    (* The Euler tour already ran inside {!build}: [t.sd] holds string
-       depths and [t.leaf_order].[lo, hi) each node's leaf set, so this is
-       a flat scan over the node arrays. *)
-    let out = ref [] in
-    for nd = 1 to t.n_nodes - 1 do
-      if
-        (not (is_leaf t nd))
-        && t.sd.(nd) >= min_length
-        && t.hi.(nd) - t.lo.(nd) >= 2
-      then begin
-        (* Each node sorts a copy of its slice: sorting [leaf_order] itself
-           would shuffle leaves across the sub-ranges of nodes not yet
-           visited.  The occurrence list is built straight off the sorted
-           copy, back to front. *)
-        let slice = Array.sub t.leaf_order t.lo.(nd) (t.hi.(nd) - t.lo.(nd)) in
-        Array.sort Int.compare slice;
-        let occs = ref [] in
-        for i = Array.length slice - 1 downto 0 do
-          let gpos = slice.(i) in
-          let seq = t.seq_of_pos.(gpos) in
-          occs := { Suffix_tree.seq; pos = gpos - t.seq_start.(seq) } :: !occs
-        done;
-        out := { Suffix_tree.length = t.sd.(nd); occs = !occs } :: !out
+    let rec sift i size =
+      let l = (2 * i) + 1 in
+      if l < size then begin
+        let m = if l + 1 < size && a.(l + 1) > a.(l) then l + 1 else l in
+        if a.(m) > a.(i) then begin
+          let x = a.(i) in
+          a.(i) <- a.(m);
+          a.(m) <- x;
+          sift m size
+        end
       end
+    in
+    for i = (k / 2) - 1 downto 0 do
+      sift i k
     done;
-    !out
+    for size = k - 1 downto 1 do
+      let x = a.(0) in
+      a.(0) <- a.(size);
+      a.(size) <- x;
+      sift 0 size
+    done
   end
+
+let iter_repeats ?(min_length = 2) t (f : Suffix_tree.visit) =
+  (* The Euler tour already ran inside {!build}: [t.sd] holds string
+     depths and [t.leaf_order].[lo, hi) each node's leaf set, so this is a
+     flat scan over the node arrays, highest node first.  Each node sorts
+     a copy of its slice: sorting [leaf_order] itself would shuffle leaves
+     across the sub-ranges of nodes not yet visited.  Leaves have slices of
+     one, so [count >= 2] leaves exactly the internal nodes. *)
+  for nd = t.n_nodes - 1 downto 1 do
+    let count = t.hi.(nd) - t.lo.(nd) in
+    if t.sd.(nd) >= min_length && count >= 2 then begin
+      Array.blit t.leaf_order t.lo.(nd) t.buf 0 count;
+      sort_prefix t.buf count;
+      f ~length:t.sd.(nd) ~occs:t.buf ~count
+    end
+  done

@@ -14,16 +14,22 @@ type pool
 
 val create_pool : unit -> pool
 
-val build : ?pool:pool -> int array list -> t
-(** Symbols must be [>= 0]; raises [Invalid_argument] otherwise.  When
+val build : ?pool:pool -> int array array -> t
+(** The sequences {!Suffix_tree.build} takes, as an array.  Symbols must
+    be [>= 0]; raises [Invalid_argument] otherwise.  When
     [pool] is given, the tree borrows the pool's arrays: it becomes invalid
     the moment the same pool is passed to another [build], so at most one
-    pooled tree per pool may be alive at a time. *)
+    pooled tree per pool may be alive at a time.  Arrays that construction
+    leaves dead (suffix links, edge bounds, the text, the children table)
+    are recycled as the tree's traversal state, node slices and report
+    buffer, so a pool holds ten arrays. *)
 
-val repeats : ?min_length:int -> t -> Suffix_tree.repeat list
-(** Same contract as {!Suffix_tree.repeats}: all right-maximal repeats with
-    occurrences in increasing text order.  The list order of repeats may
-    differ from the reference tree; callers needing determinism must sort. *)
+val iter_repeats : ?min_length:int -> t -> Suffix_tree.visit -> unit
+(** Same contract as {!Suffix_tree.iter_repeats}: every right-maximal
+    repeat, its occurrences sorted into one buffer the tree reuses, so
+    reporting allocates nothing.  The order of repeats may differ from the
+    reference tree's (it is by node, highest first); callers needing
+    determinism must sort. *)
 
 val count_leaves : t -> int
 (** Total number of suffixes indexed (for testing). *)

@@ -197,6 +197,26 @@ let repeats ?(min_length = 2) t =
       end);
   !out
 
+type visit = length:int -> occs:int array -> count:int -> unit
+
+let occ ~seq ~pos = (seq lsl 32) lor pos
+let occ_seq o = o lsr 32
+let occ_pos o = o land 0xffff_ffff
+
+let iter_repeats ?min_length t (f : visit) =
+  let buf = Array.make (Array.length t.text) 0 in
+  List.iter
+    (fun r ->
+      let count =
+        List.fold_left
+          (fun i o ->
+            buf.(i) <- occ ~seq:o.seq ~pos:o.pos;
+            i + 1)
+          0 r.occs
+      in
+      f ~length:r.length ~occs:buf ~count)
+    (repeats ?min_length t)
+
 let contains t needle =
   let m = Array.length needle in
   if m = 0 then true

@@ -27,6 +27,24 @@ val repeats : ?min_length:int -> t -> repeat list
     two of its occurrences are followed by different symbols; every
     repeated substring is a prefix of some right-maximal one. *)
 
+type visit = length:int -> occs:int array -> count:int -> unit
+(** How {!iter_repeats} reports one repeat: its length and its [count]
+    (at least two) occurrences, packed by {!occ}, in [occs.(0)] to
+    [occs.(count - 1)] in increasing text order.  [occs] is a buffer the
+    tree reuses for every repeat: read it during the call, never keep it. *)
+
+val occ : seq:int -> pos:int -> int
+(** An occurrence packed in one int, [seq] in the high bits and [pos]
+    (below [2{^32}]) in the low ones, so packed occurrences sort in text
+    order. *)
+
+val occ_seq : int -> int
+val occ_pos : int -> int
+
+val iter_repeats : ?min_length:int -> t -> visit -> unit
+(** {!repeats}, reported one at a time through a buffer, in the list's
+    order. *)
+
 val contains : t -> int array -> bool
 (** Substring membership across all indexed sequences. *)
 

@@ -1085,6 +1085,102 @@ let test_interner () =
   Alcotest.(check bool) "a single illegal lookup is fresh too" true
     (not (List.mem (Outcore.Instr_map.symbol_of_insn imap save_lr) illegal))
 
+(* Programs the round-level checks below run on: Machgen seeds 1-40 and the
+   linked small and uber_rider apps, each before round 1 and after rounds
+   1, 2 and 3 of the incremental engine. *)
+let round_programs =
+  lazy
+    (let linked app =
+       (match
+          Pipeline.build_sources
+            ~config:(Pipeline.config_of_flags ~rounds:0 Pipeline.Whole_program)
+            (Workload.Appgen.generate_sources app)
+        with
+       | Ok r -> r
+       | Error e -> Alcotest.fail e)
+         .Pipeline.program
+     in
+     let rounds name p =
+       let round = Outcore.Repeat.round () in
+       let rec go k p acc =
+         if k > 3 then List.rev acc
+         else
+           let p = fst (round k p) in
+           go (k + 1) p ((Printf.sprintf "%s after round %d" name k, p) :: acc)
+       in
+       (name, p) :: go 1 p []
+     in
+     List.concat_map
+       (fun seed ->
+         rounds (Printf.sprintf "seed %d" seed)
+           (Fuzz.Machgen.generate (Random.State.make [| seed |]) ~fuel:8))
+       (List.init 40 (fun i -> i + 1))
+     @ rounds "small app" (linked Workload.Appgen.small)
+     @ rounds "uber_rider" (linked Workload.Appgen.uber_rider))
+
+(* The rule reads LR liveness from a one-bit dataflow over LR alone
+   ({!Liveness.lr_compute}).  Gen/kill liveness is separable per register,
+   so at every point of every block its bit must be the LR bit of the full
+   register-set dataflow. *)
+let test_lr_liveness_exact () =
+  let points = ref 0 and live = ref 0 in
+  List.iter
+    (fun (name, (p : Program.t)) ->
+      List.iter
+        (fun (f : Mfunc.t) ->
+          let full = Liveness.compute f and lr = Liveness.lr_compute f in
+          List.iter
+            (fun (b : Block.t) ->
+              let want = Liveness.points full ~label:b.label in
+              let got = Liveness.lr_points lr ~label:b.label in
+              if Bytes.length got <> Array.length want then
+                Alcotest.failf "%s: %s/%s has %d LR points, not %d" name f.name
+                  b.label (Bytes.length got) (Array.length want);
+              Array.iteri
+                (fun i set ->
+                  incr points;
+                  let expected = Regset.mem Reg.lr set in
+                  if expected then incr live;
+                  if expected <> (Bytes.get got i = '\001') then
+                    Alcotest.failf "%s: %s/%s point %d: LR-only says %b" name
+                      f.name b.label i (not expected))
+                want)
+            f.blocks)
+        p.funcs)
+    (Lazy.force round_programs);
+  Alcotest.(check bool) "LR is live at some points and dead at others" true
+    (!live > 0 && !live < !points)
+
+(* Selection breaks benefit ties on the smallest site, compared by an int
+   rank per block in place of the (func, block, start) string tuple.  On
+   every site discovery finds, sorting by (rank, start) must give the
+   tuple order, with ties exactly where the tuples tie. *)
+let test_site_rank_order () =
+  let pairs = ref 0 in
+  List.iter
+    (fun (name, (p : Program.t)) ->
+      let rank = Outcore.Outliner.site_ranks p in
+      let sites =
+        List.concat_map
+          (fun (c : Outcore.Candidate.t) -> c.sites)
+          (Outcore.Outliner.enumerate p)
+        |> List.sort_uniq compare |> Array.of_list
+      in
+      let key (s : Outcore.Candidate.site) = (rank.(s.block_id), s.start) in
+      let tuple (s : Outcore.Candidate.site) = (s.func, s.block, s.start) in
+      Array.stable_sort (fun a b -> compare (key a) (key b)) sites;
+      for i = 1 to Array.length sites - 1 do
+        incr pairs;
+        let a = sites.(i - 1) and b = sites.(i) in
+        let by_rank = compare (key a) (key b)
+        and by_tuple = compare (tuple a) (tuple b) in
+        if by_tuple > 0 || (by_rank = 0) <> (by_tuple = 0) then
+          Alcotest.failf "%s: %s/%s+%d and %s/%s+%d ordered apart" name a.func
+            a.block a.start b.func b.block b.start
+      done)
+    (Lazy.force round_programs);
+  Alcotest.(check bool) "sites were compared" true (!pairs > 1000)
+
 let () =
   Alcotest.run "outliner"
     [
@@ -1120,6 +1216,10 @@ let () =
             test_discovery_paths_agree;
           Alcotest.test_case "the rule agrees with a naive oracle" `Quick
             test_rule_oracle;
+          Alcotest.test_case "LR-only liveness is exact" `Quick
+            test_lr_liveness_exact;
+          Alcotest.test_case "site ranks order sites as tuples do" `Quick
+            test_site_rank_order;
         ] );
       ( "interner",
         [

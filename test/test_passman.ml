@@ -168,6 +168,92 @@ let test_reference_default_only () =
     Alcotest.(check bool) ("error names the spec: " ^ e) true
       (contains e "dce,fmsa,outline(rounds=2)")
 
+(* A per-module build runs one outliner per unit, each with its own round
+   1, 2, ...  The report folds the units by round index, so SmallApp's
+   per-module build prints the rounds its units ran, not one entry per
+   unit round, and the CLI text is pinned here.  The fold must keep every
+   total: round K is the sum of the units' own round K, each unit's list
+   taken from an independent per-module run of the repeated outliner. *)
+let test_pm_round_report () =
+  let exe =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/sizeopt.exe"
+  in
+  let out = Filename.temp_file "pm_rounds" ".txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s build --app small --mode pm > %s" (Filename.quote exe)
+         (Filename.quote out))
+  in
+  Alcotest.(check int) "the CLI builds" 0 code;
+  let ic = open_in out in
+  let rec lines acc =
+    match input_line ic with
+    | l -> lines (l :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let printed = lines [] in
+  close_in ic;
+  Sys.remove out;
+  (* The report: the summary line's round count and the round lines. *)
+  let rec from needle l i =
+    if i + String.length needle > String.length l then None
+    else if String.sub l i (String.length needle) = needle then
+      Some (String.sub l i (String.length l - i))
+    else from needle l (i + 1)
+  in
+  let report =
+    List.filter_map
+      (fun l ->
+        if from "  round " l 0 = Some l then Some l
+        else from "outlined rounds:" l 0)
+      printed
+  in
+  Alcotest.(check (list string)) "the CLI's round report"
+    [
+      "outlined rounds: 3";
+      "  round 1: 1151 occurrences -> 162 functions, 12980 bytes saved";
+      "  round 2: 194 occurrences -> 45 functions, 736 bytes saved";
+      "  round 3: 11 occurrences -> 3 functions, 24 bytes saved";
+    ]
+    report;
+  let modules =
+    ok_exn
+      (Swiftlet.Compile.compile_program
+         (Workload.Appgen.generate_sources Workload.Appgen.small))
+  in
+  let units =
+    List.map
+      (fun (m : Ir.modul) ->
+        snd
+          (Outcore.Repeat.run
+             ~options:
+               { Outcore.Outliner.default_options with scope_name = m.Ir.m_name }
+             ~rounds:5
+             (Codegen.compile_modul (fst (Dce.run m)))))
+      modules
+  in
+  Alcotest.(check bool) "units stop after different rounds" true
+    (List.length (List.sort_uniq compare (List.map List.length units)) > 1);
+  let built =
+    (ok_exn
+       (Pipeline.build ~config:(Pipeline.config_of_flags Pipeline.Per_module)
+          modules))
+      .Pipeline.outline_stats
+  in
+  let total = List.fold_left Outcore.Outliner.add_stats Outcore.Outliner.no_stats in
+  Alcotest.(check bool) "folded totals equal the units' totals" true
+    (total built = total (List.concat units));
+  Alcotest.(check int) "one entry per round index"
+    (List.fold_left (fun acc u -> max acc (List.length u)) 0 units)
+    (List.length built);
+  List.iteri
+    (fun k (s : Outcore.Outliner.round_stats) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "round %d sums the units' round %d" (k + 1) (k + 1))
+        true
+        (s = total (List.filter_map (fun u -> List.nth_opt u k) units)))
+    built
+
 (* --layout composes with --passes: a spec without a layout marker keeps
    the base strategy, names it, and builds what the explicit marker
    builds.  Stitch and caller-affinity bases used to build append. *)
@@ -683,6 +769,8 @@ let () =
             test_rejected_pipelines;
           Alcotest.test_case "duplicate symbols are a build error" `Quick
             test_duplicate_symbols_are_errors;
+          Alcotest.test_case "per-module round report folds by round" `Quick
+            test_pm_round_report;
         ] );
       ( "verify-each",
         [

@@ -170,9 +170,31 @@ let prop_contains =
       Sufftree.Suffix_tree.contains t needle = naive_contains)
 
 (* The arena tree must report exactly the classic tree's repeat set,
-   including when its buffers come from a reused pool.  Occurrence symbols
-   are read back from the input sequences since the arena tree has no
-   [substring_at]. *)
+   including when its buffers come from a reused pool.  Both trees report
+   through the callback API; [collect] copies each report out of the
+   reused buffer and checks the buffer is in strictly increasing text
+   order.  Occurrence symbols are read back from the input sequences since
+   the arena tree has no [substring_at]. *)
+let collect iter =
+  let acc = ref [] in
+  iter (fun ~length ~occs ~count ->
+      if count < 2 then Alcotest.failf "a repeat reported %d occurrences" count;
+      for i = 1 to count - 1 do
+        if occs.(i - 1) >= occs.(i) then
+          Alcotest.fail "occurrences out of text order"
+      done;
+      let occs =
+        List.init count (fun i ->
+            {
+              Sufftree.Suffix_tree.seq = Sufftree.Suffix_tree.occ_seq occs.(i);
+              pos = Sufftree.Suffix_tree.occ_pos occs.(i);
+            })
+      in
+      acc := { Sufftree.Suffix_tree.length; occs } :: !acc);
+  List.rev !acc
+
+let arena_repeats a = collect (Sufftree.Arena_tree.iter_repeats ~min_length:2 a)
+
 let normalize_arena_repeats seqs reps =
   let arr = Array.of_list seqs in
   List.map
@@ -183,15 +205,7 @@ let normalize_arena_repeats seqs reps =
           Array.to_list (Array.sub arr.(o.seq) o.pos r.length)
         | [] -> []
       in
-      let occs =
-        List.sort
-          (fun (a : Sufftree.Suffix_tree.occurrence) b ->
-            match Int.compare a.seq b.seq with
-            | 0 -> Int.compare a.pos b.pos
-            | c -> c)
-          r.occs
-      in
-      (syms, occs))
+      (syms, r.occs))
     reps
   |> List.sort compare
 
@@ -199,9 +213,23 @@ let prop_arena_matches_classic =
   QCheck.Test.make ~count:300 ~name:"arena repeats = classic repeats"
     arb_seqs (fun seqs ->
       let c = Sufftree.Suffix_tree.build seqs in
-      let a = Sufftree.Arena_tree.build seqs in
-      normalize_arena_repeats seqs (Sufftree.Arena_tree.repeats ~min_length:2 a)
-      = normalize_tree_repeats c (Sufftree.Suffix_tree.repeats ~min_length:2 c))
+      let a = Sufftree.Arena_tree.build (Array.of_list seqs) in
+      let listed = Sufftree.Suffix_tree.repeats ~min_length:2 c in
+      normalize_arena_repeats seqs (arena_repeats a)
+      = normalize_tree_repeats c listed
+      && collect (Sufftree.Suffix_tree.iter_repeats ~min_length:2 c) = listed)
+
+let check_pooled pool seqs what =
+  let a = Sufftree.Arena_tree.build ~pool (Array.of_list seqs) in
+  let c = Sufftree.Suffix_tree.build seqs in
+  let got = normalize_arena_repeats seqs (arena_repeats a) in
+  let want =
+    normalize_tree_repeats c (Sufftree.Suffix_tree.repeats ~min_length:2 c)
+  in
+  if got <> want then
+    Alcotest.failf "pooled build %s disagrees with the classic tree" what;
+  let suffixes = List.fold_left (fun acc s -> acc + Array.length s + 1) 0 seqs in
+  Alcotest.(check int) "leaf count" suffixes (Sufftree.Arena_tree.count_leaves a)
 
 let test_arena_pool_reuse () =
   (* Consecutive builds on one pool with growing and shrinking inputs: a
@@ -215,22 +243,28 @@ let test_arena_pool_reuse () =
       List.init n_seqs (fun _ ->
           Array.init (Random.State.int st 40) (fun _ -> Random.State.int st 6))
     in
-    let a = Sufftree.Arena_tree.build ~pool seqs in
-    let c = Sufftree.Suffix_tree.build seqs in
-    let got =
-      normalize_arena_repeats seqs (Sufftree.Arena_tree.repeats ~min_length:2 a)
-    in
-    let want =
-      normalize_tree_repeats c (Sufftree.Suffix_tree.repeats ~min_length:2 c)
-    in
-    if got <> want then
-      Alcotest.failf "pooled build %d disagrees with the classic tree" i;
-    let suffixes =
-      List.fold_left (fun acc s -> acc + Array.length s + 1) 0 seqs
-    in
-    Alcotest.(check int) "leaf count" suffixes
-      (Sufftree.Arena_tree.count_leaves a)
+    check_pooled pool seqs (string_of_int i)
   done
+
+(* The tree recycles arrays that construction leaves dead (suffix links,
+   the children table) as its tour's cursor and stack and its report
+   buffer.  A large build, then a small one and a larger one on one pool:
+   every array the small tree borrows is oversized and full of the large
+   tree's state, and the larger one outgrows them all again, so reuse that
+   aliased live data, or read past what it wrote, would disagree with the
+   classic tree. *)
+let test_arena_recycled_arrays () =
+  let pool = Sufftree.Arena_tree.create_pool () in
+  let st = Random.State.make [| 0xdead; 3 |] in
+  let input n_seqs len alphabet =
+    List.init n_seqs (fun _ ->
+        Array.init len (fun _ -> Random.State.int st alphabet))
+  in
+  check_pooled pool (input 40 60 5) "large";
+  check_pooled pool (input 3 12 3) "small";
+  check_pooled pool (input 80 70 4) "larger";
+  check_pooled pool (input 1 0 2) "empty sequence";
+  check_pooled pool (input 60 50 7) "large again"
 
 let prop_leaf_count =
   QCheck.Test.make ~count:200 ~name:"leaf count = number of suffixes"
@@ -261,6 +295,8 @@ let () =
         [
           Alcotest.test_case "pooled builds stay correct" `Quick
             test_arena_pool_reuse;
+          Alcotest.test_case "recycled arrays alias nothing live" `Quick
+            test_arena_recycled_arrays;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
