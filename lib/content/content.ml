@@ -38,8 +38,7 @@ let add_blocks buf blocks =
           Buffer.add_string buf (Insn.to_string i);
           Buffer.add_char buf ';')
         b.Block.body;
-      Buffer.add_string buf
-        (Format.asprintf "%a" Block.pp_terminator b.Block.term);
+      Buffer.add_string buf (Block.terminator_to_string b.Block.term);
       Buffer.add_char buf '|')
     blocks
 
@@ -60,8 +59,7 @@ let shingles ?(k = 2) (f : Mfunc.t) =
   List.iter
     (fun (b : Block.t) ->
       Array.iter (fun i -> insns := Insn.to_string i :: !insns) b.Block.body;
-      insns :=
-        Format.asprintf "%a" Block.pp_terminator b.Block.term :: !insns)
+      insns := Block.terminator_to_string b.Block.term :: !insns)
     f.blocks;
   let insns = Array.of_list (List.rev !insns) in
   let n = Array.length insns in

@@ -47,14 +47,3 @@ let site_cost_bytes = function
   | Call_save_lr -> 12
 
 let pattern_bytes c = c.length * Machine.Insn.size_bytes
-
-let pp_strategy ppf = function
-  | Ends_with_ret -> Format.pp_print_string ppf "ends-with-ret"
-  | Thunk -> Format.pp_print_string ppf "thunk"
-  | Plain_call -> Format.pp_print_string ppf "plain-call"
-
-let pp ppf c =
-  Format.fprintf ppf "pattern len=%d strategy=%a sites=%d@." c.length
-    pp_strategy c.strategy (List.length c.sites);
-  List.iter (fun i -> Format.fprintf ppf "    %a@." Machine.Insn.pp i) c.insns;
-  if c.strategy = Ends_with_ret then Format.fprintf ppf "    ret@."

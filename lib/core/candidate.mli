@@ -73,5 +73,3 @@ val shape_touches_sp : shape -> bool
 val site_cost_bytes : site_call -> int
 val pattern_bytes : t -> int
 (** Bytes of one inline occurrence (4 per symbol). *)
-
-val pp : Format.formatter -> t -> unit

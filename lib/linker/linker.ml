@@ -270,21 +270,11 @@ let symbolize l addr =
   end
 
 let duplicate_function_bodies (p : Program.t) =
-  (* Key: printed body with the function name erased (labels are local). *)
+  (* Key: the rendered body, function name erased (labels are local). *)
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun (f : Mfunc.t) ->
-      let key =
-        Format.asprintf "%a"
-          (fun ppf () ->
-            List.iter
-              (fun (b : Block.t) ->
-                Format.fprintf ppf "%s:" b.label;
-                Array.iter (fun i -> Format.fprintf ppf "%a;" Insn.pp i) b.body;
-                Format.fprintf ppf "%a|" Block.pp_terminator b.term)
-              f.blocks)
-          ()
-      in
+      let key = Content.render f in
       let prev = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
       Hashtbl.replace tbl key (f :: prev))
     p.funcs;

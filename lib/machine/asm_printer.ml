@@ -1,53 +1,38 @@
-let insn_to_source i =
-  match i with
-  | Insn.Mov (d, Insn.Rop s) ->
-    Printf.sprintf "orr %s, xzr, %s" (Reg.to_string d) (Reg.to_string s)
-  | Insn.Mov (d, Insn.Imm n) -> Printf.sprintf "mov %s, #%d" (Reg.to_string d) n
-  | other -> Insn.to_string other
-
-let term_to_source = function
-  | Block.Ret -> "ret"
-  | Block.B l -> Printf.sprintf "b %s" l
-  | Block.Bcond (c, a, b) -> Printf.sprintf "b.%s %s, %s" (Cond.to_string c) a b
-  | Block.Cbz (r, a, b) -> Printf.sprintf "cbz %s, %s, %s" (Reg.to_string r) a b
-  | Block.Cbnz (r, a, b) -> Printf.sprintf "cbnz %s, %s, %s" (Reg.to_string r) a b
-  | Block.Tail_call s -> Printf.sprintf "b %s" s
-  | Block.Fallthrough l -> Printf.sprintf "fall %s" l
-
-let func_to_source (f : Mfunc.t) =
-  let buf = Buffer.create 512 in
-  let opts =
-    (if f.from_module = "" then "" else Printf.sprintf " module=%s" f.from_module)
-    ^ (if f.no_outline then " no_outline" else "")
-    ^
-    match f.cold_from with
-    | None -> ""
-    | Some l -> Printf.sprintf " cold=%s" l
-  in
-  Buffer.add_string buf (Printf.sprintf "func %s%s:\n" f.name opts);
-  List.iter
-    (fun (b : Block.t) ->
-      Buffer.add_string buf (b.label ^ ":\n");
-      Array.iter
-        (fun i -> Buffer.add_string buf ("  " ^ insn_to_source i ^ "\n"))
-        b.body;
-      Buffer.add_string buf ("  " ^ term_to_source b.term ^ "\n"))
-    f.blocks;
-  Buffer.contents buf
-
 let to_source (p : Program.t) =
   let buf = Buffer.create 4096 in
-  List.iter (fun e -> Buffer.add_string buf (Printf.sprintf "extern %s\n" e)) p.externs;
+  let add = Buffer.add_string buf in
+  let line s =
+    add s;
+    add "\n"
+  in
+  List.iter (fun e -> line ("extern " ^ e)) p.externs;
   List.iter
     (fun (d : Dataobj.t) ->
-      Buffer.add_string buf (Printf.sprintf "data %s:" d.name);
+      add ("data " ^ d.name ^ ":");
       Array.iter
-        (fun init ->
-          match init with
-          | Dataobj.Word w -> Buffer.add_string buf (Printf.sprintf " %d" w)
-          | Dataobj.Sym s -> Buffer.add_string buf (Printf.sprintf " @%s" s))
+        (function
+          | Dataobj.Word w -> add (" " ^ string_of_int w)
+          | Dataobj.Sym s -> add (" @" ^ s))
         d.words;
-      Buffer.add_char buf '\n')
+      line "")
     p.data;
-  List.iter (fun f -> Buffer.add_string buf (func_to_source f)) p.funcs;
+  List.iter
+    (fun (f : Mfunc.t) ->
+      add ("func " ^ f.name);
+      if f.from_module <> "" then add (" module=" ^ f.from_module);
+      if f.no_outline then add " no_outline";
+      Option.iter (fun l -> add (" cold=" ^ l)) f.cold_from;
+      line ":";
+      List.iter
+        (fun (b : Block.t) ->
+          line (b.label ^ ":");
+          Array.iter
+            (fun i ->
+              add "  ";
+              line (Insn.to_string i))
+            b.body;
+          add "  ";
+          line (Block.terminator_to_string ~source:true b.term))
+        f.blocks)
+    p.funcs;
   Buffer.contents buf

@@ -2,5 +2,4 @@
     compiled or outlined code can be saved and reloaded (used by the CLI
     driver; round-tripping is property-tested). *)
 
-val func_to_source : Mfunc.t -> string
 val to_source : Program.t -> string

@@ -39,14 +39,19 @@ let term_uses = function
     in
     go 0 (Regset.singleton Reg.lr)
 
-let pp_terminator ppf = function
-  | Ret -> Format.pp_print_string ppf "ret"
-  | B l -> Format.fprintf ppf "b %s" l
-  | Bcond (c, t, f) -> Format.fprintf ppf "b.%a %s (else %s)" Cond.pp c t f
-  | Cbz (r, t, f) -> Format.fprintf ppf "cbz %a, %s (else %s)" Reg.pp r t f
-  | Cbnz (r, t, f) -> Format.fprintf ppf "cbnz %a, %s (else %s)" Reg.pp r t f
-  | Tail_call s -> Format.fprintf ppf "b %s" s
-  | Fallthrough l -> Format.fprintf ppf "fall %s" l
+let terminator_to_string ?(source = false) t =
+  let two_way taken other =
+    if source then taken ^ ", " ^ other else taken ^ " (else " ^ other ^ ")"
+  in
+  match t with
+  | Ret -> "ret"
+  | B l | Tail_call l -> "b " ^ l
+  | Bcond (c, t, f) -> "b." ^ Cond.to_string c ^ " " ^ two_way t f
+  | Cbz (r, t, f) -> "cbz " ^ Reg.to_string r ^ ", " ^ two_way t f
+  | Cbnz (r, t, f) -> "cbnz " ^ Reg.to_string r ^ ", " ^ two_way t f
+  | Fallthrough l -> "fall " ^ l
+
+let pp_terminator ppf t = Format.pp_print_string ppf (terminator_to_string t)
 
 let pp ppf b =
   Format.fprintf ppf "%s:@." b.label;

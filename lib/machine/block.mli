@@ -32,5 +32,14 @@ val size_bytes : t -> int
 
 val successors : terminator -> string list
 val term_uses : terminator -> Regset.t
+val terminator_to_string : ?source:bool -> terminator -> string
+(** The terminator's text.  By default this is the content text, which
+    writes a two-way branch's else label as [(else l)]
+    ([b.eq then (else other)]); {!Content}'s rendering uses it, so the
+    compressed-size model reads it.  [~source:true] gives the assembly
+    source line {!Asm_parser} reads back ([b.eq then, other]). *)
+
 val pp_terminator : Format.formatter -> terminator -> unit
+(** {!terminator_to_string} for diagnostics and dumps. *)
+
 val pp : Format.formatter -> t -> unit

@@ -120,40 +120,42 @@ let binop_name = function
   | Lsr -> "lsr"
   | Asr -> "asr"
 
-let pp_operand ppf = function
-  | Rop r -> Reg.pp ppf r
-  | Imm n -> Format.fprintf ppf "#%d" n
+(* The instruction text is hot: thin-WPO keys and ranks windows by it, and
+   the linker's compression model and [serve]'s image hash read it.  So it
+   is built by plain concatenation, with no [Format]. *)
+let reg = Reg.to_string
+let imm n = "#" ^ string_of_int n
 
-let pp_addr ppf a =
+let operand = function
+  | Rop r -> reg r
+  | Imm n -> imm n
+
+let addr a =
   match a.mode with
   | Offset ->
-    if a.off = 0 then Format.fprintf ppf "[%a]" Reg.pp a.base
-    else Format.fprintf ppf "[%a, #%d]" Reg.pp a.base a.off
-  | Pre -> Format.fprintf ppf "[%a, #%d]!" Reg.pp a.base a.off
-  | Post -> Format.fprintf ppf "[%a], #%d" Reg.pp a.base a.off
+    if a.off = 0 then "[" ^ reg a.base ^ "]"
+    else "[" ^ reg a.base ^ ", " ^ imm a.off ^ "]"
+  | Pre -> "[" ^ reg a.base ^ ", " ^ imm a.off ^ "]!"
+  | Post -> "[" ^ reg a.base ^ "], " ^ imm a.off
 
-let pp ppf = function
+let to_string = function
   | Mov (d, Rop s) ->
     (* Print as the ORR idiom to mirror the paper's listings. *)
-    Format.fprintf ppf "orr %a, xzr, %a" Reg.pp d Reg.pp s
-  | Mov (d, Imm n) -> Format.fprintf ppf "mov %a, #%d" Reg.pp d n
+    "orr " ^ reg d ^ ", xzr, " ^ reg s
+  | Mov (d, Imm n) -> "mov " ^ reg d ^ ", " ^ imm n
   | Binop (op, d, a, b) ->
-    Format.fprintf ppf "%s %a, %a, %a" (binop_name op) Reg.pp d Reg.pp a
-      pp_operand b
-  | Cmp (a, b) -> Format.fprintf ppf "cmp %a, %a" Reg.pp a pp_operand b
-  | Cset (d, c) -> Format.fprintf ppf "cset %a, %a" Reg.pp d Cond.pp c
+    binop_name op ^ " " ^ reg d ^ ", " ^ reg a ^ ", " ^ operand b
+  | Cmp (a, b) -> "cmp " ^ reg a ^ ", " ^ operand b
+  | Cset (d, c) -> "cset " ^ reg d ^ ", " ^ Cond.to_string c
   | Csel (d, a, b, c) ->
-    Format.fprintf ppf "csel %a, %a, %a, %a" Reg.pp d Reg.pp a Reg.pp b
-      Cond.pp c
-  | Ldr (d, a) -> Format.fprintf ppf "ldr %a, %a" Reg.pp d pp_addr a
-  | Str (s, a) -> Format.fprintf ppf "str %a, %a" Reg.pp s pp_addr a
-  | Ldp (d1, d2, a) ->
-    Format.fprintf ppf "ldp %a, %a, %a" Reg.pp d1 Reg.pp d2 pp_addr a
-  | Stp (s1, s2, a) ->
-    Format.fprintf ppf "stp %a, %a, %a" Reg.pp s1 Reg.pp s2 pp_addr a
-  | Adr (d, sym) -> Format.fprintf ppf "adr %a, %s" Reg.pp d sym
-  | Bl sym -> Format.fprintf ppf "bl %s" sym
-  | Blr r -> Format.fprintf ppf "blr %a" Reg.pp r
-  | Nop -> Format.pp_print_string ppf "nop"
+    "csel " ^ reg d ^ ", " ^ reg a ^ ", " ^ reg b ^ ", " ^ Cond.to_string c
+  | Ldr (d, a) -> "ldr " ^ reg d ^ ", " ^ addr a
+  | Str (s, a) -> "str " ^ reg s ^ ", " ^ addr a
+  | Ldp (d1, d2, a) -> "ldp " ^ reg d1 ^ ", " ^ reg d2 ^ ", " ^ addr a
+  | Stp (s1, s2, a) -> "stp " ^ reg s1 ^ ", " ^ reg s2 ^ ", " ^ addr a
+  | Adr (d, sym) -> "adr " ^ reg d ^ ", " ^ sym
+  | Bl sym -> "bl " ^ sym
+  | Blr r -> "blr " ^ reg r
+  | Nop -> "nop"
 
-let to_string i = Format.asprintf "%a" pp i
+let pp ppf i = Format.pp_print_string ppf (to_string i)

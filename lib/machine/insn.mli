@@ -71,5 +71,11 @@ val equal : t -> t -> bool
 val hash : t -> int
 val mov_r : Reg.t -> Reg.t -> t
 val mov_i : Reg.t -> int -> t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** The instruction text, e.g. [ldr x0, [sp, #8]].  It is the content
+    identity of an instruction (thin-WPO keys and ranking hashes, the
+    linker's compression model, [serve]'s image hash) and, unchanged, its
+    assembly source line. *)
+
+val pp : Format.formatter -> t -> unit
+(** {!to_string} for diagnostics and dumps. *)

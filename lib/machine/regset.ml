@@ -21,10 +21,3 @@ let to_list s =
 let cardinal s =
   let rec go s n = if s = 0 then n else go (s land (s - 1)) (n + 1) in
   go s 0
-
-let pp ppf s =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Reg.pp)
-    (to_list s)

@@ -14,4 +14,3 @@ val equal : t -> t -> bool
 val of_list : Reg.t list -> t
 val to_list : t -> Reg.t list
 val cardinal : t -> int
-val pp : Format.formatter -> t -> unit

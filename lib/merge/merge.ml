@@ -8,10 +8,11 @@
    byte-identical to the pre-refactor [Merge_functions.normalize_key], and
    under {!fmsa_policy} the key/hole pair and {!parameterize} reproduce
    the pre-refactor [Fmsa] exactly (the fuzz lattice enforces this against
-   the frozen copies in [Merge_reference]).  The hole recording order is
-   coupled to OCaml's right-to-left evaluation of [add]'s arguments the
-   same way the originals were — keep the expression shapes below in sync
-   with [parameterize]. *)
+   the frozen copies in [Merge_reference]).  Their hole order came from
+   OCaml's right-to-left evaluation of [Printf] arguments; [key] states it:
+   a two-operand site resolves its right operand first, and [cbr] its else
+   label, then its then label, then its operand.  Values, labels and
+   [parameterize]'s holes all follow that order. *)
 
 type hole =
   | H_imm of int       (* differing immediate: thunk passes [Imm n] *)
@@ -62,117 +63,134 @@ let fmsa_policy =
 let global_policy =
   { imm_hole = value_sites; sym_hole = value_sites; target_hole = true }
 
+(* Numbers in order of first appearance, from 0. *)
+let numbering size =
+  let tbl = Hashtbl.create size in
+  fun x ->
+    match Hashtbl.find_opt tbl x with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.replace tbl x i;
+      i
+
+(* The text of small numbers, built once: keys are hot. *)
+let small_ints = Array.init 256 string_of_int
+let int_text n = if n >= 0 && n < 256 then small_ints.(n) else string_of_int n
+
 (* Alpha-normalize: rename values in order of first appearance (params
    first), labels likewise, then print; operands the policy holes print
    ["?"] and are recorded in traversal order.  Equal keys = mergeable
    under the policy. *)
 let key ~policy (f : Ir.func) =
-  let vmap = Hashtbl.create 64 and vnext = ref 0 in
-  let lmap = Hashtbl.create 16 and lnext = ref 0 in
-  let v x =
-    match Hashtbl.find_opt vmap x with
-    | Some i -> i
-    | None ->
-      let i = !vnext in
-      incr vnext;
-      Hashtbl.replace vmap x i;
-      i
-  in
-  let l x =
-    match Hashtbl.find_opt lmap x with
-    | Some i -> i
-    | None ->
-      let i = !lnext in
-      incr lnext;
-      Hashtbl.replace lmap x i;
-      i
-  in
+  let v = numbering 64 and l = numbering 16 in
   List.iter (fun p -> ignore (v p)) f.Ir.params;
   List.iter (fun (b : Ir.block) -> ignore (l b.label)) f.Ir.blocks;
   let holes = ref [] in
   let buf = Buffer.create 256 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add = Buffer.add_string buf in
+  let num prefix n =
+    add prefix;
+    add (int_text n)
+  in
+  (* [op] numbers a value or records a hole, returning the value's number,
+     [-1] for a hole, 0 otherwise; [put] prints that and has no effect. *)
+  let hole h =
+    holes := h :: !holes;
+    -1
+  in
   let op site o =
     match o with
-    | Ir.V x -> "v" ^ string_of_int (v x)
-    | Ir.Imm n ->
-      if policy.imm_hole site then begin
-        holes := H_imm n :: !holes;
-        "?"
-      end
-      else "#" ^ string_of_int n
-    | Ir.Global g ->
-      if policy.sym_hole site then begin
-        holes := H_op o :: !holes;
-        "?"
-      end
-      else "@" ^ g
-    | Ir.Fn g ->
-      if policy.sym_hole site then begin
-        holes := H_op o :: !holes;
-        "?"
-      end
-      else "&" ^ g
+    | Ir.V x -> v x
+    | Ir.Imm n when policy.imm_hole site -> hole (H_imm n)
+    | (Ir.Global _ | Ir.Fn _) when policy.sym_hole site -> hole (H_op o)
+    | Ir.Imm _ | Ir.Global _ | Ir.Fn _ -> 0
   in
-  add "params:%d;" (List.length f.Ir.params);
+  let put o r =
+    match o with
+    | _ when r < 0 -> add "?"
+    | Ir.V _ -> num "v" r
+    | Ir.Imm n -> num "#" n
+    | Ir.Global g -> add ("@" ^ g)
+    | Ir.Fn g -> add ("&" ^ g)
+  in
+  let unary tag site o =
+    add tag;
+    put o (op site o)
+  in
+  let binary tag sa a sb b =
+    let rb = op sb b in
+    let ra = op sa a in
+    add tag;
+    put a ra;
+    add " ";
+    put b rb
+  in
+  num "params:" (List.length f.Ir.params);
+  add ";";
   List.iter
     (fun (b : Ir.block) ->
-      add "L%d:" (l b.label);
+      num "L" (l b.label);
+      add ":";
       List.iter
         (fun (p : Ir.phi) ->
-          add "phi v%d=" (v p.phi_dst);
+          num "phi v" (v p.phi_dst);
+          add "=";
           List.iter
-            (fun (lbl, o) -> add "[L%d %s]" (l lbl) (op S_phi o))
+            (fun (lbl, o) ->
+              let r = op S_phi o in
+              num "[L" (l lbl);
+              add " ";
+              put o r;
+              add "]")
             p.incoming)
         b.phis;
       List.iter
         (fun i ->
           (match Ir.def_of_instr i with
-          | Some d -> add "v%d=" (v d)
+          | Some d ->
+            num "v" (v d);
+            add "="
           | None -> ());
           (match i with
-          | Ir.Assign (_, o) -> add "asn %s" (op S_assign o)
+          | Ir.Assign (_, o) -> unary "asn " S_assign o
           | Ir.Binop (_, o2, a, b2) ->
-            let tag =
-              match o2 with
-              | Ir.Add -> "add"
-              | Ir.Sub -> "sub"
-              | Ir.Mul -> "mul"
-              | Ir.Div -> "div"
-              | Ir.And -> "and"
-              | Ir.Or -> "or"
-              | Ir.Xor -> "xor"
-              | Ir.Shl -> "shl"
-              | Ir.Lshr -> "lshr"
-              | Ir.Ashr -> "ashr"
-            in
-            add "bin.%s %s %s" tag (op S_binop a) (op S_binop b2)
+            binary ("bin." ^ Ir.binop_name o2 ^ " ") S_binop a S_binop b2
           | Ir.Icmp (_, c, a, b2) ->
-            add "icmp %s %s %s" (Machine.Cond.to_string c) (op S_icmp a)
-              (op S_icmp b2)
-          | Ir.Load (_, base, off) -> add "ld %s %d" (op S_load_base base) off
+            binary ("icmp " ^ Machine.Cond.to_string c ^ " ") S_icmp a S_icmp b2
+          | Ir.Load (_, base, off) ->
+            unary "ld " S_load_base base;
+            num " " off
           | Ir.Store (x, base, off) ->
-            add "st %s %s %d" (op S_store_val x) (op S_store_base base) off
+            binary "st " S_store_val x S_store_base base;
+            num " " off
           | Ir.Call (_, fn, args) ->
-            if policy.target_hole then begin
-              holes := H_target fn :: !holes;
-              add "call ?"
-            end
-            else add "call %s" fn;
-            List.iter (fun a -> add " %s" (op S_call_arg a)) args
+            add "call ";
+            if policy.target_hole then ignore (hole (H_target fn));
+            add (if policy.target_hole then "?" else fn);
+            List.iter (unary " " S_call_arg) args
           | Ir.Call_indirect (_, fn, args) ->
-            add "calli %s" (op S_calli_fn fn);
-            List.iter (fun a -> add " %s" (op S_calli_arg a)) args
-          | Ir.Retain o -> add "retain %s" (op S_retain o)
-          | Ir.Release o -> add "release %s" (op S_release o)
-          | Ir.Alloc_object (_, meta, size) -> add "alloco %s %d" meta size
-          | Ir.Alloc_array (_, n) -> add "alloca %s" (op S_alloc_len n));
+            unary "calli " S_calli_fn fn;
+            List.iter (unary " " S_calli_arg) args
+          | Ir.Retain o -> unary "retain " S_retain o
+          | Ir.Release o -> unary "release " S_release o
+          | Ir.Alloc_object (_, meta, size) ->
+            add "alloco ";
+            add meta;
+            num " " size
+          | Ir.Alloc_array (_, n) -> unary "alloca " S_alloc_len n);
           add ";")
         b.instrs;
       (match b.term with
-      | Ir.Ret o -> add "ret %s" (op S_term o)
-      | Ir.Br lbl -> add "br L%d" (l lbl)
-      | Ir.Cond_br (o, a, b2) -> add "cbr %s L%d L%d" (op S_term o) (l a) (l b2)
+      | Ir.Ret o -> unary "ret " S_term o
+      | Ir.Br lbl -> num "br L" (l lbl)
+      | Ir.Cond_br (o, a, b2) ->
+        (* The else label, then the then label, then the operand. *)
+        let lb = l b2 in
+        let la = l a in
+        unary "cbr " S_term o;
+        num " L" la;
+        num " L" lb
       | Ir.Unreachable -> add "unreachable");
       add "|")
     f.Ir.blocks;
@@ -181,9 +199,8 @@ let key ~policy (f : Ir.func) =
 let fingerprint ~policy f = Content.hash_string (fst (key ~policy f))
 
 (* Rebuild a function body with its holes replaced by fresh parameters,
-   in the same traversal order as [key] (the expression shapes mirror
-   [key]'s so the side-effect order matches site for site).  A holed
-   direct call becomes an indirect call through its target parameter. *)
+   in [key]'s hole order.  A holed direct call becomes an indirect call
+   through its target parameter. *)
 let parameterize ~policy (f : Ir.func) ~merged_name =
   let next = ref f.Ir.next_value in
   let new_params = ref [] in
@@ -203,8 +220,11 @@ let parameterize ~policy (f : Ir.func) ~merged_name =
     match i with
     | Ir.Assign (d, o) -> Ir.Assign (d, sub S_assign o)
     | Ir.Binop (d, op, a, b) ->
-      Ir.Binop (d, op, sub S_binop a, sub S_binop b)
-    | Ir.Icmp (d, c, a, b) -> Ir.Icmp (d, c, sub S_icmp a, sub S_icmp b)
+      let b = sub S_binop b in
+      Ir.Binop (d, op, sub S_binop a, b)
+    | Ir.Icmp (d, c, a, b) ->
+      let b = sub S_icmp b in
+      Ir.Icmp (d, c, sub S_icmp a, b)
     | Ir.Load (_, _, _) -> i
     | Ir.Store (x, base, off) -> Ir.Store (sub S_store_val x, base, off)
     | Ir.Call (d, fn, args) ->

@@ -108,5 +108,6 @@ val validate : ?require_ssa:bool -> modul -> (unit, string) result
     [~require_ssa:false] after out-of-SSA translation, which deliberately
     assigns phi destinations on every incoming edge. *)
 
+val binop_name : binop -> string
 val pp_func : Format.formatter -> func -> unit
 val pp_modul : Format.formatter -> modul -> unit

@@ -315,6 +315,200 @@ let prop_asm_roundtrip =
         Asm_printer.to_source p' = src
         && Program.code_size_bytes p' = Program.code_size_bytes p)
 
+(* --- the direct printers against their Format oracles ------------------------- *)
+
+(* The instruction and terminator printers as they were written with
+   [Format] and [Printf], before the text was built directly.  Every byte
+   of the direct printers must match them. *)
+module Oracle = struct
+  let reg ppf = function
+    | Reg.X 29 -> Format.pp_print_string ppf "fp"
+    | Reg.X 30 -> Format.pp_print_string ppf "lr"
+    | Reg.X i -> Format.fprintf ppf "x%d" i
+    | Reg.SP -> Format.pp_print_string ppf "sp"
+    | Reg.XZR -> Format.pp_print_string ppf "xzr"
+    | Reg.NZCV -> Format.pp_print_string ppf "nzcv"
+
+  let operand ppf = function
+    | Insn.Rop r -> reg ppf r
+    | Insn.Imm n -> Format.fprintf ppf "#%d" n
+
+  let addr ppf (a : Insn.addr) =
+    match a.mode with
+    | Insn.Offset ->
+      if a.off = 0 then Format.fprintf ppf "[%a]" reg a.base
+      else Format.fprintf ppf "[%a, #%d]" reg a.base a.off
+    | Insn.Pre -> Format.fprintf ppf "[%a, #%d]!" reg a.base a.off
+    | Insn.Post -> Format.fprintf ppf "[%a], #%d" reg a.base a.off
+
+  let binop_name op =
+    List.assoc op
+      Insn.
+        [ (Add, "add"); (Sub, "sub"); (Mul, "mul"); (Sdiv, "sdiv");
+          (And, "and"); (Orr, "orr"); (Eor, "eor"); (Lsl, "lsl");
+          (Lsr, "lsr"); (Asr, "asr") ]
+
+  let insn ppf = function
+    | Insn.Mov (d, Insn.Rop s) -> Format.fprintf ppf "orr %a, xzr, %a" reg d reg s
+    | Insn.Mov (d, Insn.Imm n) -> Format.fprintf ppf "mov %a, #%d" reg d n
+    | Insn.Binop (op, d, a, b) ->
+      Format.fprintf ppf "%s %a, %a, %a" (binop_name op) reg d reg a operand b
+    | Insn.Cmp (a, b) -> Format.fprintf ppf "cmp %a, %a" reg a operand b
+    | Insn.Cset (d, c) -> Format.fprintf ppf "cset %a, %a" reg d Cond.pp c
+    | Insn.Csel (d, a, b, c) ->
+      Format.fprintf ppf "csel %a, %a, %a, %a" reg d reg a reg b Cond.pp c
+    | Insn.Ldr (d, a) -> Format.fprintf ppf "ldr %a, %a" reg d addr a
+    | Insn.Str (s, a) -> Format.fprintf ppf "str %a, %a" reg s addr a
+    | Insn.Ldp (d1, d2, a) ->
+      Format.fprintf ppf "ldp %a, %a, %a" reg d1 reg d2 addr a
+    | Insn.Stp (s1, s2, a) ->
+      Format.fprintf ppf "stp %a, %a, %a" reg s1 reg s2 addr a
+    | Insn.Adr (d, sym) -> Format.fprintf ppf "adr %a, %s" reg d sym
+    | Insn.Bl sym -> Format.fprintf ppf "bl %s" sym
+    | Insn.Blr r -> Format.fprintf ppf "blr %a" reg r
+    | Insn.Nop -> Format.pp_print_string ppf "nop"
+
+  let terminator ppf = function
+    | Block.Ret -> Format.pp_print_string ppf "ret"
+    | Block.B l -> Format.fprintf ppf "b %s" l
+    | Block.Bcond (c, t, f) ->
+      Format.fprintf ppf "b.%a %s (else %s)" Cond.pp c t f
+    | Block.Cbz (r, t, f) -> Format.fprintf ppf "cbz %a, %s (else %s)" reg r t f
+    | Block.Cbnz (r, t, f) ->
+      Format.fprintf ppf "cbnz %a, %s (else %s)" reg r t f
+    | Block.Tail_call s -> Format.fprintf ppf "b %s" s
+    | Block.Fallthrough l -> Format.fprintf ppf "fall %s" l
+
+  let terminator_source t =
+    let reg r = Format.asprintf "%a" reg r in
+    match t with
+    | Block.Ret -> "ret"
+    | Block.B l -> Printf.sprintf "b %s" l
+    | Block.Bcond (c, a, b) ->
+      Printf.sprintf "b.%s %s, %s" (Cond.to_string c) a b
+    | Block.Cbz (r, a, b) -> Printf.sprintf "cbz %s, %s, %s" (reg r) a b
+    | Block.Cbnz (r, a, b) -> Printf.sprintf "cbnz %s, %s, %s" (reg r) a b
+    | Block.Tail_call s -> Printf.sprintf "b %s" s
+    | Block.Fallthrough l -> Printf.sprintf "fall %s" l
+end
+
+(* Every register, x0..x28, fp, lr, sp, xzr and nzcv. *)
+let all_regs = List.init Reg.count Reg.of_index
+let all_conds = Cond.[ Eq; Ne; Lt; Le; Gt; Ge ]
+let immediates = [ 0; 1; 8; 4095; 65535; -1; -16; -4096; max_int; min_int ]
+
+let all_operands =
+  List.map (fun r -> Insn.Rop r) all_regs
+  @ List.map (fun n -> Insn.Imm n) immediates
+
+(* Every addressing mode, over every base and every offset. *)
+let all_addrs =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun base -> List.map (fun off -> { Insn.base; off; mode }) immediates)
+        all_regs)
+    Insn.[ Offset; Pre; Post ]
+
+let every_insn () =
+  let x n = Reg.x n and a0 = List.hd all_addrs in
+  let each l f = List.concat_map f l in
+  List.concat
+    [
+      each all_regs (fun d -> List.map (fun o -> Insn.Mov (d, o)) all_operands);
+      each Insn.[ Add; Sub; Mul; Sdiv; And; Orr; Eor; Lsl; Lsr; Asr ] (fun op ->
+          each all_regs (fun r ->
+              Insn.Binop (op, x 0, r, Insn.Imm 1)
+              :: List.map (fun o -> Insn.Binop (op, r, x 1, o)) all_operands));
+      each all_regs (fun r -> List.map (fun o -> Insn.Cmp (r, o)) all_operands);
+      each all_regs (fun r ->
+          each all_conds (fun c ->
+              [ Insn.Cset (r, c); Insn.Csel (r, x 1, x 2, c);
+                Insn.Csel (x 0, r, x 2, c); Insn.Csel (x 0, x 1, r, c) ]));
+      each all_regs (fun r ->
+          [ Insn.Ldr (r, a0); Insn.Str (r, a0); Insn.Ldp (r, x 1, a0);
+            Insn.Ldp (x 0, r, a0); Insn.Stp (r, x 1, a0); Insn.Stp (x 0, r, a0);
+            Insn.Adr (r, "tbl"); Insn.Blr r ]);
+      each all_addrs (fun a ->
+          [ Insn.Ldr (x 3, a); Insn.Str (x 3, a); Insn.Ldp (x 3, x 4, a);
+            Insn.Stp (x 3, x 4, a) ]);
+      [ Insn.Bl "ext"; Insn.Bl "_$s4main.x"; Insn.Adr (x 0, "_$s4main.x");
+        Insn.Nop ];
+    ]
+
+let every_terminator () =
+  Block.[ Ret; B "l1"; Tail_call "ext"; Fallthrough "l2" ]
+  @ List.map (fun c -> Block.Bcond (c, "then", "else")) all_conds
+  @ List.concat_map
+      (fun r -> Block.[ Cbz (r, "then", "else"); Cbnz (r, "then", "else") ])
+      all_regs
+
+(* One line per text that differs from its oracle; none is the pass. *)
+let mismatches cases ~oracle ~printers =
+  List.concat_map
+    (fun x ->
+      let want = oracle x in
+      List.filter_map
+        (fun (name, print) ->
+          let got = print x in
+          if got = want then None
+          else Some (Printf.sprintf "%s: %S, want %S" name got want))
+        printers)
+    cases
+
+let test_printer_oracle () =
+  let insns = every_insn () and terms = every_terminator () in
+  Alcotest.(check (list string)) "instruction text" []
+    (mismatches insns ~oracle:(Format.asprintf "%a" Oracle.insn)
+       ~printers:
+         [ ("to_string", Insn.to_string); ("pp", Format.asprintf "%a" Insn.pp) ]);
+  Alcotest.(check (list string)) "terminator content text" []
+    (mismatches terms ~oracle:(Format.asprintf "%a" Oracle.terminator)
+       ~printers:
+         [
+           ("terminator_to_string", Block.terminator_to_string ?source:None);
+           ("pp_terminator", Format.asprintf "%a" Block.pp_terminator);
+         ]);
+  Alcotest.(check (list string)) "terminator source text" []
+    (mismatches terms ~oracle:Oracle.terminator_source
+       ~printers:[ ("source", Block.terminator_to_string ~source:true) ])
+
+(* Printing a compiled or generated program and parsing it back gives
+   every function, block, instruction and terminator back. *)
+let test_source_reparses () =
+  let compiled app =
+    match
+      Pipeline.build_sources
+        ~config:(Pipeline.config_of_flags ~rounds:1 Pipeline.Whole_program)
+        (Workload.Appgen.generate_sources app)
+    with
+    | Ok r -> r.Pipeline.program
+    | Error e -> Alcotest.fail e
+  in
+  let programs =
+    ("uber_rider", compiled Workload.Appgen.uber_rider)
+    :: ("SmallApp", compiled Workload.Appgen.small)
+    :: List.init 40 (fun i ->
+           ( Printf.sprintf "Machgen seed %d" (i + 1),
+             Fuzz.Machgen.generate (Random.State.make [| i + 1 |]) ~fuel:8 ))
+  in
+  List.iter
+    (fun (name, (p : Program.t)) ->
+      match Asm_parser.parse_program (Asm_printer.to_source p) with
+      | Error e -> Alcotest.fail (name ^ ": reparse failed: " ^ e)
+      | Ok p' ->
+        let shape (p : Program.t) =
+          List.map (fun (f : Mfunc.t) -> (f.name, f.blocks)) p.funcs
+        in
+        Alcotest.(check bool) (name ^ ": same functions") true
+          (shape p = shape p');
+        let data (p : Program.t) =
+          List.map (fun (d : Dataobj.t) -> (d.name, d.words)) p.data
+        in
+        Alcotest.(check bool) (name ^ ": same data and externs") true
+          (data p = data p' && p.externs = p'.externs))
+    programs
+
 (* The published FNV-1a 64-bit test vectors: every content hash in the
    repo (compression model, merge fingerprints, thin-WPO ranking, serve
    cache keys) rests on this kernel. *)
@@ -363,6 +557,10 @@ let () =
           Alcotest.test_case "roundtrip mentions labels" `Quick
             test_printer_parser_roundtrip;
           QCheck_alcotest.to_alcotest prop_asm_roundtrip;
+          Alcotest.test_case "direct printers match Format" `Quick
+            test_printer_oracle;
+          Alcotest.test_case "compiled source reparses" `Quick
+            test_source_reparses;
         ] );
       ("content", [ Alcotest.test_case "fnv vectors" `Quick test_fnv_vectors ]);
     ]

@@ -365,6 +365,191 @@ let test_reference_exactness () =
         (pp_modul (fst (Fmsa.run ~keep m))))
     [ ma; mb; link_exn [ ma; mb ] ]
 
+(* --- keys against their Printf oracles ---------------------------------------- *)
+
+(* [Merge.key] as it was printed with one [Printf] call per token, kept as
+   the oracle for the global policy, which [Merge_reference] predates.  The
+   hole order comes from OCaml's right-to-left evaluation of [add]'s
+   arguments. *)
+let printf_key ~(policy : Merge.policy) (f : Ir.func) =
+  let vmap = Hashtbl.create 64 and vnext = ref 0 in
+  let lmap = Hashtbl.create 16 and lnext = ref 0 in
+  let v x =
+    match Hashtbl.find_opt vmap x with
+    | Some i -> i
+    | None ->
+      let i = !vnext in
+      incr vnext;
+      Hashtbl.replace vmap x i;
+      i
+  in
+  let l x =
+    match Hashtbl.find_opt lmap x with
+    | Some i -> i
+    | None ->
+      let i = !lnext in
+      incr lnext;
+      Hashtbl.replace lmap x i;
+      i
+  in
+  List.iter (fun p -> ignore (v p)) f.Ir.params;
+  List.iter (fun (b : Ir.block) -> ignore (l b.label)) f.Ir.blocks;
+  let holes = ref [] in
+  let buf = Buffer.create 256 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let op site o =
+    match o with
+    | Ir.V x -> "v" ^ string_of_int (v x)
+    | Ir.Imm n ->
+      if policy.imm_hole site then begin
+        holes := Merge.H_imm n :: !holes;
+        "?"
+      end
+      else "#" ^ string_of_int n
+    | Ir.Global g ->
+      if policy.sym_hole site then begin
+        holes := Merge.H_op o :: !holes;
+        "?"
+      end
+      else "@" ^ g
+    | Ir.Fn g ->
+      if policy.sym_hole site then begin
+        holes := Merge.H_op o :: !holes;
+        "?"
+      end
+      else "&" ^ g
+  in
+  add "params:%d;" (List.length f.Ir.params);
+  List.iter
+    (fun (b : Ir.block) ->
+      add "L%d:" (l b.label);
+      List.iter
+        (fun (p : Ir.phi) ->
+          add "phi v%d=" (v p.phi_dst);
+          List.iter
+            (fun (lbl, o) -> add "[L%d %s]" (l lbl) (op Merge.S_phi o))
+            p.incoming)
+        b.phis;
+      List.iter
+        (fun i ->
+          (match Ir.def_of_instr i with
+          | Some d -> add "v%d=" (v d)
+          | None -> ());
+          (match i with
+          | Ir.Assign (_, o) -> add "asn %s" (op Merge.S_assign o)
+          | Ir.Binop (_, o2, a, b2) ->
+            let tag =
+              match o2 with
+              | Ir.Add -> "add"
+              | Ir.Sub -> "sub"
+              | Ir.Mul -> "mul"
+              | Ir.Div -> "div"
+              | Ir.And -> "and"
+              | Ir.Or -> "or"
+              | Ir.Xor -> "xor"
+              | Ir.Shl -> "shl"
+              | Ir.Lshr -> "lshr"
+              | Ir.Ashr -> "ashr"
+            in
+            add "bin.%s %s %s" tag (op Merge.S_binop a) (op Merge.S_binop b2)
+          | Ir.Icmp (_, c, a, b2) ->
+            add "icmp %s %s %s" (Machine.Cond.to_string c) (op Merge.S_icmp a)
+              (op Merge.S_icmp b2)
+          | Ir.Load (_, base, off) -> add "ld %s %d" (op Merge.S_load_base base) off
+          | Ir.Store (x, base, off) ->
+            add "st %s %s %d" (op Merge.S_store_val x) (op Merge.S_store_base base) off
+          | Ir.Call (_, fn, args) ->
+            if policy.target_hole then begin
+              holes := Merge.H_target fn :: !holes;
+              add "call ?"
+            end
+            else add "call %s" fn;
+            List.iter (fun a -> add " %s" (op Merge.S_call_arg a)) args
+          | Ir.Call_indirect (_, fn, args) ->
+            add "calli %s" (op Merge.S_calli_fn fn);
+            List.iter (fun a -> add " %s" (op Merge.S_calli_arg a)) args
+          | Ir.Retain o -> add "retain %s" (op Merge.S_retain o)
+          | Ir.Release o -> add "release %s" (op Merge.S_release o)
+          | Ir.Alloc_object (_, meta, size) -> add "alloco %s %d" meta size
+          | Ir.Alloc_array (_, n) -> add "alloca %s" (op Merge.S_alloc_len n));
+          add ";")
+        b.instrs;
+      (match b.term with
+      | Ir.Ret o -> add "ret %s" (op Merge.S_term o)
+      | Ir.Br lbl -> add "br L%d" (l lbl)
+      | Ir.Cond_br (o, a, b2) -> add "cbr %s L%d L%d" (op Merge.S_term o) (l a) (l b2)
+      | Ir.Unreachable -> add "unreachable");
+      add "|")
+    f.Ir.blocks;
+  (Buffer.contents buf, List.rev !holes)
+
+(* A function whose two-operand sites each resolve two holes or two
+   values not yet numbered: a binop and an icmp of two immediates, a
+   binop of two symbols, and a binop of two values defined nowhere before
+   it.  Resolving either site's operands in the other order moves its
+   holes or its numbering. *)
+let hole_order_witness () =
+  let b = Builder.create ~name:"witness" ~nparams:0 () in
+  let later = Builder.fresh b and later' = Builder.fresh b in
+  let x = Builder.binop b Ir.Sub (Ir.Imm 3) (Ir.Imm 5) in
+  let c = Builder.icmp b Machine.Cond.Lt (Ir.Imm 7) (Ir.Imm 11) in
+  let s = Builder.binop b Ir.Add (Ir.Global "g") (Ir.Fn "h") in
+  let y = Builder.binop b Ir.Mul (Ir.V later) (Ir.V later') in
+  Builder.store b (Ir.Imm 13) (Ir.V x) 8;
+  Builder.call_void b "sink" [ Ir.V c; Ir.V s; Ir.V y ];
+  Builder.terminate b (Ir.Ret (Ir.V y));
+  Builder.finish b
+
+let corpus_funcs () =
+  let app p =
+    match Workload.Appgen.generate_modules p with
+    | Ok mods -> mods
+    | Error e -> Alcotest.fail e
+  in
+  let swiftgen seed =
+    let p = Fuzz.Swiftgen.generate (Random.State.make [| seed; 0 |]) ~fuel:8 in
+    match Swiftlet.Compile.compile_program (Fuzz.Swiftgen.to_sources p) with
+    | Ok mods -> mods
+    | Error e -> Alcotest.fail e
+  in
+  let mods =
+    app Workload.Appgen.uber_rider
+    @ app (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small)
+    @ List.concat_map swiftgen (List.init 30 (fun i -> i + 1))
+  in
+  hole_order_witness ()
+  :: List.concat_map (fun (m : Ir.modul) -> m.Ir.funcs) mods
+
+let test_key_oracles () =
+  let funcs = corpus_funcs () in
+  let hole_text = function
+    | Merge.H_imm n -> "#" ^ string_of_int n
+    | Merge.H_op (Ir.Global g) -> "@" ^ g
+    | Merge.H_op (Ir.Fn g) -> "&" ^ g
+    | Merge.H_op (Ir.V _ | Ir.Imm _) -> "<not a symbol>"
+    | Merge.H_target g -> "call " ^ g
+  in
+  let holes = Alcotest.testable (Fmt.of_to_string hole_text) ( = ) in
+  List.iter
+    (fun (f : Ir.func) ->
+      let what = Printf.sprintf "%s: %s" f.Ir.name in
+      Alcotest.(check string) (what "exact key = frozen normalize_key")
+        (Merge_reference.Merge_functions.normalize_key f)
+        (fst (Merge.key ~policy:Merge.exact_policy f));
+      let ref_key, ref_imms = Merge_reference.Fmsa.key_with_holes f in
+      let key, hs = Merge.key ~policy:Merge.fmsa_policy f in
+      Alcotest.(check string) (what "fmsa key = frozen key_with_holes")
+        ref_key key;
+      Alcotest.(check (list holes)) (what "fmsa holes = frozen immediates")
+        (List.map (fun n -> Merge.H_imm n) ref_imms)
+        hs;
+      let p_key, p_holes = printf_key ~policy:Merge.global_policy f in
+      let key, hs = Merge.key ~policy:Merge.global_policy f in
+      Alcotest.(check string) (what "global key = Printf key") p_key key;
+      Alcotest.(check (list holes)) (what "global holes = Printf holes")
+        p_holes hs)
+    funcs
+
 let () =
   Alcotest.run "merge"
     [
@@ -373,6 +558,8 @@ let () =
           Alcotest.test_case "fingerprints" `Quick test_fingerprint;
           Alcotest.test_case "reference exactness" `Quick
             test_reference_exactness;
+          Alcotest.test_case "keys match their Printf oracles" `Quick
+            test_key_oracles;
         ] );
       ( "global",
         [

@@ -303,6 +303,49 @@ let test_workers_capped_by_shards () =
     true
     (Float.abs (many_words -. one_words) <= 0.01 *. one_words)
 
+(* A second worker must not pay for what the first already did: each
+   worker keeps its own instruction printer, so every instruction both
+   meet is printed twice, and printing must be cheap enough that five
+   thin-outline rounds on SmallApp_x3 allocate within 5% at two workers
+   of what they allocate at one.  Words are counted over every domain as
+   minor + major - promoted, read after the pool's domains have joined,
+   whose counts the runtime then holds for the process. *)
+let test_second_worker_allocation () =
+  let p =
+    (ok_exn
+       (Pipeline.build_sources
+          ~config:(thin_config ~rounds:0 1)
+          (Workload.Appgen.generate_sources
+             (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small))))
+      .Pipeline.program
+  in
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let rounds workers =
+    let state = Thinwpo.Engine.create_state () in
+    let before = words () in
+    let rec go round p =
+      if round > 5 then p
+      else
+        let options = { Outcore.Outliner.default_options with round } in
+        let p', stats = Thinwpo.Engine.run_round ~workers ~state ~options p in
+        if stats.Outcore.Outliner.sequences_outlined = 0 then p'
+        else go (round + 1) p'
+    in
+    let out = go 1 p in
+    (source out, words () -. before)
+  in
+  let one, one_words = rounds 1 in
+  let two, two_words = rounds 2 in
+  Alcotest.(check string) "same program" one two;
+  Alcotest.(check bool)
+    (Printf.sprintf "two workers within 5%% of one (%.2f vs %.2f Mwords)"
+       (two_words /. 1e6) (one_words /. 1e6))
+    true
+    (Float.abs (two_words -. one_words) <= 0.05 *. one_words)
+
 (* --- the global decision round ---------------------------------------------- *)
 
 let mk_pattern ?(strategy = Outcore.Candidate.Ends_with_ret) ?(lr = false)
@@ -519,5 +562,7 @@ let () =
             test_degenerate_shardings;
           Alcotest.test_case "workers capped by the shard count" `Quick
             test_workers_capped_by_shards;
+          Alcotest.test_case "a second worker allocates no more" `Quick
+            test_second_worker_allocation;
         ] );
     ]
