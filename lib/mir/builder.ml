@@ -80,7 +80,7 @@ let alloc_array b n =
 
 let fresh_label b hint =
   b.label_counter <- b.label_counter + 1;
-  Printf.sprintf "%s%d" hint b.label_counter
+  hint ^ string_of_int b.label_counter
 
 let terminate b term =
   if not b.in_block then

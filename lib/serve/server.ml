@@ -123,18 +123,20 @@ let memo tbl name key compute =
 
 (* The shared front-end loop with both passes memoized: signatures keyed
    on own source, module bodies keyed on own source plus the signatures of
-   the externals the module mentions. *)
+   the externals the module mentions.  Only a memo miss forces the
+   module's shared lazy parse, so a module both memos answer is never
+   lexed. *)
 let compile_cached st hashes sources =
-  let signatures_of ~name src =
+  let signatures_of ~name parsed =
     memo st.as_sigs name (List.assoc name hashes) (fun () ->
-        Swiftlet.Compile.signatures_of ~name src)
+        Swiftlet.Compile.signatures_of_parsed parsed)
   in
-  let compile_module ~externals ~name src =
+  let compile_module ~externals ~name src parsed =
     let idents = ident_set src in
     let visible = List.filter (fun (n, _) -> Hashtbl.mem idents n) externals in
     let ext_fp = hash_hex (String.concat ";" (List.map fsig_str visible)) in
     memo st.as_mods name (List.assoc name hashes ^ ":" ^ ext_fp) (fun () ->
-        Swiftlet.Compile.compile_module ~externals ~name src)
+        Swiftlet.Compile.compile_parsed ~externals parsed)
   in
   Swiftlet.Compile.compile_with ~signatures_of ~compile_module sources
 

@@ -5,7 +5,9 @@
       request order) with LRU eviction ({!Cache});
     - per-app front-end caches: memoized [signatures_of] / [compile_module]
       hooks for {!Swiftlet.Compile.compile_with}, the same two-pass loop
-      {!Swiftlet.Compile.compile_program} runs.  Signatures are keyed on
+      {!Swiftlet.Compile.compile_program} runs.  Both hooks share the
+      loop's lazy parse of the module and force it only on a memo miss,
+      so a module both caches answer is not parsed.  Signatures are keyed on
       own source hash; compiled MIR on own source hash plus the signatures
       of the externals the module's source mentions (a conservative
       refinement of the import semantics, so appending a fresh function to

@@ -23,11 +23,16 @@ type token =
   | QUESTION
   | EOF
 
-type t = { tok : token; line : int }
-
 exception Lex_error of int * string
 
-val tokenize : string -> t list
-(** Raises [Lex_error (line, message)] on invalid input. *)
+val tokenize : string -> token array * int array
+(** The source's tokens, then [EOF], and beside them the line each starts
+    on: two parallel arrays of one length, built in one pass over the
+    source.  The arrays may run past the first [EOF]; every slot after it
+    is [EOF] again, on the last line.  Keyword and operator tokens are shared constants, so only
+    identifiers and integer literals allocate.  Raises
+    [Lex_error (line, message)] on invalid input: an unexpected character,
+    or a decimal literal above [max_int] ("integer literal out of
+    range"). *)
 
 val token_to_string : token -> string

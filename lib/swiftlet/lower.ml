@@ -36,7 +36,7 @@ type fctx = {
   spec_depth : int;
 }
 
-let meta_symbol lctx cls = Printf.sprintf "%s_meta_%s" lctx.module_name cls
+let meta_symbol lctx cls = lctx.module_name ^ "_meta_" ^ cls
 
 let note_call fctx name = Hashtbl.replace fctx.l.called name ()
 
@@ -394,7 +394,7 @@ and lower_call f venv name args ~try_kind =
 and specialize_callee f name =
   let fd = Hashtbl.find f.l.decls name in
   f.l.spec_counter <- f.l.spec_counter + 1;
-  let spec_name = Printf.sprintf "%s_spec%d" name f.l.spec_counter in
+  let spec_name = name ^ "_spec" ^ string_of_int f.l.spec_counter in
   Hashtbl.replace f.l.defined spec_name ();
   (* Register the callee signature under the clone's name. *)
   (match Sigs.lookup_func f.l.env name with
@@ -416,7 +416,7 @@ and lower_closure f venv params body =
       frees
   in
   f.l.clos_counter <- f.l.clos_counter + 1;
-  let lifted_name = Printf.sprintf "%s_clos%d" f.fn_name f.l.clos_counter in
+  let lifted_name = f.fn_name ^ "_clos" ^ string_of_int f.l.clos_counter in
   Hashtbl.replace f.l.defined lifted_name ();
   (* Lift: params are (env, closure params...). *)
   let nparams = 1 + List.length params in
@@ -768,7 +768,7 @@ and finalize_func (f : fctx) =
       (fun k off ->
         let rel_l = Builder.fresh_label f.b "cleanup_rel" in
         let next_l =
-          if k = n - 1 then "cleanup_done" else Printf.sprintf "cleanup_chk%d" (k + 1)
+          if k = n - 1 then "cleanup_done" else "cleanup_chk" ^ string_of_int (k + 1)
         in
         Builder.terminate f.b (Ir.Cond_br (Ir.V (List.nth flags k), rel_l, next_l));
         Builder.start_block f.b rel_l;

@@ -1,22 +1,23 @@
 exception Parse_error of int * string
 
+(* The lexer's parallel token and line arrays and the index of the next
+   token.  Past the end (never reached: nothing advances over [EOF]) peeks
+   read [EOF] on line 0. *)
 type state = {
-  mutable toks : Lexer.t list;
+  toks : Lexer.token array;
+  lines : int array;
+  mutable pos : int;
 }
 
 let fail (st : state) fmt =
-  let line = match st.toks with t :: _ -> t.Lexer.line | [] -> 0 in
+  let line = if st.pos < Array.length st.lines then st.lines.(st.pos) else 0 in
   Format.kasprintf (fun s -> raise (Parse_error (line, s))) fmt
 
 let peek st =
-  match st.toks with
-  | t :: _ -> t.Lexer.tok
-  | [] -> Lexer.EOF
+  if st.pos < Array.length st.toks then Array.unsafe_get st.toks st.pos
+  else Lexer.EOF
 
-let advance st =
-  match st.toks with
-  | _ :: rest -> st.toks <- rest
-  | [] -> ()
+let advance st = if st.pos < Array.length st.toks then st.pos <- st.pos + 1
 
 let expect st tok =
   if peek st = tok then advance st
@@ -441,7 +442,8 @@ let parse_decls st =
 
 let parse_module ~name src =
   try
-    let st = { toks = Lexer.tokenize src } in
+    let toks, lines = Lexer.tokenize src in
+    let st = { toks; lines; pos = 0 } in
     Ok { Ast.ma_name = name; ma_decls = parse_decls st }
   with
   | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)

@@ -520,6 +520,209 @@ let corpus_modules () =
         | Error e -> Alcotest.fail (b.bench_name ^ ": " ^ e))
       Workload.Benchmarks.all
 
+(* DCE against its old self ----------------------------------------------- *)
+
+(* [Dce.run_func] as it was before the all-live check, kept verbatim as
+   its oracle: it rebuilds every function, dead code or not. *)
+module Old_dce = struct
+  let is_pure = function
+    | Ir.Assign _ | Ir.Binop _ | Ir.Icmp _ | Ir.Load _ | Ir.Alloc_object _
+    | Ir.Alloc_array _ ->
+      true
+    | Ir.Store _ | Ir.Call _ | Ir.Call_indirect _ | Ir.Retain _
+    | Ir.Release _ ->
+      false
+
+  let reachable_labels (f : Ir.func) =
+    let seen = Hashtbl.create 16 in
+    let by_label = Hashtbl.create 16 in
+    List.iter (fun (b : Ir.block) -> Hashtbl.replace by_label b.label b) f.blocks;
+    let rec visit l =
+      if not (Hashtbl.mem seen l) then begin
+        Hashtbl.replace seen l ();
+        match Hashtbl.find_opt by_label l with
+        | Some b -> List.iter visit (Ir.successors b.term)
+        | None -> ()
+      end
+    in
+    (match f.blocks with b :: _ -> visit b.label | [] -> ());
+    seen
+
+  let run_func (f : Ir.func) =
+    let reach = reachable_labels f in
+    let blocks =
+      List.filter (fun (b : Ir.block) -> Hashtbl.mem reach b.label) f.blocks
+    in
+    let blocks_removed = List.length f.blocks - List.length blocks in
+    let blocks =
+      List.map
+        (fun (b : Ir.block) ->
+          let phis =
+            List.map
+              (fun (p : Ir.phi) ->
+                { p with Ir.incoming = List.filter (fun (l, _) -> Hashtbl.mem reach l) p.incoming })
+              b.phis
+          in
+          { b with phis })
+        blocks
+    in
+    let instrs_removed = ref 0 in
+    let rec sweep blocks =
+      let used = Hashtbl.create 64 in
+      let mark = function
+        | Ir.V v -> Hashtbl.replace used v ()
+        | Ir.Imm _ | Ir.Global _ | Ir.Fn _ -> ()
+      in
+      List.iter
+        (fun (b : Ir.block) ->
+          List.iter
+            (fun (p : Ir.phi) -> List.iter (fun (_, o) -> mark o) p.incoming)
+            b.phis;
+          List.iter (fun i -> List.iter mark (Ir.operands_of_instr i)) b.instrs;
+          match b.term with
+          | Ir.Ret o -> mark o
+          | Ir.Cond_br (o, _, _) -> mark o
+          | Ir.Br _ | Ir.Unreachable -> ())
+        blocks;
+      let changed = ref false in
+      let blocks =
+        List.map
+          (fun (b : Ir.block) ->
+            let instrs =
+              List.filter
+                (fun i ->
+                  match Ir.def_of_instr i with
+                  | Some d when is_pure i && not (Hashtbl.mem used d) ->
+                    incr instrs_removed;
+                    changed := true;
+                    false
+                  | Some _ | None -> true)
+                b.instrs
+            in
+            { b with instrs })
+          blocks
+      in
+      if !changed then sweep blocks else blocks
+    in
+    let blocks = sweep blocks in
+    ({ f with blocks }, { Dce.blocks_removed; instrs_removed = !instrs_removed })
+end
+
+(* [Dce.run_func f] equals the oracle, and returns [f] itself when the
+   oracle removes nothing.  Returns whether anything was removed. *)
+let check_dce_oracle (f : Ir.func) =
+  let got, s = Dce.run_func f in
+  let want, t = Old_dce.run_func f in
+  if got <> want then Alcotest.failf "dce of %s differs from the oracle" f.Ir.name;
+  if s <> t then
+    Alcotest.failf "dce stats of %s: %d/%d blocks/instrs, oracle %d/%d" f.Ir.name
+      s.Dce.blocks_removed s.Dce.instrs_removed t.Dce.blocks_removed
+      t.Dce.instrs_removed;
+  let removed = t.Dce.blocks_removed + t.Dce.instrs_removed > 0 in
+  if (not removed) && got != f then
+    Alcotest.failf "dce copied %s although nothing in it is dead" f.Ir.name;
+  removed
+
+(* Unreachable blocks, one of them a cycle. *)
+let dce_unreachable () =
+  let b = Builder.create ~name:"unreachable" ~nparams:1 () in
+  let p = List.hd (Builder.params b) in
+  Builder.terminate b (Ir.Ret (Ir.V p));
+  Builder.start_block b "orphan";
+  let x = Builder.assign b (Ir.Imm 1) in
+  Builder.terminate b (Ir.Cond_br (Ir.V x, "orphan2", "orphan"));
+  Builder.start_block b "orphan2";
+  Builder.terminate b (Ir.Br "orphan");
+  Builder.finish b
+
+(* A chain of dead pure instructions: each sweep frees the next. *)
+let dce_dead_chain () =
+  let b = Builder.create ~name:"chain" ~nparams:1 () in
+  let p = List.hd (Builder.params b) in
+  let a = Builder.binop b Ir.Add (Ir.V p) (Ir.Imm 1) in
+  let c = Builder.binop b Ir.Mul (Ir.V a) (Ir.Imm 2) in
+  let d = Builder.load b (Ir.V c) 8 in
+  let _ = Builder.icmp b Machine.Cond.Lt (Ir.V d) (Ir.V p) in
+  Builder.call_void b "g" [ Ir.V p ];
+  Builder.terminate b (Ir.Ret (Ir.V p));
+  Builder.finish b
+
+(* A phi fed from a block that is removed, along with its value. *)
+let dce_phi_from_removed () =
+  let b = Builder.create ~name:"phi_removed" ~nparams:1 () in
+  let p = List.hd (Builder.params b) in
+  let phi = Builder.fresh b in
+  Builder.terminate b (Ir.Cond_br (Ir.V p, "left", "join"));
+  Builder.start_block b "left";
+  Builder.terminate b (Ir.Br "join");
+  Builder.start_block b "dead";
+  let x = Builder.assign b (Ir.Imm 7) in
+  Builder.terminate b (Ir.Br "join");
+  Builder.start_block b "join";
+  Builder.add_phi b phi
+    [ ("entry", Ir.Imm 1); ("left", Ir.Imm 2); ("dead", Ir.V x) ];
+  Builder.terminate b (Ir.Ret (Ir.V phi));
+  Builder.finish b
+
+(* Nothing dead: one value is used only by a phi, one only by a branch and
+   one only by a return. *)
+let dce_phi_and_terminator_uses () =
+  let b = Builder.create ~name:"all_live" ~nparams:1 () in
+  let p = List.hd (Builder.params b) in
+  let by_phi = Builder.binop b Ir.Add (Ir.V p) (Ir.Imm 1) in
+  let by_branch = Builder.icmp b Machine.Cond.Lt (Ir.V p) (Ir.Imm 3) in
+  let phi = Builder.fresh b in
+  Builder.terminate b (Ir.Cond_br (Ir.V by_branch, "a", "join"));
+  Builder.start_block b "a";
+  Builder.terminate b (Ir.Br "join");
+  Builder.start_block b "join";
+  Builder.add_phi b phi [ ("entry", Ir.Imm 0); ("a", Ir.V by_phi) ];
+  let by_ret = Builder.binop b Ir.Sub (Ir.V phi) (Ir.Imm 1) in
+  Builder.terminate b (Ir.Ret (Ir.V by_ret));
+  Builder.finish b
+
+let test_dce_oracle_hand_built () =
+  List.iter
+    (fun (f, expect_removed) ->
+      Alcotest.(check bool) f.Ir.name expect_removed (check_dce_oracle f))
+    [
+      (dce_unreachable (), true);
+      (dce_dead_chain (), true);
+      (dce_phi_from_removed (), true);
+      (dce_phi_and_terminator_uses (), false);
+    ];
+  let _, s = Dce.run_func (dce_dead_chain ()) in
+  Alcotest.(check int) "the whole chain goes" 4 s.Dce.instrs_removed
+
+let test_dce_oracle_programs () =
+  let removed = ref 0 and kept = ref 0 in
+  let check_module (m : Ir.modul) =
+    List.iter
+      (fun f -> if check_dce_oracle f then incr removed else incr kept)
+      m.Ir.funcs;
+    let m', s = Dce.run m in
+    let want_funcs, want_blocks, want_instrs =
+      List.fold_right
+        (fun f (fs, bl, ins) ->
+          let f', t = Old_dce.run_func f in
+          (f' :: fs, bl + t.Dce.blocks_removed, ins + t.Dce.instrs_removed))
+        m.Ir.funcs ([], 0, 0)
+    in
+    if m'.Ir.funcs <> want_funcs then
+      Alcotest.failf "dce of module %s differs from the oracle" m.Ir.m_name;
+    Alcotest.(check (pair int int)) "module stats" (want_blocks, want_instrs)
+      (s.Dce.blocks_removed, s.Dce.instrs_removed)
+  in
+  for seed = 1 to 40 do
+    let p = Fuzz.Swiftgen.generate (Random.State.make [| seed; 0 |]) ~fuel:8 in
+    List.iter check_module
+      (modules_exn (Swiftlet.Compile.compile_program (Fuzz.Swiftgen.to_sources p)))
+  done;
+  List.iter check_module (rider_modules ());
+  (* Both paths must be exercised. *)
+  Alcotest.(check bool) "some functions lose code" true (!removed > 0);
+  Alcotest.(check bool) "some functions keep it all" true (!kept > 0)
+
 let test_intervals_match_oracle () =
   let n = ref 0 in
   List.iter
@@ -828,6 +1031,10 @@ let () =
           Alcotest.test_case "merge functions" `Quick test_merge_functions;
           Alcotest.test_case "fmsa" `Quick test_fmsa;
           Alcotest.test_case "dce" `Quick test_dce;
+          Alcotest.test_case "dce matches its oracle: hand-built" `Quick
+            test_dce_oracle_hand_built;
+          Alcotest.test_case "dce matches its oracle: programs" `Quick
+            test_dce_oracle_programs;
         ] );
       ( "codegen",
         [

@@ -514,6 +514,273 @@ func main() -> Int {
   let mv, mo = machine_outputs m' in
   Alcotest.(check (pair int (list int))) "machine agrees" before (mv, mo)
 
+(* --- the front end against oracles kept here ----------------------------- *)
+
+(* The list lexer the token-array lexer replaced, kept verbatim as its
+   oracle (it raises [Failure] on an out-of-range literal, which the corpus
+   below never holds). *)
+module Old_lexer = struct
+  open Swiftlet.Lexer
+
+  type t = { tok : token; line : int }
+
+  let keywords =
+    [
+      "class"; "var"; "let"; "func"; "init"; "throws"; "throw"; "try"; "return";
+      "if"; "else"; "while"; "for"; "in"; "print"; "true"; "false"; "array";
+      "len";
+    ]
+
+  let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
+  let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
+  let is_digit c = c >= '0' && c <= '9'
+
+  let tokenize src =
+    let n = String.length src in
+    let out = ref [] in
+    let line = ref 1 in
+    let push tok = out := { tok; line = !line } :: !out in
+    let i = ref 0 in
+    let peek k = if !i + k < n then Some src.[!i + k] else None in
+    while !i < n do
+      let c = src.[!i] in
+      if c = '\n' then begin
+        incr line;
+        incr i
+      end
+      else if c = ' ' || c = '\t' || c = '\r' then incr i
+      else if c = '/' && peek 1 = Some '/' then begin
+        while !i < n && src.[!i] <> '\n' do
+          incr i
+        done
+      end
+      else if is_digit c then begin
+        let start = !i in
+        while !i < n && is_digit src.[!i] do
+          incr i
+        done;
+        push (INT (int_of_string (String.sub src start (!i - start))))
+      end
+      else if is_ident_start c then begin
+        let start = !i in
+        while !i < n && is_ident_char src.[!i] do
+          incr i
+        done;
+        let word = String.sub src start (!i - start) in
+        if List.mem word keywords then push (KW word) else push (IDENT word)
+      end
+      else begin
+        let two = if !i + 1 < n then String.sub src !i 2 else "" in
+        let three = if !i + 2 < n then String.sub src !i 3 else "" in
+        if three = "..<" then begin
+          push RANGE;
+          i := !i + 3
+        end
+        else if two = "->" then begin
+          push ARROW;
+          i := !i + 2
+        end
+        else if two = "==" || two = "!=" || two = "<=" || two = ">=" || two = "&&"
+                || two = "||" || two = "<<" || two = ">>" then begin
+          push (OP two);
+          i := !i + 2
+        end
+        else begin
+          (match c with
+          | '{' -> push LBRACE
+          | '}' -> push RBRACE
+          | '(' -> push LPAREN
+          | ')' -> push RPAREN
+          | '[' -> push LBRACKET
+          | ']' -> push RBRACKET
+          | ',' -> push COMMA
+          | ':' -> push COLON
+          | ';' -> push SEMI
+          | '.' -> push DOT
+          | '=' -> push ASSIGN
+          | '?' -> push QUESTION
+          | '+' | '-' | '*' | '/' | '%' | '&' | '|' | '^' | '<' | '>' | '!' ->
+            push (OP (String.make 1 c))
+          | c -> raise (Lex_error (!line, Printf.sprintf "unexpected character %C" c)));
+          incr i
+        end
+      end
+    done;
+    push EOF;
+    List.rev !out
+end
+
+(* Both lexers as (token, line) streams, or the error they raise. *)
+let old_stream src =
+  match Old_lexer.tokenize src with
+  | toks -> Ok (List.map (fun (t : Old_lexer.t) -> (t.tok, t.line)) toks)
+  | exception Swiftlet.Lexer.Lex_error (l, m) -> Error (l, m)
+
+(* The new lexer's stream runs to its first [EOF]; every slot after that
+   must be [EOF] padding on the same line. *)
+let new_stream src =
+  match Swiftlet.Lexer.tokenize src with
+  | toks, lines ->
+    if Array.length toks <> Array.length lines then
+      Alcotest.fail "token and line arrays differ in length";
+    let stream = List.combine (Array.to_list toks) (Array.to_list lines) in
+    let rec upto_eof = function
+      | [] -> Alcotest.fail "no EOF token"
+      | ((Swiftlet.Lexer.EOF, _) as eof) :: padding ->
+        if List.exists (fun p -> p <> eof) padding then
+          Alcotest.fail "padding after EOF is not EOF on the last line";
+        [ eof ]
+      | t :: rest -> t :: upto_eof rest
+    in
+    Ok (upto_eof stream)
+  | exception Swiftlet.Lexer.Lex_error (l, m) -> Error (l, m)
+
+(* The first place two streams part, if any. *)
+let stream_diff expected actual =
+  let show (t, l) = Printf.sprintf "%s@%d" (Swiftlet.Lexer.token_to_string t) l in
+  match expected, actual with
+  | Error (l, m), Error (l', m') when l = l' && String.equal m m' -> None
+  | Error (l, m), _ -> Some (Printf.sprintf "expected Lex_error (%d, %s)" l m)
+  | Ok _, Error (l, m) -> Some (Printf.sprintf "unexpected Lex_error (%d, %s)" l m)
+  | Ok e, Ok a ->
+    let rec go i = function
+      | [], [] -> None
+      | x :: xs, y :: ys -> if x = y then go (i + 1) (xs, ys)
+        else Some (Printf.sprintf "token %d: expected %s, got %s" i (show x) (show y))
+      | _ :: _, [] -> Some (Printf.sprintf "stream ends early at token %d" i)
+      | [], _ :: _ -> Some (Printf.sprintf "stream runs past token %d" i)
+    in
+    go 0 (e, a)
+
+let swiftgen_sources seed =
+  Fuzz.Swiftgen.to_sources
+    (Fuzz.Swiftgen.generate (Random.State.make [| seed; 0 |]) ~fuel:8)
+
+(* uber_rider, SmallApp_x3, the Swiftlet benchmarks and Swiftgen seeds
+   1-40, as (module name, source) groups of one program each. *)
+let front_end_corpus () =
+  Workload.Appgen.generate_sources Workload.Appgen.uber_rider
+  :: Workload.Appgen.generate_sources
+       (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small)
+  :: List.map
+       (fun (b : Workload.Benchmarks.t) -> [ (b.bench_name, b.source) ])
+       Workload.Benchmarks.all
+  @ List.init 40 (fun i -> swiftgen_sources (i + 1))
+
+let edge_spellings =
+  [
+    "for i in 0..<n { }"; "a ..< b"; "..<"; "x..<"; ".."; "..."; ".<"; "a.b";
+    "->"; "a->b"; "a-->b"; "a- >b"; "x !="; "x !"; "!"; "!="; "x = y //";
+    "x // no newline at EOF"; "//"; "/"; "a/b//c\nd"; "a\r\n\tb"; "\t\tfunc\r\n";
+    "\r"; "<<="; ">>="; "&&&"; "|||"; "=>"; "==="; "<>"; "?:;,"; "123abc";
+    "007"; "4611686018427387903"; "0004611686018427387903"; "a1 _b __";
+    "classy iff in init inits letx _"; ""; "\n\n\n"; "a @ b"; "let x = 1\n  #";
+    "func main() -> Int {\n  return 0\n}\n$"; "x\n\n`";
+    (* Denser than the lexer's size estimate, so its arrays grow. *)
+    String.make 300 ','; String.concat ";\n" (List.init 100 (fun i -> "x" ^ string_of_int (i mod 7)));
+  ]
+
+let test_lexer_matches_oracle () =
+  let check what src =
+    match stream_diff (old_stream src) (new_stream src) with
+    | None -> ()
+    | Some d -> Alcotest.failf "%s: %s" what d
+  in
+  List.iter (fun src -> check (Printf.sprintf "%S" src) src) edge_spellings;
+  List.iter (List.iter (fun (name, src) -> check name src)) (front_end_corpus ())
+
+let test_out_of_range_literal () =
+  let lex_error src =
+    match Swiftlet.Lexer.tokenize src with
+    | _ -> None
+    | exception Swiftlet.Lexer.Lex_error (l, m) -> Some (l, m)
+  in
+  Alcotest.(check (option (pair int string)))
+    "one above max_int" (Some (2, "integer literal out of range"))
+    (lex_error "\n4611686018427387904");
+  Alcotest.(check (option (pair int string)))
+    "far above" (Some (1, "integer literal out of range"))
+    (lex_error "return 99999999999999999999999");
+  Alcotest.(check (option (pair int string))) "max_int itself" None
+    (lex_error "4611686018427387903")
+
+let test_stream_diff_catches_mutants () =
+  let src = snd (List.hd (Workload.Appgen.generate_sources Workload.Appgen.small)) in
+  let expected = old_stream src in
+  let toks = match new_stream src with Ok t -> t | Error _ -> Alcotest.fail "lex" in
+  let k = List.length toks / 2 in
+  let dropped = List.filteri (fun i _ -> i <> k) toks in
+  let shifted = List.mapi (fun i (t, l) -> if i = k then (t, l + 1) else (t, l)) toks in
+  Alcotest.(check bool) "the real stream agrees" true (stream_diff expected (Ok toks) = None);
+  Alcotest.(check bool) "a dropped token is caught" true
+    (stream_diff expected (Ok dropped) <> None);
+  Alcotest.(check bool) "a shifted line is caught" true
+    (stream_diff expected (Ok shifted) <> None)
+
+(* The two-pass front end, each pass parsing on its own: the reference the
+   one-parse [compile_program] must equal. *)
+let two_pass sources =
+  let rec map_ok f = function
+    | [] -> Ok []
+    | x :: rest -> (
+      match f x with
+      | Error _ as e -> e
+      | Ok y -> Result.map (fun ys -> y :: ys) (map_ok f rest))
+  in
+  Result.bind
+    (map_ok
+       (fun (name, src) ->
+         Result.map (fun s -> (name, s)) (Swiftlet.Compile.signatures_of_parsed (Swiftlet.Compile.parse ~name src)))
+       sources)
+    (fun per_module ->
+      map_ok
+        (fun (name, src) ->
+          let externals =
+            List.concat_map
+              (fun (m, s) -> if String.equal m name then [] else s)
+              per_module
+          in
+          Swiftlet.Compile.compile_module ~externals ~name src)
+        sources)
+
+let test_one_parse_matches_two_passes () =
+  List.iter
+    (fun sources ->
+      match Swiftlet.Compile.compile_program sources, two_pass sources with
+      | Ok ms, Ok ref_ms ->
+        Alcotest.(check int) "module count" (List.length ref_ms) (List.length ms);
+        List.iter2
+          (fun (m : Ir.modul) (r : Ir.modul) ->
+            if m <> r then Alcotest.failf "module %s differs" r.Ir.m_name)
+          ms ref_ms
+      | Error e, Error e' -> Alcotest.(check string) "same error" e' e
+      | Ok _, Error e -> Alcotest.failf "two-pass failed alone: %s" e
+      | Error e, Ok _ -> Alcotest.failf "one-parse failed alone: %s" e)
+    (front_end_corpus ())
+
+let test_error_precedence () =
+  let good = "func helper(x: Int) -> Int { return x + 1 }\n" in
+  let parse_bad = "func a() -> Int {\n  return (1 + \n}\n" in
+  let sig_bad = "func b() -> Int { return 1 }\nfunc b() -> Int { return 2 }\n" in
+  let type_bad = "func c() -> Int { return true }\n" in
+  let expect msg sources =
+    let got = function Ok _ -> "ok" | Error e -> e in
+    Alcotest.(check string) "compile_program" msg
+      (got (Swiftlet.Compile.compile_program sources));
+    Alcotest.(check string) "two passes" msg (got (two_pass sources))
+  in
+  (* Every signature (and so every parse) comes before any type check. *)
+  expect "m2: parse error: line 3: expected expression, found }"
+    [ ("m1", good); ("m2", parse_bad); ("m3", sig_bad) ];
+  expect "m3: duplicate function b"
+    [ ("m1", type_bad); ("m2", good); ("m3", sig_bad) ];
+  expect "m3: parse error: line 3: expected expression, found }"
+    [ ("m1", good); ("m2", type_bad); ("m3", parse_bad) ];
+  expect "m1: parse error: line 1: unexpected character '@'"
+    [ ("m1", "func x() -> Int { return 1 @ 2 }"); ("m2", parse_bad) ];
+  expect "m2: type error: return type mismatch in c: expected Int, got Bool"
+    [ ("m1", good); ("m2", type_bad); ("m3", "func z() -> Int { return helper(true) }") ]
+
 let () =
   Alcotest.run "swiftlet"
     [
@@ -545,5 +812,16 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
           Alcotest.test_case "clone detect" `Quick test_clone_detect;
           Alcotest.test_case "sil outline" `Quick test_sil_outline;
+        ] );
+      ( "front end",
+        [
+          Alcotest.test_case "lexer matches its list oracle" `Quick
+            test_lexer_matches_oracle;
+          Alcotest.test_case "out-of-range literal" `Quick test_out_of_range_literal;
+          Alcotest.test_case "stream check catches mutants" `Quick
+            test_stream_diff_catches_mutants;
+          Alcotest.test_case "one parse equals two passes" `Quick
+            test_one_parse_matches_two_passes;
+          Alcotest.test_case "error precedence" `Quick test_error_precedence;
         ] );
     ]

@@ -403,6 +403,20 @@ let prop_fuzz_lowering =
               | Error e -> QCheck.Test.fail_reportf "outlined failed: %s" e
               | Ok (ov, oo) -> (er.exit_value, er.output) = (ov, oo)))))
 
+(* A literal above max_int is a parse error on its line, not an escaping
+   [Failure "int_of_string"]. *)
+let test_out_of_range_literal () =
+  let src = "func main() -> Int {\n  return 99999999999999999999999\n}\n" in
+  let msg = "m: parse error: line 2: integer literal out of range" in
+  (match Swiftlet.Compile.compile_module ~name:"m" src with
+  | Ok _ -> Alcotest.fail "out-of-range literal compiled"
+  | Error e -> Alcotest.(check string) "compile_module" msg e);
+  (match Swiftlet.Compile.compile_program [ ("m", src) ] with
+  | Ok _ -> Alcotest.fail "out-of-range literal compiled"
+  | Error e -> Alcotest.(check string) "compile_program" msg e);
+  check_program ~expect_exit:4611686018427387903
+    "func main() -> Int { return 4611686018427387903 }"
+
 let tests =
   [
     ("nested closures", test_nested_closures);
@@ -418,6 +432,7 @@ let tests =
     ("method chains", test_method_chains);
     ("array aliasing", test_array_aliasing);
     ("bool-returning closure", test_bool_returning_closure);
+    ("out-of-range literal", test_out_of_range_literal);
   ]
 
 let () =

@@ -319,7 +319,11 @@ let test_second_worker_allocation () =
              (Workload.Appgen.scaled ~mult:3 Workload.Appgen.small))))
       .Pipeline.program
   in
+  (* [Gc.quick_stat] folds in joined domains' counts, but a domain's minor
+     words reach it only at a minor collection, so a read can fall short
+     by up to a minor heap (256 k words).  Collecting first makes it exact. *)
   let words () =
+    Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
